@@ -139,7 +139,7 @@ struct BankState {
 ///     bh.on_activate(0, 42, 0, now);
 ///     now += t.trc;
 /// }
-/// assert!(bh.activate_allowed_at(0, 42, 0, now) > now);
+/// assert!(bh.activate_allowed_at(0, 42, 0) > now);
 /// ```
 #[derive(Debug)]
 pub struct BlockHammer {
@@ -292,14 +292,19 @@ impl McMitigation for BlockHammer {
         McAction::None
     }
 
-    fn activate_allowed_at(&self, bank: BankId, row: RowId, _thread: usize, now: TimePs) -> TimePs {
+    fn activate_allowed_at(&self, bank: BankId, row: RowId, _thread: usize) -> TimePs {
         if !self.is_blacklisted(bank, row) {
-            return now;
+            return 0;
         }
         match self.banks[bank].last_act.get(&row) {
-            Some(&last) => now.max(last + self.config.t_delay()),
-            None => now,
+            Some(&last) => last + self.config.t_delay(),
+            None => 0,
         }
+    }
+
+    fn release_generation(&self) -> u64 {
+        // Moves exactly at a swap, which clears every bank's blacklist.
+        self.next_swap
     }
 
     fn name(&self) -> &'static str {
@@ -371,10 +376,10 @@ mod tests {
             bh.on_activate(0, 5, 0, now);
             now += 50_000;
         }
-        let release = bh.activate_allowed_at(0, 5, 0, now);
+        let release = bh.activate_allowed_at(0, 5, 0);
         assert!(release > now);
         // Non-blacklisted rows are unaffected.
-        assert_eq!(bh.activate_allowed_at(0, 6, 0, now), now);
+        assert_eq!(bh.activate_allowed_at(0, 6, 0), 0);
     }
 
     #[test]
@@ -421,10 +426,14 @@ mod tests {
             now += 1_000;
         }
         assert!(bh.is_blacklisted(0, 5));
-        // After both half-epochs pass, the counts are gone.
+        let generation = bh.release_generation();
+        // After both half-epochs pass, the counts are gone, and the
+        // release generation moved with the swaps that cleared them.
         let later = cfg.t_cbf + cfg.t_cbf / 2 + 1;
         bh.on_activate(0, 99, 0, later);
         assert!(!bh.is_blacklisted(0, 5));
+        assert_eq!(bh.activate_allowed_at(0, 5, 0), 0);
+        assert_ne!(bh.release_generation(), generation);
     }
 
     #[test]

@@ -150,10 +150,6 @@ impl McMitigation for Cbt {
         }
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "cbt"
     }

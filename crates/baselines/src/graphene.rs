@@ -179,10 +179,6 @@ impl McMitigation for Graphene {
         }
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "graphene"
     }

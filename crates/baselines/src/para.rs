@@ -113,10 +113,6 @@ impl McMitigation for Para {
         }
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "para"
     }

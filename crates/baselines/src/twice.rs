@@ -182,10 +182,6 @@ impl McMitigation for TwiCe {
         self.tables[bank].retain(|&row, _| row < lo || row >= hi);
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "twice"
     }

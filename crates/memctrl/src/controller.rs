@@ -16,7 +16,9 @@
 //!   the last command (dirty-bitset invalidation). Global constraints that
 //!   slide with time — the controller clock, the shared data bus, rank
 //!   tRRD/tFAW — are applied as clamps at selection time so cached
-//!   candidates stay valid without recomputation.
+//!   candidates stay valid without recomputation. Throttle releases are
+//!   absolute times cached with each ACT candidate; a lane is recomputed
+//!   when the clock reaches its next queued release (`stale_at`).
 //! * **Naive rescan**: the original O(banks) full enumeration per command,
 //!   kept as the reference implementation for differential testing
 //!   (`tests/event_core_diff.rs`).
@@ -248,8 +250,12 @@ pub struct CommandRecord {
 struct BankLane {
     /// Cached candidate base time — *before* the selection-time clamps
     /// (clock, data bus, rank tRRD/tFAW), which slide with time and are
-    /// applied in `next_candidate_event`.
+    /// applied in `next_candidate_event`. An ACT includes its release.
     cand_time: TimePs,
+    /// Smallest queued release above the ACT base the candidate was
+    /// computed with (`TimePs::MAX` if none or not an ACT): the lane is
+    /// recomputed once its ACT base reaches it.
+    stale_at: TimePs,
     /// Cached candidate kind; `Idle` keeps the bank out of the active set.
     cand: Cand,
     hits_served: u32,
@@ -281,6 +287,33 @@ enum Cand {
         /// time: by then the window may have rotated and refilled tokens.
         qos_throttled: bool,
     },
+}
+
+impl Cand {
+    /// The action this candidate stands for on `bank`.
+    fn action(self, bank: BankId) -> Action {
+        match self {
+            Cand::Idle => unreachable!("active bank with idle candidate"),
+            Cand::MaintPre => Action::MaintPre { bank },
+            Cand::Rfm => Action::Rfm { bank },
+            Cand::Arr => Action::Arr { bank },
+            Cand::Column { pos } => Action::Column {
+                bank,
+                pos: pos as usize,
+            },
+            Cand::Pre => Action::Pre { bank },
+            Cand::Act {
+                pos,
+                throttled,
+                qos_throttled,
+            } => Action::Act {
+                bank,
+                pos: pos as usize,
+                throttled,
+                qos_throttled,
+            },
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,10 +392,9 @@ pub struct MemoryController<S: EventSink = NullSink> {
     config: McConfig,
     scheduler: SchedulerKind,
     mitigation: Box<dyn McMitigation>,
-    /// Cached `mitigation.may_throttle() || qos on`: when true, activation
-    /// release times can change step to step and every bank recomputes
-    /// each step.
-    throttling: bool,
+    /// The mitigation's release generation as of its last ACT; a change
+    /// invalidates every lane's cached activation candidate.
+    mit_generation: u64,
     /// Multi-tenant QoS layer (suspect scoring + token-bucket throttle);
     /// `None` under [`QosPolicy::Off`], leaving the controller
     /// entry-by-entry identical to a build without the subsystem.
@@ -373,6 +405,9 @@ pub struct MemoryController<S: EventSink = NullSink> {
     dirty: Vec<u64>,
     /// Banks with a non-`Idle` cached candidate (bit per flat bank).
     active: Vec<u64>,
+    /// Banks whose ACT candidate waits on a queued release, i.e. has a
+    /// finite `stale_at` (bit per flat bank).
+    held: Vec<u64>,
     next_ref: Vec<TimePs>,
     bus_free: TimePs,
     clock: TimePs,
@@ -427,18 +462,18 @@ impl<S: EventSink> MemoryController<S> {
         let nranks = device.geometry().ranks;
         let trefi = device.timing().trefi;
         let words = nbanks.div_ceil(64);
-        let throttling = mitigation.may_throttle();
         let mut mc = Self {
             device,
             config,
             scheduler,
+            mit_generation: mitigation.release_generation(),
             mitigation,
-            throttling,
             qos: None,
             bliss: config.bliss.map(Bliss::new),
             lanes: (0..nbanks).map(|_| BankLane::default()).collect(),
             dirty: vec![0; words],
             active: vec![0; words],
+            held: vec![0; words],
             // Stagger rank refreshes to avoid lock-step tRFC stalls.
             next_ref: (0..nranks)
                 .map(|r| trefi + (r as TimePs) * (trefi / nranks.max(1) as TimePs))
@@ -622,17 +657,15 @@ impl<S: EventSink> MemoryController<S> {
         self.mitigation.as_ref()
     }
 
-    /// Installs (or removes) the multi-tenant QoS policy. With any policy
-    /// other than [`QosPolicy::Off`] the controller enters throttling
-    /// mode: activation release times can change between steps, so both
-    /// scheduler cores recompute every bank each step — the conservative
-    /// fallback that keeps them decision-identical under any throttle.
+    /// Installs (or removes) the multi-tenant QoS policy. A dry suspect's
+    /// release is the absolute end of the current score window, cached
+    /// with each lane's activation candidate like any mitigation release;
+    /// window rotations and newly dry buckets invalidate every lane.
     ///
     /// Call before advancing the controller; switching policies mid-run
     /// is supported but resets no QoS state.
     pub fn set_qos(&mut self, policy: QosPolicy) {
         self.qos = QosState::new(policy);
-        self.throttling = self.mitigation.may_throttle() || self.qos.is_some();
         self.mark_all_dirty();
     }
 
@@ -640,18 +673,6 @@ impl<S: EventSink> MemoryController<S> {
     /// so QoS-off reports carry no QoS section at all.
     pub fn qos_stats(&self) -> Option<QosStats> {
         self.qos.as_ref().map(|q| q.stats())
-    }
-
-    /// Advances the command loop until no action can issue at or before
-    /// `end`, returning all completions produced.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per call; use `advance_until_into` with a reused buffer"
-    )]
-    pub fn advance_until(&mut self, end: TimePs) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.advance_until_into(end, &mut out);
-        out
     }
 
     /// Advances the command loop until no action can issue at or before
@@ -734,9 +755,28 @@ impl<S: EventSink> MemoryController<S> {
         }
     }
 
+    /// A throttle release changed beyond the executing bank (QoS
+    /// rotation or dry bucket, mitigation release generation).
+    fn releases_changed(&mut self, at: TimePs) {
+        self.mark_all_dirty();
+        self.obs_lane(at, 0, LaneCause::Throttle);
+    }
+
     /// Recomputes the cached candidate of every dirty bank and clears the
-    /// dirty set.
+    /// dirty set. A held lane is dirty once its ACT base has reached its
+    /// `stale_at`: the clock released another queued request.
     fn refresh_dirty_candidates(&mut self) {
+        for w in 0..self.held.len() {
+            let mut bits = self.held[w];
+            while bits != 0 {
+                let b = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.device.earliest_activate(b, self.clock) >= self.lanes[b].stale_at {
+                    self.mark_dirty(b);
+                    self.obs_lane(self.clock, b, LaneCause::Throttle);
+                }
+            }
+        }
         for w in 0..self.dirty.len() {
             let mut bits = self.dirty[w];
             if bits == 0 {
@@ -757,13 +797,13 @@ impl<S: EventSink> MemoryController<S> {
     /// Recomputes bank `b`'s cached candidate. Mirrors the decision logic
     /// of `bank_candidates` exactly, but stores *base* times: constraints
     /// that slide with the clock (clock itself, the data bus, rank
-    /// tRRD/tFAW, throttle releases) are left to selection-time clamps —
-    /// except in throttling mode, where the release time is folded in here
-    /// because every bank is recomputed each step anyway.
+    /// tRRD/tFAW) are left to selection-time clamps. An ACT folds in its
+    /// absolute throttle release and sets `stale_at`.
     fn recompute_lane(&mut self, b: BankId) {
         let bank = self.device.bank(b);
         let open = bank.open_row();
         let lane = &self.lanes[b];
+        let mut stale_at = TimePs::MAX;
         let (cand, time) = if lane.rfm_pending || !lane.arr_queue.is_empty() {
             match open {
                 Some(row) => match self.best_hit(lane, row) {
@@ -799,36 +839,11 @@ impl<S: EventSink> MemoryController<S> {
                     }
                 }
                 None => {
-                    if lane.queue.is_empty() {
-                        (Cand::Idle, 0)
-                    } else if self.throttling {
-                        let (pos, t, throttled, qos_throttled) = self
-                            .best_activation(b, lane)
-                            .expect("non-empty queue yields an activation");
-                        (
-                            Cand::Act {
-                                pos: pos as u32,
-                                throttled,
-                                qos_throttled,
-                            },
-                            t,
-                        )
-                    } else {
-                        // Without throttling every queued request releases
-                        // at `now`, so the FR-FCFS order is independent of
-                        // the activation time: (blacklisted, arrival, pos).
-                        let pos = self
-                            .best_act_stable(lane)
-                            .expect("non-empty queue yields an activation");
-                        (
-                            Cand::Act {
-                                pos: pos as u32,
-                                throttled: false,
-                                qos_throttled: false,
-                            },
-                            bank.earliest_activate(),
-                        )
-                    }
+                    let (act, time, stale) =
+                        self.best_activation(b, lane)
+                            .unwrap_or((Cand::Idle, 0, TimePs::MAX));
+                    stale_at = stale;
+                    (act, time)
                 }
             }
         };
@@ -837,10 +852,16 @@ impl<S: EventSink> MemoryController<S> {
         let lane = &mut self.lanes[b];
         lane.cand = cand;
         lane.cand_time = time;
+        lane.stale_at = stale_at;
         if cand == Cand::Idle {
             self.active[word] &= !bit;
         } else {
             self.active[word] |= bit;
+        }
+        if stale_at == TimePs::MAX {
+            self.held[word] &= !bit;
+        } else {
+            self.held[word] |= bit;
         }
     }
 
@@ -851,14 +872,6 @@ impl<S: EventSink> MemoryController<S> {
     /// first-wins enumeration order (see ARCHITECTURE.md), so both cores
     /// pick the same action.
     fn next_candidate_event(&mut self) -> Option<(TimePs, Action)> {
-        if self.throttling {
-            // Throttle releases slide with the clock (`now + delay`
-            // mitigations) or flip with executed commands (QoS token
-            // buckets), so cached activation candidates go stale every
-            // step.
-            self.mark_all_dirty();
-            self.obs_lane(self.clock, 0, LaneCause::Throttle);
-        }
         self.refresh_dirty_candidates();
 
         let geometry = *self.device.geometry();
@@ -950,44 +963,9 @@ impl<S: EventSink> MemoryController<S> {
         let action = match pick {
             Pick::Ref(rank) => Action::Ref { rank },
             Pick::OverduePre(bank) => Action::MaintPre { bank },
-            Pick::Lane(bank) => match self.lanes[bank].cand {
-                Cand::Idle => unreachable!("active bank with idle candidate"),
-                Cand::MaintPre => Action::MaintPre { bank },
-                Cand::Rfm => Action::Rfm { bank },
-                Cand::Arr => Action::Arr { bank },
-                Cand::Column { pos } => Action::Column {
-                    bank,
-                    pos: pos as usize,
-                },
-                Cand::Pre => Action::Pre { bank },
-                Cand::Act {
-                    pos,
-                    throttled,
-                    qos_throttled,
-                } => Action::Act {
-                    bank,
-                    pos: pos as usize,
-                    throttled,
-                    qos_throttled,
-                },
-            },
+            Pick::Lane(bank) => self.lanes[bank].cand.action(bank),
         };
         Some((t, action))
-    }
-
-    /// Stable FR-FCFS activation choice when no throttling is in play:
-    /// every request releases at `now`, so the naive key
-    /// (time, blacklisted, arrival, pos) collapses to
-    /// (blacklisted, arrival, pos).
-    fn best_act_stable(&self, lane: &BankLane) -> Option<usize> {
-        let mut best: Option<(bool, TimePs, usize)> = None;
-        for (i, req) in lane.queue.iter().enumerate() {
-            let key = (self.is_blacklisted(req.thread), req.arrival, i);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, i)| i)
     }
 
     // ------------------------------------------------ naive-core candidates
@@ -1106,16 +1084,8 @@ impl<S: EventSink> MemoryController<S> {
                 );
             }
             None => {
-                if let Some((pos, t, throttled, qos_throttled)) = self.best_activation(b, bq) {
-                    consider(
-                        t,
-                        Action::Act {
-                            bank: b,
-                            pos,
-                            throttled,
-                            qos_throttled,
-                        },
-                    );
+                if let Some((act, t, _)) = self.best_activation(b, bq) {
+                    consider(t, act.action(b));
                 }
             }
         }
@@ -1136,36 +1106,52 @@ impl<S: EventSink> MemoryController<S> {
         best.map(|(_, _, i)| i)
     }
 
-    /// Best request to activate for, with its earliest issue time. The two
-    /// trailing booleans report whether the winning request's issue was
-    /// delayed past the bank's own earliest-activate time (throttled), and
-    /// whether the QoS token bucket specifically was the binding delay.
-    fn best_activation(&self, b: BankId, bq: &BankLane) -> Option<(usize, TimePs, bool, bool)> {
+    /// FR-FCFS activation choice of bank `b` at the current clock: the
+    /// minimum over queued requests of (issue time, blacklisted, arrival,
+    /// position), where a request issues at `max(base, release)`, `base`
+    /// is the bank's earliest legal ACT and `release` the later of its
+    /// mitigation and QoS throttle releases (both absolute). Returns the
+    /// `Cand::Act`, its issue time, and the smallest queued release above
+    /// `base` (`TimePs::MAX` if none).
+    fn best_activation(&self, b: BankId, bq: &BankLane) -> Option<(Cand, TimePs, TimePs)> {
+        if bq.queue.is_empty() {
+            return None;
+        }
         let base = self.device.earliest_activate(b, self.clock);
-        let mut best: Option<(TimePs, bool, TimePs, usize, bool, bool)> = None;
+        let mut best: Option<(TimePs, bool, TimePs, usize)> = None;
+        let (mut best_mit, mut best_qos) = (0, 0);
+        let mut stale_at = TimePs::MAX;
         for (i, req) in bq.queue.iter().enumerate() {
-            let mit_release =
-                self.mitigation
-                    .activate_allowed_at(b, req.addr.row, req.thread, self.clock);
-            let qos_release = self
+            let mit = self
+                .mitigation
+                .activate_allowed_at(b, req.addr.row, req.thread);
+            let qos = self
                 .qos
                 .as_ref()
                 .map_or(0, |q| q.activate_allowed_at(req.thread));
-            let release = mit_release.max(qos_release);
-            let t = base.max(release);
+            let release = mit.max(qos);
+            if release > base {
+                stale_at = stale_at.min(release);
+            }
             let key = (
-                t,
+                base.max(release),
                 self.is_blacklisted(req.thread),
                 req.arrival,
                 i,
-                release > base,
-                qos_release > base.max(mit_release),
             );
-            if best.is_none_or(|b| (key.0, key.1, key.2, key.3) < (b.0, b.1, b.2, b.3)) {
+            if best.is_none_or(|k| key < k) {
                 best = Some(key);
+                (best_mit, best_qos) = (mit, qos);
             }
         }
-        best.map(|(t, _, _, i, throttled, qos_throttled)| (i, t, throttled, qos_throttled))
+        best.map(|(time, _, _, pos)| {
+            let act = Cand::Act {
+                pos: pos as u32,
+                throttled: time > base,
+                qos_throttled: best_qos > base.max(best_mit),
+            };
+            (act, time, stale_at)
+        })
     }
 
     fn is_blacklisted(&self, thread: usize) -> bool {
@@ -1199,8 +1185,8 @@ impl<S: EventSink> MemoryController<S> {
         // Rotate QoS score windows before the command's effects land, so
         // both scheduler cores rotate at identical points of the
         // (identical) command stream.
-        if let Some(q) = &mut self.qos {
-            q.tick(now);
+        if self.qos.as_mut().is_some_and(|q| q.tick(now)) {
+            self.releases_changed(now);
         }
         match action {
             Action::Ref { rank } => {
@@ -1393,8 +1379,12 @@ impl<S: EventSink> MemoryController<S> {
                     self.stats.throttled_acts += 1;
                     core.throttled_acts += 1;
                 }
-                if let Some(q) = &mut self.qos {
-                    q.on_act(req.thread, qos_throttled);
+                if self
+                    .qos
+                    .as_mut()
+                    .is_some_and(|q| q.on_act(req.thread, qos_throttled))
+                {
+                    self.releases_changed(now);
                 }
                 if self.config.rfm_mode != RfmMode::Disabled {
                     self.lanes[bank].raa += 1;
@@ -1471,6 +1461,11 @@ impl<S: EventSink> MemoryController<S> {
                         self.lanes[target].arr_queue.push_back(victims);
                         self.mark_dirty(target);
                     }
+                }
+                let generation = self.mitigation.release_generation();
+                if generation != self.mit_generation {
+                    self.mit_generation = generation;
+                    self.releases_changed(now);
                 }
             }
         }
@@ -1764,9 +1759,6 @@ mod tests {
                     victims: vec![row.saturating_sub(1), row + 1],
                 }
             }
-            fn may_throttle(&self) -> bool {
-                false
-            }
             fn name(&self) -> &'static str {
                 "arr-every"
             }
@@ -1793,29 +1785,28 @@ mod tests {
 
     #[test]
     fn throttling_mitigation_delays_acts() {
-        /// Delays every ACT of thread 0 by 1 µs.
-        struct DelayThread0;
+        /// Releases thread 0's ACTs 1 µs after the bank's previous ACT
+        /// (or after time 0).
+        #[derive(Default)]
+        struct DelayThread0 {
+            last_act: std::collections::HashMap<BankId, TimePs>,
+        }
         impl McMitigation for DelayThread0 {
             fn on_activate(
                 &mut self,
-                _bank: BankId,
+                bank: BankId,
                 _row: RowId,
                 _thread: usize,
-                _now: TimePs,
+                now: TimePs,
             ) -> McAction {
+                self.last_act.insert(bank, now);
                 McAction::None
             }
-            fn activate_allowed_at(
-                &self,
-                _bank: BankId,
-                _row: RowId,
-                thread: usize,
-                now: TimePs,
-            ) -> TimePs {
+            fn activate_allowed_at(&self, bank: BankId, _row: RowId, thread: usize) -> TimePs {
                 if thread == 0 {
-                    now + PS_PER_US
+                    self.last_act.get(&bank).copied().unwrap_or(0) + PS_PER_US
                 } else {
-                    now
+                    0
                 }
             }
             fn name(&self) -> &'static str {
@@ -1830,7 +1821,7 @@ mod tests {
             let mut mc = MemoryController::with_scheduler(
                 device,
                 McConfig::default(),
-                Box::new(DelayThread0),
+                Box::new(DelayThread0::default()),
                 kind,
             );
             let a = crate::mapping::MappedAddr {

@@ -6,8 +6,8 @@
 //!
 //! * **ARR** — an adjacent-row-refresh command naming victim rows (the
 //!   remedy deprecated in DDR5 but used by prior work);
-//! * **throttling** — delaying future activations of a row/thread
-//!   (BlockHammer).
+//! * **throttling** — holding a row's or thread's activations until an
+//!   absolute release time (BlockHammer).
 
 use mithril_dram::{BankId, RowId, TimePs};
 
@@ -60,30 +60,31 @@ pub trait McMitigation {
     /// Observes an ACT of `row` on `bank` issued on behalf of `thread`.
     fn on_activate(&mut self, bank: BankId, row: RowId, thread: usize, now: TimePs) -> McAction;
 
-    /// Earliest time the controller may activate `row` on `bank` for
-    /// `thread` — the throttling hook. Non-throttling schemes return `now`.
-    fn activate_allowed_at(&self, bank: BankId, row: RowId, thread: usize, now: TimePs) -> TimePs {
+    /// Absolute earliest time the controller may activate `row` on `bank`
+    /// for `thread` — the throttling hook; `0` (the default) means no
+    /// restriction. The event core caches releases per bank, so one may
+    /// change only inside [`on_activate`] for the same bank, or together
+    /// with a move of [`release_generation`].
+    ///
+    /// [`on_activate`]: McMitigation::on_activate
+    /// [`release_generation`]: McMitigation::release_generation
+    fn activate_allowed_at(&self, bank: BankId, row: RowId, thread: usize) -> TimePs {
         let _ = (bank, row, thread);
-        now
+        0
+    }
+
+    /// A value that moves whenever a release changes beyond the activating
+    /// bank (BlockHammer: its next CBF swap time). Checked after every
+    /// `on_activate`; a move recomputes every bank's cached activation
+    /// candidate.
+    fn release_generation(&self) -> u64 {
+        0
     }
 
     /// Auto-refresh notification for `bank` rows `lo..hi` (TWiCe-style
-    /// housekeeping). Default: ignored.
+    /// housekeeping). Default: ignored. Must not change any release.
     fn on_auto_refresh(&mut self, bank: BankId, lo: RowId, hi: RowId) {
         let _ = (bank, lo, hi);
-    }
-
-    /// Whether [`activate_allowed_at`] can ever return a time later than
-    /// `now`. The event-driven scheduler caches per-bank activation
-    /// candidates; a throttling mitigation's release times slide with the
-    /// clock (`now + delay`), so candidates must be recomputed every step
-    /// when this returns `true`. Non-throttling schemes should override to
-    /// `false` to keep the incremental fast path enabled. The default is
-    /// `true` (conservative: always correct, never fast).
-    ///
-    /// [`activate_allowed_at`]: McMitigation::activate_allowed_at
-    fn may_throttle(&self) -> bool {
-        true
     }
 
     /// Scheme name for reporting.
@@ -105,10 +106,6 @@ impl McMitigation for NoMcMitigation {
         McAction::None
     }
 
-    fn may_throttle(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "none"
     }
@@ -122,7 +119,8 @@ mod tests {
     fn no_mitigation_never_acts() {
         let mut m = NoMcMitigation;
         assert_eq!(m.on_activate(0, 0, 0, 0), McAction::None);
-        assert_eq!(m.activate_allowed_at(0, 0, 0, 42), 42);
+        assert_eq!(m.activate_allowed_at(0, 0, 0), 0);
+        assert_eq!(m.release_generation(), 0);
         assert_eq!(m.name(), "none");
     }
 }

@@ -163,12 +163,15 @@ impl QosState {
     /// Rotates score windows until `now` is inside the current one.
     /// Called once per executed command, before the command's effects,
     /// so both scheduler cores rotate at identical points of the
-    /// (identical) command stream.
-    pub(crate) fn tick(&mut self, now: TimePs) {
+    /// (identical) command stream. Returns whether a rotation happened:
+    /// every thread's release may have changed.
+    pub(crate) fn tick(&mut self, now: TimePs) -> bool {
+        let rotated = now >= self.window_end;
         while now >= self.window_end {
             self.rotate();
             self.window_end += self.cfg.window_ps;
         }
+        rotated
     }
 
     /// One window rotation: decay + absorb pressure, re-elect suspects,
@@ -205,14 +208,19 @@ impl QosState {
     }
 
     /// Charges an executed ACT: suspects spend a token; a deferred ACT
-    /// (qos_throttled, as computed at selection) is tallied.
-    pub(crate) fn on_act(&mut self, thread: usize, qos_throttled: bool) {
+    /// (qos_throttled, as computed at selection) is tallied. Returns
+    /// whether the thread's release changed: a suspect spent its last
+    /// token and now waits for the window boundary.
+    pub(crate) fn on_act(&mut self, thread: usize, qos_throttled: bool) -> bool {
         let t = self.slot(thread);
-        if t.suspect && t.tokens > 0 {
-            t.tokens -= 1;
-        }
         if qos_throttled {
             t.throttled_acts += 1;
+        }
+        if t.suspect && t.tokens > 0 {
+            t.tokens -= 1;
+            t.tokens == 0
+        } else {
+            false
         }
     }
 
@@ -316,15 +324,22 @@ mod tests {
             q.on_pressure(0);
         }
         q.on_pressure(1);
-        q.tick(q.cfg.window_ps);
+        assert!(
+            !q.tick(q.cfg.window_ps - 1),
+            "no rotation inside the window"
+        );
+        assert!(q.tick(q.cfg.window_ps), "the boundary rotates");
         assert!(q.threads[0].suspect, "dominant trigger source is suspect");
         assert!(!q.threads[1].suspect, "minor source stays untouched");
         assert_eq!(q.activate_allowed_at(1), 0);
         // The suspect still has tokens, so it is not deferred yet.
         assert_eq!(q.activate_allowed_at(0), 0);
-        for _ in 0..q.cfg.tokens_per_window {
-            q.on_act(0, false);
+        for _ in 1..q.cfg.tokens_per_window {
+            assert!(!q.on_act(0, false), "tokens left: release unchanged");
         }
+        assert!(q.on_act(0, false), "the last token dries the bucket");
+        assert!(!q.on_act(0, true), "a dry suspect stays dry");
+        assert!(!q.on_act(1, false), "non-suspects never change release");
         assert_eq!(
             q.activate_allowed_at(0),
             2 * q.cfg.window_ps,

@@ -7,6 +7,8 @@
 //! detail of each core) — on random and adversarial workloads, across
 //! geometries and mitigation styles.
 
+use std::collections::HashMap;
+
 use mithril_dram::{Ddr5Timing, DramDevice, Geometry, NoMitigation, RowId, TimePs, PS_PER_US};
 use mithril_memctrl::{
     MappedAddr, McAction, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
@@ -36,32 +38,75 @@ impl McMitigation for ArrEveryK {
             McAction::None
         }
     }
-    fn may_throttle(&self) -> bool {
-        false
-    }
     fn name(&self) -> &'static str {
         "arr-every-k"
     }
 }
 
-/// Deterministic throttling mitigation: delays even threads' ACTs by a
-/// bank-dependent amount (exercises the event core's conservative
-/// recompute-every-step fallback).
-struct DelayEvenThreads;
+/// The bank-dependent throttle delay of the mocks below.
+fn bank_delay(bank: usize) -> TimePs {
+    (bank as TimePs % 3 + 1) * 50_000
+}
+
+/// Deterministic throttling mitigation: even threads' ACTs release a
+/// bank-dependent delay after the bank's previous ACT. Releases change
+/// only on the bank's own ACTs; the event core caches them in the lane
+/// and recomputes once the clock passes a queued release.
+#[derive(Default)]
+struct DelayEvenThreads {
+    last_act: HashMap<usize, TimePs>,
+}
 
 impl McMitigation for DelayEvenThreads {
-    fn on_activate(&mut self, _bank: usize, _row: RowId, _thread: usize, _now: TimePs) -> McAction {
+    fn on_activate(&mut self, bank: usize, _row: RowId, _thread: usize, now: TimePs) -> McAction {
+        self.last_act.insert(bank, now);
         McAction::None
     }
-    fn activate_allowed_at(&self, bank: usize, _row: RowId, thread: usize, now: TimePs) -> TimePs {
+    fn activate_allowed_at(&self, bank: usize, _row: RowId, thread: usize) -> TimePs {
         if thread.is_multiple_of(2) {
-            now + (bank as TimePs % 3 + 1) * 50_000
+            self.last_act.get(&bank).copied().unwrap_or(0) + bank_delay(bank)
         } else {
-            now
+            0
         }
     }
     fn name(&self) -> &'static str {
         "delay-even-threads"
+    }
+}
+
+/// Deterministic throttling mitigation whose releases change on every
+/// bank at once: every `k`-th ACT opens an epoch that throttles the
+/// threads of one parity (alternating) on every bank, releasing them a
+/// bank-dependent delay after the epoch start. The epoch count is the
+/// release generation, as BlockHammer's CBF swap count is.
+struct EpochThrottle {
+    k: u64,
+    acts: u64,
+    epoch: u64,
+    epoch_start: TimePs,
+}
+
+impl McMitigation for EpochThrottle {
+    fn on_activate(&mut self, _bank: usize, _row: RowId, _thread: usize, now: TimePs) -> McAction {
+        self.acts += 1;
+        if self.acts.is_multiple_of(self.k) {
+            self.epoch += 1;
+            self.epoch_start = now;
+        }
+        McAction::None
+    }
+    fn activate_allowed_at(&self, bank: usize, _row: RowId, thread: usize) -> TimePs {
+        if (thread as u64 + self.epoch).is_multiple_of(2) {
+            self.epoch_start + bank_delay(bank)
+        } else {
+            0
+        }
+    }
+    fn release_generation(&self) -> u64 {
+        self.epoch
+    }
+    fn name(&self) -> &'static str {
+        "epoch-throttle"
     }
 }
 
@@ -96,14 +141,14 @@ fn external_events(mc: &mut MemoryController<RingSink>) -> Vec<(u64, Event)> {
 /// Drives two controllers through the same enqueue/advance interleaving
 /// and asserts every observable output matches: completions, stats,
 /// device state, command log, observability events, and QoS outcomes.
-/// Returns the (agreed) QoS stats so callers can assert the run was not
+/// Returns the first controller so callers can assert the run was not
 /// vacuous.
 fn assert_controllers_agree(
     geometry: Geometry,
     mut event: MemoryController<RingSink>,
     mut naive: MemoryController<RingSink>,
     reqs: &[Req],
-) -> Option<mithril_memctrl::QosStats> {
+) -> MemoryController<RingSink> {
     let nbanks = geometry.banks_total();
     let mut done_event = Vec::new();
     let mut done_naive = Vec::new();
@@ -165,23 +210,24 @@ fn assert_controllers_agree(
         assert_eq!(e, n, "observability event {i} diverges");
     }
     assert_eq!(event.qos_stats(), naive.qos_stats(), "QoS outcomes diverge");
-    event.qos_stats()
+    event
 }
 
 /// Drives both scheduler cores (optionally with a QoS policy applied)
-/// through the same traffic and asserts decision identity.
+/// through the same traffic, asserts decision identity, and returns the
+/// event-core controller.
 fn assert_cores_agree_qos(
     geometry: Geometry,
     cfg: McConfig,
     mk_mitigation: impl Fn() -> Box<dyn McMitigation>,
     qos: QosPolicy,
     reqs: &[Req],
-) {
+) -> MemoryController<RingSink> {
     let mut event = build(geometry, cfg, mk_mitigation(), SchedulerKind::EventQueue);
     let mut naive = build(geometry, cfg, mk_mitigation(), SchedulerKind::NaiveRescan);
     event.set_qos(qos);
     naive.set_qos(qos);
-    assert_controllers_agree(geometry, event, naive, reqs);
+    assert_controllers_agree(geometry, event, naive, reqs)
 }
 
 /// [`assert_cores_agree_qos`] without QoS — the pre-existing contract.
@@ -190,23 +236,39 @@ fn assert_cores_agree(
     cfg: McConfig,
     mk_mitigation: impl Fn() -> Box<dyn McMitigation>,
     reqs: &[Req],
-) {
+) -> MemoryController<RingSink> {
     let event = build(geometry, cfg, mk_mitigation(), SchedulerKind::EventQueue);
     let naive = build(geometry, cfg, mk_mitigation(), SchedulerKind::NaiveRescan);
-    assert_controllers_agree(geometry, event, naive, reqs);
+    assert_controllers_agree(geometry, event, naive, reqs)
 }
 
 /// An aggressive QoS tuning for the differential tests: short windows,
 /// tiny token budget, low election bar — maximizes rotations, suspect
 /// churn and window-boundary deferrals per request batch.
 fn aggressive_qos() -> QosPolicy {
+    aggressive_qos_with(2)
+}
+
+/// [`aggressive_qos`] with a chosen per-window token budget.
+fn aggressive_qos_with(tokens_per_window: u64) -> QosPolicy {
     QosPolicy::Throttle(QosConfig {
         kind: ThrottleKind::TokenBucket,
         window_ps: 300_000,
         share_pct: 30,
         min_score: 8,
-        tokens_per_window: 2,
+        tokens_per_window,
     })
+}
+
+/// Standard RFM at a low threshold (QoS pressure) with BLISS off, so
+/// no blacklist change marks every lane dirty behind the tests' back.
+fn unblissed_rfm() -> McConfig {
+    McConfig {
+        rfm_mode: RfmMode::Standard,
+        rfm_th: 4,
+        bliss: None,
+        ..Default::default()
+    }
 }
 
 /// Arbitrary request batches: (bank, row, col, is_write, thread, gap).
@@ -271,14 +333,27 @@ proptest! {
         );
     }
 
-    /// Throttling mitigation: the event core must fall back to
-    /// recompute-every-step and still match the naive core exactly.
+    /// Throttling mitigation with bank-local releases: the cached
+    /// candidates' `stale_at` recomputes must match the naive core.
     #[test]
     fn throttling_mitigation_matches(reqs in batches(100)) {
         assert_cores_agree(
             Geometry::default(),
             McConfig::default(),
-            || Box::new(DelayEvenThreads),
+            || Box::<DelayEvenThreads>::default(),
+            &reqs,
+        );
+    }
+
+    /// Throttling mitigation whose releases change on every bank at
+    /// once, reported through the release generation (BLISS on and off).
+    #[test]
+    fn cross_bank_release_changes_match(reqs in batches(100), k in 2u64..8, bliss in any::<bool>()) {
+        let cfg = if bliss { McConfig::default() } else { unblissed_rfm() };
+        assert_cores_agree(
+            Geometry::default(),
+            cfg,
+            || Box::new(EpochThrottle { k, acts: 0, epoch: 0, epoch_start: 0 }),
             &reqs,
         );
     }
@@ -286,19 +361,21 @@ proptest! {
     /// QoS token-bucket throttling on, with RFM pressure feeding the
     /// suspect scorer: both cores must elect the same suspects, defer
     /// the same ACTs to the same window boundaries, and agree on every
-    /// downstream decision.
+    /// downstream decision. With BLISS off no blacklist change re-dirties
+    /// every lane, so only the QoS change signals (rotation; a suspect's
+    /// last token; with no tokens at all, a rotation makes a newly
+    /// elected suspect dry at once) keep cached releases current.
     #[test]
-    fn qos_throttling_matches(reqs in batches(120)) {
+    fn qos_throttling_matches(reqs in batches(120), bliss in any::<bool>(), tokens in 0u64..3) {
         let cfg = McConfig {
-            rfm_mode: RfmMode::Standard,
-            rfm_th: 4,
-            ..Default::default()
+            bliss: if bliss { McConfig::default().bliss } else { None },
+            ..unblissed_rfm()
         };
         assert_cores_agree_qos(
             Geometry::default(),
             cfg,
             || Box::new(NoMcMitigation),
-            aggressive_qos(),
+            aggressive_qos_with(tokens),
             &reqs,
         );
     }
@@ -377,13 +454,83 @@ fn adversarial_hammer_matches_under_qos() {
     );
     event.set_qos(aggressive_qos());
     naive.set_qos(aggressive_qos());
-    let qos =
-        assert_controllers_agree(geometry, event, naive, &reqs).expect("QoS-on run reports stats");
+    let qos = assert_controllers_agree(geometry, event, naive, &reqs)
+        .qos_stats()
+        .expect("QoS-on run reports stats");
     assert!(qos.windows > 0, "windows must rotate over this horizon");
     assert!(
         qos.throttled_acts > 0,
         "the hammer must actually be deferred (vacuous agreement otherwise)"
     );
+}
+
+/// A hammer spread over eight banks under QoS with BLISS off: a suspect
+/// that spends its last token on one bank must defer its queued ACTs on
+/// every other bank (and, with no tokens at all, from the rotation that
+/// elects it). Non-vacuous: the hammer really is deferred.
+#[test]
+fn multi_bank_hammer_matches_under_qos_without_bliss() {
+    let geometry = Geometry::default();
+    let mut reqs = Vec::new();
+    for i in 0..480u64 {
+        let bank = (i % 8) as usize;
+        reqs.push((bank, 100 + 2 * (i % 2), 0, false, 0usize, 0u64));
+        if i % 3 == 0 {
+            reqs.push((
+                bank,
+                300 + i % 5,
+                0,
+                false,
+                1 + (i % 2) as usize,
+                u64::from(i % 24 == 0),
+            ));
+        }
+    }
+    for tokens in [0, 2] {
+        let qos = assert_cores_agree_qos(
+            geometry,
+            unblissed_rfm(),
+            || Box::new(NoMcMitigation),
+            aggressive_qos_with(tokens),
+            &reqs,
+        )
+        .qos_stats()
+        .expect("QoS-on run reports stats");
+        assert!(
+            qos.throttled_acts > 0,
+            "the hammer must be deferred (tokens {tokens})"
+        );
+    }
+}
+
+/// Cross-bank release changes on a busy multi-thread, multi-bank stream:
+/// the differential holds while epochs really roll over and really
+/// defer ACTs (so the agreement is not vacuous).
+#[test]
+fn epoch_throttle_matches_with_rollovers() {
+    let geometry = Geometry::default();
+    // Bursts of 50 over 7 banks and 4 threads keep many lanes queued
+    // when an epoch rolls over.
+    let reqs: Vec<Req> = (0..600u64)
+        .map(|i| {
+            let gap = u64::from(i % 50 == 49);
+            ((i % 7) as usize, i % 50, 0, false, (i % 4) as usize, gap)
+        })
+        .collect();
+    let mk = || -> Box<dyn McMitigation> {
+        Box::new(EpochThrottle {
+            k: 16,
+            acts: 0,
+            epoch: 0,
+            epoch_start: 0,
+        })
+    };
+    let mc = assert_cores_agree(geometry, unblissed_rfm(), mk, &reqs);
+    assert!(
+        mc.mitigation().release_generation() >= 2,
+        "epochs must roll over"
+    );
+    assert!(mc.stats().throttled_acts > 0, "epochs must defer ACTs");
 }
 
 /// Adversarial double-sided hammer plus a conflicting victim stream on the

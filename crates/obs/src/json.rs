@@ -8,7 +8,13 @@
 //! over the full JSON grammar — objects keep their field order (reports
 //! have fixed field order, and diffs read better that way), numbers are
 //! held as `f64` (report magnitudes stay well inside the exact integer
-//! range), and duplicate keys resolve to the first occurrence.
+//! range), and duplicate keys resolve to the first occurrence. Nesting
+//! is capped at [`MAX_DEPTH`] so hostile input fails with an error instead
+//! of exhausting the stack.
+
+/// Deepest array/object nesting [`Json::parse`] accepts (reports nest
+/// about 6 levels deep).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +40,7 @@ impl Json {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -99,6 +106,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -136,8 +145,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -348,5 +368,21 @@ mod tests {
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any stack budget: an error, not an abort.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
     }
 }

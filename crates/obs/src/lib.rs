@@ -383,7 +383,10 @@ pub enum LaneCause {
     RefSegment,
     /// The BLISS blacklist changed, reordering every lane's priorities.
     BlissChange,
-    /// Throttling is active: per-cycle fallback marks all lanes dirty.
+    /// A throttle release changed or was reached: a QoS window rotation,
+    /// a newly dry QoS token bucket or a mitigation release-generation
+    /// change (all lanes, reported on bank 0), or the clock reaching a
+    /// lane's next queued release (that lane).
     Throttle,
 }
 

@@ -159,6 +159,18 @@ fn forged_format_version_is_refused() {
 }
 
 #[test]
+fn hostile_nesting_exits_2() {
+    let json = sweep_json(7, &tiny_sweep(7));
+    let a = write_temp("nest-a.json", &json);
+    // One million unclosed arrays: rejected by the parser's depth cap
+    // instead of overflowing the stack.
+    let b = write_temp("nest-b.json", &"[".repeat(1_000_000));
+    let (code, _, stderr) = run_obs(&["report", a.to_str().unwrap(), b.to_str().unwrap()]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("nesting deeper"), "{stderr}");
+}
+
+#[test]
 fn usage_errors_exit_2() {
     let (code, _, stderr) = run_obs(&["report", "only-one.json"]);
     assert_eq!(code, 2);

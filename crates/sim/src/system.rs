@@ -868,8 +868,8 @@ mod tests {
 
     /// Decision identity must also hold with the QoS layer live: both
     /// cores see the same suspect elections and token-bucket deferrals
-    /// (the conservative mark-all-dirty fallback applies to QoS exactly
-    /// as to throttling mitigations).
+    /// (the event core caches the absolute window-boundary release in
+    /// each lane and recomputes on rotations and newly dry buckets).
     #[test]
     fn scheduler_cores_agree_with_qos_throttling() {
         use mithril_memctrl::QosConfig;

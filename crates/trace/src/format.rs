@@ -648,8 +648,20 @@ pub(crate) fn read_raw_chunk<R: Read>(
             "implausible chunk payload length {payload_len}"
         )));
     }
-    payload.resize(payload_len as usize, 0);
-    read_exact(source, payload, "chunk payload")?;
+    // Every op is two varints of at least one byte each.
+    if count > payload_len / 2 {
+        return Err(TraceError::Corrupt(format!(
+            "chunk op count {count} does not fit {payload_len} payload bytes"
+        )));
+    }
+    // Allocation grows with the bytes actually read, not the claimed
+    // length, so a forged length on a short file cannot reserve gigabytes.
+    payload.clear();
+    if source.take(payload_len).read_to_end(payload)? as u64 != payload_len {
+        return Err(TraceError::Truncated {
+            context: "chunk payload",
+        });
+    }
     let mut stored = [0u8; 8];
     read_exact(source, &mut stored, "chunk checksum")?;
     let mut check = Fnv64::new();
@@ -859,6 +871,43 @@ mod tests {
         // flips inside the stored checksum words themselves could in
         // principle collide, and FNV makes even those mismatch here.
         assert_eq!(rejected, bytes.len() * 8, "some bit flip went unnoticed");
+    }
+
+    /// A 100-byte file whose chunk frame claims `count` ops in
+    /// `payload_len` bytes, followed by `payload`, zero-padded.
+    fn forged_chunk_file(count: u64, payload_len: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = test_header(1).encode();
+        let mut frame = Vec::new();
+        for v in [0, count, payload_len] {
+            put_varint(&mut frame, v);
+        }
+        let mut check = Fnv64::new();
+        check.update(&frame);
+        check.update(payload);
+        bytes.extend_from_slice(&frame);
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&check.finish().to_le_bytes());
+        assert!(bytes.len() <= 100, "forged file is {} bytes", bytes.len());
+        bytes.resize(100, 0);
+        bytes
+    }
+
+    #[test]
+    fn forged_chunk_lengths_fail_without_allocating_them() {
+        // 2 GiB claimed, a few bytes present: truncation, not a 2 GiB
+        // buffer.
+        let bytes = forged_chunk_file(1, 1 << 31, &[]);
+        let err = read_all(&bytes[..]).expect_err("forged payload length accepted");
+        assert!(matches!(err, TraceError::Truncated { .. }), "{err}");
+        // A huge op count on top is refused before the payload is read.
+        let bytes = forged_chunk_file(1 << 40, 1 << 31, &[]);
+        let err = read_all(&bytes[..]).expect_err("forged op count accepted");
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+        // So is a checksummed chunk whose count cannot fit its payload,
+        // before any op buffer is reserved.
+        let bytes = forged_chunk_file(u64::MAX >> 1, 4, &[0; 4]);
+        let err = read_all(&bytes[..]).expect_err("forged op count accepted");
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
     }
 
     #[test]
