@@ -61,6 +61,8 @@
 
 pub mod json;
 
+use json::Json;
+
 /// Version stamp carried by every emitted JSON report (sweep, metrics-only
 /// replay, fault campaign, perf report, obs summaries). Bump when a report
 /// schema changes shape; diff-based gates validate it before comparing.
@@ -74,30 +76,27 @@ pub const FORMAT_VERSION: u64 = 2;
 /// picoseconds; this is the conversion the cycle domain is defined by.
 pub const DEFAULT_CYCLE_PS: u64 = 416;
 
-/// Checks that `json` carries this crate's [`FORMAT_VERSION`] stamp.
-/// Used by tests and CI gates before byte-diffing two reports, so a
-/// schema drift fails with a version message instead of a wall of diff.
-pub fn validate_format_version(json: &str) -> Result<(), String> {
-    let want = format!("\"format_version\": {FORMAT_VERSION}");
-    if json.contains(&want) {
-        Ok(())
-    } else {
-        Err(format!(
-            "report is missing the `{want}` stamp (schema drift or pre-versioned report)"
-        ))
+/// Checks that a parsed report carries exactly this crate's
+/// [`FORMAT_VERSION`] stamp. Shared by [`validate_format_version`] and
+/// the `obs report` reader, so a schema drift fails with a version
+/// message instead of a wall of diff or a nonsense table.
+pub fn check_format_version(doc: &Json) -> Result<(), String> {
+    match doc.get("format_version") {
+        None => Err("report carries no format_version stamp".to_string()),
+        Some(Json::Int(v)) if *v == FORMAT_VERSION => Ok(()),
+        Some(v) => Err(format!(
+            "format_version {} does not match this tool's {FORMAT_VERSION} \
+             (regenerate the report or use a matching obs binary)",
+            v.render()
+        )),
     }
 }
 
-/// Renders a warning list as the inner text of a JSON array: empty for no
-/// warnings, otherwise `"w1", "w2", ...`. Shared by the obs summary and
-/// the runner's `obs_counts.json` writer so both surface ring drops the
-/// same way.
-pub fn warnings_json(warnings: &[String]) -> String {
-    let quoted: Vec<String> = warnings
-        .iter()
-        .map(|w| format!("\"{}\"", w.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    quoted.join(", ")
+/// Parses `json` and checks its [`FORMAT_VERSION`] stamp (see
+/// [`check_format_version`]). Used by tests and CI gates before
+/// byte-diffing two reports.
+pub fn validate_format_version(json: &str) -> Result<(), String> {
+    check_format_version(&Json::parse(json)?)
 }
 
 // ------------------------------------------------------------ histograms
@@ -289,23 +288,21 @@ impl LatencyHistogram {
         self.quantile_lower_bound(999, 1000)
     }
 
-    /// Renders the summary the reports embed: exact counters plus the
-    /// standard percentile ladder, all in picoseconds. Field order is
-    /// fixed and every value is an integer, so two equal histograms render
-    /// to identical bytes.
-    pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum_ps\":{},\"min_ps\":{},\"max_ps\":{},\"p50_ps\":{},\
-             \"p95_ps\":{},\"p99_ps\":{},\"p999_ps\":{}}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max(),
-            self.p50(),
-            self.p95(),
-            self.p99(),
-            self.p999()
-        )
+    /// The summary the reports embed: exact counters plus the standard
+    /// percentile ladder, all in picoseconds. Field order is fixed and
+    /// every value is an integer, so two equal histograms render to
+    /// identical bytes.
+    pub fn summary_tree(&self) -> Json {
+        json_obj! {
+            "count": self.count,
+            "sum_ps": self.sum,
+            "min_ps": self.min(),
+            "max_ps": self.max(),
+            "p50_ps": self.p50(),
+            "p95_ps": self.p95(),
+            "p99_ps": self.p99(),
+            "p999_ps": self.p999(),
+        }
     }
 }
 
@@ -1007,17 +1004,6 @@ impl ObsCapture {
         out
     }
 
-    /// Renders per-kind totals as JSON object members (one per line,
-    /// zero kinds included so the shape is fixed).
-    fn counts_json(counts: &[u64; KINDS], indent: &str) -> String {
-        let lines: Vec<String> = KIND_NAMES
-            .iter()
-            .zip(counts.iter())
-            .map(|(name, n)| format!("{indent}\"{name}\": {n}"))
-            .collect();
-        lines.join(",\n")
-    }
-
     /// Ring-drop warnings, one string per channel whose ring overwrote
     /// events (payloads lost; exact counts were kept). Empty when nothing
     /// was dropped — the summaries surface these so a truncated capture
@@ -1039,35 +1025,40 @@ impl ObsCapture {
     /// totals, drop accounting (plus a top-level `warnings` array when
     /// any ring dropped) and per-channel volumes.
     pub fn summary_json(&self) -> String {
-        let per_channel: Vec<String> = self
-            .channels
-            .iter()
-            .map(|c| {
-                format!(
-                    "    {{\"channel\": {}, \"events\": {}, \"retained\": {}, \"dropped\": {}, \"samples\": {}}}",
-                    c.channel,
-                    c.counts.iter().sum::<u64>(),
-                    c.events.len(),
-                    c.dropped,
-                    c.rows.len()
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"cycle_ps\": {},\n  \
-             \"interval_cycles\": {},\n  \"events_total\": {},\n  \"events_dropped\": {},\n  \
-             \"warnings\": [{}],\n  \
-             \"samples\": {},\n  \"counts\": {{\n{}\n  }},\n  \"per_channel\": [\n{}\n  ]\n}}\n",
-            self.cycle_ps,
-            self.interval_cycles,
-            self.total_events(),
-            self.total_dropped(),
-            warnings_json(&self.warnings()),
-            self.channels.iter().map(|c| c.rows.len()).sum::<usize>(),
-            Self::counts_json(&self.total_counts(), "    "),
-            per_channel.join(",\n")
-        )
+        let per_channel = self.channels.iter().map(|c| {
+            json_obj! {
+                "channel": c.channel,
+                "events": c.counts.iter().sum::<u64>(),
+                "retained": c.events.len(),
+                "dropped": c.dropped,
+                "samples": c.rows.len(),
+            }
+        });
+        json_obj! {
+            "format_version": FORMAT_VERSION,
+            "cycle_ps": self.cycle_ps,
+            "interval_cycles": self.interval_cycles,
+            "events_total": self.total_events(),
+            "events_dropped": self.total_dropped(),
+            "warnings": self.warnings(),
+            "samples": self.channels.iter().map(|c| c.rows.len()).sum::<usize>(),
+            "counts": kind_counts_tree(&self.total_counts()),
+            "per_channel": Json::arr(per_channel),
+        }
+        .render_report()
     }
+}
+
+/// Per-kind event counts as one object keyed by [`KIND_NAMES`] (zero
+/// kinds included, so the shape is fixed).
+pub fn kind_counts_tree(counts: &[u64; KINDS]) -> Json {
+    Json::Obj(
+        KIND_NAMES
+            .iter()
+            .zip(counts)
+            .map(|(name, &n)| (name.to_string(), Json::Int(n)))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -1259,10 +1250,17 @@ mod tests {
 
     #[test]
     fn format_version_validation() {
-        let stamped = format!("{{\n  \"format_version\": {FORMAT_VERSION},\n}}");
-        assert!(validate_format_version(&stamped).is_ok());
-        assert!(validate_format_version("{\n  \"format_version\": 999,\n}").is_err());
+        let stamped = |v: &str| format!("{{\n  \"format_version\": {v},\n  \"base_seed\": 1\n}}\n");
+        assert!(validate_format_version(&stamped(&FORMAT_VERSION.to_string())).is_ok());
+        // A stamp that merely starts with the right digits is a different
+        // version, not a match.
+        let stretched = format!("{FORMAT_VERSION}0");
+        assert!(validate_format_version(&stamped(&stretched)).is_err());
+        assert!(validate_format_version(&stamped("999")).is_err());
+        assert!(validate_format_version(&stamped(&format!("{FORMAT_VERSION}.5"))).is_err());
+        assert!(validate_format_version(&stamped(&format!("\"{FORMAT_VERSION}\""))).is_err());
         assert!(validate_format_version("{}").is_err());
+        assert!(validate_format_version("not json").is_err());
     }
 
     #[test]
@@ -1393,7 +1391,7 @@ mod tests {
         assert_eq!(with_empty, a, "empty is the identity");
         let mut from_empty = LatencyHistogram::new();
         from_empty.merge(&a);
-        assert_eq!(from_empty.summary_json(), a.summary_json());
+        assert_eq!(from_empty.summary_tree(), a.summary_tree());
     }
 
     #[test]
@@ -1401,14 +1399,14 @@ mod tests {
         let mut h = LatencyHistogram::new();
         h.record(40);
         h.record(60);
-        let json = h.summary_json();
+        let json = h.summary_tree().render();
         assert_eq!(
             json,
             "{\"count\":2,\"sum_ps\":100,\"min_ps\":40,\"max_ps\":60,\
              \"p50_ps\":40,\"p95_ps\":60,\"p99_ps\":60,\"p999_ps\":60}"
         );
         assert_eq!(
-            LatencyHistogram::new().summary_json(),
+            LatencyHistogram::new().summary_tree().render(),
             "{\"count\":0,\"sum_ps\":0,\"min_ps\":0,\"max_ps\":0,\
              \"p50_ps\":0,\"p95_ps\":0,\"p99_ps\":0,\"p999_ps\":0}"
         );

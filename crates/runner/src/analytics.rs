@@ -11,8 +11,8 @@
 //! numbers are compared, so schema drift fails loudly instead of
 //! producing a nonsense table.
 
+use mithril_obs::check_format_version;
 use mithril_obs::json::Json;
-use mithril_obs::FORMAT_VERSION;
 
 /// Whether a metric counts as *better* when it goes up or when it goes
 /// down; `Neutral` metrics are reported but never classified as
@@ -128,16 +128,7 @@ fn scenario_metrics(name: &str, metrics: &Json) -> RunMetrics {
 /// and obs count baselines/summaries (`positions`/`totals` or `counts`).
 pub fn parse_report(text: &str) -> Result<Report, String> {
     let doc = Json::parse(text)?;
-    let version = doc
-        .get("format_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| "report carries no format_version stamp".to_string())?;
-    if version != FORMAT_VERSION {
-        return Err(format!(
-            "format_version {version} does not match this tool's {FORMAT_VERSION} \
-             (regenerate the report or use a matching obs binary)"
-        ));
-    }
+    check_format_version(&doc)?;
 
     let mut warnings: Vec<String> = Vec::new();
     if let Some(list) = doc.get("warnings").and_then(Json::as_arr) {
@@ -451,7 +442,7 @@ mod tests {
     fn foreign_format_versions_are_rejected() {
         let json = sweep_json(7, &tiny_sweep(7));
         let forged = json.replace(
-            &format!("\"format_version\": {FORMAT_VERSION}"),
+            &format!("\"format_version\": {}", mithril_obs::FORMAT_VERSION),
             "\"format_version\": 999",
         );
         assert!(parse_report(&forged).unwrap_err().contains("999"));

@@ -20,16 +20,19 @@
 //!
 //! The header pins the base seed and a fingerprint of the expanded
 //! scenario list; resuming against a different spec or seed is refused
-//! rather than silently mixed. `<entry>` is the single-line
-//! [`result_json`](crate::report::result_json) record (without its
-//! 4-space indent). Duplicate indices are legal — the last valid record
-//! wins (a retried item may append twice; the rendered entry is
-//! deterministic, so duplicates are byte-equal anyway).
+//! rather than silently mixed. `<entry>` is the compact rendering of the
+//! [`result_tree`](crate::report::result_tree) record; recovery parses it
+//! back into that tree, and rendering is a fixed point of parsing, so the
+//! reassembled report is byte-identical. Duplicate indices are legal —
+//! the last valid record wins (a retried item may append twice; the
+//! rendered entry is deterministic, so duplicates are byte-equal anyway).
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::Mutex;
+
+use mithril_obs::json::Json;
 
 use crate::scenarios::Scenario;
 
@@ -66,7 +69,7 @@ pub fn fingerprint(base_seed: u64, scenarios: &[Scenario]) -> u64 {
 #[derive(Debug)]
 pub struct LoadedJournal {
     /// Recovered entries by scenario index (`None` = must run).
-    pub entries: Vec<Option<String>>,
+    pub entries: Vec<Option<Json>>,
     /// Lines dropped as corrupt, torn, or out of range.
     pub dropped_lines: usize,
 }
@@ -85,7 +88,7 @@ impl LoadedJournal {
 /// I/O failure, a malformed header, or a header whose seed/fingerprint
 /// disagrees with this sweep (resuming someone else's journal corrupts
 /// silently — refuse instead). Body damage is *not* an error: corrupt,
-/// torn, duplicate or out-of-range lines are dropped and counted.
+/// torn, unparseable or out-of-range lines are dropped and counted.
 pub fn load(
     path: &Path,
     base_seed: u64,
@@ -147,8 +150,10 @@ pub fn load(
             let index: usize = fields.next()?.parse().ok()?;
             let hash = u64::from_str_radix(fields.next()?, 16).ok()?;
             let entry = fields.next()?;
-            (index < scenario_count && fnv1a64(entry.as_bytes()) == hash)
-                .then(|| (index, entry.to_string()))
+            if index >= scenario_count || fnv1a64(entry.as_bytes()) != hash {
+                return None;
+            }
+            Json::parse(entry).ok().map(|entry| (index, entry))
         })();
         match parsed {
             Some((index, entry)) => out.entries[index] = Some(entry),
@@ -250,9 +255,14 @@ mod tests {
         let loaded = load(&path, 7, fp, 3).unwrap();
         assert_eq!(loaded.recovered(), 2);
         assert_eq!(loaded.dropped_lines, 0);
-        assert_eq!(loaded.entries[0].as_deref(), Some("{\"name\":\"a\"}"));
+        let name = |i: usize| {
+            loaded.entries[i]
+                .as_ref()
+                .map(|e| e.get("name").unwrap().as_str().unwrap().to_string())
+        };
+        assert_eq!(name(0).as_deref(), Some("a"));
         assert!(loaded.entries[1].is_none());
-        assert_eq!(loaded.entries[2].as_deref(), Some("{\"name\":\"c\"}"));
+        assert_eq!(name(2).as_deref(), Some("c"));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -264,17 +274,19 @@ mod tests {
         let scenarios = vec![scenario("a"), scenario("b")];
         let fp = fingerprint(1, &scenarios);
         let w = JournalWriter::create(&path, 1, fp).unwrap();
-        w.record(0, "entry-zero");
-        w.record(1, "entry-one");
+        w.record(0, "\"entry-zero\"");
+        w.record(1, "\"entry-one\"");
+        // Hash-valid but not JSON: dropped like any other damage.
+        w.record(1, "{\"torn");
         drop(w);
         // Corrupt record 1's payload and append a torn (truncated) line.
         let text = std::fs::read_to_string(&path).unwrap();
         let mangled = text.replace("entry-one", "entry-0ne") + "1 deadbeef";
         std::fs::write(&path, mangled).unwrap();
         let loaded = load(&path, 1, fp, 2).unwrap();
-        assert_eq!(loaded.entries[0].as_deref(), Some("entry-zero"));
+        assert_eq!(loaded.entries[0], Some(Json::Str("entry-zero".into())));
         assert!(loaded.entries[1].is_none(), "hash mismatch must drop");
-        assert_eq!(loaded.dropped_lines, 2);
+        assert_eq!(loaded.dropped_lines, 3);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -49,6 +49,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use engine::{ItemOutcome, PoolConfig, DEFAULT_RETRIES};
+use mithril_obs::json::Json;
 use mithril_obs::ObsCapture;
 use mithril_sim::ObsConfig;
 use report::{FaultRun, ObsCountEntry, SweepResult};
@@ -435,8 +436,8 @@ pub fn run_sweep_journaled_with(
                 seed,
                 outcome: scenario.run(seed),
             };
-            let entry = report::result_json(&result);
-            writer.record(index, entry.trim_start());
+            let entry = report::result_tree(&result);
+            writer.record(index, &entry.render());
             if let Some(p) = &heartbeat {
                 p.tick(&scenario.name);
             }
@@ -448,22 +449,22 @@ pub fn run_sweep_journaled_with(
             ItemOutcome::Done(entry) => entry,
             panicked => {
                 let seed = engine::position_seed(base_seed, pool.shard_size, index);
-                report::result_json(&SweepResult {
+                report::result_tree(&SweepResult {
                     scenario: scenario.clone(),
                     seed,
                     outcome: Err(panicked.into_result().unwrap_err()),
                 })
             }
         };
-        entries[index] = Some(entry.trim_start().to_string());
+        entries[index] = Some(entry);
     }
 
-    let full: Vec<String> = entries
+    let full: Vec<Json> = entries
         .into_iter()
-        .map(|e| format!("    {}", e.expect("every index recovered or run")))
+        .map(|e| e.expect("every index recovered or run"))
         .collect();
     Ok(JournaledSweep {
-        report: report::sweep_json_from_entries(base_seed, &full),
+        report: report::sweep_json_from_entries(base_seed, full),
         recovered,
         dropped_lines,
         ran,

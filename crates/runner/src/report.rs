@@ -1,19 +1,22 @@
 //! Machine-readable sweep reports (`BENCH_sweep.json`).
 //!
-//! The writer is deliberately dependency-free and **deterministic**: field
-//! order is fixed, floats are emitted with Rust's shortest-round-trip
-//! formatting, and nothing time- or host-dependent enters the file. The
-//! determinism regression test compares whole report strings across thread
-//! counts, so keep it that way: wall-clock and worker counts belong on
-//! stdout, not in the report.
+//! Every report is built as a [`Json`] tree with a fixed field order and
+//! rendered by the one writer in [`mithril_obs::json`], so it is
+//! **deterministic**: floats use Rust's shortest-round-trip formatting,
+//! and nothing time- or host-dependent enters the file. The determinism
+//! regression test compares whole report strings across thread counts,
+//! so keep it that way: wall-clock and worker counts belong on stdout,
+//! not in the report.
 
 use mithril_dram::EnergyCounters;
 use mithril_sim::{ChannelMetrics, CoreStats, FaultStats, Metrics, PerCore, QosStats};
 
+use mithril_obs::json::Json;
+use mithril_obs::{json_obj, kind_counts_tree, KINDS};
+
 use crate::scenarios::{geometry_tag, Scenario};
 
 pub use mithril_obs::{validate_format_version, FORMAT_VERSION};
-use mithril_obs::{KINDS, KIND_NAMES};
 
 /// One executed scenario with its seed and results.
 #[derive(Debug, Clone)]
@@ -38,216 +41,175 @@ pub struct FaultRun {
     pub fault_stats: Option<FaultStats>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
+/// Appends a run's outcome to its entry: the `metrics` object, or the
+/// `error` string that replaced it.
+fn push_outcome(entry: &mut Json, outcome: &Result<Metrics, String>) {
+    match outcome {
+        Ok(m) => entry.push("metrics", metrics_tree(m)),
+        Err(e) => entry.push("error", e),
     }
 }
 
-fn counters_json(c: &EnergyCounters) -> String {
-    format!(
-        "{{\"acts\":{},\"pres\":{},\"reads\":{},\"writes\":{},\"auto_refresh_rows\":{},\
-         \"preventive_rows\":{},\"rfm_commands\":{},\"mrr_commands\":{}}}",
-        c.acts,
-        c.pres,
-        c.reads,
-        c.writes,
-        c.auto_refresh_rows,
-        c.preventive_rows,
-        c.rfm_commands,
-        c.mrr_commands
-    )
+fn counters_tree(c: &EnergyCounters) -> Json {
+    json_obj! {
+        "acts": c.acts,
+        "pres": c.pres,
+        "reads": c.reads,
+        "writes": c.writes,
+        "auto_refresh_rows": c.auto_refresh_rows,
+        "preventive_rows": c.preventive_rows,
+        "rfm_commands": c.rfm_commands,
+        "mrr_commands": c.mrr_commands,
+    }
 }
 
-fn channel_json(c: &ChannelMetrics) -> String {
-    format!(
-        "{{\"channel\":{},\"reads_done\":{},\"writes_done\":{},\"avg_read_latency_ns\":{},\
-         \"row_hit_rate\":{},\"energy_pj\":{},\"rfms\":{},\"rfm_elisions\":{},\"arrs\":{},\
-         \"throttled_acts\":{},\"max_disturbance\":{},\"flips\":{},\"counters\":{}}}",
-        c.channel.0,
-        c.reads_done,
-        c.writes_done,
-        num(c.avg_read_latency_ns),
-        num(c.row_hit_rate),
-        num(c.energy_pj),
-        c.rfms,
-        c.rfm_elisions,
-        c.arrs,
-        c.throttled_acts,
-        c.max_disturbance,
-        c.flips,
-        counters_json(&c.counters)
-    )
+fn channel_tree(c: &ChannelMetrics) -> Json {
+    json_obj! {
+        "channel": c.channel.0,
+        "reads_done": c.reads_done,
+        "writes_done": c.writes_done,
+        "avg_read_latency_ns": c.avg_read_latency_ns,
+        "row_hit_rate": c.row_hit_rate,
+        "energy_pj": c.energy_pj,
+        "rfms": c.rfms,
+        "rfm_elisions": c.rfm_elisions,
+        "arrs": c.arrs,
+        "throttled_acts": c.throttled_acts,
+        "max_disturbance": c.max_disturbance,
+        "flips": c.flips,
+        "counters": counters_tree(&c.counters),
+    }
 }
 
-/// Renders the per-core attribution array: one entry per issuing core,
-/// with its command shares, latency percentiles and its share of the
-/// mitigation triggers (the "who is hammering" signal, rendered as an
-/// exact fraction of the run's total triggers).
-fn per_core_json(per_core: &PerCore<CoreStats>) -> String {
+/// The per-core attribution array: one entry per issuing core, with its
+/// command shares, latency percentiles and its share of the mitigation
+/// triggers (the "who is hammering" signal, rendered as an exact
+/// fraction of the run's total triggers).
+fn per_core_tree(per_core: &PerCore<CoreStats>) -> Json {
     let total_triggers: u64 = per_core.iter().map(|(_, c)| c.mitigation_triggers).sum();
-    let entries: Vec<String> = per_core
-        .iter()
-        .map(|(core, c)| {
-            let share = if total_triggers == 0 {
-                0.0
-            } else {
-                c.mitigation_triggers as f64 / total_triggers as f64
-            };
-            format!(
-                "{{\"core\":{core},\"acts\":{},\"reads\":{},\"writes\":{},\
-                 \"throttled_acts\":{},\"rfm_triggers\":{},\"mitigation_triggers\":{},\
-                 \"trigger_share\":{},\"p50_ps\":{},\"p99_ps\":{}}}",
-                c.acts,
-                c.reads_done,
-                c.writes_done,
-                c.throttled_acts,
-                c.rfm_triggers,
-                c.mitigation_triggers,
-                num(share),
-                c.read_latency.p50(),
-                c.read_latency.p99()
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
+    Json::arr(per_core.iter().map(|(core, c)| {
+        let share = if total_triggers == 0 {
+            0.0
+        } else {
+            c.mitigation_triggers as f64 / total_triggers as f64
+        };
+        json_obj! {
+            "core": core,
+            "acts": c.acts,
+            "reads": c.reads_done,
+            "writes": c.writes_done,
+            "throttled_acts": c.throttled_acts,
+            "rfm_triggers": c.rfm_triggers,
+            "mitigation_triggers": c.mitigation_triggers,
+            "trigger_share": share,
+            "p50_ps": c.read_latency.p50(),
+            "p99_ps": c.read_latency.p99(),
+        }
+    }))
 }
 
-/// Renders the QoS throttling summary: window count, total deferred
-/// ACTs, and the per-thread suspect/throttle attribution.
-fn qos_json(q: &QosStats) -> String {
-    let threads: Vec<String> = q
-        .per_thread
-        .iter()
-        .enumerate()
-        .map(|(thread, t)| {
-            format!(
-                "{{\"thread\":{thread},\"suspect_windows\":{},\"throttled_acts\":{},\
-                 \"score\":{},\"pressure\":{}}}",
-                t.suspect_windows, t.throttled_acts, t.score, t.pressure
-            )
-        })
-        .collect();
-    format!(
-        "{{\"windows\":{},\"throttled_acts\":{},\"per_thread\":[{}]}}",
-        q.windows,
-        q.throttled_acts,
-        threads.join(",")
-    )
+/// The QoS throttling summary: window count, total deferred ACTs, and
+/// the per-thread suspect/throttle attribution.
+fn qos_tree(q: &QosStats) -> Json {
+    let threads = q.per_thread.iter().enumerate().map(|(thread, t)| {
+        json_obj! {
+            "thread": thread,
+            "suspect_windows": t.suspect_windows,
+            "throttled_acts": t.throttled_acts,
+            "score": t.score,
+            "pressure": t.pressure,
+        }
+    });
+    json_obj! {
+        "windows": q.windows,
+        "throttled_acts": q.throttled_acts,
+        "per_thread": Json::arr(threads),
+    }
 }
 
-/// Renders one run's [`Metrics`] in the deterministic report dialect.
+/// One run's [`Metrics`] as a report tree. The `latency` section embeds
+/// the read/write histograms' integer summaries (exact count/sum/min/max
+/// plus bucket-lower-bound percentiles) and `per_core` the per-issuing-core
+/// attribution; both are integer-valued, so they are byte-identical at
+/// any thread count like the rest of the report.
+///
+/// A `qos` section rides at the end *only* when the run had QoS
+/// throttling enabled — QoS-off runs carry no QoS state at all, keeping
+/// their reports byte-identical to pre-QoS builds.
+fn metrics_tree(m: &Metrics) -> Json {
+    let mut t = json_obj! {
+        "aggregate_ipc": m.aggregate_ipc,
+        "total_insts": m.total_insts,
+        "sim_time_ps": m.sim_time_ps,
+        "llc_miss_rate": m.llc_miss_rate,
+        "energy_pj": m.energy_pj,
+        "rfms": m.rfms,
+        "rfm_elisions": m.rfm_elisions,
+        "arrs": m.arrs,
+        "throttled_acts": m.throttled_acts,
+        "avg_read_latency_ns": m.avg_read_latency_ns,
+        "max_disturbance": m.max_disturbance,
+        "flips": m.flips,
+        "counters": counters_tree(&m.counters),
+        "per_channel": Json::arr(m.per_channel.iter().map(channel_tree)),
+        "latency": json_obj! {
+            "read": m.read_latency.summary_tree(),
+            "write": m.write_latency.summary_tree(),
+        },
+        "per_core": per_core_tree(&m.per_core),
+    };
+    if let Some(q) = &m.qos {
+        t.push("qos", qos_tree(q));
+    }
+    t
+}
+
+/// Renders one run's [`Metrics`] compactly, in the report dialect.
 ///
 /// Public because replay comparisons diff *metrics*, not scenario labels:
 /// a replayed scenario is named `trace:<path>` while its live twin carries
 /// the generator name, so whole-report strings can never match — this
 /// projection is the byte-comparable part.
-///
-/// The `latency` section embeds the read/write histograms' integer
-/// summaries (exact count/sum/min/max plus bucket-lower-bound
-/// percentiles) and `per_core` the per-issuing-core attribution; both are
-/// integer-rendered, so they are byte-identical at any thread count like
-/// the rest of the report.
-///
-/// A `qos` section rides at the end *only* when the run had QoS
-/// throttling enabled — QoS-off runs carry no QoS state at all, keeping
-/// their reports byte-identical to pre-QoS builds.
 pub fn metrics_json(m: &Metrics) -> String {
-    let channels: Vec<String> = m.per_channel.iter().map(channel_json).collect();
-    let qos = match &m.qos {
-        Some(q) => format!(",\"qos\":{}", qos_json(q)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"aggregate_ipc\":{},\"total_insts\":{},\"sim_time_ps\":{},\"llc_miss_rate\":{},\
-         \"energy_pj\":{},\"rfms\":{},\"rfm_elisions\":{},\"arrs\":{},\"throttled_acts\":{},\
-         \"avg_read_latency_ns\":{},\"max_disturbance\":{},\"flips\":{},\"counters\":{},\
-         \"per_channel\":[{}],\
-         \"latency\":{{\"read\":{},\"write\":{}}},\"per_core\":{}{}}}",
-        num(m.aggregate_ipc),
-        m.total_insts,
-        m.sim_time_ps,
-        num(m.llc_miss_rate),
-        num(m.energy_pj),
-        m.rfms,
-        m.rfm_elisions,
-        m.arrs,
-        m.throttled_acts,
-        num(m.avg_read_latency_ns),
-        m.max_disturbance,
-        m.flips,
-        counters_json(&m.counters),
-        channels.join(","),
-        m.read_latency.summary_json(),
-        m.write_latency.summary_json(),
-        per_core_json(&m.per_core),
-        qos
-    )
+    metrics_tree(m).render()
 }
 
-fn result_json_fields(r: &SweepResult) -> String {
+/// One sweep result as a report entry: the scenario's identity and seed,
+/// then its `metrics` or `error` — the unit the crash-safe sweep journal
+/// stores and [`sweep_json_from_entries`] reassembles.
+pub fn result_tree(r: &SweepResult) -> Json {
     let s = &r.scenario;
     let g = &s.geometry;
-    let outcome = match &r.outcome {
-        Ok(m) => format!("\"metrics\":{}", metrics_json(m)),
-        Err(e) => format!("\"error\":\"{}\"", esc(e)),
+    let mut t = json_obj! {
+        "name": &s.name,
+        "scheme": &s.scheme_label,
+        "workload": &s.workload,
+        "geometry": json_obj! {
+            "tag": geometry_tag(g),
+            "channels": g.channels,
+            "ranks": g.ranks,
+            "banks_per_rank": g.banks_per_rank,
+        },
+        "flip_th": s.flip_th,
+        "cores": s.cores,
+        "insts_per_core": s.insts_per_core,
+        "seed": r.seed,
     };
-    format!(
-        "\"name\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\
-         \"geometry\":{{\"tag\":\"{}\",\"channels\":{},\"ranks\":{},\"banks_per_rank\":{}}},\
-         \"flip_th\":{},\"cores\":{},\"insts_per_core\":{},\"seed\":{},{}",
-        esc(&s.name),
-        esc(&s.scheme_label),
-        esc(&s.workload),
-        geometry_tag(g),
-        g.channels,
-        g.ranks,
-        g.banks_per_rank,
-        s.flip_th,
-        s.cores,
-        s.insts_per_core,
-        r.seed,
-        outcome
-    )
+    push_outcome(&mut t, &r.outcome);
+    t
 }
 
-/// Renders one sweep result as a single report entry (one line, 4-space
-/// indent) — the unit the crash-safe sweep journal stores and
-/// [`sweep_json_from_entries`] reassembles.
-pub fn result_json(r: &SweepResult) -> String {
-    format!("    {{{}}}", result_json_fields(r))
-}
-
-/// Renders [`FaultStats`] in the deterministic report dialect.
-pub fn fault_stats_json(f: &FaultStats) -> String {
-    format!(
-        "{{\"bit_flips\":{},\"invalidations\":{},\"stuck_bits\":{},\"stuck_assertions\":{},\
-         \"scrubs\":{},\"scrub_detections\":{},\"repairs\":{},\"dropped\":{}}}",
-        f.bit_flips,
-        f.invalidations,
-        f.stuck_bits,
-        f.stuck_assertions,
-        f.scrubs,
-        f.scrub_detections,
-        f.repairs,
-        f.dropped
-    )
+fn fault_stats_tree(f: &FaultStats) -> Json {
+    json_obj! {
+        "bit_flips": f.bit_flips,
+        "invalidations": f.invalidations,
+        "stuck_bits": f.stuck_bits,
+        "stuck_assertions": f.stuck_assertions,
+        "scrubs": f.scrubs,
+        "scrub_detections": f.scrub_detections,
+        "repairs": f.repairs,
+        "dropped": f.dropped,
+    }
 }
 
 /// Renders only the scheme labels and metrics of a sweep — the
@@ -256,26 +218,20 @@ pub fn fault_stats_json(f: &FaultStats) -> String {
 /// byte-for-byte (`cmp`/`git diff`) despite their different workload
 /// names.
 pub fn metrics_only_json(base_seed: u64, results: &[SweepResult]) -> String {
-    let entries: Vec<String> = results
-        .iter()
-        .map(|r| {
-            let outcome = match &r.outcome {
-                Ok(m) => format!("\"metrics\":{}", metrics_json(m)),
-                Err(e) => format!("\"error\":\"{}\"", esc(e)),
-            };
-            format!(
-                "    {{\"scheme\":\"{}\",\"flip_th\":{},{}}}",
-                esc(&r.scenario.scheme_label),
-                r.scenario.flip_th,
-                outcome
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"base_seed\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        base_seed,
-        entries.join(",\n")
-    )
+    let runs = results.iter().map(|r| {
+        let mut t = json_obj! {
+            "scheme": &r.scenario.scheme_label,
+            "flip_th": r.scenario.flip_th,
+        };
+        push_outcome(&mut t, &r.outcome);
+        t
+    });
+    json_obj! {
+        "format_version": FORMAT_VERSION,
+        "base_seed": base_seed,
+        "runs": Json::arr(runs),
+    }
+    .render_report()
 }
 
 /// Renders a whole sweep to the `BENCH_sweep.json` format.
@@ -284,27 +240,27 @@ pub fn metrics_only_json(base_seed: u64, results: &[SweepResult]) -> String {
 /// identical inputs for any worker count, so reports are comparable
 /// byte-for-byte across thread counts.
 pub fn sweep_json(base_seed: u64, results: &[SweepResult]) -> String {
-    let entries: Vec<String> = results.iter().map(result_json).collect();
-    sweep_json_from_entries(base_seed, &entries)
+    sweep_json_from_entries(base_seed, results.iter().map(result_tree).collect())
 }
 
-/// Assembles a `BENCH_sweep.json` report from pre-rendered
-/// [`result_json`] entries (in scenario-registry order).
+/// Assembles a `BENCH_sweep.json` report from [`result_tree`] entries (in
+/// scenario-registry order).
 ///
 /// This is the resume path's assembly point: entries recovered from a
-/// crash-safe journal and entries rendered live in the same process go
+/// crash-safe journal and entries built live in the same process go
 /// through the same function, so a resumed report is byte-identical to
 /// an uninterrupted one.
-pub fn sweep_json_from_entries(base_seed: u64, entries: &[String]) -> String {
-    format!(
-        "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"base_seed\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        base_seed,
-        entries.join(",\n")
-    )
+pub fn sweep_json_from_entries(base_seed: u64, entries: Vec<Json>) -> String {
+    json_obj! {
+        "format_version": FORMAT_VERSION,
+        "base_seed": base_seed,
+        "scenarios": entries,
+    }
+    .render_report()
 }
 
 /// Renders a fault campaign to the `BENCH_faults.json` format: the flat
-/// run list (each entry a [`result_json`] record extended with its rate
+/// run list (each entry a [`result_tree`] record extended with its rate
 /// and fault counters), followed by one degradation curve per
 /// scheme × workload × geometry cell — protection (`max_disturbance`,
 /// `flips`) and cost (`rfms`, `preventive_rows`) as functions of the
@@ -313,21 +269,16 @@ pub fn sweep_json_from_entries(base_seed: u64, entries: &[String]) -> String {
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
 pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]) -> String {
-    let entries: Vec<String> = runs
-        .iter()
-        .map(|fr| {
-            let faults = match &fr.fault_stats {
-                Some(f) => fault_stats_json(f),
-                None => "null".to_string(),
-            };
-            format!(
-                "    {{{},\"rate_ppm\":{},\"fault_stats\":{}}}",
-                result_json_fields(&fr.result),
-                fr.rate_ppm,
-                faults
-            )
-        })
-        .collect();
+    faults_tree(base_seed, scrub, rates_ppm, runs).render_report()
+}
+
+fn faults_tree(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]) -> Json {
+    let entries = runs.iter().map(|fr| {
+        let mut t = result_tree(&fr.result);
+        t.push("rate_ppm", fr.rate_ppm);
+        t.push("fault_stats", fr.fault_stats.as_ref().map(fault_stats_tree));
+        t
+    });
 
     // One curve per base cell, in first-appearance order (the campaign
     // expands rate-major, so the rate-0 pass fixes the cell order).
@@ -343,51 +294,44 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
             cells.push(cell);
         }
     }
-    let curves: Vec<String> = cells
-        .iter()
-        .map(|(scheme, workload, geom)| {
-            let points: Vec<String> = runs
-                .iter()
-                .filter(|fr| {
-                    let s = &fr.result.scenario;
-                    s.scheme_label == *scheme
-                        && s.workload == *workload
-                        && geometry_tag(&s.geometry) == *geom
-                })
-                .map(|fr| match &fr.result.outcome {
-                    Ok(m) => format!(
-                        "{{\"rate_ppm\":{},\"injected\":{},\"repairs\":{},\
-                         \"max_disturbance\":{},\"flips\":{},\"rfms\":{},\"preventive_rows\":{}}}",
-                        fr.rate_ppm,
-                        fr.fault_stats.as_ref().map_or(0, |f| f.injected()),
-                        fr.fault_stats.as_ref().map_or(0, |f| f.repairs),
-                        m.max_disturbance,
-                        m.flips,
-                        m.rfms,
-                        m.counters.preventive_rows
-                    ),
-                    Err(e) => format!("{{\"rate_ppm\":{},\"error\":\"{}\"}}", fr.rate_ppm, esc(e)),
-                })
-                .collect();
-            format!(
-                "    {{\"scheme\":\"{}\",\"workload\":\"{}\",\"geometry\":\"{}\",\"points\":[{}]}}",
-                esc(scheme),
-                esc(workload),
-                geom,
-                points.join(",")
-            )
-        })
-        .collect();
+    let curves = cells.into_iter().map(|(scheme, workload, geom)| {
+        let points: Vec<Json> = runs
+            .iter()
+            .filter(|fr| {
+                let s = &fr.result.scenario;
+                s.scheme_label == scheme
+                    && s.workload == workload
+                    && geometry_tag(&s.geometry) == geom
+            })
+            .map(|fr| match &fr.result.outcome {
+                Ok(m) => json_obj! {
+                    "rate_ppm": fr.rate_ppm,
+                    "injected": fr.fault_stats.as_ref().map_or(0, |f| f.injected()),
+                    "repairs": fr.fault_stats.as_ref().map_or(0, |f| f.repairs),
+                    "max_disturbance": m.max_disturbance,
+                    "flips": m.flips,
+                    "rfms": m.rfms,
+                    "preventive_rows": m.counters.preventive_rows,
+                },
+                Err(e) => json_obj! {"rate_ppm": fr.rate_ppm, "error": e},
+            })
+            .collect();
+        json_obj! {
+            "scheme": scheme,
+            "workload": workload,
+            "geometry": geom,
+            "points": points,
+        }
+    });
 
-    let rates: Vec<String> = rates_ppm.iter().map(|r| r.to_string()).collect();
-    format!(
-        "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"base_seed\": {},\n  \"scrub\": {},\n  \"rates_ppm\": [{}],\n  \"runs\": [\n{}\n  ],\n  \"curves\": [\n{}\n  ]\n}}\n",
-        base_seed,
-        scrub,
-        rates.join(","),
-        entries.join(",\n"),
-        curves.join(",\n")
-    )
+    json_obj! {
+        "format_version": FORMAT_VERSION,
+        "base_seed": base_seed,
+        "scrub": scrub,
+        "rates_ppm": rates_ppm.to_vec(),
+        "runs": Json::arr(entries),
+        "curves": Json::arr(curves),
+    }
 }
 
 /// Per-tenant outcome summary of one noisy-neighbor run: worst victim
@@ -397,7 +341,7 @@ pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[Fault
 /// The noisy-neighbor mix pins the hammering tenant on the **highest
 /// core index** (victims occupy the lower indices), so tenant roles are
 /// recovered from core position, not from a heuristic.
-fn tenant_summary_json(m: &Metrics) -> String {
+fn tenant_summary_tree(m: &Metrics) -> Json {
     let hammer = m.per_core.iter().map(|(core, _)| core).max();
     let victims: Vec<&CoreStats> = m
         .per_core
@@ -423,15 +367,15 @@ fn tenant_summary_json(m: &Metrics) -> String {
         (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
         _ => 0.0,
     };
-    format!(
-        "{{\"victim_p50_ps\":{victim_p50},\"victim_p99_ps\":{victim_p99},\
-         \"hammer_p99_ps\":{hammer_p99},\"fairness_acts\":{},\"flips\":{},\
-         \"max_disturbance\":{},\"qos_throttled_acts\":{}}}",
-        num(fairness),
-        m.flips,
-        m.max_disturbance,
-        m.qos.as_ref().map_or(0, |q| q.throttled_acts)
-    )
+    json_obj! {
+        "victim_p50_ps": victim_p50,
+        "victim_p99_ps": victim_p99,
+        "hammer_p99_ps": hammer_p99,
+        "fairness_acts": fairness,
+        "flips": m.flips,
+        "max_disturbance": m.max_disturbance,
+        "qos_throttled_acts": m.qos.as_ref().map_or(0, |q| q.throttled_acts),
+    }
 }
 
 /// Renders a QoS campaign to the `BENCH_qos.json` format: the flat run
@@ -444,8 +388,11 @@ fn tenant_summary_json(m: &Metrics) -> String {
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
 pub fn qos_campaign_json(base_seed: u64, results: &[SweepResult]) -> String {
-    let entries: Vec<String> = results.iter().map(result_json).collect();
-    let pairs: Vec<String> = results
+    qos_campaign_tree(base_seed, results).render_report()
+}
+
+fn qos_campaign_tree(base_seed: u64, results: &[SweepResult]) -> Json {
+    let pairs = results
         .iter()
         .filter(|r| !r.scenario.name.ends_with("+qos"))
         .filter_map(|off| {
@@ -455,23 +402,20 @@ pub fn qos_campaign_json(base_seed: u64, results: &[SweepResult]) -> String {
             let (Ok(m_off), Ok(m_on)) = (&off.outcome, &on.outcome) else {
                 return None;
             };
-            Some(format!(
-                "    {{\"scheme\":\"{}\",\"workload\":\"{}\",\"geometry\":\"{}\",\
-                 \"off\":{},\"qos\":{}}}",
-                esc(&off.scenario.scheme_label),
-                esc(&off.scenario.workload),
-                geometry_tag(&off.scenario.geometry),
-                tenant_summary_json(m_off),
-                tenant_summary_json(m_on)
-            ))
-        })
-        .collect();
-    format!(
-        "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"base_seed\": {},\n  \"scenarios\": [\n{}\n  ],\n  \"pairs\": [\n{}\n  ]\n}}\n",
-        base_seed,
-        entries.join(",\n"),
-        pairs.join(",\n")
-    )
+            Some(json_obj! {
+                "scheme": &off.scenario.scheme_label,
+                "workload": &off.scenario.workload,
+                "geometry": geometry_tag(&off.scenario.geometry),
+                "off": tenant_summary_tree(m_off),
+                "qos": tenant_summary_tree(m_on),
+            })
+        });
+    json_obj! {
+        "format_version": FORMAT_VERSION,
+        "base_seed": base_seed,
+        "scenarios": Json::arr(results.iter().map(result_tree)),
+        "pairs": Json::arr(pairs),
+    }
 }
 
 /// One observed position's exact per-kind event counts, as recorded by
@@ -486,19 +430,10 @@ pub struct ObsCountEntry {
     /// Seed the engine assigned to this position.
     pub seed: u64,
     /// Exact per-kind counts summed over channels, indexed like
-    /// [`KIND_NAMES`].
+    /// [`KIND_NAMES`](mithril_obs::KIND_NAMES).
     pub counts: [u64; KINDS],
     /// Events evicted from the bounded rings (payloads lost, counts kept).
     pub dropped: u64,
-}
-
-fn kind_counts_json(counts: &[u64; KINDS]) -> String {
-    let fields: Vec<String> = KIND_NAMES
-        .iter()
-        .zip(counts.iter())
-        .map(|(name, c)| format!("\"{name}\":{c}"))
-        .collect();
-    format!("{{{}}}", fields.join(","))
 }
 
 /// Renders the aggregate observability baseline (`BENCH_obs.json`): exact
@@ -529,27 +464,24 @@ pub fn obs_counts_json(base_seed: u64, entries: &[ObsCountEntry]) -> String {
             )
         })
         .collect();
-    let lines: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"index\":{},\"name\":\"{}\",\"seed\":{},\"counts\":{},\"dropped\":{}}}",
-                e.index,
-                esc(&e.name),
-                e.seed,
-                kind_counts_json(&e.counts),
-                e.dropped
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"format_version\": {FORMAT_VERSION},\n  \"base_seed\": {},\n  \"positions\": [\n{}\n  ],\n  \"totals\": {},\n  \"total_dropped\": {},\n  \"warnings\": [{}]\n}}\n",
-        base_seed,
-        lines.join(",\n"),
-        kind_counts_json(&totals),
-        total_dropped,
-        mithril_obs::warnings_json(&warnings)
-    )
+    let positions = entries.iter().map(|e| {
+        json_obj! {
+            "index": e.index,
+            "name": &e.name,
+            "seed": e.seed,
+            "counts": kind_counts_tree(&e.counts),
+            "dropped": e.dropped,
+        }
+    });
+    json_obj! {
+        "format_version": FORMAT_VERSION,
+        "base_seed": base_seed,
+        "positions": Json::arr(positions),
+        "totals": kind_counts_tree(&totals),
+        "total_dropped": total_dropped,
+        "warnings": warnings,
+    }
+    .render_report()
 }
 
 #[cfg(test)]
@@ -575,16 +507,26 @@ mod tests {
             .collect()
     }
 
+    /// `Json::parse(render(t)) == t`, and rendering the parse gives the
+    /// same bytes back, compact and as a report.
+    fn assert_round_trips(t: &Json) {
+        for text in [t.render(), t.render_report()] {
+            let back = Json::parse(&text).unwrap();
+            assert_eq!(&back, t, "{text}");
+        }
+        assert_eq!(
+            Json::parse(&t.render_report()).unwrap().render_report(),
+            t.render_report()
+        );
+    }
+
     #[test]
     fn report_is_valid_enough_json_and_deterministic() {
         let results = sample_results();
         let a = sweep_json(7, &results);
-        let b = sweep_json(7, &results);
-        assert_eq!(a, b);
-        // Structural sanity without a JSON parser: balanced braces and
-        // brackets, expected keys present.
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
+        assert_eq!(a, sweep_json(7, &results));
+        let doc = Json::parse(&a).unwrap();
+        assert_eq!(doc.get("base_seed").unwrap().as_u64(), Some(7));
         assert!(a.contains("\"base_seed\": 7"));
         assert!(a.contains("\"per_channel\""));
         assert!(a.contains("\"geometry\""));
@@ -597,15 +539,50 @@ mod tests {
     }
 
     #[test]
+    fn sweep_and_campaign_trees_round_trip() {
+        let results = sample_results();
+        assert_round_trips(&Json::arr(results.iter().map(result_tree)));
+        let sweep = sweep_json(7, &results);
+        assert_eq!(Json::parse(&sweep).unwrap().render_report(), sweep);
+
+        // A fault campaign with both an anchor (no fault stats) and an
+        // injected run, and a QoS campaign with an off/on pair.
+        let mut runs: Vec<FaultRun> = results
+            .iter()
+            .map(|r| FaultRun {
+                rate_ppm: 0,
+                result: r.clone(),
+                fault_stats: None,
+            })
+            .collect();
+        runs.push(FaultRun {
+            rate_ppm: 10_000,
+            result: results[0].clone(),
+            fault_stats: Some(FaultStats {
+                bit_flips: 3,
+                repairs: 1,
+                ..FaultStats::default()
+            }),
+        });
+        assert_round_trips(&faults_tree(1, true, &[0, 10_000], &runs));
+
+        let mut on = results[0].clone();
+        on.scenario.name.push_str("+qos");
+        let qos = qos_campaign_tree(1, &[results[0].clone(), on]);
+        assert_eq!(qos.get("pairs").unwrap().as_arr().unwrap().len(), 1);
+        assert_round_trips(&qos);
+    }
+
+    #[test]
     fn per_core_trigger_shares_sum_to_one() {
         let mut per_core: PerCore<CoreStats> = PerCore::new();
         per_core.slot(0).mitigation_triggers = 3;
         per_core.slot(1).mitigation_triggers = 1;
-        let json = per_core_json(&per_core);
+        let json = per_core_tree(&per_core).render();
         assert!(json.contains("\"trigger_share\":0.75"), "{json}");
         assert!(json.contains("\"trigger_share\":0.25"), "{json}");
         // No triggers at all: shares are 0, not NaN.
-        let json = per_core_json(&PerCore::new());
+        let json = per_core_tree(&PerCore::new()).render();
         assert_eq!(json, "[]");
     }
 
@@ -636,14 +613,38 @@ mod tests {
     }
 
     #[test]
+    fn warnings_escape_control_characters() {
+        let entry = ObsCountEntry {
+            index: 0,
+            name: "a\nb".into(),
+            seed: 1,
+            counts: [0; KINDS],
+            dropped: 4,
+        };
+        let json = obs_counts_json(1, &[entry]);
+        assert!(json.contains("\"name\":\"a\\nb\""), "{json}");
+        assert!(
+            json.contains("\"warnings\": [\"position 0 (a\\nb) ring dropped 4 events"),
+            "{json}"
+        );
+        let doc = Json::parse(&json).unwrap();
+        let warning = doc.get("warnings").unwrap().as_arr().unwrap()[0].as_str();
+        assert!(warning.unwrap().contains("(a\nb)"));
+    }
+
+    #[test]
     fn escapes_control_characters() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let mut results = sample_results();
+        results[0].outcome = Err("a\"b\\c\nd\u{1}".into());
+        let s = sweep_json(1, &results);
+        assert!(s.contains(r#""error":"a\"b\\c\nd\u0001""#), "{s}");
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(1.5), "1.5");
+        let mut results = sample_results();
+        results[0].outcome.as_mut().unwrap().aggregate_ipc = f64::NAN;
+        let s = sweep_json(1, &results);
+        assert!(s.contains("\"aggregate_ipc\":null"), "{s}");
     }
 }

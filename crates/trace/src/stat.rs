@@ -9,6 +9,8 @@
 
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::AddressMapping;
+use mithril_obs::json::Json;
+use mithril_obs::json_obj;
 use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use mithril_workloads::TraceOp;
 
@@ -223,22 +225,6 @@ pub fn stats_from_resilient_reader<R: std::io::Read + std::io::Seek>(
     Ok((collector.finish(), reader.report()))
 }
 
-/// Minimal JSON string escaping (the source name is the only free-form
-/// string in the report).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TraceStats {
     /// Renders the stats as deterministic JSON (fixed field order, no
     /// host- or time-dependent content), in the spirit of
@@ -252,83 +238,73 @@ impl TraceStats {
     /// `trace stat --resilient` emits, so a damaged capture's statistics
     /// carry what was skipped to produce them.
     pub fn render_json_with(&self, resilience: Option<&ResilienceReport>) -> String {
+        self.tree(resilience).render_report()
+    }
+
+    fn tree(&self, resilience: Option<&ResilienceReport>) -> Json {
         let g = &self.header.geometry;
-        let per_core: Vec<String> = self.per_core_ops.iter().map(u64::to_string).collect();
-        let per_channel: Vec<String> = self
+        let per_channel = self
             .per_channel_accesses
             .iter()
+            .zip(&self.per_bank_accesses)
             .enumerate()
-            .map(|(ch, &n)| {
-                let banks: Vec<String> = self.per_bank_accesses[ch]
-                    .iter()
-                    .map(u64::to_string)
-                    .collect();
+            .map(|(ch, (&n, banks))| {
                 let rate = if self.total_ops == 0 {
                     0.0
                 } else {
                     n as f64 / self.total_ops as f64
                 };
-                format!(
-                    "{{\"channel\":{ch},\"accesses\":{n},\"access_fraction\":{rate:?},\
-                     \"per_bank\":[{}]}}",
-                    banks.join(",")
-                )
-            })
-            .collect();
-        let hist: Vec<String> = self
+                json_obj! {
+                    "channel": ch,
+                    "accesses": n,
+                    "access_fraction": rate,
+                    "per_bank": banks.clone(),
+                }
+            });
+        let hist = self
             .row_touch_histogram
             .iter()
-            .filter(|(_, _, rows)| *rows > 0)
-            .map(|(lo, hi, rows)| {
-                format!("{{\"touches_lo\":{lo},\"touches_hi\":{hi},\"rows\":{rows}}}")
-            })
-            .collect();
-        let hot: Vec<String> = self
-            .hot_rows
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"channel\":{},\"bank\":{},\"row\":{},\"count\":{},\"tracker_estimate\":{}}}",
-                    h.channel, h.bank, h.row, h.count, h.tracker_estimate
-                )
-            })
-            .collect();
-        let resilience = match resilience {
-            Some(r) => format!(
-                ",\n  \"resilience\": {{\"skipped_chunks\":{},\"skipped_bytes\":{},\
-                 \"missing_end_marker\":{},\"end_count_mismatch\":{},\"clean\":{}}}",
-                r.skipped_chunks,
-                r.skipped_bytes,
-                r.missing_end_marker,
-                r.end_count_mismatch,
-                r.is_clean()
-            ),
-            None => String::new(),
+            .filter(|&&(_, _, rows)| rows > 0)
+            .map(|&(lo, hi, rows)| json_obj! {"touches_lo": lo, "touches_hi": hi, "rows": rows});
+        let hot = self.hot_rows.iter().map(|h| {
+            json_obj! {
+                "channel": h.channel,
+                "bank": h.bank,
+                "row": h.row,
+                "count": h.count,
+                "tracker_estimate": h.tracker_estimate,
+            }
+        });
+        let mut t = json_obj! {
+            "format_version": mithril_obs::FORMAT_VERSION,
+            "source": &self.header.source,
+            "geometry": format!("{}ch{}rk{}b", g.channels, g.ranks, g.banks_per_rank),
+            "cores": self.header.cores,
+            "base_seed": self.header.base_seed,
+            "insts_per_core": self.header.insts_per_core,
+            "total_ops": self.total_ops,
+            "per_core_ops": self.per_core_ops.clone(),
+            "reads": self.reads,
+            "writes": self.writes,
+            "uncacheable": self.uncacheable,
+            "distinct_rows": self.distinct_rows,
+            "per_channel": Json::arr(per_channel),
+            "row_touch_histogram": Json::arr(hist),
+            "hot_rows": Json::arr(hot),
         };
-        format!(
-            "{{\n  \"format_version\": {},\n  \"source\": \"{}\",\n  \"geometry\": \"{}ch{}rk{}b\",\n  \"cores\": {},\n  \
-             \"base_seed\": {},\n  \"insts_per_core\": {},\n  \"total_ops\": {},\n  \
-             \"per_core_ops\": [{}],\n  \"reads\": {},\n  \"writes\": {},\n  \
-             \"uncacheable\": {},\n  \"distinct_rows\": {},\n  \"per_channel\": [{}],\n  \
-             \"row_touch_histogram\": [{}],\n  \"hot_rows\": [{}]{resilience}\n}}\n",
-            mithril_obs::FORMAT_VERSION,
-            esc(&self.header.source),
-            g.channels,
-            g.ranks,
-            g.banks_per_rank,
-            self.header.cores,
-            self.header.base_seed,
-            self.header.insts_per_core,
-            self.total_ops,
-            per_core.join(","),
-            self.reads,
-            self.writes,
-            self.uncacheable,
-            self.distinct_rows,
-            per_channel.join(","),
-            hist.join(","),
-            hot.join(",")
-        )
+        if let Some(r) = resilience {
+            t.push(
+                "resilience",
+                json_obj! {
+                    "skipped_chunks": r.skipped_chunks,
+                    "skipped_bytes": r.skipped_bytes,
+                    "missing_end_marker": r.missing_end_marker,
+                    "end_count_mismatch": r.end_count_mismatch,
+                    "clean": r.is_clean(),
+                },
+            );
+        }
+        t
     }
 }
 
@@ -456,5 +432,23 @@ mod tests {
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());
         assert!(a.contains("\"hot_rows\""));
+    }
+
+    #[test]
+    fn stats_tree_round_trips_through_the_parser() {
+        let mut c = StatsCollector::new(header(), 3);
+        for i in 0..50u64 {
+            c.push((i % 2) as usize, &TraceOp::read(2, i * 97));
+        }
+        let report = ResilienceReport {
+            skipped_chunks: 1,
+            skipped_bytes: 9,
+            missing_end_marker: false,
+            end_count_mismatch: true,
+        };
+        let tree = c.finish().tree(Some(&report));
+        let text = tree.render_report();
+        assert_eq!(Json::parse(&text).unwrap(), tree);
+        assert_eq!(Json::parse(&tree.render()).unwrap(), tree);
     }
 }
