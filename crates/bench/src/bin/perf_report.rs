@@ -12,15 +12,19 @@
 //! per-kind event counts plus the observed vs unobserved activation rate
 //! — a quick read on both the event mix and the instrumentation's cost.
 //!
+//! The report is one `Json` tree written by the workspace's report
+//! writer (`render_report`): rates as whole ops/s, speedups to two
+//! decimals.
+//!
 //! The workload is the `table_hot_path` criterion stream: 30% hot-row hits,
 //! 70% cold misses over a 4×K row universe, one RFM every 64 ACTs — the
 //! same mix the simulator's activation path produces under mix-high.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use mithril::{MithrilTable, NaiveTable};
-use mithril_obs::KIND_NAMES;
+use mithril_obs::json::Json;
+use mithril_obs::{json_obj, kind_counts_tree, KIND_NAMES};
 use mithril_sim::{ObsConfig, SchedulerKind, Scheme, System, SystemConfig};
 use mithril_trackers::{FrequencyTracker, NaiveSpaceSaving, SpaceSaving};
 use mithril_workloads::mix_high;
@@ -62,87 +66,95 @@ fn measure(ops_per_run: usize, mut f: impl FnMut()) -> f64 {
     (runs as f64 * ops_per_run as f64) / t0.elapsed().as_secs_f64()
 }
 
-struct TableRow {
-    k: usize,
-    bucket_ops_per_sec: f64,
-    naive_ops_per_sec: f64,
+/// A measured rate as the report records it: whole operations per second.
+fn rate(x: f64) -> u64 {
+    x.round() as u64
 }
 
-fn bench_tables() -> Vec<TableRow> {
-    TABLE_SIZES
-        .iter()
-        .map(|&k| {
-            let ops = act_stream(OPS, 4 * k as u64);
-            let bucket = measure(OPS, || {
-                let mut t = MithrilTable::<u16>::new(k);
-                for (i, &r) in ops.iter().enumerate() {
-                    t.on_activate(r);
-                    if i % RFM_EVERY == RFM_EVERY - 1 {
-                        std::hint::black_box(t.on_rfm());
-                    }
+/// `fast / slow`, rounded to two decimals for the report.
+fn speedup(fast: f64, slow: f64) -> f64 {
+    (fast / slow * 100.0).round() / 100.0
+}
+
+/// Prints a bucket-vs-naive section's title and column header.
+fn pair_header(title: &str) {
+    println!("{title}");
+    println!(
+        "{:>6} {:>18} {:>18} {:>9}",
+        "K", "bucket ops/s", "naive ops/s", "speedup"
+    );
+}
+
+/// Prints one bucket-vs-naive measurement and returns its report row.
+fn pair_row(k: usize, bucket: f64, naive: f64) -> Json {
+    println!(
+        "{k:>6} {bucket:>18.0} {naive:>18.0} {:>8.2}x",
+        bucket / naive
+    );
+    json_obj! {
+        "k": k,
+        "bucket_ops_per_sec": rate(bucket),
+        "naive_ops_per_sec": rate(naive),
+        "speedup": speedup(bucket, naive),
+    }
+}
+
+fn bench_tables() -> Json {
+    pair_header(&format!(
+        "# Mithril table hot path: bucket vs naive ({OPS} ACTs, RFM every {RFM_EVERY})"
+    ));
+    Json::arr(TABLE_SIZES.iter().map(|&k| {
+        let ops = act_stream(OPS, 4 * k as u64);
+        let bucket = measure(OPS, || {
+            let mut t = MithrilTable::<u16>::new(k);
+            for (i, &r) in ops.iter().enumerate() {
+                t.on_activate(r);
+                if i % RFM_EVERY == RFM_EVERY - 1 {
+                    std::hint::black_box(t.on_rfm());
                 }
-                std::hint::black_box(t.spread());
-            });
-            // The naive reference is orders of magnitude slower at large K;
-            // shrink its stream so the report still finishes quickly.
-            let naive_ops = if k >= 512 { OPS / 10 } else { OPS };
-            let stream = &ops[..naive_ops];
-            let naive = measure(naive_ops, || {
-                let mut t = NaiveTable::new(k);
-                for (i, &r) in stream.iter().enumerate() {
-                    t.on_activate(r);
-                    if i % RFM_EVERY == RFM_EVERY - 1 {
-                        std::hint::black_box(t.on_rfm());
-                    }
-                }
-                std::hint::black_box(t.spread());
-            });
-            TableRow {
-                k,
-                bucket_ops_per_sec: bucket,
-                naive_ops_per_sec: naive,
             }
-        })
-        .collect()
-}
-
-fn bench_trackers() -> Vec<TableRow> {
-    TABLE_SIZES
-        .iter()
-        .map(|&k| {
-            let ops = act_stream(OPS, 4 * k as u64);
-            let bucket = measure(OPS, || {
-                let mut t = SpaceSaving::new(k);
-                for &r in &ops {
-                    t.record(r);
+            std::hint::black_box(t.spread());
+        });
+        // The naive reference is orders of magnitude slower at large K;
+        // shrink its stream so the report still finishes quickly.
+        let naive_ops = if k >= 512 { OPS / 10 } else { OPS };
+        let stream = &ops[..naive_ops];
+        let naive = measure(naive_ops, || {
+            let mut t = NaiveTable::new(k);
+            for (i, &r) in stream.iter().enumerate() {
+                t.on_activate(r);
+                if i % RFM_EVERY == RFM_EVERY - 1 {
+                    std::hint::black_box(t.on_rfm());
                 }
-                std::hint::black_box(t.min_count());
-            });
-            let naive_ops = if k >= 512 { OPS / 10 } else { OPS };
-            let stream = &ops[..naive_ops];
-            let naive = measure(naive_ops, || {
-                let mut t = NaiveSpaceSaving::new(k);
-                for &r in stream {
-                    t.record(r);
-                }
-                std::hint::black_box(t.min_count());
-            });
-            TableRow {
-                k,
-                bucket_ops_per_sec: bucket,
-                naive_ops_per_sec: naive,
             }
-        })
-        .collect()
+            std::hint::black_box(t.spread());
+        });
+        pair_row(k, bucket, naive)
+    }))
 }
 
-struct SimRow {
-    scheme: &'static str,
-    event_acts_per_sec: f64,
-    naive_acts_per_sec: f64,
-    acts: u64,
-    read_p50_ps: u64,
-    read_p99_ps: u64,
+fn bench_trackers() -> Json {
+    pair_header("\n# Space-Saving tracker: bucket vs naive (record-only)");
+    Json::arr(TABLE_SIZES.iter().map(|&k| {
+        let ops = act_stream(OPS, 4 * k as u64);
+        let bucket = measure(OPS, || {
+            let mut t = SpaceSaving::new(k);
+            for &r in &ops {
+                t.record(r);
+            }
+            std::hint::black_box(t.min_count());
+        });
+        let naive_ops = if k >= 512 { OPS / 10 } else { OPS };
+        let stream = &ops[..naive_ops];
+        let naive = measure(naive_ops, || {
+            let mut t = NaiveSpaceSaving::new(k);
+            for &r in stream {
+                t.record(r);
+            }
+            std::hint::black_box(t.min_count());
+        });
+        pair_row(k, bucket, naive)
+    }))
 }
 
 /// End-to-end simulator activation rate (full System: cores + LLC +
@@ -171,7 +183,13 @@ fn sim_acts_per_sec(scheme: Scheme, scheduler: SchedulerKind, insts: u64) -> (f6
     (best, acts, p50, p99)
 }
 
-fn bench_sim() -> Vec<SimRow> {
+fn bench_sim() -> Json {
+    println!("\n# End-to-end simulator rate: event-driven vs naive-rescan controller core");
+    println!("# (full System loop, 4 cores, mix-high; acts/s of simulated activations)");
+    println!(
+        "{:>10} {:>18} {:>18} {:>9} {:>12} {:>12}",
+        "scheme", "event acts/s", "naive acts/s", "speedup", "read p50", "read p99"
+    );
     let schemes: [(&'static str, Scheme); 3] = [
         ("none", Scheme::None),
         (
@@ -184,36 +202,31 @@ fn bench_sim() -> Vec<SimRow> {
         ),
         ("para", Scheme::Para),
     ];
-    schemes
-        .iter()
-        .map(|&(name, scheme)| {
-            let (event, acts, p50, p99) =
-                sim_acts_per_sec(scheme, SchedulerKind::EventQueue, SIM_INSTS);
-            let (naive, ..) = sim_acts_per_sec(scheme, SchedulerKind::NaiveRescan, SIM_INSTS);
-            SimRow {
-                scheme: name,
-                event_acts_per_sec: event,
-                naive_acts_per_sec: naive,
-                acts,
-                read_p50_ps: p50,
-                read_p99_ps: p99,
-            }
-        })
-        .collect()
+    Json::arr(schemes.iter().map(|&(name, scheme)| {
+        let (event, acts, p50, p99) =
+            sim_acts_per_sec(scheme, SchedulerKind::EventQueue, SIM_INSTS);
+        let (naive, ..) = sim_acts_per_sec(scheme, SchedulerKind::NaiveRescan, SIM_INSTS);
+        println!(
+            "{name:>10} {event:>18.0} {naive:>18.0} {:>8.2}x {p50:>10}ps {p99:>10}ps",
+            event / naive
+        );
+        json_obj! {
+            "scheme": name,
+            "event_acts_per_sec": rate(event),
+            "naive_acts_per_sec": rate(naive),
+            "speedup": speedup(event, naive),
+            "acts": acts,
+            "read_p50_ps": p50,
+            "read_p99_ps": p99,
+        }
+    }))
 }
 
 /// One observed simulation (ring sinks + sampler) under the default
 /// mithril scheme: exact per-kind event counts, the number of time-series
 /// rows sampled, and observed vs unobserved acts/s. The counts are
 /// deterministic (fixed seed); the rates are measurements.
-struct ObsSummary {
-    counts: [u64; mithril_obs::KINDS],
-    series_rows: usize,
-    observed_acts_per_sec: f64,
-    plain_acts_per_sec: f64,
-}
-
-fn bench_obs() -> ObsSummary {
+fn bench_obs() -> Json {
     let scheme = Scheme::Mithril {
         rfm_th: 64,
         ad_th: None,
@@ -229,64 +242,26 @@ fn bench_obs() -> ObsSummary {
     let observed = m.counters.acts as f64 / t0.elapsed().as_secs_f64();
     let capture = sys.take_obs();
     let (plain, ..) = sim_acts_per_sec(scheme, SchedulerKind::EventQueue, SIM_INSTS);
-    ObsSummary {
-        counts: capture.total_counts(),
-        series_rows: capture.channels.iter().map(|c| c.rows.len()).sum(),
-        observed_acts_per_sec: observed,
-        plain_acts_per_sec: plain,
-    }
-}
+    let counts = capture.total_counts();
+    let series_rows: usize = capture.channels.iter().map(|c| c.rows.len()).sum();
 
-fn obs_summary_json(o: &ObsSummary) -> String {
-    let counts: Vec<String> = KIND_NAMES
-        .iter()
-        .zip(o.counts.iter())
-        .map(|(name, c)| format!("\"{name}\": {c}"))
-        .collect();
-    format!(
-        "{{\n    \"counts\": {{{}}},\n    \"series_rows\": {},\n    \"observed_acts_per_sec\": {:.0},\n    \"plain_acts_per_sec\": {:.0}\n  }}",
-        counts.join(", "),
-        o.series_rows,
-        o.observed_acts_per_sec,
-        o.plain_acts_per_sec
-    )
-}
-
-fn sim_rows_to_json(rows: &[SimRow]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"scheme\": \"{}\", \"event_acts_per_sec\": {:.0}, \"naive_acts_per_sec\": {:.0}, \"speedup\": {:.2}, \"acts\": {}, \"read_p50_ps\": {}, \"read_p99_ps\": {}}}{}",
-            r.scheme,
-            r.event_acts_per_sec,
-            r.naive_acts_per_sec,
-            r.event_acts_per_sec / r.naive_acts_per_sec,
-            r.acts,
-            r.read_p50_ps,
-            r.read_p99_ps,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
+    println!("\n# Observability summary: one observed run (mithril, 4 cores, mix-high)");
+    println!(
+        "# observed {observed:.0} acts/s vs plain {plain:.0} acts/s ({:.1}% overhead); \
+         {series_rows} series rows",
+        (1.0 - observed / plain) * 100.0,
+    );
+    for (name, c) in KIND_NAMES.iter().zip(counts.iter()) {
+        if *c > 0 {
+            println!("{name:>20} {c:>12}");
+        }
     }
-    s.push_str("  ]");
-    s
-}
-
-fn rows_to_json(rows: &[TableRow]) -> String {
-    let mut s = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"k\": {}, \"bucket_ops_per_sec\": {:.0}, \"naive_ops_per_sec\": {:.0}, \"speedup\": {:.2}}}{}",
-            r.k,
-            r.bucket_ops_per_sec,
-            r.naive_ops_per_sec,
-            r.bucket_ops_per_sec / r.naive_ops_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
+    json_obj! {
+        "counts": kind_counts_tree(&counts),
+        "series_rows": series_rows,
+        "observed_acts_per_sec": rate(observed),
+        "plain_acts_per_sec": rate(plain),
     }
-    s.push_str("  ]");
-    s
 }
 
 fn main() {
@@ -299,83 +274,20 @@ fn main() {
         .unwrap_or_else(|| "BENCH_table.json".to_string());
     let with_obs = args.iter().any(|a| a == "--obs");
 
-    println!("# Mithril table hot path: bucket vs naive ({OPS} ACTs, RFM every {RFM_EVERY})");
-    println!(
-        "{:>6} {:>18} {:>18} {:>9}",
-        "K", "bucket ops/s", "naive ops/s", "speedup"
-    );
-    let tables = bench_tables();
-    for r in &tables {
-        println!(
-            "{:>6} {:>18.0} {:>18.0} {:>8.2}x",
-            r.k,
-            r.bucket_ops_per_sec,
-            r.naive_ops_per_sec,
-            r.bucket_ops_per_sec / r.naive_ops_per_sec
-        );
-    }
-    println!("\n# Space-Saving tracker: bucket vs naive (record-only)");
-    println!(
-        "{:>6} {:>18} {:>18} {:>9}",
-        "K", "bucket ops/s", "naive ops/s", "speedup"
-    );
-    let trackers = bench_trackers();
-    for r in &trackers {
-        println!(
-            "{:>6} {:>18.0} {:>18.0} {:>8.2}x",
-            r.k,
-            r.bucket_ops_per_sec,
-            r.naive_ops_per_sec,
-            r.bucket_ops_per_sec / r.naive_ops_per_sec
-        );
-    }
-
-    println!("\n# End-to-end simulator rate: event-driven vs naive-rescan controller core");
-    println!("# (full System loop, 4 cores, mix-high; acts/s of simulated activations)");
-    println!(
-        "{:>10} {:>18} {:>18} {:>9} {:>12} {:>12}",
-        "scheme", "event acts/s", "naive acts/s", "speedup", "read p50", "read p99"
-    );
-    let sim = bench_sim();
-    for r in &sim {
-        println!(
-            "{:>10} {:>18.0} {:>18.0} {:>8.2}x {:>10}ps {:>10}ps",
-            r.scheme,
-            r.event_acts_per_sec,
-            r.naive_acts_per_sec,
-            r.event_acts_per_sec / r.naive_acts_per_sec,
-            r.read_p50_ps,
-            r.read_p99_ps
-        );
-    }
-
-    let obs_section = if with_obs {
-        let o = bench_obs();
-        println!("\n# Observability summary: one observed run (mithril, 4 cores, mix-high)");
-        println!(
-            "# observed {:.0} acts/s vs plain {:.0} acts/s ({:.1}% overhead); {} series rows",
-            o.observed_acts_per_sec,
-            o.plain_acts_per_sec,
-            (1.0 - o.observed_acts_per_sec / o.plain_acts_per_sec) * 100.0,
-            o.series_rows
-        );
-        for (name, c) in KIND_NAMES.iter().zip(o.counts.iter()) {
-            if *c > 0 {
-                println!("{name:>20} {c:>12}");
-            }
-        }
-        format!(",\n  \"obs_summary\": {}", obs_summary_json(&o))
-    } else {
-        String::new()
+    // Members evaluate in order, so the sections print in report order.
+    let mut report = json_obj! {
+        "format_version": mithril_obs::FORMAT_VERSION,
+        "ops_per_run": OPS,
+        "rfm_every": RFM_EVERY,
+        "mithril_table": bench_tables(),
+        "space_saving": bench_trackers(),
+        "sim_insts_per_core": SIM_INSTS,
+        "sim_ops_per_sec": bench_sim(),
     };
-
-    let json = format!(
-        "{{\n  \"format_version\": {},\n  \"ops_per_run\": {OPS},\n  \"rfm_every\": {RFM_EVERY},\n  \"mithril_table\": {},\n  \"space_saving\": {},\n  \"sim_insts_per_core\": {SIM_INSTS},\n  \"sim_ops_per_sec\": {}{obs_section}\n}}\n",
-        mithril_obs::FORMAT_VERSION,
-        rows_to_json(&tables),
-        rows_to_json(&trackers),
-        sim_rows_to_json(&sim)
-    );
-    std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+    if with_obs {
+        report.push("obs_summary", bench_obs());
+    }
+    std::fs::write(&out_path, report.render_report())
+        .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!("\nwrote {out_path}");
 }

@@ -150,8 +150,6 @@ pub struct McStats {
     pub reads_done: u64,
     /// Writebacks serviced.
     pub writes_done: u64,
-    /// Sum of read latencies (completion − arrival), for average latency.
-    pub total_read_latency: TimePs,
     /// ACT commands issued.
     pub acts: u64,
     /// Column commands that reused an already-open row (i.e. columns
@@ -169,10 +167,8 @@ pub struct McStats {
     pub arrs: u64,
     /// ACTs whose issue was delayed by a throttling mitigation.
     pub throttled_acts: u64,
-    /// Read-latency distribution (completion − arrival, picoseconds).
-    /// The histogram — not [`total_read_latency`](McStats::total_read_latency)
-    /// — is the source of truth for latency reporting; the sum survives
-    /// only to feed the legacy average field.
+    /// Read-latency distribution (completion − arrival, picoseconds):
+    /// the one latency measure (its exact `sum()` / `count()` is the mean).
     pub read_latency: LatencyHistogram,
     /// Writeback-latency distribution (commit − arrival, picoseconds).
     pub write_latency: LatencyHistogram,
@@ -181,15 +177,6 @@ pub struct McStats {
 }
 
 impl McStats {
-    /// Average read latency in picoseconds.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads_done == 0 {
-            0.0
-        } else {
-            self.total_read_latency as f64 / self.reads_done as f64
-        }
-    }
-
     /// Row-buffer hit rate: the fraction of column commands that reused
     /// an open row instead of paying for the activation that opened it.
     /// 0.0 = every column needed its own ACT (no locality); values near
@@ -1329,7 +1316,6 @@ impl<S: EventSink> MemoryController<S> {
                     core.reads_done += 1;
                     core.read_latency.record(latency);
                     self.stats.read_latency.record(latency);
-                    self.stats.total_read_latency += latency;
                 }
                 self.mark_dirty(bank);
                 self.obs_lane(now, bank, LaneCause::Execute);
@@ -1540,10 +1526,7 @@ mod tests {
         assert_eq!(done.len(), 7);
 
         let s = mc.stats();
-        // The histogram is the source of truth; the legacy sum must agree
-        // exactly (both integer picoseconds over the same completions).
         assert_eq!(s.read_latency.count(), s.reads_done);
-        assert_eq!(s.read_latency.sum(), s.total_read_latency);
         assert_eq!(s.write_latency.count(), s.writes_done);
         assert!(s.read_latency.min() > 0, "reads cannot complete at t=0");
 

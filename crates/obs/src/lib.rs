@@ -68,8 +68,11 @@ use json::Json;
 /// schema changes shape; diff-based gates validate it before comparing.
 ///
 /// History: 1 = original report dialect; 2 = added `latency`/`per_core`
-/// sections to metrics and `warnings` arrays to the obs summaries.
-pub const FORMAT_VERSION: u64 = 2;
+/// sections to metrics and `warnings` arrays to the obs summaries; 3 =
+/// removed the f64 `avg_read_latency_ns` scalars and added a `latency`
+/// section to every `per_channel` entry (histograms are the only latency
+/// measure).
+pub const FORMAT_VERSION: u64 = 3;
 
 /// DDR5-4800 command-clock period in picoseconds (2400 MHz), the default
 /// cycle unit of the sample grid. `Ddr5Timing` expresses everything in
@@ -550,44 +553,49 @@ impl Event {
         KIND_NAMES[self.kind_index()]
     }
 
-    /// Renders the kind-specific payload fields as JSON object members
-    /// (no braces), e.g. `"bank":3,"row":55`. Empty for payload-free
-    /// kinds.
-    pub fn payload_json(&self) -> String {
-        match *self {
-            Event::Act { bank, row } => format!("\"bank\":{bank},\"row\":{row}"),
-            Event::Ref { rank, banks } => format!("\"rank\":{rank},\"banks\":{banks}"),
+    /// Appends the kind-specific payload fields to the `line` object,
+    /// e.g. `"bank":3,"row":55`. Nothing for payload-free kinds.
+    pub fn payload(&self, line: &mut Json) {
+        let members: Vec<(&str, Json)> = match *self {
+            Event::Act { bank, row } => vec![("bank", bank.into()), ("row", row.into())],
+            Event::Ref { rank, banks } => vec![("rank", rank.into()), ("banks", banks.into())],
             Event::Rfm {
                 bank,
                 aggressor,
                 victims,
                 skipped,
-            } => {
-                let agg = match aggressor {
-                    Some(a) => a.to_string(),
-                    None => "null".to_string(),
-                };
-                format!("\"bank\":{bank},\"aggressor\":{agg},\"victims\":{victims},\"skipped\":{skipped}")
-            }
-            Event::RfmElided { bank } => format!("\"bank\":{bank}"),
-            Event::Arr { bank, victims } => format!("\"bank\":{bank},\"victims\":{victims}"),
-            Event::MitigationTrigger { bank, victims } => {
-                format!("\"bank\":{bank},\"victims\":{victims}")
+            } => vec![
+                ("bank", bank.into()),
+                ("aggressor", aggressor.into()),
+                ("victims", victims.into()),
+                ("skipped", skipped.into()),
+            ],
+            Event::RfmElided { bank } => vec![("bank", bank.into())],
+            Event::Arr { bank, victims } | Event::MitigationTrigger { bank, victims } => {
+                vec![("bank", bank.into()), ("victims", victims.into())]
             }
             Event::TableEvict { bank, evictions } => {
-                format!("\"bank\":{bank},\"evictions\":{evictions}")
+                vec![("bank", bank.into()), ("evictions", evictions.into())]
             }
             Event::TableInvalidate {
                 bank,
                 invalidations,
-            } => format!("\"bank\":{bank},\"invalidations\":{invalidations}"),
+            } => vec![
+                ("bank", bank.into()),
+                ("invalidations", invalidations.into()),
+            ],
             Event::FaultInject { bank, count }
             | Event::FaultDetect { bank, count }
-            | Event::FaultRepair { bank, count } => format!("\"bank\":{bank},\"count\":{count}"),
-            Event::LaneInvalidate { bank, cause } => {
-                format!("\"bank\":{bank},\"cause\":\"{}\"", cause.name())
+            | Event::FaultRepair { bank, count } => {
+                vec![("bank", bank.into()), ("count", count.into())]
             }
-            Event::BlissClear => String::new(),
+            Event::LaneInvalidate { bank, cause } => {
+                vec![("bank", bank.into()), ("cause", cause.name().into())]
+            }
+            Event::BlissClear => vec![],
+        };
+        for (key, value) in members {
+            line.push(key, value);
         }
     }
 }
@@ -979,13 +987,15 @@ impl ObsCapture {
         merged.sort_by_key(|&(at, channel, seq, _)| (at, channel, seq));
         let mut out = String::new();
         for (at, channel, _, ev) in merged {
-            let payload = ev.payload_json();
-            let sep = if payload.is_empty() { "" } else { "," };
-            out.push_str(&format!(
-                "{{\"t_ps\":{at},\"cycle\":{},\"channel\":{channel},\"kind\":\"{}\"{sep}{payload}}}\n",
-                at / self.cycle_ps,
-                ev.kind_name(),
-            ));
+            let mut line = json_obj! {
+                "t_ps": at,
+                "cycle": at / self.cycle_ps,
+                "channel": channel,
+                "kind": ev.kind_name(),
+            };
+            ev.payload(&mut line);
+            out.push_str(&line.render());
+            out.push('\n');
         }
         out
     }
@@ -1221,6 +1231,74 @@ mod tests {
         assert!(summary.contains("\"events_total\": 3"), "{summary}");
         assert_eq!(capture.total_events(), 3);
         assert_eq!(summary, capture.summary_json());
+    }
+
+    /// Pins the exact `events.jsonl` line of every kind: the envelope
+    /// keys, then the kind's payload keys in order (`null` for an absent
+    /// aggressor, nothing for `bliss_clear`).
+    #[test]
+    fn every_kind_renders_its_documented_line() {
+        let events = [
+            Event::Act { bank: 1, row: 2 },
+            Event::Ref { rank: 1, banks: 8 },
+            Event::Rfm {
+                bank: 3,
+                aggressor: None,
+                victims: 0,
+                skipped: true,
+            },
+            Event::RfmElided { bank: 4 },
+            Event::Arr {
+                bank: 5,
+                victims: 2,
+            },
+            Event::MitigationTrigger {
+                bank: 6,
+                victims: 2,
+            },
+            Event::TableEvict {
+                bank: 7,
+                evictions: 3,
+            },
+            Event::TableInvalidate {
+                bank: 8,
+                invalidations: 1,
+            },
+            Event::FaultInject { bank: 9, count: 1 },
+            Event::FaultDetect { bank: 9, count: 2 },
+            Event::FaultRepair { bank: 9, count: 3 },
+            Event::LaneInvalidate {
+                bank: 2,
+                cause: LaneCause::Throttle,
+            },
+            Event::BlissClear,
+        ];
+        let capture = ObsCapture {
+            cycle_ps: 1000,
+            interval_cycles: 1,
+            channels: vec![ChannelCapture {
+                channel: 1,
+                events: (0u64..).zip(events).map(|(i, e)| (1500 * i, e)).collect(),
+                counts: [1; KINDS],
+                dropped: 0,
+                rows: vec![],
+            }],
+        };
+        let expected = r#"{"t_ps":0,"cycle":0,"channel":1,"kind":"act","bank":1,"row":2}
+{"t_ps":1500,"cycle":1,"channel":1,"kind":"ref","rank":1,"banks":8}
+{"t_ps":3000,"cycle":3,"channel":1,"kind":"rfm","bank":3,"aggressor":null,"victims":0,"skipped":true}
+{"t_ps":4500,"cycle":4,"channel":1,"kind":"rfm_elided","bank":4}
+{"t_ps":6000,"cycle":6,"channel":1,"kind":"arr","bank":5,"victims":2}
+{"t_ps":7500,"cycle":7,"channel":1,"kind":"mitigation_trigger","bank":6,"victims":2}
+{"t_ps":9000,"cycle":9,"channel":1,"kind":"table_evict","bank":7,"evictions":3}
+{"t_ps":10500,"cycle":10,"channel":1,"kind":"table_invalidate","bank":8,"invalidations":1}
+{"t_ps":12000,"cycle":12,"channel":1,"kind":"fault_inject","bank":9,"count":1}
+{"t_ps":13500,"cycle":13,"channel":1,"kind":"fault_detect","bank":9,"count":2}
+{"t_ps":15000,"cycle":15,"channel":1,"kind":"fault_repair","bank":9,"count":3}
+{"t_ps":16500,"cycle":16,"channel":1,"kind":"lane_invalidate","bank":2,"cause":"throttle"}
+{"t_ps":18000,"cycle":18,"channel":1,"kind":"bliss_clear"}
+"#;
+        assert_eq!(capture.events_jsonl(), expected);
     }
 
     #[test]

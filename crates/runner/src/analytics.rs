@@ -13,6 +13,8 @@
 
 use mithril_obs::check_format_version;
 use mithril_obs::json::Json;
+use Direction::{HigherBetter, LowerBetter, Neutral};
+use Source::{At, Mean};
 
 /// Whether a metric counts as *better* when it goes up or when it goes
 /// down; `Neutral` metrics are reported but never classified as
@@ -27,43 +29,30 @@ pub enum Direction {
     Neutral,
 }
 
-/// The per-scenario metrics `obs report` tracks, with the JSON path each
-/// is extracted from and its regression direction.
-const SCENARIO_METRICS: &[(&str, &[&str], Direction)] = &[
-    ("aggregate_ipc", &["aggregate_ipc"], Direction::HigherBetter),
-    ("energy_pj", &["energy_pj"], Direction::LowerBetter),
-    (
-        "avg_read_latency_ns",
-        &["avg_read_latency_ns"],
-        Direction::LowerBetter,
-    ),
-    (
-        "max_disturbance",
-        &["max_disturbance"],
-        Direction::LowerBetter,
-    ),
-    ("flips", &["flips"], Direction::LowerBetter),
-    ("throttled_acts", &["throttled_acts"], Direction::Neutral),
-    (
-        "read_p50_ps",
-        &["latency", "read", "p50_ps"],
-        Direction::LowerBetter,
-    ),
-    (
-        "read_p99_ps",
-        &["latency", "read", "p99_ps"],
-        Direction::LowerBetter,
-    ),
-    (
-        "read_p999_ps",
-        &["latency", "read", "p999_ps"],
-        Direction::LowerBetter,
-    ),
-    (
-        "write_p99_ps",
-        &["latency", "write", "p99_ps"],
-        Direction::LowerBetter,
-    ),
+/// Where a tracked metric is read from in a run's `metrics` object, as
+/// a dotted path of member names.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The number at this path.
+    At(&'static str),
+    /// The exact mean (`sum_ps / count`) of the histogram summary at this
+    /// path; 0 when it recorded nothing, like `LatencyHistogram::mean`.
+    Mean(&'static str),
+}
+
+/// The per-scenario metrics `obs report` tracks, with where each is
+/// extracted from and its regression direction.
+const SCENARIO_METRICS: &[(&str, Source, Direction)] = &[
+    ("aggregate_ipc", At("aggregate_ipc"), HigherBetter),
+    ("energy_pj", At("energy_pj"), LowerBetter),
+    ("read_mean_ps", Mean("latency.read"), LowerBetter),
+    ("max_disturbance", At("max_disturbance"), LowerBetter),
+    ("flips", At("flips"), LowerBetter),
+    ("throttled_acts", At("throttled_acts"), Neutral),
+    ("read_p50_ps", At("latency.read.p50_ps"), LowerBetter),
+    ("read_p99_ps", At("latency.read.p99_ps"), LowerBetter),
+    ("read_p999_ps", At("latency.read.p999_ps"), LowerBetter),
+    ("write_p99_ps", At("latency.write.p99_ps"), LowerBetter),
 ];
 
 /// One named run extracted from a report, with its flat metric list.
@@ -88,18 +77,27 @@ pub struct Report {
     pub warnings: Vec<String>,
 }
 
-fn walk<'a>(root: &'a Json, path: &[&str]) -> Option<&'a Json> {
-    let mut cur = root;
-    for key in path {
-        cur = cur.get(key)?;
+fn walk<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(root, |cur, key| cur.get(key))
+}
+
+fn extract(metrics: &Json, source: Source) -> Option<f64> {
+    match source {
+        At(path) => walk(metrics, path)?.as_f64(),
+        Mean(path) => {
+            let h = walk(metrics, path)?;
+            let count = h.get("count")?.as_u64()?;
+            let sum = h.get("sum_ps")?.as_u64()?;
+            // An empty histogram has a zero sum, so this is 0 for it.
+            Some(sum as f64 / count.max(1) as f64)
+        }
     }
-    Some(cur)
 }
 
 fn scenario_metrics(name: &str, metrics: &Json) -> RunMetrics {
     let mut out = Vec::new();
-    for &(label, path, dir) in SCENARIO_METRICS {
-        if let Some(v) = walk(metrics, path).and_then(Json::as_f64) {
+    for &(label, source, dir) in SCENARIO_METRICS {
+        if let Some(v) = extract(metrics, source) {
             out.push((label.to_string(), v, dir));
         }
     }
@@ -424,6 +422,41 @@ mod tests {
         // An *improvement* of the same size is not a regression.
         let cmp_rev = compare(&new, &old);
         assert!(cmp_rev.regressions(5.0).is_empty());
+    }
+
+    /// The mean is derived from the exact histogram sum: raising one
+    /// scenario's `latency.read.sum_ps` moves `read_mean_ps` and nothing
+    /// else.
+    #[test]
+    fn read_mean_is_derived_from_the_histogram_sum() {
+        fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+            match v {
+                Json::Obj(members) => &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                _ => panic!("not an object"),
+            }
+        }
+        let json = sweep_json(7, &tiny_sweep(7));
+        let mut tree = Json::parse(&json).unwrap();
+        let Json::Arr(scenarios) = member(&mut tree, "scenarios") else {
+            panic!("no scenarios");
+        };
+        let read = member(
+            member(member(&mut scenarios[0], "metrics"), "latency"),
+            "read",
+        );
+        assert!(read.get("count").unwrap().as_u64().unwrap() > 0);
+        let Json::Int(sum) = member(read, "sum_ps") else {
+            panic!("sum_ps is not an integer");
+        };
+        *sum += *sum / 4;
+        let old = parse_report(&json).unwrap();
+        let new = parse_report(&tree.render_report()).unwrap();
+        let cmp = compare(&old, &new);
+        let changed: Vec<&Delta> = cmp.deltas.iter().filter(|d| d.delta_pct != 0.0).collect();
+        assert_eq!(changed.len(), 1, "{changed:?}");
+        assert_eq!(changed[0].run, old.runs[0].name);
+        assert_eq!(changed[0].metric, "read_mean_ps");
+        assert!(changed[0].worse && (changed[0].delta_pct - 25.0).abs() < 0.1);
     }
 
     #[test]

@@ -61,9 +61,14 @@ fn cmd_report(args: &[String]) -> ExitCode {
                 let v = args
                     .get(i + 1)
                     .unwrap_or_else(|| die("--fail-on-regression needs a percent value"));
+                // `NaN` parses but compares false against every delta, and a
+                // negative or infinite threshold is meaningless: all would
+                // silently disable the gate.
                 fail_pct = Some(
                     v.parse::<f64>()
-                        .unwrap_or_else(|_| die(&format!("bad percent value `{v}`"))),
+                        .ok()
+                        .filter(|p| p.is_finite() && *p >= 0.0)
+                        .unwrap_or_else(|| die(&format!("bad percent value `{v}`"))),
                 );
                 i += 2;
             }

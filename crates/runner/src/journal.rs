@@ -33,6 +33,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use mithril_obs::json::Json;
+use mithril_obs::FORMAT_VERSION;
 
 use crate::scenarios::Scenario;
 
@@ -48,12 +49,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fingerprint of a sweep's identity: the base seed plus every expanded
-/// scenario's name and size knobs. Two sweeps with the same fingerprint
-/// produce the same entry at every index, which is exactly what resuming
-/// requires.
+/// Fingerprint of a sweep's identity: the report [`FORMAT_VERSION`], the
+/// base seed and every expanded scenario's name and size knobs. Two
+/// sweeps with the same fingerprint produce the same entry at every
+/// index, which is exactly what resuming requires; a journal written
+/// under another report format never splices its entries into this one.
 pub fn fingerprint(base_seed: u64, scenarios: &[Scenario]) -> u64 {
     let mut bytes = Vec::new();
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&base_seed.to_le_bytes());
     for s in scenarios {
         bytes.extend_from_slice(s.name.as_bytes());
@@ -126,7 +129,7 @@ pub fn load(
     }
     if h_fp != fingerprint {
         return Err(format!(
-            "journal {} belongs to a different sweep spec (fingerprint {h_fp:016x} != {fingerprint:016x})",
+            "journal {} belongs to a different sweep spec or report format (fingerprint {h_fp:016x} != {fingerprint:016x})",
             path.display()
         ));
     }
@@ -304,6 +307,23 @@ mod tests {
             .unwrap_err()
             .contains("fingerprint"));
         assert!(load(&path, 1, fp_a, 1).is_ok());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A journal written by a format-2 build (whose header fingerprint
+    /// for the smoke spec at base seed 1 was `0a523d224a601bd8`) carries
+    /// entries of another report shape: resuming it must be refused, not
+    /// spliced into a report stamped with this build's version.
+    #[test]
+    fn refuses_journals_from_another_report_format() {
+        const FORMAT_2_SMOKE_SEED_1: u64 = 0x0a52_3d22_4a60_1bd8;
+        let dir = std::env::temp_dir().join("mtrj-format");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.mtrj");
+        let scenarios = crate::scenarios::SweepSpec::smoke().scenarios();
+        JournalWriter::create(&path, 1, FORMAT_2_SMOKE_SEED_1).unwrap();
+        let err = load(&path, 1, fingerprint(1, &scenarios), scenarios.len()).unwrap_err();
+        assert!(err.contains("fingerprint"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

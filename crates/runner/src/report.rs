@@ -12,7 +12,7 @@ use mithril_dram::EnergyCounters;
 use mithril_sim::{ChannelMetrics, CoreStats, FaultStats, Metrics, PerCore, QosStats};
 
 use mithril_obs::json::Json;
-use mithril_obs::{json_obj, kind_counts_tree, KINDS};
+use mithril_obs::{json_obj, kind_counts_tree, LatencyHistogram, KINDS};
 
 use crate::scenarios::{geometry_tag, Scenario};
 
@@ -68,7 +68,7 @@ fn channel_tree(c: &ChannelMetrics) -> Json {
         "channel": c.channel.0,
         "reads_done": c.reads_done,
         "writes_done": c.writes_done,
-        "avg_read_latency_ns": c.avg_read_latency_ns,
+        "latency": latency_tree(&c.read_latency, &c.write_latency),
         "row_hit_rate": c.row_hit_rate,
         "energy_pj": c.energy_pj,
         "rfms": c.rfms,
@@ -78,6 +78,15 @@ fn channel_tree(c: &ChannelMetrics) -> Json {
         "max_disturbance": c.max_disturbance,
         "flips": c.flips,
         "counters": counters_tree(&c.counters),
+    }
+}
+
+/// The read/write histograms' integer summaries (exact count/sum/min/max
+/// plus bucket-lower-bound percentiles).
+fn latency_tree(read: &LatencyHistogram, write: &LatencyHistogram) -> Json {
+    json_obj! {
+        "read": read.summary_tree(),
+        "write": write.summary_tree(),
     }
 }
 
@@ -127,11 +136,11 @@ fn qos_tree(q: &QosStats) -> Json {
     }
 }
 
-/// One run's [`Metrics`] as a report tree. The `latency` section embeds
-/// the read/write histograms' integer summaries (exact count/sum/min/max
-/// plus bucket-lower-bound percentiles) and `per_core` the per-issuing-core
-/// attribution; both are integer-valued, so they are byte-identical at
-/// any thread count like the rest of the report.
+/// One run's [`Metrics`] as a report tree. The `latency` sections (system
+/// and per channel) embed the read/write histogram summaries and
+/// `per_core` the per-issuing-core attribution; both are integer-valued,
+/// so they are byte-identical at any thread count like the rest of the
+/// report.
 ///
 /// A `qos` section rides at the end *only* when the run had QoS
 /// throttling enabled — QoS-off runs carry no QoS state at all, keeping
@@ -147,15 +156,11 @@ fn metrics_tree(m: &Metrics) -> Json {
         "rfm_elisions": m.rfm_elisions,
         "arrs": m.arrs,
         "throttled_acts": m.throttled_acts,
-        "avg_read_latency_ns": m.avg_read_latency_ns,
         "max_disturbance": m.max_disturbance,
         "flips": m.flips,
         "counters": counters_tree(&m.counters),
         "per_channel": Json::arr(m.per_channel.iter().map(channel_tree)),
-        "latency": json_obj! {
-            "read": m.read_latency.summary_tree(),
-            "write": m.write_latency.summary_tree(),
-        },
+        "latency": latency_tree(&m.read_latency, &m.write_latency),
         "per_core": per_core_tree(&m.per_core),
     };
     if let Some(q) = &m.qos {

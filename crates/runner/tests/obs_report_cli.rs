@@ -178,3 +178,19 @@ fn usage_errors_exit_2() {
     let (code, _, _) = run_obs(&["unknown-subcommand"]);
     assert_eq!(code, 2);
 }
+
+/// A threshold that is not a finite, non-negative percent would disable
+/// the gate (`NaN` compares false against every delta): refuse it.
+#[test]
+fn non_finite_or_negative_thresholds_exit_2() {
+    let json = sweep_json(7, &tiny_sweep(7));
+    let a = write_temp("pct-a.json", &json);
+    let path = a.to_str().unwrap();
+    for bad in ["NaN", "nan", "inf", "-inf", "-1", "five"] {
+        let (code, _, stderr) = run_obs(&["report", path, path, "--fail-on-regression", bad]);
+        assert_eq!(code, 2, "{bad}: {stderr}");
+        assert!(stderr.contains("bad percent value"), "{bad}: {stderr}");
+    }
+    let (code, stdout, _) = run_obs(&["report", path, path, "--fail-on-regression", "0"]);
+    assert_eq!(code, 0, "{stdout}");
+}

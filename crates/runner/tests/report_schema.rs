@@ -1,16 +1,24 @@
 //! The report model against its committed artifacts: the baselines are
 //! fixed points of parse + render, integers survive exactly, and every
-//! key the reports emit is documented in `docs/REPORT_SCHEMA.md`.
+//! key the reports, the perf report and the `--obs` artifacts emit is
+//! documented in `docs/REPORT_SCHEMA.md`.
 
 use std::collections::BTreeSet;
 
 use mithril_obs::json::Json;
+use mithril_obs::{ChannelCapture, Event, LaneCause, ObsCapture, KINDS};
 use mithril_runner::engine::PoolConfig;
 use mithril_runner::report::{faults_json, metrics_only_json, sweep_json};
 use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
-use mithril_runner::{run_fault_campaign, run_sweep};
+use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_observed};
+use mithril_sim::ObsConfig;
 
-const BASELINES: [&str; 3] = ["BENCH_sweep.json", "BENCH_obs.json", "BENCH_qos.json"];
+const BASELINES: [&str; 4] = [
+    "BENCH_sweep.json",
+    "BENCH_obs.json",
+    "BENCH_qos.json",
+    "BENCH_table.json",
+];
 
 fn repo_file(name: &str) -> String {
     let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
@@ -85,12 +93,32 @@ fn every_emitted_key_is_documented() {
     results[0].outcome = Err("rejected".into());
     docs.push(sweep_json(5, &results[..1]));
 
+    // The `--obs` artifacts of a small observed run: every events.jsonl
+    // line and the per-position summary.json.
+    let observed = run_sweep_observed(&tiny_sweep(), pool(), 5, ObsConfig::default(), None);
+    for capture in observed.iter().filter_map(|(_, c)| c.as_ref()) {
+        docs.extend(capture.events_jsonl().lines().map(String::from));
+        docs.push(capture.summary_json());
+    }
+    docs.extend(every_event_kind().events_jsonl().lines().map(String::from));
+
     let mut keys = BTreeSet::new();
     for text in &docs {
         collect_keys(&Json::parse(text).unwrap(), &mut keys);
     }
-    // The fault campaign carried real counters and an error entry showed up.
-    for key in ["fault_stats", "bit_flips", "points", "error", "runs"] {
+    // The fault campaign carried real counters, an error entry showed up,
+    // and the perf report and the event log were among the inputs.
+    for key in [
+        "fault_stats",
+        "bit_flips",
+        "points",
+        "error",
+        "runs",
+        "sim_ops_per_sec",
+        "t_ps",
+        "cause",
+        "events_total",
+    ] {
         assert!(keys.contains(key), "{key} not emitted");
     }
 
@@ -103,4 +131,56 @@ fn every_emitted_key_is_documented() {
         missing.is_empty(),
         "keys emitted but not backticked in docs/REPORT_SCHEMA.md: {missing:?}"
     );
+}
+
+/// One capture holding an event of every kind, so the payload keys of
+/// kinds a small run never emits (faults, evictions) are covered too.
+fn every_event_kind() -> ObsCapture {
+    let events = [
+        Event::Act { bank: 0, row: 1 },
+        Event::Ref { rank: 0, banks: 8 },
+        Event::Rfm {
+            bank: 0,
+            aggressor: Some(1),
+            victims: 2,
+            skipped: false,
+        },
+        Event::RfmElided { bank: 0 },
+        Event::Arr {
+            bank: 0,
+            victims: 2,
+        },
+        Event::MitigationTrigger {
+            bank: 0,
+            victims: 2,
+        },
+        Event::TableEvict {
+            bank: 0,
+            evictions: 1,
+        },
+        Event::TableInvalidate {
+            bank: 0,
+            invalidations: 1,
+        },
+        Event::FaultInject { bank: 0, count: 1 },
+        Event::FaultDetect { bank: 0, count: 1 },
+        Event::FaultRepair { bank: 0, count: 1 },
+        Event::LaneInvalidate {
+            bank: 0,
+            cause: LaneCause::Execute,
+        },
+        Event::BlissClear,
+    ];
+    assert_eq!(events.len(), KINDS);
+    ObsCapture {
+        cycle_ps: 416,
+        interval_cycles: 1,
+        channels: vec![ChannelCapture {
+            channel: 0,
+            events: events.into_iter().map(|e| (0, e)).collect(),
+            counts: [1; KINDS],
+            dropped: 0,
+            rows: vec![],
+        }],
+    }
 }

@@ -20,8 +20,6 @@ pub struct ChannelMetrics {
     pub reads_done: u64,
     /// Writebacks serviced by this channel.
     pub writes_done: u64,
-    /// Average demand-read latency on this channel, nanoseconds.
-    pub avg_read_latency_ns: f64,
     /// Row-buffer hit rate over column commands.
     pub row_hit_rate: f64,
     /// DRAM operation counters of this channel's device.
@@ -40,9 +38,8 @@ pub struct ChannelMetrics {
     pub max_disturbance: u64,
     /// Bit flips detected on this channel.
     pub flips: usize,
-    /// Demand-read latency distribution (picoseconds). The histogram is
-    /// the source of truth for latency reporting; `avg_read_latency_ns`
-    /// is the legacy scalar projection kept for report compatibility.
+    /// Demand-read latency distribution (picoseconds), the channel's one
+    /// latency measure.
     pub read_latency: LatencyHistogram,
     /// Writeback latency distribution (picoseconds).
     pub write_latency: LatencyHistogram,
@@ -85,15 +82,6 @@ pub struct Metrics {
     pub arrs: u64,
     /// ACTs delayed by throttling.
     pub throttled_acts: u64,
-    /// Average demand-read latency in nanoseconds.
-    ///
-    /// Legacy scalar: it survives for report compatibility and is derived
-    /// by f64 read-weighted averaging of the per-channel averages. The
-    /// [`read_latency`](Metrics::read_latency) histogram is the source of
-    /// truth — it is merged bucket-wise in exact integer arithmetic, and
-    /// its `mean()` equals this field up to f64 rounding (test-pinned in
-    /// `legacy_average_agrees_with_histogram_mean`).
-    pub avg_read_latency_ns: f64,
     /// Worst victim disturbance observed by the oracle.
     pub max_disturbance: u64,
     /// Bit flips detected (must be 0 for any deterministic scheme).
@@ -135,8 +123,6 @@ impl Metrics {
         let mut throttled_acts = 0;
         let mut max_disturbance = 0;
         let mut flips = 0;
-        let mut lat_weighted = 0.0;
-        let mut reads = 0u64;
         let mut read_latency = LatencyHistogram::new();
         let mut write_latency = LatencyHistogram::new();
         let mut per_core: PerCore<CoreStats> = PerCore::new();
@@ -149,11 +135,6 @@ impl Metrics {
             throttled_acts += ch.throttled_acts;
             max_disturbance = max_disturbance.max(ch.max_disturbance);
             flips += ch.flips;
-            // Legacy f64 roll-up, kept for the `avg_read_latency_ns`
-            // report field; the histogram merge below is the exact,
-            // order-independent source of truth.
-            lat_weighted += ch.avg_read_latency_ns * ch.reads_done as f64;
-            reads += ch.reads_done;
             read_latency.merge(&ch.read_latency);
             write_latency.merge(&ch.write_latency);
             per_core.merge_by(&ch.per_core, CoreStats::merge);
@@ -176,11 +157,6 @@ impl Metrics {
             rfm_elisions,
             arrs,
             throttled_acts,
-            avg_read_latency_ns: if reads == 0 {
-                0.0
-            } else {
-                lat_weighted / reads as f64
-            },
             max_disturbance,
             flips,
             read_latency,
@@ -252,7 +228,6 @@ mod tests {
             channel: ChannelId(ch),
             reads_done: acts * 2,
             writes_done: acts / 2,
-            avg_read_latency_ns: 50.0,
             row_hit_rate: 0.5,
             counters,
             energy_pj: EnergyModel::ddr5_default().dynamic_energy_pj(&counters),
@@ -319,26 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn read_latency_is_read_weighted() {
-        let mut a = channel(0, 100);
-        a.avg_read_latency_ns = 10.0;
-        let mut b = channel(1, 100);
-        b.avg_read_latency_ns = 30.0;
-        b.reads_done = a.reads_done * 3;
-        let m = Metrics::from_channels(
-            "w".into(),
-            "s".into(),
-            vec![1.0],
-            1,
-            1,
-            0.0,
-            vec![a, b],
-            &EnergyModel::ddr5_default(),
-        );
-        assert!((m.avg_read_latency_ns - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn histograms_and_per_core_roll_up_across_channels() {
         let mut a = channel(0, 100);
         a.read_latency.record(10_000);
@@ -367,43 +322,6 @@ mod tests {
         assert_eq!(m.per_core.get(0).unwrap().reads_done, 2);
         assert_eq!(m.per_core.get(1).unwrap().mitigation_triggers, 3);
         assert_eq!(m.per_core.get(0).unwrap().read_latency.count(), 2);
-    }
-
-    /// Satellite pin: `avg_read_latency_ns` stays the legacy f64 roll-up,
-    /// but it must agree with the histogram mean — in the real pipeline
-    /// both derive from the same exact picosecond latencies (the scalar
-    /// via the controller's exact sum, the histogram via its exact `sum`
-    /// side counter), so the agreement is to f64 rounding, well inside
-    /// the histogram's 1/16 bucket quantization error.
-    #[test]
-    fn legacy_average_agrees_with_histogram_mean() {
-        let mut chans = Vec::new();
-        for (ch, lats) in [(0usize, vec![13_731u64, 52_001]), (1, vec![9_500; 7])] {
-            let mut c = channel(ch, 10);
-            for &l in &lats {
-                c.read_latency.record(l);
-            }
-            c.reads_done = c.read_latency.count();
-            c.avg_read_latency_ns = c.read_latency.mean() / 1_000.0;
-            chans.push(c);
-        }
-        let m = Metrics::from_channels(
-            "w".into(),
-            "s".into(),
-            vec![1.0],
-            1,
-            1,
-            0.0,
-            chans,
-            &EnergyModel::ddr5_default(),
-        );
-        let hist_mean_ns = m.read_latency.mean() / 1_000.0;
-        assert!(
-            (m.avg_read_latency_ns - hist_mean_ns).abs() <= 1e-9 * hist_mean_ns.max(1.0),
-            "legacy avg {} diverged from histogram mean {}",
-            m.avg_read_latency_ns,
-            hist_mean_ns
-        );
     }
 
     #[test]

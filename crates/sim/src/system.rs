@@ -601,7 +601,6 @@ impl<S: EventSink> System<S> {
                     channel: mithril_dram::ChannelId(ch),
                     reads_done: s.reads_done,
                     writes_done: s.writes_done,
-                    avg_read_latency_ns: s.avg_read_latency() / 1000.0,
                     row_hit_rate: s.row_hit_rate(),
                     energy_pj: model.dynamic_energy_pj(&counters),
                     counters,

@@ -67,7 +67,7 @@ fn channel_strategy() -> impl Strategy<Value = ChannelMetrics> {
         counters_strategy(),
         (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 30),
         (0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 20, 0usize..1 << 10),
-        (0u64..200_000, 0u32..1000),
+        0u32..1000,
         prop::collection::vec((0u64..1 << 50, 0usize..4), 0..8),
         qos_strategy(),
     )
@@ -76,7 +76,7 @@ fn channel_strategy() -> impl Strategy<Value = ChannelMetrics> {
                 counters,
                 (reads_done, writes_done, rfms, rfm_elisions),
                 (arrs, throttled_acts, max_disturbance, flips),
-                (lat_ns, hit_milli),
+                hit_milli,
                 latency_samples,
                 qos,
             )| {
@@ -92,7 +92,6 @@ fn channel_strategy() -> impl Strategy<Value = ChannelMetrics> {
                     channel: ChannelId(0), // renumbered below
                     reads_done,
                     writes_done,
-                    avg_read_latency_ns: lat_ns as f64 / 100.0,
                     row_hit_rate: hit_milli as f64 / 1000.0,
                     energy_pj: EnergyModel::ddr5_default().dynamic_energy_pj(&counters),
                     counters,
@@ -189,30 +188,6 @@ proptest! {
             m.energy_pj,
             energy_sum
         );
-
-        // Read latency is read-weighted; with zero reads everywhere it
-        // must be exactly zero, otherwise it lies within the per-channel
-        // envelope.
-        let reads: u64 = channels.iter().map(|c| c.reads_done).sum();
-        if reads == 0 {
-            prop_assert_eq!(m.avg_read_latency_ns, 0.0);
-        } else {
-            let lo = channels
-                .iter()
-                .filter(|c| c.reads_done > 0)
-                .map(|c| c.avg_read_latency_ns)
-                .fold(f64::INFINITY, f64::min);
-            let hi = channels
-                .iter()
-                .filter(|c| c.reads_done > 0)
-                .map(|c| c.avg_read_latency_ns)
-                .fold(0.0f64, f64::max);
-            prop_assert!(
-                m.avg_read_latency_ns >= lo - 1e-9 && m.avg_read_latency_ns <= hi + 1e-9,
-                "latency {} outside [{lo}, {hi}]",
-                m.avg_read_latency_ns
-            );
-        }
 
         // Histogram roll-up: the system histogram is the bucket-wise merge
         // of the channels, and (associativity + commutativity) folding in

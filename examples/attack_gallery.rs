@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ch.channel.0,
             ch.rfms,
             ch.counters.preventive_rows,
-            ch.avg_read_latency_ns,
+            ch.read_latency.mean() / 1000.0,
             ch.max_disturbance
         );
     }
