@@ -15,7 +15,7 @@
 //! last row in the queue keeps taking hits while it waits. This is the
 //! concentration weakness that motivates Mithril's greedy selection.
 
-use mithril_dram::{BankId, Ddr5Timing, DramMitigation, RfmOutcome, RowId, TimePs};
+use mithril_dram::{victims, BankId, Ddr5Timing, DramMitigation, RfmOutcome, RowId, TimePs};
 use mithril_memctrl::{McAction, McMitigation};
 use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use std::collections::VecDeque;
@@ -89,14 +89,7 @@ impl GrapheneBank {
         let fired = self.fired.entry(row).or_insert(0);
         if crossings > *fired {
             *fired = crossings;
-            let mut victims = Vec::with_capacity(2);
-            if row > 0 {
-                victims.push(row - 1);
-            }
-            if row + 1 < cfg.rows_per_bank {
-                victims.push(row + 1);
-            }
-            Some(victims)
+            Some(victims(row, 1, cfg.rows_per_bank).collect())
         } else {
             None
         }
@@ -243,13 +236,8 @@ impl DramMitigation for RfmGraphene {
             Some(row) => {
                 self.table.reset_to_min(row);
                 self.refreshes += 1;
-                let victims = out.begin_refresh(row);
-                if row > 0 {
-                    victims.push(row - 1);
-                }
-                if row + 1 < self.rows_per_bank {
-                    victims.push(row + 1);
-                }
+                out.begin_refresh(row)
+                    .extend(victims(row, 1, self.rows_per_bank));
             }
             None => out.reset_to_skipped(),
         }

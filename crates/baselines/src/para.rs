@@ -7,7 +7,7 @@
 //! `10^-15` failure target at low FlipTH forces `p` (and thus energy/
 //! performance cost) up (paper Sections II-C1 and VI-D).
 
-use mithril_dram::{BankId, RowId, TimePs};
+use mithril_dram::{victims, BankId, RowId, TimePs};
 use mithril_memctrl::{McAction, McMitigation};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -87,17 +87,6 @@ impl Para {
     pub fn arrs_issued(&self) -> u64 {
         self.arrs_issued
     }
-
-    fn victims(&self, row: RowId) -> Vec<RowId> {
-        let mut v = Vec::with_capacity(2);
-        if row > 0 {
-            v.push(row - 1);
-        }
-        if row + 1 < self.config.rows_per_bank {
-            v.push(row + 1);
-        }
-        v
-    }
 }
 
 impl McMitigation for Para {
@@ -106,7 +95,7 @@ impl McMitigation for Para {
             self.arrs_issued += 1;
             McAction::Arr {
                 bank,
-                victims: self.victims(row),
+                victims: victims(row, 1, self.config.rows_per_bank).collect(),
             }
         } else {
             McAction::None

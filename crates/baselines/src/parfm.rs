@@ -8,7 +8,7 @@
 //! `RFMTH` far below what deterministic Mithril needs, which is where
 //! PARFM's energy/performance overhead comes from (paper Fig. 10).
 
-use mithril_dram::{Ddr5Timing, DramMitigation, RfmOutcome, RowId};
+use mithril_dram::{victims, Ddr5Timing, DramMitigation, RfmOutcome, RowId};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -83,13 +83,8 @@ impl DramMitigation for Parfm {
         match self.sample.take() {
             Some(row) => {
                 self.refreshes += 1;
-                let victims = out.begin_refresh(row);
-                if row > 0 {
-                    victims.push(row - 1);
-                }
-                if row + 1 < self.rows_per_bank {
-                    victims.push(row + 1);
-                }
+                out.begin_refresh(row)
+                    .extend(victims(row, 1, self.rows_per_bank));
             }
             None => out.reset_to_skipped(),
         }

@@ -13,7 +13,7 @@
 //! In the simulator TWiCe uses the ARR path ([`McMitigation`]) with its
 //! feedback-augmented command, as in the paper's classification (Table I).
 
-use mithril_dram::{BankId, Ddr5Timing, RowId, TimePs};
+use mithril_dram::{victims, BankId, Ddr5Timing, RowId, TimePs};
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::{McAction, McMitigation};
 
@@ -164,14 +164,10 @@ impl McMitigation for TwiCe {
         self.peak_entries = self.peak_entries.max(table.len());
         if fire {
             self.arrs += 1;
-            let mut victims = Vec::with_capacity(2);
-            if row > 0 {
-                victims.push(row - 1);
+            McAction::Arr {
+                bank,
+                victims: victims(row, 1, self.config.rows_per_bank).collect(),
             }
-            if row + 1 < self.config.rows_per_bank {
-                victims.push(row + 1);
-            }
-            McAction::Arr { bank, victims }
         } else {
             McAction::None
         }

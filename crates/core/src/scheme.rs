@@ -15,7 +15,7 @@
 
 use crate::config::MithrilConfig;
 use crate::table::{MithrilTable, INVALID_ROW};
-use mithril_dram::{DramMitigation, FaultSurface, RfmOutcome, RowId};
+use mithril_dram::{victims, DramMitigation, FaultSurface, RfmOutcome, RowId};
 
 /// Operation counters for one Mithril engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,27 +87,6 @@ impl MithrilScheme {
         &self.table
     }
 
-    /// The victim rows of `aggressor` under the configured blast radius,
-    /// clamped to the bank's row range.
-    pub fn victims_of(&self, aggressor: RowId) -> Vec<RowId> {
-        let mut v = Vec::with_capacity(2 * self.config.blast_radius as usize);
-        self.fill_victims(aggressor, &mut v);
-        v
-    }
-
-    /// Appends the victims of `aggressor` to `out` without allocating
-    /// (the allocation-free path behind [`DramMitigation::on_rfm_into`]).
-    fn fill_victims(&self, aggressor: RowId, out: &mut Vec<RowId>) {
-        for d in 1..=self.config.blast_radius {
-            if aggressor >= d {
-                out.push(aggressor - d);
-            }
-            if aggressor + d < self.config.rows_per_bank {
-                out.push(aggressor + d);
-            }
-        }
-    }
-
     fn adaptive_skip(&self) -> bool {
         match self.config.adaptive_th {
             Some(ad) if ad > 0 => self.table.spread() < ad,
@@ -136,7 +115,11 @@ impl DramMitigation for MithrilScheme {
                 // (the entry's counter still dropped to the minimum).
                 return;
             }
-            self.fill_victims(sel.row, &mut out.refreshed_victims);
+            out.refreshed_victims.extend(victims(
+                sel.row,
+                self.config.blast_radius,
+                self.config.rows_per_bank,
+            ));
             self.stats.refreshes += 1;
             self.stats.victim_rows += out.refreshed_victims.len() as u64;
             out.selected_aggressor = Some(sel.row);

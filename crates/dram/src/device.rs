@@ -50,7 +50,9 @@ pub struct DramDevice {
     ranks: Vec<RankTiming>,
     engines: Vec<Box<dyn DramMitigation>>,
     oracles: Vec<RowHammerOracle>,
-    /// Per-bank auto-refresh row pointer.
+    /// Per-rank auto-refresh row pointer: an all-bank REF refreshes the
+    /// same row group in every bank of the rank, so the banks' pointers
+    /// always move together.
     ref_ptrs: Vec<RowId>,
     rows_per_ref: u64,
     counters: EnergyCounters,
@@ -86,7 +88,7 @@ impl DramDevice {
             oracles: (0..n)
                 .map(|_| RowHammerOracle::new(flip_th.max(1), blast_radius, geometry.rows_per_bank))
                 .collect(),
-            ref_ptrs: vec![0; n],
+            ref_ptrs: vec![0; geometry.ranks],
             rows_per_ref: timing.rows_per_ref(geometry.rows_per_bank),
             counters: EnergyCounters::default(),
             stats: DeviceStats::default(),
@@ -248,38 +250,31 @@ impl DramDevice {
             .all(|b| self.banks[b].can_refresh(now))
     }
 
-    /// Issues an all-bank REF to `rank`: every bank refreshes its next row
-    /// group. Returns the busy-until time and the `(bank, lo, hi)` row
-    /// ranges refreshed (so controller-side schemes can observe refresh
-    /// feedback).
+    /// Issues an all-bank REF to `rank`: every bank of the rank refreshes
+    /// the rank's next row group. Returns the busy-until time and the row
+    /// range `lo..hi` refreshed in each bank (so controller-side schemes
+    /// can observe refresh feedback).
     ///
     /// # Panics
     ///
     /// Panics if any bank of the rank cannot refresh at `now`.
-    pub fn issue_refresh_rank(
-        &mut self,
-        rank: RankId,
-        now: TimePs,
-    ) -> (TimePs, Vec<(BankId, RowId, RowId)>) {
-        let banks: Vec<BankId> = self.rank_banks(rank).collect();
+    pub fn issue_refresh_rank(&mut self, rank: RankId, now: TimePs) -> (TimePs, RowId, RowId) {
+        let lo = self.ref_ptrs[rank.0];
+        let hi = (lo + self.rows_per_ref).min(self.geometry.rows_per_bank);
         let mut busy = now;
-        let mut ranges = Vec::with_capacity(banks.len());
-        for b in banks {
+        for b in self.rank_banks(rank) {
             busy = busy.max(self.banks[b].issue_refresh(now));
-            let lo = self.ref_ptrs[b];
-            let hi = (lo + self.rows_per_ref).min(self.geometry.rows_per_bank);
             self.oracles[b].on_rows_refreshed(lo, hi);
             self.engines[b].on_auto_refresh(lo, hi);
             self.counters.auto_refresh_rows += hi - lo;
-            self.ref_ptrs[b] = if hi >= self.geometry.rows_per_bank {
-                0
-            } else {
-                hi
-            };
-            ranges.push((b, lo, hi));
         }
+        self.ref_ptrs[rank.0] = if hi >= self.geometry.rows_per_bank {
+            0
+        } else {
+            hi
+        };
         self.stats.ref_commands += 1;
-        (busy, ranges)
+        (busy, lo, hi)
     }
 
     /// True if `bank` can start an RFM (or ARR) at `now`.
@@ -401,10 +396,10 @@ mod tests {
         // First REF covers rows [0, rows_per_ref), clearing row 1.
         let now = t.trc + t.trp;
         assert!(d.can_refresh_rank(crate::types::RankId(0), now));
-        let (_, ranges) = d.issue_refresh_rank(crate::types::RankId(0), now);
+        let (_, lo, hi) = d.issue_refresh_rank(crate::types::RankId(0), now);
         assert_eq!(d.oracle(0).disturbance(1), 0);
-        assert_eq!(ranges.len(), 32);
-        assert_eq!(ranges[0], (0, 0, rows_per_ref));
+        assert_eq!((lo, hi), (0, rows_per_ref));
+        assert_eq!(d.counters().auto_refresh_rows, 32 * rows_per_ref);
         assert_eq!(d.stats().ref_commands, 1);
     }
 

@@ -47,7 +47,7 @@ pub use device::{DeviceStats, DramDevice};
 pub use energy::{EnergyCounters, EnergyModel};
 pub use harness::AttackHarness;
 pub use mitigation::{DramMitigation, FaultStats, FaultSurface, NoMitigation, RfmOutcome};
-pub use oracle::{FlipEvent, RowHammerOracle};
+pub use oracle::{victims, FlipEvent, RowHammerOracle};
 pub use rank::RankTiming;
 pub use timing::{Ddr5Timing, PS_PER_MS, PS_PER_NS, PS_PER_US};
 pub use types::{BankId, ChannelId, Geometry, RankId, RowId, TimePs};

@@ -25,6 +25,29 @@ pub struct FlipEvent {
     pub disturbance: u64,
 }
 
+/// The victim rows of `aggressor` in a bank of `rows` rows: for each
+/// distance `d = 1..=radius`, `aggressor − d` then `aggressor + d`, skipping
+/// rows past either edge of the bank.
+///
+/// This is the one victim enumeration shared by the oracle, the Mithril
+/// engine and the baselines, so their victim orders cannot drift apart. It
+/// walks in place and never allocates.
+///
+/// ```
+/// use mithril_dram::victims;
+///
+/// assert!(victims(50, 2, 100).eq([49, 51, 48, 52]));
+/// assert!(victims(0, 1, 100).eq([1]));
+/// assert!(victims(99, 1, 100).eq([98]));
+/// ```
+pub fn victims(aggressor: RowId, radius: u64, rows: u64) -> impl Iterator<Item = RowId> {
+    (1..=radius).flat_map(move |d| {
+        let below = aggressor.checked_sub(d);
+        let above = Some(aggressor + d).filter(|&r| r < rows);
+        below.into_iter().chain(above)
+    })
+}
+
 /// Ground-truth per-victim disturbance tracking for one DRAM bank.
 ///
 /// # Example
@@ -89,7 +112,7 @@ impl RowHammerOracle {
     pub fn on_activate(&mut self, aggressor: RowId) {
         assert!(aggressor < self.rows, "row {aggressor} out of range");
         self.total_acts += 1;
-        for victim in self.victims_of(aggressor) {
+        for victim in victims(aggressor, self.blast_radius, self.rows) {
             let d = self.disturbance.entry(victim).or_insert(0);
             *d += 1;
             if *d > self.max_observed {
@@ -126,7 +149,7 @@ impl RowHammerOracle {
     /// Convenience for schemes that name an *aggressor*: refreshes all of
     /// its potential victims (the rows within the blast radius).
     pub fn on_neighbors_refreshed(&mut self, aggressor: RowId) {
-        for victim in self.victims_of(aggressor) {
+        for victim in victims(aggressor, self.blast_radius, self.rows) {
             self.disturbance.remove(&victim);
         }
     }
@@ -157,20 +180,6 @@ impl RowHammerOracle {
     /// Total activations observed.
     pub fn total_acts(&self) -> u64 {
         self.total_acts
-    }
-
-    /// The victim rows of `aggressor` within the blast radius.
-    pub fn victims_of(&self, aggressor: RowId) -> Vec<RowId> {
-        let mut v = Vec::with_capacity(2 * self.blast_radius as usize);
-        for d in 1..=self.blast_radius {
-            if aggressor >= d {
-                v.push(aggressor - d);
-            }
-            if aggressor + d < self.rows {
-                v.push(aggressor + d);
-            }
-        }
-        v
     }
 }
 
@@ -228,6 +237,13 @@ mod tests {
         for r in [8, 9, 11, 12] {
             assert_eq!(o.disturbance(r), 0, "row {r}");
         }
+        // At an edge only the rows inside the bank are refreshed.
+        o.on_activate(1);
+        o.on_activate(1022);
+        o.on_neighbors_refreshed(0);
+        o.on_neighbors_refreshed(1023);
+        let left = [0, 2, 3, 1020, 1021, 1023].map(|r| o.disturbance(r));
+        assert_eq!(left, [1, 0, 1, 1, 0, 1]);
     }
 
     #[test]
@@ -247,10 +263,17 @@ mod tests {
 
     #[test]
     fn edge_rows_have_one_sided_victims() {
-        let o = RowHammerOracle::new(10, 1, 100);
-        assert_eq!(o.victims_of(0), vec![1]);
-        assert_eq!(o.victims_of(99), vec![98]);
-        assert_eq!(o.victims_of(50), vec![49, 51]);
+        let walk = |aggressor, radius| victims(aggressor, radius, 100).collect::<Vec<_>>();
+        assert_eq!(walk(0, 1), vec![1]);
+        assert_eq!(walk(99, 1), vec![98]);
+        assert_eq!(walk(50, 1), vec![49, 51]);
+        // Nearest first, below before above; at an edge each distance
+        // drops only its missing side.
+        assert_eq!(walk(50, 2), vec![49, 51, 48, 52]);
+        assert_eq!(walk(0, 2), vec![1, 2]);
+        assert_eq!(walk(1, 2), vec![0, 2, 3]);
+        assert_eq!(walk(99, 2), vec![98, 97]);
+        assert_eq!(walk(98, 2), vec![97, 99, 96]);
     }
 
     #[test]
@@ -262,6 +285,33 @@ mod tests {
         }
         assert_eq!(o.disturbance(47), 0);
         assert_eq!(o.disturbance(53), 0);
+        // At FlipTH the flips are recorded in walk order, and so are the
+        // one-sided flips around the edge rows 0 and rows − 1.
+        for _ in 1..10 {
+            o.on_activate(50);
+        }
+        for _ in 0..10 {
+            o.on_activate(0);
+        }
+        for _ in 0..10 {
+            o.on_activate(99);
+        }
+        let order: Vec<(RowId, RowId)> =
+            o.flips().iter().map(|f| (f.aggressor, f.victim)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (50, 49),
+                (50, 51),
+                (50, 48),
+                (50, 52),
+                (0, 1),
+                (0, 2),
+                (99, 98),
+                (99, 97)
+            ]
+        );
+        assert!(o.flips().iter().all(|f| f.disturbance == 10));
     }
 
     #[test]

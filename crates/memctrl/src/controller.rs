@@ -1183,14 +1183,14 @@ impl<S: EventSink> MemoryController<S> {
                     // and closes rows first.
                     return;
                 }
-                let (_, ranges) = self.device.issue_refresh_rank(rank, now);
-                for (bank, lo, hi) in ranges {
-                    self.mitigation.on_auto_refresh(bank, lo, hi);
+                let (_, rows_lo, rows_hi) = self.device.issue_refresh_rank(rank, now);
+                let lo = rank.0 * self.device.geometry().banks_per_rank;
+                let hi = lo + self.device.geometry().banks_per_rank;
+                for bank in lo..hi {
+                    self.mitigation.on_auto_refresh(bank, rows_lo, rows_hi);
                 }
                 self.next_ref[rank.0] += self.device.timing().trefi;
                 self.stats.refs += 1;
-                let lo = rank.0 * self.device.geometry().banks_per_rank;
-                let hi = lo + self.device.geometry().banks_per_rank;
                 // Every bank of the rank went busy for tRFC.
                 self.mark_dirty_range(lo, hi);
                 if S::ENABLED {

@@ -208,6 +208,9 @@ pub struct System<S: EventSink = NullSink> {
     free_req_ids: Vec<u64>,
     /// line address → threads waiting for the fill.
     waiters: FastHashMap<u64, Vec<usize>>,
+    /// Emptied waiter lists kept for reuse, so a missed line takes a
+    /// recycled list instead of allocating a new one.
+    spare_waiters: Vec<Vec<usize>>,
     /// Reusable completion buffer for [`MemoryController::advance_until_into`].
     completions_scratch: Vec<mithril_memctrl::Completion>,
 }
@@ -317,6 +320,7 @@ impl<S: EventSink> System<S> {
             requests: Vec::new(),
             free_req_ids: Vec::new(),
             waiters: FastHashMap::default(),
+            spare_waiters: Vec::new(),
             completions_scratch: Vec::new(),
             config,
         })
@@ -483,7 +487,7 @@ impl<S: EventSink> System<S> {
         match self.llc.access(op.line_addr, op.is_write) {
             LlcAccess::Hit => self.cores[t].account_hit(),
             LlcAccess::MergedMiss => {
-                self.waiters.entry(op.line_addr).or_default().push(t);
+                self.add_waiter(op.line_addr, t);
                 self.cores[t].register_miss();
             }
             LlcAccess::Miss => {
@@ -492,10 +496,19 @@ impl<S: EventSink> System<S> {
                 });
                 let addr = self.mapping.map_line(op.line_addr);
                 self.mcs[addr.channel.0].enqueue(MemRequest::read(id, addr, t, now));
-                self.waiters.entry(op.line_addr).or_default().push(t);
+                self.add_waiter(op.line_addr, t);
                 self.cores[t].register_miss();
             }
         }
+    }
+
+    /// Queues thread `t` for the fill of `line_addr`, in arrival order.
+    fn add_waiter(&mut self, line_addr: u64, t: usize) {
+        let spare = &mut self.spare_waiters;
+        self.waiters
+            .entry(line_addr)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(t);
     }
 
     /// Advances all controllers to `fence` and delivers completions.
@@ -523,10 +536,12 @@ impl<S: EventSink> System<S> {
                             self.mcs[addr.channel.0]
                                 .enqueue(MemRequest::write(id, addr, c.thread, c.at));
                         }
-                        if let Some(ts) = self.waiters.remove(&line_addr) {
-                            for t in ts {
+                        if let Some(mut ts) = self.waiters.remove(&line_addr) {
+                            for &t in &ts {
                                 self.cores[t].deliver(c.at);
                             }
+                            ts.clear();
+                            self.spare_waiters.push(ts);
                         }
                     }
                     Some(ReqKind::Uncacheable { thread }) => {
