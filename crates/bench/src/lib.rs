@@ -1,94 +1,27 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! The paper's evaluation and the repository's benchmarks.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md` for the index) and prints CSV-style
-//! rows to stdout. The scenario substance — workload registry, scheme
-//! catalogs, run helpers, standard sweeps — lives in
-//! [`mithril_runner::scenarios`] and is re-exported here; the binaries
-//! fan their runs out on the runner's sharded engine
-//! ([`mithril_runner::engine`]), so `--threads N` parallelizes every
-//! figure.
+//! [`paper`] regenerates every figure and table of the paper's evaluation
+//! as one report with executable claims (the `paper` binary writes it to
+//! `BENCH_paper.json`, which CI re-runs and diffs). The scenario
+//! substance — workload registry, scheme catalogs, run helpers, standard
+//! sweeps — lives in [`mithril_runner::scenarios`] and is re-exported
+//! here, along with the runner's sharded engine
+//! ([`mithril_runner::engine`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod paper;
+
 pub use mithril_runner::engine::{default_threads, run_sharded, PoolConfig};
 pub use mithril_runner::scenarios::{
-    arr_schemes, default_rfm_th, normal_workload_overheads, rfm_compatible_schemes, run_one,
-    workload, MITHRIL_SWEEP, NORMAL_WORKLOADS,
+    arr_schemes, default_rfm_th, rfm_compatible_schemes, run_one, workload, MITHRIL_SWEEP,
+    NORMAL_WORKLOADS,
 };
-// Trace capture/replay, so figure binaries and external callers can swap a
-// registry workload for a recorded capture (`workload("trace:<path>", ..)`)
-// without importing another crate.
+// Trace capture/replay, so external callers can swap a registry workload
+// for a recorded capture (`workload("trace:<path>", ..)`) without
+// importing another crate.
 pub use mithril_trace::{
     record_thread_set, replay_thread_set, stats_from_reader, MtrcReader, MtrcWriter, ReplayEnd,
     TraceHeader,
 };
-
-/// Parses `--key value`-style CLI overrides shared by the bins:
-/// `--insts N` (instructions per core), `--cores N`, `--seed N` and
-/// `--threads N` (sweep-engine workers).
-#[derive(Debug, Clone, Copy)]
-pub struct BinArgs {
-    /// Instructions per core per run.
-    pub insts: u64,
-    /// Cores to simulate.
-    pub cores: usize,
-    /// Seed.
-    pub seed: u64,
-    /// Worker threads for the sharded engine.
-    pub threads: usize,
-}
-
-impl BinArgs {
-    /// Parses from `std::env::args`, with defaults sized for minutes-scale
-    /// release runs (`insts = 100_000`, `cores = 16`).
-    pub fn parse() -> Self {
-        let mut out = Self {
-            insts: 100_000,
-            cores: 16,
-            seed: 1,
-            threads: default_threads(),
-        };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i + 1 < args.len() {
-            match args[i].as_str() {
-                "--insts" => out.insts = args[i + 1].parse().expect("--insts N"),
-                "--cores" => out.cores = args[i + 1].parse().expect("--cores N"),
-                "--seed" => out.seed = args[i + 1].parse().expect("--seed N"),
-                "--threads" => out.threads = args[i + 1].parse().expect("--threads N"),
-                _ => {}
-            }
-            i += 2;
-        }
-        out
-    }
-
-    /// The engine pool this invocation asked for.
-    pub fn pool(&self) -> PoolConfig {
-        PoolConfig {
-            threads: self.threads,
-            shard_size: 1,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The workload/scheme registry tests live with the registry in
-    // crates/runner/src/scenarios.rs; here we only cover what this crate
-    // adds on top of the re-exports.
-    #[test]
-    fn bin_args_pool_uses_thread_count() {
-        let args = BinArgs {
-            insts: 1,
-            cores: 1,
-            seed: 1,
-            threads: 3,
-        };
-        assert_eq!(args.pool().threads, 3);
-    }
-}

@@ -1,18 +1,17 @@
 //! The scenario registry: named workloads, scheme catalogs, and
 //! scheme × workload × geometry sweep specifications.
 //!
-//! Everything the figure/table binaries used to duplicate lives here once:
-//! the per-figure scheme lists, the workload name → [`ThreadSet`] factory,
-//! the standard `(FlipTH, RFMTH)` sweeps, and the [`Scenario`] unit the
-//! sweep engine executes.
+//! Everything the paper report (`mithril_bench::paper`) and the sweeps
+//! share lives here once: the per-figure scheme lists, the workload name
+//! → [`ThreadSet`] factory, the standard `(FlipTH, RFMTH)` sweeps, and the
+//! [`Scenario`] unit the sweep engine executes.
 
 use mithril::MithrilConfig;
 use mithril_baselines::{BlockHammerConfig, CbtConfig, GrapheneConfig, TwiCeConfig, FLIP_TH_SWEEP};
 use mithril_dram::{Ddr5Timing, Geometry};
 use mithril_obs::ObsCapture;
 use mithril_sim::{
-    geomean, FaultConfig, FaultStats, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System,
-    SystemConfig,
+    FaultConfig, FaultStats, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
 };
 use mithril_trace::ReplayEnd;
 use mithril_workloads::{
@@ -48,57 +47,38 @@ pub fn default_rfm_th(flip_th: u64) -> u64 {
     }
 }
 
+/// Mithril and Mithril+ at `rfm_th` with adaptive refresh (AdTH 200), the
+/// configuration every scheme catalog compares.
+pub fn mithril_variants(rfm_th: u64) -> [(&'static str, Scheme); 2] {
+    let mithril = |plus| Scheme::Mithril {
+        rfm_th,
+        ad_th: Some(200),
+        plus,
+    };
+    [("mithril", mithril(false)), ("mithril+", mithril(true))]
+}
+
 /// The RFM-interface-compatible scheme panel of paper Fig. 10.
 pub fn rfm_compatible_schemes(flip: u64, nbl_scale: u64) -> Vec<(&'static str, Scheme)> {
-    let rfm = default_rfm_th(flip);
-    vec![
+    let mut schemes = vec![
         ("parfm", Scheme::Parfm),
         ("blockhammer", Scheme::BlockHammer { nbl_scale }),
-        (
-            "mithril",
-            Scheme::Mithril {
-                rfm_th: rfm,
-                ad_th: Some(200),
-                plus: false,
-            },
-        ),
-        (
-            "mithril+",
-            Scheme::Mithril {
-                rfm_th: rfm,
-                ad_th: Some(200),
-                plus: true,
-            },
-        ),
-    ]
+    ];
+    schemes.extend(mithril_variants(default_rfm_th(flip)));
+    schemes
 }
 
 /// The ARR-based (RFM-interface-*non*-compatible) scheme panel of paper
 /// Fig. 11.
 pub fn arr_schemes(flip: u64) -> Vec<(&'static str, Scheme)> {
-    let rfm = default_rfm_th(flip);
-    vec![
+    let mut schemes = vec![
         ("para", Scheme::Para),
         ("cbt", Scheme::Cbt),
         ("twice", Scheme::TwiCe),
         ("graphene", Scheme::Graphene),
-        (
-            "mithril",
-            Scheme::Mithril {
-                rfm_th: rfm,
-                ad_th: Some(200),
-                plus: false,
-            },
-        ),
-        (
-            "mithril+",
-            Scheme::Mithril {
-                rfm_th: rfm,
-                ad_th: Some(200),
-                plus: true,
-            },
-        ),
-    ]
+    ];
+    schemes.extend(mithril_variants(default_rfm_th(flip)));
+    schemes
 }
 
 /// Every scheme, for full-system comparisons (the `system_comparison`
@@ -248,7 +228,7 @@ pub fn workload_compatible(name: &str, geometry: &Geometry) -> bool {
 /// runtime, so a heavily throttled thread (BlockHammer vs an attacker)
 /// cannot stretch one run to seconds of simulated time; its depressed IPC
 /// still shows in the metrics. Shared by [`run_one`] and [`Scenario::run`]
-/// so figure binaries and sweeps stay comparable.
+/// so the paper report and sweeps stay comparable.
 const MAX_TIME_PS_PER_INST: u64 = 4_000;
 
 fn run_capped_detailed(
@@ -301,29 +281,6 @@ fn run_capped_observed(
 pub fn run_one(cfg: SystemConfig, workload_name: &str, insts_per_core: u64, seed: u64) -> Metrics {
     run_capped(cfg, workload_name, insts_per_core, seed)
         .unwrap_or_else(|e| panic!("{} @ FlipTH {}: {e}", cfg.scheme.name(), cfg.flip_th))
-}
-
-/// Runs scheme and baseline over the normal-workload set and returns
-/// `(geomean normalized IPC, geomean relative energy)` — the paper's
-/// "normal workloads" aggregation (geo-mean over multi-programmed and
-/// multi-threaded sets).
-pub fn normal_workload_overheads(
-    mut cfg: SystemConfig,
-    insts_per_core: u64,
-    seed: u64,
-) -> (f64, f64) {
-    let scheme = cfg.scheme;
-    let mut ipcs = Vec::new();
-    let mut energies = Vec::new();
-    for name in NORMAL_WORKLOADS {
-        cfg.scheme = Scheme::None;
-        let base = run_one(cfg, name, insts_per_core, seed);
-        cfg.scheme = scheme;
-        let run = run_one(cfg, name, insts_per_core, seed);
-        ipcs.push(run.normalized_ipc(&base));
-        energies.push(run.relative_energy(&base));
-    }
-    (geomean(&ipcs), geomean(&energies))
 }
 
 /// Table IV's per-bank counter-table sizes: one row per scheme, one
@@ -488,25 +445,11 @@ impl SweepSpec {
                 Geometry::table_iii_system(),
                 Geometry::table_iii_system().with_ranks(2),
             ],
-            schemes: vec![
-                ("none".into(), Scheme::None),
-                (
-                    "mithril".into(),
-                    Scheme::Mithril {
-                        rfm_th: 64,
-                        ad_th: Some(200),
-                        plus: false,
-                    },
-                ),
-                (
-                    "mithril+".into(),
-                    Scheme::Mithril {
-                        rfm_th: 64,
-                        ad_th: Some(200),
-                        plus: true,
-                    },
-                ),
-            ],
+            schemes: [("none", Scheme::None)]
+                .into_iter()
+                .chain(mithril_variants(64))
+                .map(|(label, s)| (label.to_string(), s))
+                .collect(),
             workloads: vec![
                 "mix-high".into(),
                 "attack-multi".into(),

@@ -1,7 +1,7 @@
 //! The report model against its committed artifacts: the baselines are
 //! fixed points of parse + render, integers survive exactly, and every
-//! key the reports, the perf report and the `--obs` artifacts emit is
-//! documented in `docs/REPORT_SCHEMA.md`.
+//! key the reports, the perf and paper reports and the `--obs` artifacts
+//! emit is documented in `docs/REPORT_SCHEMA.md`.
 
 use std::collections::BTreeSet;
 
@@ -13,11 +13,12 @@ use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
 use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_observed};
 use mithril_sim::ObsConfig;
 
-const BASELINES: [&str; 4] = [
+const BASELINES: [&str; 5] = [
     "BENCH_sweep.json",
     "BENCH_obs.json",
     "BENCH_qos.json",
     "BENCH_table.json",
+    "BENCH_paper.json",
 ];
 
 fn repo_file(name: &str) -> String {

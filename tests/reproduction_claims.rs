@@ -1,11 +1,12 @@
 //! Tests pinning the paper's *quantitative* claims that the reproduction
-//! must preserve (the shapes recorded in EXPERIMENTS.md).
+//! must preserve (the shapes the `paper` report checks at full scale).
 
 use mithril_repro::baselines::{
     parfm_analysis, BlockHammerConfig, GrapheneConfig, TwiCeConfig, FLIP_TH_SWEEP,
 };
 use mithril_repro::core::{bounds, MithrilConfig};
 use mithril_repro::dram::Ddr5Timing;
+use mithril_repro::runner::scenarios::default_rfm_th;
 
 fn timing() -> Ddr5Timing {
     Ddr5Timing::ddr5_4800()
@@ -36,15 +37,9 @@ fn claim_mithril_tables_4_to_60x_smaller_than_blockhammer() {
     // Section VI-C: "The table size of Mithril is up to 60× and a minimum
     // of 4× smaller than that of BlockHammer at all FlipTH levels."
     let t = timing();
-    let rfm_for = |flip: u64| match flip {
-        50_000 | 25_000 | 12_500 => 256,
-        6_250 => 128,
-        3_125 => 64,
-        _ => 32,
-    };
     for flip in FLIP_TH_SWEEP {
         let bh = BlockHammerConfig::for_flip_threshold(flip, &t).table_kib();
-        let m = MithrilConfig::for_flip_threshold(flip, rfm_for(flip), &t)
+        let m = MithrilConfig::for_flip_threshold(flip, default_rfm_th(flip), &t)
             .unwrap()
             .table_kib();
         let ratio = bh / m;
