@@ -13,8 +13,8 @@
 use std::process::ExitCode;
 
 use mithril_bench::paper;
-use mithril_bench::{default_threads, PoolConfig};
 use mithril_obs::json::Json;
+use mithril_runner::engine::{default_threads, PoolConfig};
 
 fn main() -> ExitCode {
     let mut threads = default_threads();

@@ -1,5 +1,6 @@
-//! The sweep runner: executes a scheme × workload × geometry sweep on the
-//! sharded parallel engine and writes `BENCH_sweep.json`.
+//! The sweep runner: executes a scheme × workload × geometry sweep — or a
+//! fault or QoS campaign over one — on the sharded parallel engine and
+//! writes its deterministic report (`BENCH_sweep.json` by default).
 //!
 //! ```text
 //! cargo run --release -p mithril-runner --bin sweep -- [options]
@@ -17,7 +18,8 @@
 //!                     (series.csv) and summaries under DIR, plus the
 //!                     aggregate DIR/obs_counts.json baseline
 //!   --progress        heartbeat on stderr: one `# progress: d/total`
-//!                     line per finished scenario (journal-aware)
+//!                     line per finished scenario, in every mode (a
+//!                     resumed journal ticks its recovered scenarios too)
 //!   --journal PATH    crash-safe mode: append each completed scenario to
 //!                     PATH as it finishes
 //!   --resume          recover completed scenarios from --journal PATH
@@ -32,21 +34,30 @@
 //!                     comparison pairs (default out: BENCH_qos.json)
 //! ```
 //!
-//! The report contains only deterministic content; wall-clock and thread
-//! count are printed to stdout so the file stays byte-comparable across
-//! worker counts (the determinism regression test relies on this).
+//! Every mode prints the same stdout shape: a header naming the campaign
+//! and the engine, one table row per run (fields its report carries for
+//! that run: the metrics of a sweep, the degradation-curve point of a
+//! fault run, the per-tenant summary of a QoS run), and a `# ok/total
+//! runs ok` summary line. The report contains only deterministic content;
+//! wall-clock and thread count are printed to stdout so the file stays
+//! byte-comparable across worker counts (the determinism regression test
+//! relies on this).
 //!
 //! Operational errors — malformed arguments, an unwritable report path, a
 //! foreign journal — exit nonzero with a one-line message, not a panic
 //! backtrace.
 
+use std::path::Path;
 use std::time::Instant;
 
+use mithril_obs::json::Json;
+use mithril_obs::json_obj;
 use mithril_runner::engine::{default_threads, PoolConfig};
+use mithril_runner::report::{self, SweepResult};
 use mithril_runner::scenarios::{FaultCampaignSpec, QosCampaignSpec, SweepSpec};
 use mithril_runner::{
-    report, run_fault_campaign, run_qos_campaign, run_sweep_journaled_with, run_sweep_observed,
-    run_sweep_with, write_obs_outputs, Progress,
+    run_fault_campaign, run_qos_campaign, run_sweep_journaled, run_sweep_observed, run_sweep_with,
+    write_obs_outputs, Progress,
 };
 use mithril_sim::ObsConfig;
 
@@ -160,160 +171,205 @@ fn write_report(path: &str, json: &str) {
     std::fs::write(path, json).unwrap_or_else(|e| die(format!("cannot write report {path}: {e}")));
 }
 
-fn base_spec(args: &Args) -> SweepSpec {
-    let mut spec = if args.smoke {
-        SweepSpec::smoke()
-    } else {
-        SweepSpec::full()
-    };
-    if let Some(insts) = args.insts {
-        spec.insts_per_core = insts;
-    }
-    if let Some(cores) = args.cores {
-        spec.cores = cores;
-    }
-    spec
+/// The campaign one invocation runs.
+enum Campaign {
+    Sweep(SweepSpec),
+    Faults(FaultCampaignSpec),
+    Qos(QosCampaignSpec),
 }
 
-fn run_faults_mode(args: &Args, pool: PoolConfig) {
-    let mut spec = FaultCampaignSpec::smoke();
-    if !args.smoke {
-        spec.base = SweepSpec::full();
-    }
-    if let Some(insts) = args.insts {
-        spec.base.insts_per_core = insts;
-    }
-    if let Some(cores) = args.cores {
-        spec.base.cores = cores;
-    }
-    if let Some(rates) = &args.fault_rates {
-        spec.rates_ppm = rates.clone();
-    }
-    spec.scrub = args.scrub;
-
-    let n = spec.scenarios().len();
-    println!(
-        "# fault campaign: {n} runs ({} base scenarios x {} rates, scrub {})",
-        spec.base.scenarios().len(),
-        spec.rates_ppm.len(),
-        if spec.scrub { "on" } else { "off" }
-    );
-    println!(
-        "# engine: {} threads, shard size {}, base seed {}",
-        pool.threads, pool.shard_size, args.seed
-    );
-
-    let t0 = Instant::now();
-    let runs = run_fault_campaign(&spec, pool, args.seed);
-    let wall = t0.elapsed();
-
-    println!(
-        "{:<48} {:>9} {:>8} {:>12} {:>6} {:>9} {:>8}",
-        "run", "rate_ppm", "rfms", "disturb(max)", "flips", "injected", "repairs"
-    );
-    for r in &runs {
-        match &r.result.outcome {
-            Ok(m) => println!(
-                "{:<48} {:>9} {:>8} {:>12} {:>6} {:>9} {:>8}",
-                r.result.scenario.name,
-                r.rate_ppm,
-                m.rfms,
-                m.max_disturbance,
-                m.flips,
-                r.fault_stats.as_ref().map_or(0, |f| f.injected()),
-                r.fault_stats.as_ref().map_or(0, |f| f.repairs),
-            ),
-            Err(e) => println!("{:<48} unavailable: {e}", r.result.scenario.name),
-        }
-    }
-
-    let out = args.out.as_deref().unwrap_or("BENCH_faults.json");
-    let json = report::faults_json(args.seed, spec.scrub, &spec.rates_ppm, &runs);
-    write_report(out, &json);
-    let ok = runs.iter().filter(|r| r.result.outcome.is_ok()).count();
-    println!(
-        "# {ok}/{} runs ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        runs.len(),
-        wall.as_secs_f64(),
-        pool.threads,
-    );
+/// What a campaign produced: its run table and its report.
+struct Finished {
+    /// Run-table columns: keys of every row object.
+    columns: &'static [&'static str],
+    /// One `(name, row)` per run; a row carrying an `error` prints that
+    /// instead of the columns.
+    rows: Vec<(String, Json)>,
+    report: String,
 }
 
-fn run_qos_mode(args: &Args, pool: PoolConfig) {
-    let mut spec = if args.smoke {
-        QosCampaignSpec::smoke()
-    } else {
-        QosCampaignSpec::full()
-    };
-    if let Some(insts) = args.insts {
-        spec.base.insts_per_core = insts;
-    }
-    if let Some(cores) = args.cores {
-        spec.base.cores = cores;
-    }
-
-    let n = spec.scenarios().len();
-    println!(
-        "# qos campaign: {n} runs ({} base scenarios, off + throttled passes)",
-        spec.base.scenarios().len()
-    );
-    println!(
-        "# engine: {} threads, shard size {}, base seed {}",
-        pool.threads, pool.shard_size, args.seed
-    );
-
-    let heartbeat = args.progress.then(|| Progress::new(n));
-    let t0 = Instant::now();
-    let results = run_qos_campaign(&spec, pool, args.seed, heartbeat.as_ref());
-    let wall = t0.elapsed();
-
-    println!(
-        "{:<48} {:>12} {:>12} {:>9} {:>6} {:>9}",
-        "run", "victim_p99", "hammer_p99", "fairness", "flips", "qos_thr"
-    );
-    for r in &results {
-        match &r.outcome {
-            Ok(m) => {
-                let hammer = m.per_core.iter().map(|(core, _)| core).max();
-                let victim_p99 = m
-                    .per_core
-                    .iter()
-                    .filter(|(core, _)| Some(*core) != hammer)
-                    .map(|(_, c)| c.read_latency.p99())
-                    .max()
-                    .unwrap_or(0);
-                let hammer_p99 = hammer
-                    .and_then(|h| m.per_core.get(h))
-                    .map_or(0, |c| c.read_latency.p99());
-                let acts: Vec<u64> = m.per_core.iter().map(|(_, c)| c.acts).collect();
-                let fairness = match (acts.iter().min(), acts.iter().max()) {
-                    (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
-                    _ => 0.0,
-                };
-                println!(
-                    "{:<48} {:>12} {:>12} {:>9.3} {:>6} {:>9}",
-                    r.scenario.name,
-                    victim_p99,
-                    hammer_p99,
-                    fairness,
-                    m.flips,
-                    m.qos.as_ref().map_or(0, |q| q.throttled_acts)
-                );
+impl Campaign {
+    fn from_args(args: &Args) -> Self {
+        let mut campaign = if args.faults {
+            let mut spec = FaultCampaignSpec::smoke();
+            if !args.smoke {
+                spec.base = SweepSpec::full();
             }
-            Err(e) => println!("{:<48} unavailable: {e}", r.scenario.name),
+            if let Some(rates) = &args.fault_rates {
+                spec.rates_ppm = rates.clone();
+            }
+            spec.scrub = args.scrub;
+            Campaign::Faults(spec)
+        } else if args.qos {
+            Campaign::Qos(if args.smoke {
+                QosCampaignSpec::smoke()
+            } else {
+                QosCampaignSpec::full()
+            })
+        } else {
+            Campaign::Sweep(if args.smoke {
+                SweepSpec::smoke()
+            } else {
+                SweepSpec::full()
+            })
+        };
+        let base = match &mut campaign {
+            Campaign::Sweep(spec) => spec,
+            Campaign::Faults(spec) => &mut spec.base,
+            Campaign::Qos(spec) => &mut spec.base,
+        };
+        if let Some(insts) = args.insts {
+            base.insts_per_core = insts;
+        }
+        if let Some(cores) = args.cores {
+            base.cores = cores;
+        }
+        campaign
+    }
+
+    /// The header line, and the number of runs the campaign expands to.
+    fn describe(&self) -> (String, usize) {
+        match self {
+            Campaign::Sweep(spec) => {
+                let n = spec.scenarios().len();
+                let what = format!(
+                    "sweep: {n} scenarios ({} geometries x {} schemes x {} workloads, minus skips)",
+                    spec.geometries.len(),
+                    spec.schemes.len(),
+                    spec.workloads.len()
+                );
+                (what, n)
+            }
+            Campaign::Faults(spec) => {
+                let n = spec.scenarios().len();
+                let what = format!(
+                    "fault campaign: {n} runs ({} base scenarios x {} rates, scrub {})",
+                    spec.base.scenarios().len(),
+                    spec.rates_ppm.len(),
+                    if spec.scrub { "on" } else { "off" }
+                );
+                (what, n)
+            }
+            Campaign::Qos(spec) => {
+                let n = spec.scenarios().len();
+                let what = format!(
+                    "qos campaign: {n} runs ({} base scenarios, off + throttled passes)",
+                    spec.base.scenarios().len()
+                );
+                (what, n)
+            }
         }
     }
 
-    let out = args.out.as_deref().unwrap_or("BENCH_qos.json");
-    let json = report::qos_campaign_json(args.seed, &results);
-    write_report(out, &json);
-    let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
-    println!(
-        "# {ok}/{} runs ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        results.len(),
-        wall.as_secs_f64(),
-        pool.threads,
-    );
+    fn default_out(&self) -> &'static str {
+        match self {
+            Campaign::Sweep(_) => "BENCH_sweep.json",
+            Campaign::Faults(_) => "BENCH_faults.json",
+            Campaign::Qos(_) => "BENCH_qos.json",
+        }
+    }
+
+    fn run(&self, args: &Args, pool: PoolConfig, progress: Option<&Progress>) -> Finished {
+        let name = |r: &SweepResult| r.scenario.name.clone();
+        match self {
+            Campaign::Sweep(spec) => sweep(spec, args, pool, progress),
+            Campaign::Faults(spec) => {
+                let runs = run_fault_campaign(spec, pool, args.seed, progress);
+                Finished {
+                    columns: &[
+                        "rate_ppm",
+                        "rfms",
+                        "max_disturbance",
+                        "flips",
+                        "injected",
+                        "repairs",
+                    ],
+                    rows: runs
+                        .iter()
+                        .map(|r| (name(r), report::fault_point_tree(r)))
+                        .collect(),
+                    report: report::faults_json(args.seed, spec.scrub, &spec.rates_ppm, &runs),
+                }
+            }
+            Campaign::Qos(spec) => {
+                let results = run_qos_campaign(spec, pool, args.seed, progress);
+                let row = |r: &SweepResult| match &r.outcome {
+                    Ok(m) => report::tenant_summary_tree(m),
+                    Err(e) => json_obj! {"error": e},
+                };
+                Finished {
+                    columns: &[
+                        "victim_p99_ps",
+                        "hammer_p99_ps",
+                        "fairness_acts",
+                        "flips",
+                        "qos_throttled_acts",
+                    ],
+                    rows: results.iter().map(|r| (name(r), row(r))).collect(),
+                    report: report::qos_campaign_json(args.seed, &results),
+                }
+            }
+        }
+    }
+}
+
+/// The plain sweep, observed (`--obs`) or journaled (`--journal`). Every
+/// variant reports the same [`report::result_tree`] entries; a row is an
+/// entry's `metrics` object, or the entry itself when it carries an
+/// `error` instead.
+fn sweep(spec: &SweepSpec, args: &Args, pool: PoolConfig, progress: Option<&Progress>) -> Finished {
+    let entries: Vec<Json> = if let Some(journal) = &args.journal {
+        let path = Path::new(journal);
+        let sweep = run_sweep_journaled(spec, pool, args.seed, path, args.resume, progress)
+            .unwrap_or_else(|e| die(e));
+        println!(
+            "# journal {journal}: {} recovered, {} run, {} corrupt line(s) dropped",
+            sweep.recovered,
+            sweep.entries.len() - sweep.recovered,
+            sweep.dropped_lines
+        );
+        sweep.entries
+    } else if let Some(dir) = &args.obs {
+        let observed = run_sweep_observed(spec, pool, args.seed, ObsConfig::default(), progress);
+        write_obs_outputs(Path::new(dir), args.seed, &observed).unwrap_or_else(|e| die(e));
+        println!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
+        observed
+            .iter()
+            .map(|(r, _)| report::result_tree(r))
+            .collect()
+    } else {
+        let results = run_sweep_with(spec, pool, args.seed, progress);
+        results.iter().map(report::result_tree).collect()
+    };
+    let rows = entries
+        .iter()
+        .map(|e| {
+            let name = e.get("name").and_then(Json::as_str).unwrap_or_default();
+            (name.to_string(), e.get("metrics").unwrap_or(e).clone())
+        })
+        .collect();
+    Finished {
+        columns: &[
+            "aggregate_ipc",
+            "energy_pj",
+            "rfms",
+            "max_disturbance",
+            "flips",
+        ],
+        rows,
+        report: report::sweep_json_from_entries(args.seed, entries),
+    }
+}
+
+/// One table cell: integers verbatim, floats to three decimals (in
+/// scientific notation once they grow large).
+fn cell(value: Option<&Json>) -> String {
+    match value {
+        Some(Json::Num(x)) if x.abs() >= 1e5 => format!("{x:.3e}"),
+        Some(Json::Num(x)) => format!("{x:.3}"),
+        Some(v) => v.render(),
+        None => "-".into(),
+    }
 }
 
 fn main() {
@@ -322,98 +378,44 @@ fn main() {
         threads: args.threads,
         shard_size: args.shard_size,
     };
-    if args.faults {
-        run_faults_mode(&args, pool);
-        return;
-    }
-    if args.qos {
-        run_qos_mode(&args, pool);
-        return;
-    }
-
-    let spec = base_spec(&args);
-    let n = spec.scenarios().len();
-    println!(
-        "# sweep: {n} scenarios ({} geometries x {} schemes x {} workloads, minus skips)",
-        spec.geometries.len(),
-        spec.schemes.len(),
-        spec.workloads.len()
-    );
+    let campaign = Campaign::from_args(&args);
+    let (what, n) = campaign.describe();
+    println!("# {what}");
     println!(
         "# engine: {} threads, shard size {}, base seed {}",
         pool.threads, pool.shard_size, args.seed
     );
 
-    let out = args.out.as_deref().unwrap_or("BENCH_sweep.json");
-    let t0 = Instant::now();
-    if let Some(journal) = &args.journal {
-        let sweep = run_sweep_journaled_with(
-            &spec,
-            pool,
-            args.seed,
-            std::path::Path::new(journal),
-            args.resume,
-            args.progress,
-        )
-        .unwrap_or_else(|e| die(e));
-        let wall = t0.elapsed();
-        write_report(out, &sweep.report);
-        println!(
-            "# journal {journal}: {} recovered, {} run, {} corrupt line(s) dropped",
-            sweep.recovered, sweep.ran, sweep.dropped_lines
-        );
-        println!(
-            "# {n} scenarios; wall-clock {:.2}s at {} threads; wrote {out}",
-            wall.as_secs_f64(),
-            pool.threads,
-        );
-        return;
-    }
-
     let heartbeat = args.progress.then(|| Progress::new(n));
-    let (results, obs_written) = if let Some(obs_dir) = &args.obs {
-        let observed = run_sweep_observed(
-            &spec,
-            pool,
-            args.seed,
-            ObsConfig::default(),
-            heartbeat.as_ref(),
-        );
-        let dir = std::path::Path::new(obs_dir);
-        write_obs_outputs(dir, args.seed, &observed).unwrap_or_else(|e| die(e));
-        let results: Vec<_> = observed.into_iter().map(|(r, _)| r).collect();
-        (results, Some(obs_dir.as_str()))
-    } else {
-        (
-            run_sweep_with(&spec, pool, args.seed, heartbeat.as_ref()),
-            None,
-        )
-    };
+    let t0 = Instant::now();
+    let done = campaign.run(&args, pool, heartbeat.as_ref());
     let wall = t0.elapsed();
 
-    println!(
-        "{:<40} {:>9} {:>10} {:>8} {:>12} {:>6}",
-        "scenario", "agg_ipc", "energy_pj", "rfms", "disturb(max)", "flips"
-    );
-    for r in &results {
-        match &r.outcome {
-            Ok(m) => println!(
-                "{:<40} {:>9.3} {:>10.3e} {:>8} {:>12} {:>6}",
-                r.scenario.name, m.aggregate_ipc, m.energy_pj, m.rfms, m.max_disturbance, m.flips
-            ),
-            Err(e) => println!("{:<40} unavailable: {e}", r.scenario.name),
+    let width = |column: &str| column.len().max(10);
+    print!("{:<48}", "run");
+    for column in done.columns {
+        print!(" {column:>w$}", w = width(column));
+    }
+    println!();
+    let mut ok = 0;
+    for (name, row) in &done.rows {
+        if let Some(e) = row.get("error") {
+            println!("{name:<48} unavailable: {}", e.as_str().unwrap_or_default());
+            continue;
         }
+        ok += 1;
+        print!("{name:<48}");
+        for column in done.columns {
+            print!(" {:>w$}", cell(row.get(column)), w = width(column));
+        }
+        println!();
     }
 
-    let json = report::sweep_json(args.seed, &results);
-    write_report(out, &json);
-    let ok = results.iter().filter(|r| r.outcome.is_ok()).count();
-    if let Some(dir) = obs_written {
-        println!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
-    }
+    let out = args.out.as_deref().unwrap_or(campaign.default_out());
+    write_report(out, &done.report);
     println!(
-        "# {ok}/{} scenarios ok; wall-clock {:.2}s at {} threads; wrote {out}",
-        results.len(),
+        "# {ok}/{} runs ok; wall-clock {:.2}s at {} threads; wrote {out}",
+        done.rows.len(),
         wall.as_secs_f64(),
         pool.threads,
     );

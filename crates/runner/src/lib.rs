@@ -3,8 +3,8 @@
 //! `mithril-runner` turns the system simulator into an experiment machine:
 //!
 //! * [`scenarios`] — the registry of named workloads, scheme catalogs and
-//!   scheme × workload × geometry [`scenarios::SweepSpec`]s (the figure
-//!   binaries' shared source of truth);
+//!   scheme × workload × geometry [`scenarios::SweepSpec`]s, shared by the
+//!   paper report and every sweep;
 //! * [`engine`] — a std::thread work-stealing shard pool with
 //!   deterministic per-shard RNG seeding: the same base seed produces
 //!   bit-identical metrics at any worker count;
@@ -48,11 +48,11 @@ pub mod scenarios;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use engine::{ItemOutcome, PoolConfig, DEFAULT_RETRIES};
+use engine::{PoolConfig, DEFAULT_RETRIES};
 use mithril_obs::json::Json;
 use mithril_obs::ObsCapture;
 use mithril_sim::ObsConfig;
-use report::{FaultRun, ObsCountEntry, SweepResult};
+use report::{ObsCountEntry, SweepResult};
 use scenarios::{FaultCampaignSpec, QosCampaignSpec, Scenario, SweepSpec};
 
 /// A sweep heartbeat: worker threads [`tick`](Progress::tick) it after
@@ -60,9 +60,8 @@ use scenarios::{FaultCampaignSpec, QosCampaignSpec, Scenario, SweepSpec};
 /// lines to **stderr** — never stdout, which carries the result table,
 /// and never the report, which must stay deterministic.
 ///
-/// Journal-aware: a resumed sweep starts the counter at the number of
-/// recovered scenarios, so the heartbeat counts toward the same total an
-/// uninterrupted run would.
+/// Journal-aware: a resumed sweep ticks its recovered scenarios too, so
+/// the heartbeat counts toward the same total an uninterrupted run would.
 #[derive(Debug)]
 pub struct Progress {
     done: AtomicUsize,
@@ -72,14 +71,8 @@ pub struct Progress {
 impl Progress {
     /// A heartbeat over `total` scenarios starting from zero done.
     pub fn new(total: usize) -> Self {
-        Self::start_at(total, 0)
-    }
-
-    /// A heartbeat starting from `done` already-finished scenarios
-    /// (journal recovery).
-    pub fn start_at(total: usize, done: usize) -> Self {
         Self {
-            done: AtomicUsize::new(done),
+            done: AtomicUsize::new(0),
             total,
         }
     }
@@ -89,6 +82,62 @@ impl Progress {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         eprintln!("# progress: {done}/{} ({name})", self.total);
     }
+}
+
+/// The one way scenarios execute: runs `run(i, seed)` for every position
+/// `i` of `scenarios` on the robust shard pool, ticks `progress` after
+/// each, and returns every position's seed and outcome in registry order.
+///
+/// A position that panicked on every attempt is isolated rather than
+/// taking the sweep down: it comes back as `Err("panicked (N attempts):
+/// …")` at the seed the engine assigned it,
+/// [`engine::position_seed`]`(base_seed, shard_size, i)`.
+fn execute<R: Send>(
+    scenarios: &[Scenario],
+    pool: PoolConfig,
+    base_seed: u64,
+    progress: Option<&Progress>,
+    run: impl Fn(usize, u64) -> Result<R, String> + Sync,
+) -> Vec<(u64, Result<R, String>)> {
+    let positions: Vec<usize> = (0..scenarios.len()).collect();
+    let outcomes =
+        engine::run_sharded_robust(&positions, pool, base_seed, DEFAULT_RETRIES, |&i, seed| {
+            let outcome = run(i, seed);
+            if let Some(p) = progress {
+                p.tick(&scenarios[i].name);
+            }
+            outcome
+        });
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let seed = engine::position_seed(base_seed, pool.shard_size, i);
+            (seed, item.into_result().and_then(|outcome| outcome))
+        })
+        .collect()
+}
+
+/// [`execute`] with plain [`Scenario::run`]s, paired back up with their
+/// scenarios.
+fn run_scenarios(
+    scenarios: Vec<Scenario>,
+    pool: PoolConfig,
+    base_seed: u64,
+    progress: Option<&Progress>,
+) -> Vec<SweepResult> {
+    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
+        scenarios[i].run(seed)
+    });
+    scenarios
+        .into_iter()
+        .zip(runs)
+        .map(|(scenario, (seed, outcome))| SweepResult {
+            scenario,
+            seed,
+            outcome,
+        })
+        .collect()
 }
 
 /// Executes `spec` on the shard pool and returns per-scenario results in
@@ -148,43 +197,10 @@ pub fn run_qos_campaign(
     progress: Option<&Progress>,
 ) -> Vec<SweepResult> {
     let all = spec.scenarios();
-    let per_pass = all.len() / 2;
-    let (off, on) = all.split_at(per_pass);
+    let (off, on) = all.split_at(all.len() / 2);
     let mut results = run_scenarios(off.to_vec(), pool, base_seed, progress);
     results.extend(run_scenarios(on.to_vec(), pool, base_seed, progress));
     results
-}
-
-fn run_scenarios(
-    scenarios: Vec<Scenario>,
-    pool: PoolConfig,
-    base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            let outcome = s.run(seed);
-            if let Some(p) = progress {
-                p.tick(&s.name);
-            }
-            (seed, outcome)
-        });
-    scenarios
-        .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let (seed, outcome) = match item.into_result() {
-                Ok((seed, outcome)) => (seed, outcome),
-                Err(e) => (engine::position_seed(base_seed, pool.shard_size, i), Err(e)),
-            };
-            SweepResult {
-                scenario,
-                seed,
-                outcome,
-            }
-        })
-        .collect()
 }
 
 /// Executes `spec` with ring-sink observability attached to every
@@ -205,38 +221,23 @@ pub fn run_sweep_observed(
     progress: Option<&Progress>,
 ) -> Vec<(SweepResult, Option<ObsCapture>)> {
     let scenarios = spec.scenarios();
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            let out = s.run_observed(seed, obs);
-            if let Some(p) = progress {
-                p.tick(&s.name);
-            }
-            match out {
-                Ok((metrics, capture)) => (seed, Ok(metrics), Some(capture)),
-                Err(e) => (seed, Err(e), None),
-            }
-        });
+    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
+        scenarios[i].run_observed(seed, obs)
+    });
     scenarios
         .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let (seed, outcome, capture) = match item.into_result() {
-                Ok((seed, outcome, capture)) => (seed, outcome, capture),
-                Err(e) => (
-                    engine::position_seed(base_seed, pool.shard_size, i),
-                    Err(e),
-                    None,
-                ),
+        .zip(runs)
+        .map(|(scenario, (seed, run))| {
+            let (outcome, capture) = match run {
+                Ok((metrics, capture)) => (Ok(metrics), Some(capture)),
+                Err(e) => (Err(e), None),
             };
-            (
-                SweepResult {
-                    scenario,
-                    seed,
-                    outcome,
-                },
-                capture,
-            )
+            let result = SweepResult {
+                scenario,
+                seed,
+                outcome,
+            };
+            (result, capture)
         })
         .collect()
 }
@@ -307,73 +308,44 @@ pub fn write_obs_outputs(
 }
 
 /// Executes a fault-resilience campaign (`spec.base` × `spec.rates_ppm`)
-/// and returns one [`FaultRun`] per scenario in registry (rate-major)
-/// order. Fault plans are seeded by sweep position, so the campaign is
+/// and returns results in registry (rate-major) order, each run's fault
+/// counters in its [`Metrics::faults`](mithril_sim::Metrics::faults).
+/// Fault plans are seeded by sweep position, so the campaign is
 /// bit-identical at any `pool.threads`.
 pub fn run_fault_campaign(
     spec: &FaultCampaignSpec,
     pool: PoolConfig,
     base_seed: u64,
-) -> Vec<FaultRun> {
-    let scenarios = spec.scenarios();
-    let outcomes =
-        engine::run_sharded_robust(&scenarios, pool, base_seed, DEFAULT_RETRIES, |s, seed| {
-            (seed, s.run_detailed(seed))
-        });
-    let per_rate = scenarios.len() / spec.rates_ppm.len().max(1);
-    scenarios
-        .into_iter()
-        .enumerate()
-        .zip(outcomes)
-        .map(|((i, scenario), item)| {
-            let rate_ppm = scenario.faults.map_or_else(
-                || *spec.rates_ppm.get(i / per_rate.max(1)).unwrap_or(&0),
-                |f| f.rate_ppm,
-            );
-            let (seed, outcome, fault_stats) = match item.into_result() {
-                Ok((seed, Ok((metrics, stats)))) => (seed, Ok(metrics), stats),
-                Ok((seed, Err(e))) => (seed, Err(e), None),
-                Err(e) => (
-                    engine::position_seed(base_seed, pool.shard_size, i),
-                    Err(e),
-                    None,
-                ),
-            };
-            FaultRun {
-                rate_ppm,
-                result: SweepResult {
-                    scenario,
-                    seed,
-                    outcome,
-                },
-                fault_stats,
-            }
-        })
-        .collect()
+    progress: Option<&Progress>,
+) -> Vec<SweepResult> {
+    run_scenarios(spec.scenarios(), pool, base_seed, progress)
 }
 
 /// The outcome of a journaled (crash-safe) sweep.
 #[derive(Debug)]
 pub struct JournaledSweep {
-    /// The assembled `BENCH_sweep.json` report.
-    pub report: String,
+    /// Every scenario's [`report::result_tree`] entry in registry order;
+    /// [`report::sweep_json_from_entries`] renders the `BENCH_sweep.json`
+    /// report from them.
+    pub entries: Vec<Json>,
     /// Scenarios recovered from the journal instead of re-run.
     pub recovered: usize,
     /// Journal lines dropped as corrupt or torn during recovery.
     pub dropped_lines: usize,
-    /// Scenarios executed (or re-executed) by this invocation.
-    pub ran: usize,
 }
 
-/// Executes `spec` with a crash-safe completion journal at `path`.
+/// Executes `spec` with a crash-safe completion journal at `path`: the
+/// plain sweep, with every completed scenario appended to the journal
+/// (hash-guarded, flushed) *before* the sweep moves on, so a killed
+/// process loses only in-flight work.
 ///
-/// Every completed scenario is appended to the journal (hash-guarded,
-/// flushed) *before* the sweep moves on, so a killed process loses only
-/// in-flight work. With `resume`, an existing journal for the same seed
-/// and spec is recovered first — corrupt or torn lines are dropped and
-/// re-run — and only missing scenarios execute, each seeded by its sweep
-/// *position*. The assembled report is byte-identical to what an
+/// With `resume`, an existing journal for the same seed and spec is
+/// recovered first — corrupt or torn lines are dropped and re-run — and
+/// its positions are answered from the journal instead of re-run. Every
+/// other position runs under the seed the engine assigns it in the full
+/// scenario list, so the entries are byte-identical to what an
 /// uninterrupted [`run_sweep`] + [`report::sweep_json`] would produce.
+/// `progress` ticks for recovered and executed positions alike.
 ///
 /// # Errors
 ///
@@ -385,24 +357,11 @@ pub fn run_sweep_journaled(
     base_seed: u64,
     path: &Path,
     resume: bool,
-) -> Result<JournaledSweep, String> {
-    run_sweep_journaled_with(spec, pool, base_seed, path, resume, false)
-}
-
-/// [`run_sweep_journaled`] with an optional stderr [`Progress`]
-/// heartbeat; the counter starts at the number of journal-recovered
-/// scenarios so it counts toward the full sweep total.
-pub fn run_sweep_journaled_with(
-    spec: &SweepSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-    path: &Path,
-    resume: bool,
-    progress: bool,
+    progress: Option<&Progress>,
 ) -> Result<JournaledSweep, String> {
     let scenarios = spec.scenarios();
     let fp = journal::fingerprint(base_seed, &scenarios);
-    let (mut entries, dropped_lines, writer) = if resume && path.exists() {
+    let (journaled, dropped_lines, writer) = if resume && path.exists() {
         let loaded = journal::load(path, base_seed, fp, scenarios.len())?;
         let writer = journal::JournalWriter::append(path)?;
         (loaded.entries, loaded.dropped_lines, writer)
@@ -410,63 +369,36 @@ pub fn run_sweep_journaled_with(
         let writer = journal::JournalWriter::create(path, base_seed, fp)?;
         (vec![None; scenarios.len()], 0, writer)
     };
-    let recovered = entries.iter().filter(|e| e.is_some()).count();
 
-    let missing: Vec<(usize, &Scenario)> = entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.is_none())
-        .map(|(i, _)| (i, &scenarios[i]))
-        .collect();
-    let ran = missing.len();
-    let heartbeat = progress.then(|| Progress::start_at(scenarios.len(), recovered));
-
-    // The engine seeds by position in `missing`, which shifts on resume;
-    // seed by position in the *full* scenario list instead, so resumed
-    // and uninterrupted runs execute identical work.
-    let outcomes = engine::run_sharded_robust(
-        &missing,
-        pool,
-        base_seed,
-        DEFAULT_RETRIES,
-        |&(index, scenario), _| {
-            let seed = engine::position_seed(base_seed, pool.shard_size, index);
-            let result = SweepResult {
-                scenario: scenario.clone(),
-                seed,
-                outcome: scenario.run(seed),
-            };
-            let entry = report::result_tree(&result);
-            writer.record(index, &entry.render());
-            if let Some(p) = &heartbeat {
-                p.tick(&scenario.name);
-            }
-            entry
-        },
-    );
-    for (&(index, scenario), item) in missing.iter().zip(outcomes) {
-        let entry = match item {
-            ItemOutcome::Done(entry) => entry,
-            panicked => {
-                let seed = engine::position_seed(base_seed, pool.shard_size, index);
-                report::result_tree(&SweepResult {
-                    scenario: scenario.clone(),
-                    seed,
-                    outcome: Err(panicked.into_result().unwrap_err()),
-                })
-            }
-        };
-        entries[index] = Some(entry);
-    }
-
-    let full: Vec<Json> = entries
+    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
+        if let Some(entry) = &journaled[i] {
+            return Ok(entry.clone());
+        }
+        let scenario = &scenarios[i];
+        let entry = report::result_tree(&SweepResult {
+            scenario: scenario.clone(),
+            seed,
+            outcome: scenario.run(seed),
+        });
+        writer.record(i, &entry.render());
+        Ok(entry)
+    });
+    let entries = scenarios
         .into_iter()
-        .map(|e| e.expect("every index recovered or run"))
+        .zip(runs)
+        .map(|(scenario, (seed, run))| {
+            run.unwrap_or_else(|panicked| {
+                report::result_tree(&SweepResult {
+                    scenario,
+                    seed,
+                    outcome: Err(panicked),
+                })
+            })
+        })
         .collect();
     Ok(JournaledSweep {
-        report: report::sweep_json_from_entries(base_seed, full),
-        recovered,
+        entries,
+        recovered: journaled.iter().flatten().count(),
         dropped_lines,
-        ran,
     })
 }

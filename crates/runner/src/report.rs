@@ -29,18 +29,6 @@ pub struct SweepResult {
     pub outcome: Result<Metrics, String>,
 }
 
-/// One fault-campaign run: a sweep result plus the injection counters
-/// its [`FaultyEngine`](mithril_sim::FaultyEngine) wrappers accumulated.
-#[derive(Debug, Clone)]
-pub struct FaultRun {
-    /// Injected fault rate in faults per million ACTs (0 = anchor run).
-    pub rate_ppm: u64,
-    /// The executed scenario and its metrics.
-    pub result: SweepResult,
-    /// Aggregated fault counters (`None` for the rate-0 anchor).
-    pub fault_stats: Option<FaultStats>,
-}
-
 /// Appends a run's outcome to its entry: the `metrics` object, or the
 /// `error` string that replaced it.
 fn push_outcome(entry: &mut Json, outcome: &Result<Metrics, String>) {
@@ -144,7 +132,9 @@ fn qos_tree(q: &QosStats) -> Json {
 ///
 /// A `qos` section rides at the end *only* when the run had QoS
 /// throttling enabled — QoS-off runs carry no QoS state at all, keeping
-/// their reports byte-identical to pre-QoS builds.
+/// their reports byte-identical to pre-QoS builds. The fault counters
+/// (`m.faults`) are never rendered here: the fault campaign puts them
+/// beside the metrics object, as the entry's `fault_stats`.
 fn metrics_tree(m: &Metrics) -> Json {
     let mut t = json_obj! {
         "aggregate_ipc": m.aggregate_ipc,
@@ -264,63 +254,74 @@ pub fn sweep_json_from_entries(base_seed: u64, entries: Vec<Json>) -> String {
     .render_report()
 }
 
+/// Injected fault rate of a run in faults per million ACTs; 0 for the
+/// fault-free anchor runs, which carry no fault config at all.
+fn rate_ppm(r: &SweepResult) -> u64 {
+    r.scenario.faults.map_or(0, |f| f.rate_ppm)
+}
+
+/// One run's point on its degradation curve: the injected rate, the
+/// injection and repair counts, protection (`max_disturbance`, `flips`)
+/// and cost (`rfms`, `preventive_rows`) — or the error that replaced
+/// them. The `sweep --faults` run table prints these same fields.
+pub fn fault_point_tree(r: &SweepResult) -> Json {
+    match &r.outcome {
+        Ok(m) => json_obj! {
+            "rate_ppm": rate_ppm(r),
+            "injected": m.faults.as_ref().map_or(0, FaultStats::injected),
+            "repairs": m.faults.as_ref().map_or(0, |f| f.repairs),
+            "max_disturbance": m.max_disturbance,
+            "flips": m.flips,
+            "rfms": m.rfms,
+            "preventive_rows": m.counters.preventive_rows,
+        },
+        Err(e) => json_obj! {"rate_ppm": rate_ppm(r), "error": e},
+    }
+}
+
 /// Renders a fault campaign to the `BENCH_faults.json` format: the flat
 /// run list (each entry a [`result_tree`] record extended with its rate
 /// and fault counters), followed by one degradation curve per
-/// scheme × workload × geometry cell — protection (`max_disturbance`,
-/// `flips`) and cost (`rfms`, `preventive_rows`) as functions of the
-/// injected fault rate.
+/// scheme × workload × geometry cell ([`fault_point_tree`] per rate).
 ///
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
-pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]) -> String {
+pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[SweepResult]) -> String {
     faults_tree(base_seed, scrub, rates_ppm, runs).render_report()
 }
 
-fn faults_tree(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]) -> Json {
-    let entries = runs.iter().map(|fr| {
-        let mut t = result_tree(&fr.result);
-        t.push("rate_ppm", fr.rate_ppm);
-        t.push("fault_stats", fr.fault_stats.as_ref().map(fault_stats_tree));
+fn faults_tree(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[SweepResult]) -> Json {
+    let entries = runs.iter().map(|r| {
+        let mut t = result_tree(r);
+        t.push("rate_ppm", rate_ppm(r));
+        let faults = r.outcome.as_ref().ok().and_then(|m| m.faults.as_ref());
+        t.push("fault_stats", faults.map(fault_stats_tree));
         t
     });
 
     // One curve per base cell, in first-appearance order (the campaign
     // expands rate-major, so the rate-0 pass fixes the cell order).
-    let mut cells: Vec<(String, String, String)> = Vec::new();
-    for fr in runs {
-        let s = &fr.result.scenario;
-        let cell = (
+    let cell = |s: &Scenario| {
+        (
             s.scheme_label.clone(),
             s.workload.clone(),
             geometry_tag(&s.geometry),
-        );
-        if !cells.contains(&cell) {
-            cells.push(cell);
+        )
+    };
+    let mut cells = Vec::new();
+    for r in runs {
+        let c = cell(&r.scenario);
+        if !cells.contains(&c) {
+            cells.push(c);
         }
     }
-    let curves = cells.into_iter().map(|(scheme, workload, geom)| {
+    let curves = cells.into_iter().map(|c| {
         let points: Vec<Json> = runs
             .iter()
-            .filter(|fr| {
-                let s = &fr.result.scenario;
-                s.scheme_label == scheme
-                    && s.workload == workload
-                    && geometry_tag(&s.geometry) == geom
-            })
-            .map(|fr| match &fr.result.outcome {
-                Ok(m) => json_obj! {
-                    "rate_ppm": fr.rate_ppm,
-                    "injected": fr.fault_stats.as_ref().map_or(0, |f| f.injected()),
-                    "repairs": fr.fault_stats.as_ref().map_or(0, |f| f.repairs),
-                    "max_disturbance": m.max_disturbance,
-                    "flips": m.flips,
-                    "rfms": m.rfms,
-                    "preventive_rows": m.counters.preventive_rows,
-                },
-                Err(e) => json_obj! {"rate_ppm": fr.rate_ppm, "error": e},
-            })
+            .filter(|r| cell(&r.scenario) == c)
+            .map(fault_point_tree)
             .collect();
+        let (scheme, workload, geom) = c;
         json_obj! {
             "scheme": scheme,
             "workload": workload,
@@ -346,7 +347,9 @@ fn faults_tree(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[FaultRun]
 /// The noisy-neighbor mix pins the hammering tenant on the **highest
 /// core index** (victims occupy the lower indices), so tenant roles are
 /// recovered from core position, not from a heuristic.
-fn tenant_summary_tree(m: &Metrics) -> Json {
+///
+/// The `sweep --qos` run table prints these same fields.
+pub fn tenant_summary_tree(m: &Metrics) -> Json {
     let hammer = m.per_core.iter().map(|(core, _)| core).max();
     let victims: Vec<&CoreStats> = m
         .per_core
@@ -552,23 +555,15 @@ mod tests {
 
         // A fault campaign with both an anchor (no fault stats) and an
         // injected run, and a QoS campaign with an off/on pair.
-        let mut runs: Vec<FaultRun> = results
-            .iter()
-            .map(|r| FaultRun {
-                rate_ppm: 0,
-                result: r.clone(),
-                fault_stats: None,
-            })
-            .collect();
-        runs.push(FaultRun {
-            rate_ppm: 10_000,
-            result: results[0].clone(),
-            fault_stats: Some(FaultStats {
-                bit_flips: 3,
-                repairs: 1,
-                ..FaultStats::default()
-            }),
+        let mut runs = results.clone();
+        let mut injected = results[0].clone();
+        injected.scenario.faults = Some(mithril_sim::FaultConfig::mixed(10_000));
+        injected.outcome.as_mut().unwrap().faults = Some(FaultStats {
+            bit_flips: 3,
+            repairs: 1,
+            ..FaultStats::default()
         });
+        runs.push(injected);
         assert_round_trips(&faults_tree(1, true, &[0, 10_000], &runs));
 
         let mut on = results[0].clone();

@@ -11,7 +11,7 @@ use mithril_baselines::{BlockHammerConfig, CbtConfig, GrapheneConfig, TwiCeConfi
 use mithril_dram::{Ddr5Timing, Geometry};
 use mithril_obs::ObsCapture;
 use mithril_sim::{
-    FaultConfig, FaultStats, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
+    FaultConfig, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
 };
 use mithril_trace::ReplayEnd;
 use mithril_workloads::{
@@ -227,61 +227,10 @@ pub fn workload_compatible(name: &str, geometry: &Geometry) -> bool {
 /// Simulated-time cap per requested instruction: several times the benign
 /// runtime, so a heavily throttled thread (BlockHammer vs an attacker)
 /// cannot stretch one run to seconds of simulated time; its depressed IPC
-/// still shows in the metrics. Shared by [`run_one`] and [`Scenario::run`]
-/// so the paper report and sweeps stay comparable.
+/// still shows in the metrics. Applied by [`Scenario::run`] and
+/// [`Scenario::run_observed`] alike, so the paper report and every sweep
+/// stay comparable.
 const MAX_TIME_PS_PER_INST: u64 = 4_000;
-
-fn run_capped_detailed(
-    cfg: SystemConfig,
-    workload_name: &str,
-    insts_per_core: u64,
-    seed: u64,
-) -> Result<(Metrics, Option<FaultStats>), String> {
-    let threads = workload(workload_name, cfg.cores, &cfg, seed);
-    let mut sys = System::new(cfg, threads)?;
-    let max_time = insts_per_core.saturating_mul(MAX_TIME_PS_PER_INST);
-    let metrics = sys.run(insts_per_core, max_time);
-    let faults = sys.fault_stats();
-    Ok((metrics, faults))
-}
-
-fn run_capped(
-    cfg: SystemConfig,
-    workload_name: &str,
-    insts_per_core: u64,
-    seed: u64,
-) -> Result<Metrics, String> {
-    run_capped_detailed(cfg, workload_name, insts_per_core, seed).map(|(m, _)| m)
-}
-
-/// [`run_capped_detailed`] with ring-sink observability attached: the
-/// same run, but the controllers record structured events and the system
-/// samples cycle-domain probes. The metrics are identical to the
-/// unobserved run — the instrumentation only reads simulator state.
-fn run_capped_observed(
-    cfg: SystemConfig,
-    workload_name: &str,
-    insts_per_core: u64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<(Metrics, ObsCapture), String> {
-    let threads = workload(workload_name, cfg.cores, &cfg, seed);
-    let mut sys = System::with_obs(cfg, threads, obs)?;
-    let max_time = insts_per_core.saturating_mul(MAX_TIME_PS_PER_INST);
-    let metrics = sys.run(insts_per_core, max_time);
-    let capture = sys.take_obs();
-    Ok((metrics, capture))
-}
-
-/// Runs one configuration over one workload for `insts_per_core`.
-///
-/// # Panics
-///
-/// Panics if the scheme cannot be configured at `cfg.flip_th`.
-pub fn run_one(cfg: SystemConfig, workload_name: &str, insts_per_core: u64, seed: u64) -> Metrics {
-    run_capped(cfg, workload_name, insts_per_core, seed)
-        .unwrap_or_else(|e| panic!("{} @ FlipTH {}: {e}", cfg.scheme.name(), cfg.flip_th))
-}
 
 /// Table IV's per-bank counter-table sizes: one row per scheme, one
 /// `Option<f64>` KiB cell per FlipTH of [`FLIP_TH_SWEEP`] (`None` =
@@ -373,46 +322,37 @@ impl Scenario {
         cfg
     }
 
-    /// Runs the scenario under `seed` and returns its metrics.
+    /// Runs the scenario under `seed` and returns its metrics (with the
+    /// fault counters filled in when the scenario injects faults).
     ///
     /// # Errors
     ///
     /// Returns an error string when the scheme cannot be configured for
     /// this scenario's `flip_th`.
     pub fn run(&self, seed: u64) -> Result<Metrics, String> {
-        run_capped(
-            self.system_config(seed),
-            &self.workload,
-            self.insts_per_core,
-            seed,
-        )
-    }
-
-    /// Like [`Scenario::run`], additionally returning the aggregated
-    /// fault-injection counters when this scenario runs with faults
-    /// enabled (`None` otherwise — the stats live outside [`Metrics`] so
-    /// fault-free reports stay byte-identical).
-    pub fn run_detailed(&self, seed: u64) -> Result<(Metrics, Option<FaultStats>), String> {
-        run_capped_detailed(
-            self.system_config(seed),
-            &self.workload,
-            self.insts_per_core,
-            seed,
-        )
+        let cfg = self.system_config(seed);
+        let threads = workload(&self.workload, self.cores, &cfg, seed);
+        Ok(System::new(cfg, threads)?.run(self.insts_per_core, self.max_time()))
     }
 
     /// Like [`Scenario::run`], additionally returning the observability
     /// capture (structured events + cycle-domain time series) recorded
     /// under `obs`. The metrics are identical to [`Scenario::run`]'s —
     /// observability reads simulator state but never steers it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::run`].
     pub fn run_observed(&self, seed: u64, obs: ObsConfig) -> Result<(Metrics, ObsCapture), String> {
-        run_capped_observed(
-            self.system_config(seed),
-            &self.workload,
-            self.insts_per_core,
-            seed,
-            obs,
-        )
+        let cfg = self.system_config(seed);
+        let threads = workload(&self.workload, self.cores, &cfg, seed);
+        let mut sys = System::with_obs(cfg, threads, obs)?;
+        let metrics = sys.run(self.insts_per_core, self.max_time());
+        Ok((metrics, sys.take_obs()))
+    }
+
+    fn max_time(&self) -> u64 {
+        self.insts_per_core.saturating_mul(MAX_TIME_PS_PER_INST)
     }
 }
 
@@ -746,14 +686,6 @@ mod tests {
         let m = s.run(11).expect("scenario runs");
         assert!(m.total_insts > 0);
         assert_eq!(m.per_channel.len(), 2);
-    }
-
-    #[test]
-    fn run_one_produces_metrics() {
-        let mut cfg = SystemConfig::table_iii();
-        cfg.cores = 2;
-        let m = run_one(cfg, "mix-blend", 5_000, 1);
-        assert!(m.total_insts >= 10_000);
     }
 
     #[test]

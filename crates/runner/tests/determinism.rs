@@ -2,10 +2,14 @@
 //! seed must produce a byte-identical `BENCH_sweep.json` report at any
 //! worker thread count.
 
-use mithril_runner::engine::{run_sharded_robust, PoolConfig};
-use mithril_runner::report::{faults_json, sweep_json};
-use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
-use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_journaled};
+use mithril_obs::json::Json;
+use mithril_runner::engine::{position_seed, run_sharded_robust, PoolConfig};
+use mithril_runner::report::{
+    faults_json, result_tree, sweep_json, sweep_json_from_entries, SweepResult,
+};
+use mithril_runner::scenarios::{FaultCampaignSpec, Scenario, SweepSpec};
+use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_journaled, run_sweep_observed};
+use mithril_sim::ObsConfig;
 
 fn tiny_spec() -> SweepSpec {
     let mut spec = SweepSpec::smoke();
@@ -87,6 +91,7 @@ fn campaign_report_at(threads: usize, seed: u64) -> String {
             shard_size: 1,
         },
         seed,
+        None,
     );
     faults_json(seed, spec.scrub, &spec.rates_ppm, &runs)
 }
@@ -157,31 +162,108 @@ fn engine_retry_reuses_position_seeds_at_any_thread_count() {
 #[test]
 fn resumed_journal_reproduces_the_uninterrupted_report() {
     let spec = tiny_spec();
-    let pool = PoolConfig {
-        threads: 4,
-        shard_size: 1,
-    };
     let dir = std::env::temp_dir().join("mithril-resume-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("sweep.mtrj");
+    for shard_size in [1, 3] {
+        let pool = PoolConfig {
+            threads: 4,
+            shard_size,
+        };
+        let path = dir.join(format!("sweep-{shard_size}.mtrj"));
 
-    let baseline = sweep_json(42, &run_sweep(&spec, pool, 42));
-    let full = run_sweep_journaled(&spec, pool, 42, &path, false).unwrap();
-    assert_eq!(full.report, baseline, "journaled run diverged");
-    assert_eq!(full.recovered, 0);
+        let baseline = sweep_json(42, &run_sweep(&spec, pool, 42));
+        let full = run_sweep_journaled(&spec, pool, 42, &path, false, None).unwrap();
+        assert_eq!(
+            sweep_json_from_entries(42, full.entries),
+            baseline,
+            "journaled run diverged at shard size {shard_size}"
+        );
+        assert_eq!(full.recovered, 0);
 
-    // Simulate a kill: keep the header and a prefix of completions, with
-    // a torn partial record at the cut.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let keep: Vec<&str> = text.lines().take(8).collect();
-    std::fs::write(&path, format!("{}\n9 fee1dead {{\"na", keep.join("\n"))).unwrap();
+        // Simulate a kill: keep the header and a prefix of completions,
+        // with a torn partial record at the cut.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let keep: Vec<&str> = text.lines().take(8).collect();
+        std::fs::write(&path, format!("{}\n9 fee1dead {{\"na", keep.join("\n"))).unwrap();
 
-    let resumed = run_sweep_journaled(&spec, pool, 42, &path, true).unwrap();
-    assert_eq!(resumed.report, baseline, "resumed report diverged");
-    assert_eq!(resumed.recovered, 7);
-    assert_eq!(resumed.dropped_lines, 1, "torn record must be dropped");
-    assert_eq!(resumed.ran, spec.scenarios().len() - 7);
+        let resumed = run_sweep_journaled(&spec, pool, 42, &path, true, None).unwrap();
+        assert_eq!(
+            sweep_json_from_entries(42, resumed.entries),
+            baseline,
+            "resumed report diverged at shard size {shard_size}"
+        );
+        assert_eq!(resumed.recovered, 7);
+        assert_eq!(resumed.dropped_lines, 1, "torn record must be dropped");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// A two-scheme spec whose second workload name passes
+/// `workload_compatible` but panics in `workload` on every attempt.
+fn poisoned_spec() -> SweepSpec {
+    let mut spec = tiny_spec();
+    spec.geometries.truncate(1);
+    spec.schemes.truncate(2);
+    spec.workloads = vec!["mix-high".into(), "no-such-workload".into()];
+    spec
+}
+
+/// What every execution path must report for `scenarios`: the poisoned
+/// positions as their final panic at the position seed, every other
+/// position exactly as a standalone run under that seed.
+fn expected_entries(scenarios: Vec<Scenario>, pool: PoolConfig, base_seed: u64) -> Vec<Json> {
+    scenarios
+        .into_iter()
+        .enumerate()
+        .map(|(i, scenario)| {
+            let seed = position_seed(base_seed, pool.shard_size, i);
+            let outcome = if scenario.workload == "no-such-workload" {
+                Err("panicked (2 attempts): unknown workload no-such-workload".into())
+            } else {
+                scenario.run(seed)
+            };
+            result_tree(&SweepResult {
+                scenario,
+                seed,
+                outcome,
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn a_panicking_position_becomes_its_error_on_every_path() {
+    let spec = poisoned_spec();
+    let pool = PoolConfig {
+        threads: 2,
+        shard_size: 3,
+    };
+    let entries = |results: &[SweepResult]| results.iter().map(result_tree).collect::<Vec<_>>();
+    let expected = expected_entries(spec.scenarios(), pool, 9);
+    assert_eq!(expected.len(), 4);
+
+    assert_eq!(entries(&run_sweep(&spec, pool, 9)), expected, "plain");
+
+    let observed = run_sweep_observed(&spec, pool, 9, ObsConfig::default(), None);
+    let results: Vec<SweepResult> = observed.iter().map(|(r, _)| r.clone()).collect();
+    assert_eq!(entries(&results), expected, "observed");
+    for (r, capture) in &observed {
+        assert_eq!(capture.is_some(), r.outcome.is_ok(), "{}", r.scenario.name);
+    }
+
+    let path = std::env::temp_dir().join("mithril-poisoned-sweep.mtrj");
+    let journaled = run_sweep_journaled(&spec, pool, 9, &path, false, None).unwrap();
+    assert_eq!(journaled.entries, expected, "journaled");
     std::fs::remove_file(&path).unwrap();
+
+    let campaign = FaultCampaignSpec {
+        base: spec,
+        rates_ppm: vec![0, 10_000],
+        scrub: true,
+    };
+    let runs = run_fault_campaign(&campaign, pool, 9, None);
+    let expected = expected_entries(campaign.scenarios(), pool, 9);
+    assert_eq!(entries(&runs), expected, "fault campaign");
 }
 
 #[test]

@@ -13,10 +13,11 @@ use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
 use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_observed};
 use mithril_sim::ObsConfig;
 
-const BASELINES: [&str; 5] = [
+const BASELINES: [&str; 6] = [
     "BENCH_sweep.json",
     "BENCH_obs.json",
     "BENCH_qos.json",
+    "BENCH_faults.json",
     "BENCH_table.json",
     "BENCH_paper.json",
 ];
@@ -86,7 +87,7 @@ fn every_emitted_key_is_documented() {
     faults.base.insts_per_core = 500;
     faults.base.cores = 1;
     faults.rates_ppm = vec![0, 10_000];
-    let runs = run_fault_campaign(&faults, pool(), 3);
+    let runs = run_fault_campaign(&faults, pool(), 3, None);
     docs.push(faults_json(3, faults.scrub, &faults.rates_ppm, &runs));
 
     let mut results = run_sweep(&tiny_sweep(), pool(), 5);

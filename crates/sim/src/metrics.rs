@@ -1,7 +1,7 @@
 //! End-of-run metrics, aggregated hierarchically: per-channel results roll
 //! up into the system totals.
 
-use mithril_dram::{ChannelId, EnergyCounters, EnergyModel, TimePs};
+use mithril_dram::{ChannelId, EnergyCounters, EnergyModel, FaultStats, TimePs};
 use mithril_memctrl::{CoreStats, QosStats};
 use mithril_obs::{LatencyHistogram, PerCore};
 
@@ -99,11 +99,17 @@ pub struct Metrics {
     /// final scores per thread), merged additively across channels.
     /// `None` when QoS is off, keeping those reports byte-identical.
     pub qos: Option<QosStats>,
+    /// Fault-injection counters summed over every bank engine: `Some`
+    /// exactly when the run had `config.faults` set. Reports render them
+    /// next to the metrics, never inside the metrics object, so
+    /// fault-free reports stay byte-identical to pre-fault builds.
+    pub faults: Option<FaultStats>,
 }
 
 impl Metrics {
     /// Builds the system-level roll-up from per-channel results plus the
-    /// core/LLC-side observations that have no channel dimension.
+    /// core/LLC-side observations that have no channel dimension. The
+    /// fault counters start at `None`; the system fills them in.
     #[allow(clippy::too_many_arguments)]
     pub fn from_channels(
         workload: String,
@@ -163,6 +169,7 @@ impl Metrics {
             write_latency,
             per_core,
             qos,
+            faults: None,
         }
     }
 

@@ -632,7 +632,7 @@ impl<S: EventSink> System<S> {
                 }
             })
             .collect();
-        Metrics::from_channels(
+        let mut metrics = Metrics::from_channels(
             self.threads.name.clone(),
             self.config.scheme.name().to_string(),
             self.cores.iter().map(|c| c.ipc()).collect(),
@@ -641,30 +641,25 @@ impl<S: EventSink> System<S> {
             self.llc.miss_rate(),
             per_channel,
             &model,
-        )
+        );
+        metrics.faults = self.config.faults.map(|_| {
+            let mut total = FaultStats::default();
+            for mc in &self.mcs {
+                let device = mc.device();
+                for bank in 0..device.geometry().banks_total() {
+                    if let Some(s) = device.engine(bank).fault_stats() {
+                        total.add(&s);
+                    }
+                }
+            }
+            total
+        });
+        metrics
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// System-wide fault-injection counters, summed over every bank
-    /// engine: `Some` exactly when the system was built with
-    /// `config.faults` set. Kept out of [`Metrics`] so fault-free
-    /// reports stay byte-identical to pre-fault builds.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.config.faults?;
-        let mut total = FaultStats::default();
-        for mc in &self.mcs {
-            let device = mc.device();
-            for bank in 0..device.geometry().banks_total() {
-                if let Some(s) = device.engine(bank).fault_stats() {
-                    total.add(&s);
-                }
-            }
-        }
-        Some(total)
     }
 }
 
@@ -808,8 +803,7 @@ mod tests {
             plus: false,
         });
         let mut sys = System::new(cfg, mix_high(4, 11)).unwrap();
-        sys.run(5_000, u64::MAX);
-        assert_eq!(sys.fault_stats(), None);
+        assert_eq!(sys.run(5_000, u64::MAX).faults, None);
     }
 
     #[test]
@@ -823,7 +817,8 @@ mod tests {
             cfg.faults = Some(mithril_faults::FaultConfig::mixed(50_000));
             let mut sys = System::new(cfg, mix_high(4, 11)).unwrap();
             let m = sys.run(20_000, u64::MAX);
-            (m, sys.fault_stats().unwrap())
+            let faults = m.faults.unwrap();
+            (m, faults)
         };
         let (ma, sa) = run();
         let (mb, sb) = run();

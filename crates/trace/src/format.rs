@@ -42,7 +42,7 @@
 //! carrying the total op count: flipped bytes report as
 //! [`TraceError::BadChecksum`], missing bytes as [`TraceError::Truncated`].
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 
 use mithril_dram::Geometry;
 use mithril_workloads::TraceOp;
@@ -499,8 +499,6 @@ pub struct MtrcReader<R: Read> {
     payload: Vec<u8>,
     ops_seen: u64,
     chunk_index: u64,
-    /// Byte offset of the first chunk (for [`MtrcReader::rewind`]).
-    data_start: u64,
     done: bool,
 }
 
@@ -508,19 +506,13 @@ impl<R: Read> MtrcReader<R> {
     /// Parses the header from `source` and returns the reader positioned
     /// at the first chunk.
     pub fn new(mut source: R) -> Result<Self> {
-        let mut counter = CountingReader {
-            inner: &mut source,
-            bytes: 0,
-        };
-        let header = TraceHeader::decode(&mut counter)?;
-        let data_start = counter.bytes;
+        let header = TraceHeader::decode(&mut source)?;
         Ok(Self {
             source,
             header,
             payload: Vec::new(),
             ops_seen: 0,
             chunk_index: 0,
-            data_start,
             done: false,
         })
     }
@@ -703,17 +695,6 @@ pub(crate) fn read_raw_chunk<R: Read>(
     Ok(RawChunk::Ops {
         core: core as usize,
     })
-}
-
-impl<R: Read + Seek> MtrcReader<R> {
-    /// Repositions the reader at the first chunk (for looping replay).
-    pub fn rewind(&mut self) -> Result<()> {
-        self.source.seek(SeekFrom::Start(self.data_start))?;
-        self.ops_seen = 0;
-        self.chunk_index = 0;
-        self.done = false;
-        Ok(())
-    }
 }
 
 /// A `Read` adapter counting the bytes that pass through it.
@@ -954,28 +935,5 @@ mod tests {
             read_all(&newer[..]),
             Err(TraceError::UnsupportedVersion(9))
         ));
-    }
-
-    #[test]
-    fn rewind_replays_from_first_chunk() {
-        let header = test_header(1);
-        let mut w = MtrcWriter::with_chunk_ops(Vec::new(), &header, 4).unwrap();
-        for i in 0..10u64 {
-            w.push(0, TraceOp::read(0, i)).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let mut r = MtrcReader::new(std::io::Cursor::new(bytes)).unwrap();
-        let mut chunk = Vec::new();
-        let mut first_pass = Vec::new();
-        while r.next_chunk(&mut chunk).unwrap().is_some() {
-            first_pass.extend_from_slice(&chunk);
-        }
-        r.rewind().unwrap();
-        let mut second_pass = Vec::new();
-        while r.next_chunk(&mut chunk).unwrap().is_some() {
-            second_pass.extend_from_slice(&chunk);
-        }
-        assert_eq!(first_pass, second_pass);
-        assert_eq!(first_pass.len(), 10);
     }
 }

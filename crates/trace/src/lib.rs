@@ -17,8 +17,8 @@
 //! * [`recorder`] — capture: render a workload to disk, or tee a live
 //!   [`ThreadSet`](mithril_workloads::ThreadSet) so a simulation records
 //!   exactly what it consumed.
-//! * [`replay`] — [`TraceReplay`] / [`StreamingReplay`] adapters
-//!   implementing the `TraceSource` trait from a capture, and
+//! * [`replay`] — the [`TraceReplay`] adapter implementing the
+//!   `TraceSource` trait from a capture, and
 //!   [`replay_thread_set`] for whole-file multi-core loads (what the
 //!   runner's `trace:<path>` registry names use).
 //! * [`resilient`] — [`ResilientMtrcReader`], a skip-and-tally variant of
@@ -78,9 +78,7 @@ pub use format::{
     DEFAULT_CHUNK_OPS, MAGIC, VERSION,
 };
 pub use recorder::{record_thread_set, tee_thread_set, SharedWriter, TraceRecorder};
-pub use replay::{
-    replay_thread_set, replay_thread_set_resilient, ReplayEnd, StreamingReplay, TraceReplay,
-};
+pub use replay::{replay_thread_set, replay_thread_set_resilient, ReplayEnd, TraceReplay};
 pub use resilient::{
     read_all_resilient, read_all_resilient_path, ResilienceReport, ResilientMtrcReader,
 };

@@ -18,7 +18,6 @@
 //! section in `ARCHITECTURE.md`).
 
 use std::collections::HashMap;
-use std::io::{BufRead, Seek};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
@@ -26,7 +25,7 @@ use std::time::SystemTime;
 use mithril_workloads::{Thread, ThreadSet, TraceOp, TraceSource};
 
 use crate::error::{Result, TraceError};
-use crate::format::{read_all_path, MtrcReader, TraceHeader};
+use crate::format::{read_all_path, TraceHeader};
 use crate::resilient::{read_all_resilient_path, ResilienceReport};
 
 /// What a replay source does when the recorded stream runs out.
@@ -122,75 +121,6 @@ impl TraceSource for TraceReplay {
                     self.laps += 1;
                 }
                 ReplayEnd::HoldLast => {}
-            }
-        }
-        op
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A streaming replay over a single-core MTRC reader: holds one chunk in
-/// memory, rewinding the underlying file on wrap. For multi-gigabyte
-/// single-stream captures where [`replay_thread_set`]'s whole-file load is
-/// unwelcome.
-pub struct StreamingReplay<R: BufRead + Seek> {
-    name: String,
-    reader: MtrcReader<R>,
-    chunk: Vec<TraceOp>,
-    pos: usize,
-}
-
-impl<R: BufRead + Seek> StreamingReplay<R> {
-    /// Wraps a reader whose header declares exactly one core.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Corrupt`] for multi-core files (stream demux needs
-    /// the whole-file loader) and for captures with no ops at all.
-    pub fn new(mut reader: MtrcReader<R>) -> Result<Self> {
-        if reader.header().cores != 1 {
-            return Err(TraceError::Corrupt(format!(
-                "streaming replay needs a single-core file, got {} cores",
-                reader.header().cores
-            )));
-        }
-        let name = format!("replay:{}", reader.header().source);
-        let mut chunk = Vec::new();
-        if reader.next_chunk(&mut chunk)?.is_none() {
-            return Err(TraceError::Corrupt("cannot replay an empty capture".into()));
-        }
-        Ok(Self {
-            name,
-            reader,
-            chunk,
-            pos: 0,
-        })
-    }
-}
-
-impl<R: BufRead + Seek> TraceSource for StreamingReplay<R> {
-    /// # Panics
-    ///
-    /// Panics if the file turns out corrupt or unreadable mid-stream; the
-    /// constructor has already validated the header and first chunk.
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.chunk[self.pos];
-        self.pos += 1;
-        if self.pos == self.chunk.len() {
-            self.pos = 0;
-            match self.reader.next_chunk(&mut self.chunk) {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    // End of capture: wrap around.
-                    self.reader.rewind().expect("trace rewind failed");
-                    self.reader
-                        .next_chunk(&mut self.chunk)
-                        .expect("trace re-read failed");
-                }
-                Err(e) => panic!("trace replay failed mid-stream: {e}"),
             }
         }
         op
@@ -331,8 +261,6 @@ pub fn replay_thread_set_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{MtrcWriter, TraceHeader};
-    use mithril_dram::Geometry;
 
     fn ops(n: u64) -> Vec<TraceOp> {
         (0..n).map(|i| TraceOp::read(i as u32, i * 7)).collect()
@@ -358,27 +286,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_stream_is_rejected() {
         let _ = TraceReplay::new("t", Vec::new(), ReplayEnd::Loop);
-    }
-
-    #[test]
-    fn streaming_replay_loops_across_chunks() {
-        let header = TraceHeader {
-            geometry: Geometry::default(),
-            cores: 1,
-            base_seed: 0,
-            insts_per_core: 0,
-            source: "s".into(),
-        };
-        let mut w = MtrcWriter::with_chunk_ops(Vec::new(), &header, 4).unwrap();
-        let recorded = ops(10);
-        for &op in &recorded {
-            w.push(0, op).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        let reader = MtrcReader::new(std::io::Cursor::new(bytes)).unwrap();
-        let mut replay = StreamingReplay::new(reader).unwrap();
-        let seen: Vec<TraceOp> = (0..25).map(|_| replay.next_op()).collect();
-        let expected: Vec<TraceOp> = recorded.iter().cycle().take(25).copied().collect();
-        assert_eq!(seen, expected);
     }
 }

@@ -46,8 +46,9 @@
 //! # Ok::<(), mithril_repro::core::ConfigError>(())
 //! ```
 //!
-//! See `examples/` for full end-to-end scenarios and `crates/bench/src/bin/`
-//! for the binaries regenerating every figure and table of the paper.
+//! See `examples/` for full end-to-end scenarios and the `paper` binary
+//! in `crates/bench` for the report regenerating every figure and table of
+//! the paper.
 
 pub use mithril as core;
 pub use mithril_baselines as baselines;
