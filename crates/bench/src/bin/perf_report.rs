@@ -36,6 +36,8 @@ const RFM_EVERY: usize = 64;
 /// Both scheduler cores run the same count: the naive rescan's cost grows
 /// with queue occupancy, so a shorter naive run would understate the gap.
 const SIM_INSTS: u64 = 200_000;
+/// Repetitions behind each end-to-end rate (reported as median, min, max).
+const SIM_RUNS: usize = 5;
 
 fn act_stream(len: usize, universe: u64) -> Vec<u64> {
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -157,37 +159,65 @@ fn bench_trackers() -> Json {
     }))
 }
 
+/// Host rates of repeated runs: their median, min and max.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut rates: Vec<f64>) -> Self {
+        rates.sort_by(f64::total_cmp);
+        Self {
+            median: rates[rates.len() / 2],
+            min: rates[0],
+            max: rates[rates.len() - 1],
+        }
+    }
+
+    fn json(&self) -> Json {
+        json_obj! {
+            "median": rate(self.median),
+            "min": rate(self.min),
+            "max": rate(self.max),
+        }
+    }
+}
+
 /// End-to-end simulator activation rate (full System: cores + LLC +
-/// controllers + DRAM) under `scheduler`, best of two runs, plus the
-/// run's deterministic read-latency percentiles. Unlike the bucket-table
-/// rows this measures the whole simulation loop, so it is the number
-/// sweeps and fault campaigns actually experience.
-fn sim_acts_per_sec(scheme: Scheme, scheduler: SchedulerKind, insts: u64) -> (f64, u64, u64, u64) {
-    let mut best = 0.0f64;
+/// controllers + DRAM) under `scheduler` over `SIM_RUNS` runs, plus the
+/// run's deterministic ACT count and read-latency percentiles. Unlike the
+/// bucket-table rows this measures the whole simulation loop, so it is
+/// the number sweeps and fault campaigns actually experience.
+fn sim_acts_per_sec(scheme: Scheme, scheduler: SchedulerKind) -> (Spread, u64, u64, u64) {
+    let mut rates = Vec::with_capacity(SIM_RUNS);
     let mut acts = 0;
     let (mut p50, mut p99) = (0, 0);
-    for _ in 0..2 {
+    for _ in 0..SIM_RUNS {
         let mut cfg = SystemConfig::table_iii();
         cfg.cores = 4;
         cfg.scheme = scheme;
         cfg.scheduler = scheduler;
         let mut sys = System::new(cfg, mix_high(4, 11)).expect("valid scheme config");
         let t0 = Instant::now();
-        let m = sys.run(insts, u64::MAX);
-        let rate = m.counters.acts as f64 / t0.elapsed().as_secs_f64();
+        let m = sys.run(SIM_INSTS, u64::MAX);
+        rates.push(m.counters.acts as f64 / t0.elapsed().as_secs_f64());
         acts = m.counters.acts;
         p50 = m.read_latency.p50();
         p99 = m.read_latency.p99();
-        best = best.max(rate);
     }
-    (best, acts, p50, p99)
+    (Spread::of(rates), acts, p50, p99)
 }
 
 fn bench_sim() -> Json {
     println!("\n# End-to-end simulator rate: event-driven vs naive-rescan controller core");
-    println!("# (full System loop, 4 cores, mix-high; acts/s of simulated activations)");
     println!(
-        "{:>10} {:>18} {:>18} {:>9} {:>12} {:>12}",
+        "# (full System loop, 4 cores, mix-high; acts/s of simulated activations, \
+         median [min, max] of {SIM_RUNS} runs)"
+    );
+    println!(
+        "{:>10} {:>30} {:>30} {:>9} {:>12} {:>12}",
         "scheme", "event acts/s", "naive acts/s", "speedup", "read p50", "read p99"
     );
     let schemes: [(&'static str, Scheme); 3] = [
@@ -202,19 +232,21 @@ fn bench_sim() -> Json {
         ),
         ("para", Scheme::Para),
     ];
+    let show = |s: &Spread| format!("{:.0} [{:.0}, {:.0}]", s.median, s.min, s.max);
     Json::arr(schemes.iter().map(|&(name, scheme)| {
-        let (event, acts, p50, p99) =
-            sim_acts_per_sec(scheme, SchedulerKind::EventQueue, SIM_INSTS);
-        let (naive, ..) = sim_acts_per_sec(scheme, SchedulerKind::NaiveRescan, SIM_INSTS);
+        let (event, acts, p50, p99) = sim_acts_per_sec(scheme, SchedulerKind::EventQueue);
+        let (naive, ..) = sim_acts_per_sec(scheme, SchedulerKind::NaiveRescan);
         println!(
-            "{name:>10} {event:>18.0} {naive:>18.0} {:>8.2}x {p50:>10}ps {p99:>10}ps",
-            event / naive
+            "{name:>10} {:>30} {:>30} {:>8.2}x {p50:>10}ps {p99:>10}ps",
+            show(&event),
+            show(&naive),
+            event.median / naive.median
         );
         json_obj! {
             "scheme": name,
-            "event_acts_per_sec": rate(event),
-            "naive_acts_per_sec": rate(naive),
-            "speedup": speedup(event, naive),
+            "event_acts_per_sec": event.json(),
+            "naive_acts_per_sec": naive.json(),
+            "speedup": speedup(event.median, naive.median),
             "acts": acts,
             "read_p50_ps": p50,
             "read_p99_ps": p99,
@@ -241,7 +273,7 @@ fn bench_obs() -> Json {
     let m = sys.run(SIM_INSTS, u64::MAX);
     let observed = m.counters.acts as f64 / t0.elapsed().as_secs_f64();
     let capture = sys.take_obs();
-    let (plain, ..) = sim_acts_per_sec(scheme, SchedulerKind::EventQueue, SIM_INSTS);
+    let plain = sim_acts_per_sec(scheme, SchedulerKind::EventQueue).0.median;
     let counts = capture.total_counts();
     let series_rows: usize = capture.channels.iter().map(|c| c.rows.len()).sum();
 
@@ -282,6 +314,7 @@ fn main() {
         "mithril_table": bench_tables(),
         "space_saving": bench_trackers(),
         "sim_insts_per_core": SIM_INSTS,
+        "sim_runs": SIM_RUNS,
         "sim_ops_per_sec": bench_sim(),
     };
     if with_obs {

@@ -230,15 +230,11 @@ pub struct CommandRecord {
 }
 
 /// Flat per-bank scheduling lane: request queue, page-policy and RFM state,
-/// and the cached next-candidate event, packed per bank so the event core's
-/// selection scan walks one contiguous array. Hot scheduling fields sit at
-/// the front of the struct.
+/// and the cached next-candidate payload. The candidate's selection key
+/// (base time, priority) lives in the controller's dense `cand_at` /
+/// `cand_prio` arrays, which the selection scan reads instead of lanes.
 #[derive(Debug, Clone, Default)]
 struct BankLane {
-    /// Cached candidate base time — *before* the selection-time clamps
-    /// (clock, data bus, rank tRRD/tFAW), which slide with time and are
-    /// applied in `next_candidate_event`. An ACT includes its release.
-    cand_time: TimePs,
     /// Smallest queued release above the ACT base the candidate was
     /// computed with (`TimePs::MAX` if none or not an ACT): the lane is
     /// recomputed once its ACT base reaches it.
@@ -388,6 +384,13 @@ pub struct MemoryController<S: EventSink = NullSink> {
     qos: Option<QosState>,
     bliss: Option<Bliss>,
     lanes: Vec<BankLane>,
+    /// Cached candidate base time per flat bank — *before* the
+    /// selection-time clamps (clock, data bus, rank tRRD/tFAW), which
+    /// slide with time and are applied in `next_candidate_event`. An ACT
+    /// includes its release.
+    cand_at: Vec<TimePs>,
+    /// Cached candidate priority (`PRIO_*`) per flat bank.
+    cand_prio: Vec<u8>,
     /// Banks whose cached candidate is stale (bit per flat bank).
     dirty: Vec<u64>,
     /// Banks with a non-`Idle` cached candidate (bit per flat bank).
@@ -458,6 +461,8 @@ impl<S: EventSink> MemoryController<S> {
             qos: None,
             bliss: config.bliss.map(Bliss::new),
             lanes: (0..nbanks).map(|_| BankLane::default()).collect(),
+            cand_at: vec![0; nbanks],
+            cand_prio: vec![0; nbanks],
             dirty: vec![0; words],
             active: vec![0; words],
             held: vec![0; words],
@@ -838,12 +843,13 @@ impl<S: EventSink> MemoryController<S> {
         let bit = 1u64 << (b & 63);
         let lane = &mut self.lanes[b];
         lane.cand = cand;
-        lane.cand_time = time;
         lane.stale_at = stale_at;
+        self.cand_at[b] = time;
         if cand == Cand::Idle {
             self.active[word] &= !bit;
         } else {
             self.active[word] |= bit;
+            self.cand_prio[b] = cand.action(b).priority();
         }
         if stale_at == TimePs::MAX {
             self.held[word] &= !bit;
@@ -908,10 +914,19 @@ impl<S: EventSink> MemoryController<S> {
             // waiting for external events when queues are empty).
             consider!(due, PRIO_REF, lo, Pick::Ref(rank));
 
-            // Rank-wide ACT floor (tRRD / tFAW): applied here instead of
-            // invalidating every sibling bank on each ACT.
-            let rank_floor = self.device.earliest_rank_activate(rank, clock);
+            // One clamp per priority: the clock for maintenance and PRE,
+            // the data bus for columns, and the rank-wide ACT floor
+            // (tRRD / tFAW), applied here instead of invalidating every
+            // sibling bank on each ACT. Eight entries, so indexing by
+            // `prio & 7` needs no bounds check.
+            let mut floor = [clock; 8];
+            floor[PRIO_COLUMN as usize] = clock.max(bus_ready);
+            floor[PRIO_ACT as usize] = clock.max(self.device.earliest_rank_activate(rank, clock));
 
+            // The lane minimum over packed (time, priority, flat index)
+            // keys: the u128 order is exactly the tuple order, because
+            // each field fits below the next one's shift.
+            let mut lane_min = u128::MAX;
             let wlo = lo >> 6;
             let whi = (hi - 1) >> 6;
             for w in wlo..=whi {
@@ -923,26 +938,26 @@ impl<S: EventSink> MemoryController<S> {
                 if w == whi && top != 0 {
                     bits &= (1u64 << top) - 1;
                 }
+                if S::ENABLED {
+                    self.obs_cand_hits += u64::from(bits.count_ones());
+                }
                 while bits != 0 {
                     let b = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if S::ENABLED {
-                        self.obs_cand_hits += 1;
-                    }
-                    let lane = &self.lanes[b];
-                    let (t, prio) = match lane.cand {
-                        Cand::Idle => continue,
-                        Cand::MaintPre => (clock.max(lane.cand_time), PRIO_MAINT_PRE),
-                        Cand::Rfm => (clock.max(lane.cand_time), PRIO_RFM),
-                        Cand::Arr => (clock.max(lane.cand_time), PRIO_ARR),
-                        Cand::Column { .. } => {
-                            (clock.max(lane.cand_time).max(bus_ready), PRIO_COLUMN)
-                        }
-                        Cand::Pre => (clock.max(lane.cand_time), PRIO_PRE),
-                        Cand::Act { .. } => (clock.max(lane.cand_time).max(rank_floor), PRIO_ACT),
-                    };
-                    consider!(t, prio, b, Pick::Lane(b));
+                    let prio = self.cand_prio[b];
+                    let t = self.cand_at[b].max(floor[usize::from(prio & 7)]);
+                    let key = u128::from(t) << 64 | u128::from(prio) << 32 | b as u128;
+                    lane_min = lane_min.min(key);
                 }
+            }
+            if lane_min != u128::MAX {
+                let b = lane_min as u32 as usize;
+                consider!(
+                    (lane_min >> 64) as TimePs,
+                    (lane_min >> 32) as u8,
+                    b,
+                    Pick::Lane(b)
+                );
             }
         }
 

@@ -271,11 +271,26 @@ fn unblissed_rfm() -> McConfig {
     }
 }
 
+/// 3 ranks x 40 banks: 120 banks over two bitset words, with rank 1
+/// (banks 40..80) crossing the word boundary at bank 64.
+fn straddling_geometry() -> Geometry {
+    Geometry {
+        ranks: 3,
+        banks_per_rank: 40,
+        ..Geometry::default()
+    }
+}
+
 /// Arbitrary request batches: (bank, row, col, is_write, thread, gap).
 fn batches(max_len: usize) -> impl Strategy<Value = Vec<Req>> {
+    batches_over(64, max_len)
+}
+
+/// [`batches`] over banks `0..banks`.
+fn batches_over(banks: usize, max_len: usize) -> impl Strategy<Value = Vec<Req>> {
     prop::collection::vec(
         (
-            0usize..64,
+            0usize..banks,
             0u64..256,
             0u64..64,
             any::<bool>(),
@@ -320,6 +335,32 @@ proptest! {
             ..Default::default()
         };
         assert_cores_agree(geometry, cfg, || Box::new(NoMcMitigation), &reqs);
+    }
+
+    /// Three ranks of 40 banks: rank 1's active-bit segment straddles the
+    /// two `u64` words of the bitsets, and flat bank indices exceed 64 in
+    /// the packed selection keys. Mithril+ MRR elision, BLISS off.
+    #[test]
+    fn word_straddling_ranks_mrr_elision_matches(reqs in batches_over(120, 160)) {
+        let cfg = McConfig {
+            rfm_mode: RfmMode::MrrElision,
+            rfm_th: 6,
+            bliss: None,
+            ..Default::default()
+        };
+        assert_cores_agree(straddling_geometry(), cfg, || Box::new(NoMcMitigation), &reqs);
+    }
+
+    /// The word-straddling geometry under QoS token-bucket throttling.
+    #[test]
+    fn word_straddling_ranks_qos_matches(reqs in batches_over(120, 160), tokens in 0u64..3) {
+        assert_cores_agree_qos(
+            straddling_geometry(),
+            unblissed_rfm(),
+            || Box::new(NoMcMitigation),
+            aggressive_qos_with(tokens),
+            &reqs,
+        );
     }
 
     /// MC-side ARR mitigation injecting maintenance mid-stream.

@@ -1,5 +1,6 @@
 //! Shared last-level cache: set-associative, LRU, write-back/write-allocate
-//! with MSHR merging.
+//! with MSHR merging. Each set is a most-recently-used-first list of tag
+//! words; see "LLC set layout" in ARCHITECTURE.md.
 
 use mithril::fasthash::FastHashMap;
 
@@ -36,13 +37,6 @@ pub enum LlcAccess {
     MergedMiss,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    lru: u64,
-}
-
 /// The shared last-level cache.
 ///
 /// # Example
@@ -58,17 +52,18 @@ struct Line {
 /// ```
 #[derive(Debug)]
 pub struct Llc {
-    /// All lines in one flat arena, `ways` slots per set; `lens[set]` of
-    /// them are live. One contiguous block keeps the per-access tag scan
-    /// free of pointer-chasing — this is the hottest shared structure in
-    /// the system loop.
-    lines: Vec<Line>,
+    /// Every set's lines in one flat arena, `ways` words per set, of which
+    /// the first `lens[set]` are live, most recently used first. A word is
+    /// `tag << 1 | dirty` with `tag = line_addr >> set_shift`: the set
+    /// index is the arena position, so 8 bytes hold a whole line and one
+    /// 16-way set spans two host cache lines.
+    lines: Vec<u64>,
     lens: Vec<u8>,
     set_mask: u64,
+    set_shift: u32,
     ways: usize,
     /// Outstanding fills: line address → dirty-on-fill flag.
     mshr: FastHashMap<u64, bool>,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -78,40 +73,46 @@ impl Llc {
     ///
     /// # Panics
     ///
-    /// Panics if the set count is not a power of two or ways is zero.
+    /// Panics if the set count is not a power of two of at least 2 (the
+    /// dropped set bit is what makes room for the dirty bit), or ways is
+    /// zero or above 255.
     pub fn new(config: LlcConfig) -> Self {
         assert!(config.ways > 0, "ways must be non-zero");
         let sets = config.size_bytes / config.line_bytes / config.ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        assert!(sets >= 2, "at least two sets are needed");
         assert!(config.ways <= u8::MAX as usize, "ways must fit in u8");
         Self {
-            lines: vec![
-                Line {
-                    tag: 0,
-                    dirty: false,
-                    lru: 0,
-                };
-                sets * config.ways
-            ],
+            lines: vec![0; sets * config.ways],
             lens: vec![0; sets],
             set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
             ways: config.ways,
             mshr: FastHashMap::default(),
-            clock: 0,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// The set of `line_addr` and its tag.
+    #[inline]
+    fn locate(&self, line_addr: u64) -> (usize, u64) {
+        (
+            (line_addr & self.set_mask) as usize,
+            line_addr >> self.set_shift,
+        )
+    }
+
     /// Accesses `line_addr`; a write marks the line dirty.
     pub fn access(&mut self, line_addr: u64, is_write: bool) -> LlcAccess {
-        self.clock += 1;
-        let set = (line_addr & self.set_mask) as usize;
+        let (set, tag) = self.locate(line_addr);
         let base = set * self.ways;
         let live = &mut self.lines[base..base + self.lens[set] as usize];
-        if let Some(line) = live.iter_mut().find(|l| l.tag == line_addr) {
-            line.lru = self.clock;
-            line.dirty |= is_write;
+        if let Some(pos) = live.iter().position(|&w| w >> 1 == tag) {
+            // Move the hit to the front, keeping the rest in MRU order.
+            let hit = live[pos] | u64::from(is_write);
+            live.copy_within(..pos, 1);
+            live[0] = hit;
             self.hits += 1;
             return LlcAccess::Hit;
         }
@@ -128,36 +129,26 @@ impl Llc {
     /// that must be written back, if an eviction produced one.
     pub fn fill(&mut self, line_addr: u64) -> Option<u64> {
         let dirty = self.mshr.remove(&line_addr).unwrap_or(false);
-        let set = (line_addr & self.set_mask) as usize;
-        self.clock += 1;
+        let (set, tag) = self.locate(line_addr);
         let base = set * self.ways;
         let len = self.lens[set] as usize;
-        let live = &mut self.lines[base..base + len];
-        if live.iter().any(|l| l.tag == line_addr) {
+        if self.lines[base..base + len].iter().any(|&w| w >> 1 == tag) {
             return None; // already filled (rare double-fill)
         }
         let mut writeback = None;
-        let slot = if len == self.ways {
-            // Evict the LRU way (LRU stamps are unique, so this victim is
-            // the same one the nested-Vec layout would have picked).
-            let (victim_idx, victim) = live
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .expect("full set");
-            if victim.dirty {
-                writeback = Some(victim.tag);
+        let kept = if len == self.ways {
+            // Evict the least recently used way: the last one.
+            let victim = self.lines[base + len - 1];
+            if victim & 1 == 1 {
+                writeback = Some(((victim >> 1) << self.set_shift) | set as u64);
             }
-            base + victim_idx
+            len - 1
         } else {
             self.lens[set] += 1;
-            base + len
+            len
         };
-        self.lines[slot] = Line {
-            tag: line_addr,
-            dirty,
-            lru: self.clock,
-        };
+        self.lines.copy_within(base..base + kept, base + 1);
+        self.lines[base] = (tag << 1) | u64::from(dirty);
         writeback
     }
 

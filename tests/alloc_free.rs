@@ -9,34 +9,44 @@
 //! - The oracle walks the blast radius in place.
 //! - `System` recycles the emptied miss-waiter lists.
 //! - An all-bank REF returns its row range instead of a list.
+//!
+//! The same allocator also counts requested bytes, which pins the LLC
+//! model's footprint: one 8-byte tag word per line plus one length byte
+//! per set (see "LLC set layout" in ARCHITECTURE.md).
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mithril_repro::core::{MithrilConfig, MithrilScheme};
 use mithril_repro::dram::{AttackHarness, Ddr5Timing};
-use mithril_repro::sim::{Scheme, System, SystemConfig};
+use mithril_repro::sim::{Llc, LlcConfig, Scheme, System, SystemConfig};
 use mithril_repro::workloads::mix_high;
 
-/// Counts allocations (including reallocations) and forwards them to the
-/// system allocator.
+/// Counts allocations (including reallocations) and the bytes they
+/// request, and forwards them to the system allocator.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         SystemAlloc.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         SystemAlloc.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 
@@ -50,6 +60,23 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by building the Table III LLC, and its line and set
+/// counts.
+fn llc_footprint() -> (u64, u64, u64) {
+    let config = LlcConfig::default();
+    let lines = (config.size_bytes / config.line_bytes) as u64;
+    let sets = lines / config.ways as u64;
+    let before = bytes();
+    let llc = Llc::new(config);
+    let made = bytes() - before;
+    drop(llc);
+    (made, lines, sets)
 }
 
 /// Allocations and ACTs of a 32-sided hammer on a Mithril bank over one
@@ -93,6 +120,7 @@ fn per_act_hot_path_does_not_allocate() {
     // Measure both before asserting, so a failure reports both counts.
     let (harness_allocs, harness_acts) = harness_hammer();
     let (system_allocs, system_acts) = system_continuation();
+    let (llc_bytes, llc_lines, llc_sets) = llc_footprint();
     assert!(
         harness_acts > 500_000,
         "one tREFW is ~590k ACTs, got {harness_acts}"
@@ -107,4 +135,8 @@ fn per_act_hot_path_does_not_allocate() {
     );
     assert!(harness_allocs * 10_000 < harness_acts, "{report}");
     assert!(system_allocs * 1_000 < system_acts, "{report}");
+    assert!(
+        llc_bytes <= 8 * llc_lines + llc_sets,
+        "the {llc_lines}-line LLC requested {llc_bytes} B (limit 8 B per line + 1 B per set)"
+    );
 }
