@@ -56,8 +56,10 @@ mod scheme;
 mod table;
 
 /// Shared fast hashing for hot-path keyed lookups (re-export of
-/// [`mithril_fasthash`]): the multiply-fold [`fasthash::FastHashMap`]
-/// backing the table index, and the multiply-shift sketch hash family.
+/// [`mithril_fasthash`]): the open-addressed [`fasthash::RowIndex`]
+/// behind the table's row index, the multiply-fold
+/// [`fasthash::FastHashMap`] for keyed state off the per-ACT path, and
+/// the multiply-shift sketch hash family.
 pub mod fasthash {
     pub use mithril_fasthash::*;
 }

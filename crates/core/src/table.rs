@@ -38,7 +38,7 @@
 //! *identically* (see the property tests in `tests/wrapping.rs`).
 
 use mithril_dram::RowId;
-use mithril_fasthash::{fast_map_with_capacity, FastHashMap};
+use mithril_fasthash::RowIndex;
 use mithril_streamsummary::BucketList;
 
 /// A fixed-width, wrapping hardware counter.
@@ -237,7 +237,10 @@ pub struct Selection {
 pub struct MithrilTable<C: Counter = u16> {
     addrs: Vec<RowId>,
     counts: Vec<C>,
-    index: FastHashMap<RowId, u32>,
+    /// Valid row tag -> `slot + 1` (the index's value word is non-zero).
+    /// Sized for `capacity` rows at construction: every run that touches
+    /// more distinct rows than the table has entries fills it.
+    index: RowIndex<RowId>,
     /// The shared Stream-Summary bucket list over the slots.
     list: BucketList<C>,
     capacity: usize,
@@ -256,7 +259,7 @@ impl<C: Counter> MithrilTable<C> {
         Self {
             addrs: Vec::with_capacity(capacity),
             counts: Vec::with_capacity(capacity),
-            index: fast_map_with_capacity(capacity),
+            index: RowIndex::with_capacity(capacity),
             list: BucketList::with_capacity(capacity),
             capacity,
             evictions: 0,
@@ -301,18 +304,24 @@ impl<C: Counter> MithrilTable<C> {
             .diff(self.min_value())
     }
 
+    /// The slot holding `row`, if it occupies a table entry.
+    #[inline]
+    fn slot_of(&self, row: RowId) -> Option<u32> {
+        self.index.get(row).map(|v| v - 1)
+    }
+
     /// Estimated count of `row` above the table minimum (`0` for off-table
     /// rows: their estimate *is* the minimum).
     pub fn estimate_above_min(&self, row: RowId) -> u64 {
-        match self.index.get(&row) {
-            Some(&slot) => self.counts[slot as usize].diff(self.min_value()),
+        match self.slot_of(row) {
+            Some(slot) => self.counts[slot as usize].diff(self.min_value()),
             None => 0,
         }
     }
 
     /// True if `row` currently occupies a table entry.
     pub fn contains(&self, row: RowId) -> bool {
-        self.index.contains_key(&row)
+        self.index.contains(row)
     }
 
     /// Moves `slot` to the bucket for `value + 1`. O(1) via the shared
@@ -325,7 +334,7 @@ impl<C: Counter> MithrilTable<C> {
 
     /// Processes one ACT command (paper Fig. 5 steps ① and ②).
     pub fn on_activate(&mut self, row: RowId) {
-        if let Some(&slot) = self.index.get(&row) {
+        if let Some(slot) = self.slot_of(row) {
             self.increment(slot);
             return;
         }
@@ -333,7 +342,7 @@ impl<C: Counter> MithrilTable<C> {
             let slot = self.addrs.len() as u32;
             self.addrs.push(row);
             self.counts.push(C::zero().incremented());
-            self.index.insert(row, slot);
+            self.index.insert(row, slot + 1);
             self.list.push_slot();
             self.list
                 .place_fresh(slot, C::zero(), C::zero().incremented());
@@ -346,9 +355,9 @@ impl<C: Counter> MithrilTable<C> {
             .oldest_min_slot()
             .expect("full table is non-empty");
         let old = self.addrs[victim as usize];
-        self.index.remove(&old);
+        self.index.remove(old);
         self.addrs[victim as usize] = row;
-        self.index.insert(row, victim);
+        self.index.insert(row, victim + 1);
         self.evictions += 1;
         self.increment(victim);
     }
@@ -445,7 +454,7 @@ impl<C: Counter> MithrilTable<C> {
             return false;
         }
         let row = self.addrs[slot];
-        self.index.remove(&row);
+        self.index.remove(row);
         self.addrs[slot] = INVALID_ROW;
         true
     }
@@ -469,9 +478,9 @@ impl<C: Counter> MithrilTable<C> {
                 continue;
             }
             valid += 1;
-            match self.index.get(&row) {
-                Some(&s) if s as usize == slot => {}
-                Some(&s) => {
+            match self.slot_of(row) {
+                Some(s) if s as usize == slot => {}
+                Some(s) => {
                     return Err(format!(
                         "row {row}: index points at slot {s}, stored in {slot}"
                     ))
@@ -505,13 +514,10 @@ impl<C: Counter> MithrilTable<C> {
             if row == INVALID_ROW {
                 continue;
             }
-            match self.index.entry(row) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(slot as u32);
-                }
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    self.addrs[slot] = INVALID_ROW;
-                }
+            if self.index.contains(row) {
+                self.addrs[slot] = INVALID_ROW;
+            } else {
+                self.index.insert(row, slot as u32 + 1);
             }
         }
         let floor = if self.len() == self.capacity {

@@ -10,7 +10,7 @@
 //! The oracle is deliberately *not* a streaming algorithm — it is the ground
 //! truth the streaming trackers approximate.
 
-use mithril_fasthash::FastHashMap;
+use mithril_fasthash::RowIndex;
 
 use crate::types::RowId;
 
@@ -41,11 +41,50 @@ pub struct FlipEvent {
 /// assert!(victims(99, 1, 100).eq([98]));
 /// ```
 pub fn victims(aggressor: RowId, radius: u64, rows: u64) -> impl Iterator<Item = RowId> {
-    (1..=radius).flat_map(move |d| {
-        let below = aggressor.checked_sub(d);
-        let above = Some(aggressor + d).filter(|&r| r < rows);
-        below.into_iter().chain(above)
-    })
+    Victims {
+        aggressor,
+        radius,
+        rows,
+        d: 1,
+        below_done: false,
+    }
+}
+
+/// The walk behind [`victims`]. Hand-rolled because the oracle runs it
+/// on every ACT: a `flat_map` over `1..=radius` of two-option chains
+/// cost the oracle about a fifth of its per-ACT time.
+struct Victims {
+    aggressor: RowId,
+    radius: u64,
+    rows: u64,
+    /// The distance being walked.
+    d: u64,
+    /// Whether `aggressor − d` has been offered at distance `d`.
+    below_done: bool,
+}
+
+impl Iterator for Victims {
+    type Item = RowId;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowId> {
+        while self.d <= self.radius {
+            let d = self.d;
+            if !self.below_done {
+                self.below_done = true;
+                if let Some(below) = self.aggressor.checked_sub(d) {
+                    return Some(below);
+                }
+            }
+            self.below_done = false;
+            self.d += 1;
+            let above = self.aggressor + d;
+            if above < self.rows {
+                return Some(above);
+            }
+        }
+        None
+    }
 }
 
 /// Ground-truth per-victim disturbance tracking for one DRAM bank.
@@ -69,7 +108,9 @@ pub struct RowHammerOracle {
     flip_threshold: u64,
     blast_radius: u64,
     rows: u64,
-    disturbance: FastHashMap<RowId, u64>,
+    /// Disturbed row -> its disturbance (at least 1 while present). Rows
+    /// fit in `u32` ([`RowHammerOracle::new`] asserts it).
+    disturbance: RowIndex<u32>,
     max_observed: u64,
     total_acts: u64,
     flips: Vec<FlipEvent>,
@@ -82,16 +123,18 @@ impl RowHammerOracle {
     ///
     /// # Panics
     ///
-    /// Panics if `flip_threshold`, `blast_radius` or `rows` is zero.
+    /// Panics if `flip_threshold`, `blast_radius` or `rows` is zero, or if
+    /// `rows` exceeds `2^32`.
     pub fn new(flip_threshold: u64, blast_radius: u64, rows: u64) -> Self {
         assert!(flip_threshold > 0, "flip_threshold must be non-zero");
         assert!(blast_radius > 0, "blast_radius must be non-zero");
         assert!(rows > 0, "rows must be non-zero");
+        assert!(rows <= 1 << 32, "rows must fit in u32");
         Self {
             flip_threshold,
             blast_radius,
             rows,
-            disturbance: FastHashMap::default(),
+            disturbance: RowIndex::new(),
             max_observed: 0,
             total_acts: 0,
             flips: Vec::new(),
@@ -113,16 +156,15 @@ impl RowHammerOracle {
         assert!(aggressor < self.rows, "row {aggressor} out of range");
         self.total_acts += 1;
         for victim in victims(aggressor, self.blast_radius, self.rows) {
-            let d = self.disturbance.entry(victim).or_insert(0);
-            *d += 1;
-            if *d > self.max_observed {
-                self.max_observed = *d;
+            let d = self.disturbance.increment(victim as u32) as u64;
+            if d > self.max_observed {
+                self.max_observed = d;
             }
-            if *d == self.flip_threshold {
+            if d == self.flip_threshold {
                 self.flips.push(FlipEvent {
                     victim,
                     aggressor,
-                    disturbance: *d,
+                    disturbance: d,
                 });
             }
         }
@@ -132,17 +174,16 @@ impl RowHammerOracle {
     /// a preventive refresh naming it as the victim): its accumulated
     /// disturbance is cleared.
     pub fn on_row_refreshed(&mut self, row: RowId) {
-        self.disturbance.remove(&row);
+        if row < self.rows {
+            self.disturbance.remove(row as u32);
+        }
     }
 
-    /// Convenience: refresh every row in `lo..hi` (an auto-refresh group).
+    /// Convenience: refresh every row in `lo..hi` (an auto-refresh group,
+    /// `rows_per_ref` rows long). Rows past the bank are ignored.
     pub fn on_rows_refreshed(&mut self, lo: RowId, hi: RowId) {
-        if hi.saturating_sub(lo) < self.disturbance.len() as u64 {
-            for row in lo..hi {
-                self.disturbance.remove(&row);
-            }
-        } else {
-            self.disturbance.retain(|&r, _| r < lo || r >= hi);
+        for row in lo..hi.min(self.rows) {
+            self.disturbance.remove(row as u32);
         }
     }
 
@@ -150,13 +191,16 @@ impl RowHammerOracle {
     /// its potential victims (the rows within the blast radius).
     pub fn on_neighbors_refreshed(&mut self, aggressor: RowId) {
         for victim in victims(aggressor, self.blast_radius, self.rows) {
-            self.disturbance.remove(&victim);
+            self.disturbance.remove(victim as u32);
         }
     }
 
     /// Current disturbance of `row` (0 if never disturbed or refreshed).
     pub fn disturbance(&self, row: RowId) -> u64 {
-        self.disturbance.get(&row).copied().unwrap_or(0)
+        if row >= self.rows {
+            return 0;
+        }
+        self.disturbance.get(row as u32).map_or(0, u64::from)
     }
 
     /// High-water mark of any victim's disturbance since construction.
@@ -169,7 +213,11 @@ impl RowHammerOracle {
 
     /// Current (not high-water) maximum disturbance across victims.
     pub fn current_max_disturbance(&self) -> u64 {
-        self.disturbance.values().copied().max().unwrap_or(0)
+        self.disturbance
+            .iter()
+            .map(|(_, d)| u64::from(d))
+            .max()
+            .unwrap_or(0)
     }
 
     /// All bit flips detected so far.

@@ -1,13 +1,18 @@
 //! Shared fast hashing for the hot paths of the reproduction.
 //!
-//! Every DRAM activation updates at least one keyed lookup (the Mithril
-//! table index, the disturbance oracle, tracker tables, the simulator's
-//! MSHR maps), so hashing cost is a first-order term of simulation
-//! throughput. `std`'s default `HashMap` hasher is SipHash-1-3 — a keyed
+//! Every DRAM activation updates a few keyed lookups, so their cost is a
+//! first-order term of simulation throughput. The per-ACT ones — the
+//! Mithril table's row index, the Space-Saving tracker's item index and
+//! the disturbance oracle's per-victim counts — are [`RowIndex`]es: small
+//! open-addressed tables with linear probing from a Fibonacci-hashed home
+//! slot, with the empty marker in the value word so no key is reserved. Everything else keyed (the LLC's MSHR, the
+//! simulator's miss waiters, trace statistics, baseline side tables)
+//! stays in a `HashMap`. `std`'s default hasher is SipHash-1-3 — a keyed
 //! DoS-resistant hash that costs tens of cycles per `u64`. None of these
 //! structures face attacker-controlled keys across a trust boundary (they
-//! model *hardware CAMs*), so this crate provides two cheaper families:
+//! model *hardware CAMs*), so this crate provides cheaper families:
 //!
+//! * [`RowIndex`] — the open-addressed row index of the per-ACT tables.
 //! * [`FxHasher64`] / [`FastHashMap`] — a multiply-fold hasher in the
 //!   FxHash/multiply-shift tradition for `HashMap`-style containers: one
 //!   XOR + one multiply + one rotate per 8-byte word.
@@ -16,15 +21,19 @@
 //!   Count-Min Sketch and counting Bloom filters; this is the hash family
 //!   hardware sketches implement.
 //!
-//! Both are seeded/finalized through [`splitmix64`] so that the
+//! The hashers are seeded/finalized through [`splitmix64`] so that the
 //! near-sequential row addresses DRAM workloads produce do not collide
 //! systematically.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+
+mod index;
+
+pub use index::{IndexKey, RowIndex};
 
 /// One round of the splitmix64 mixing function.
 ///
@@ -151,19 +160,6 @@ pub type BuildFastHasher = BuildHasherDefault<FxHasher64>;
 /// A `HashMap` keyed through [`FxHasher64`]; drop-in for `std::HashMap`.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildFastHasher>;
 
-/// A `HashSet` keyed through [`FxHasher64`]; drop-in for `std::HashSet`.
-pub type FastHashSet<T> = HashSet<T, BuildFastHasher>;
-
-/// Creates an empty [`FastHashMap`] with room for `capacity` entries.
-pub fn fast_map_with_capacity<K, V>(capacity: usize) -> FastHashMap<K, V> {
-    FastHashMap::with_capacity_and_hasher(capacity, BuildFastHasher::default())
-}
-
-/// Creates an empty [`FastHashSet`] with room for `capacity` entries.
-pub fn fast_set_with_capacity<T>(capacity: usize) -> FastHashSet<T> {
-    FastHashSet::with_capacity_and_hasher(capacity, BuildFastHasher::default())
-}
-
 /// A member of the multiply-shift universal hash family.
 ///
 /// Maps a `u64` key to a bucket in `[0, 2^out_bits)`. 2-universal for
@@ -221,10 +217,11 @@ impl MultiplyShiftHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn fast_map_behaves_like_hashmap() {
-        let mut m: FastHashMap<u64, u64> = fast_map_with_capacity(16);
+        let mut m: FastHashMap<u64, u64> = FastHashMap::default();
         for i in 0..1000u64 {
             m.insert(i, i * 2);
         }
@@ -239,7 +236,7 @@ mod tests {
     fn hasher_spreads_sequential_keys() {
         use std::hash::BuildHasher;
         let b = BuildFastHasher::default();
-        let mut tops: FastHashSet<u8> = FastHashSet::default();
+        let mut tops: HashSet<u8, BuildFastHasher> = HashSet::default();
         for k in 0u64..256 {
             tops.insert((b.hash_one(k) >> 57) as u8);
         }
@@ -298,7 +295,7 @@ mod tests {
 
     #[test]
     fn seed_derivation_does_not_collide_over_small_grid() {
-        let mut seen = FastHashSet::default();
+        let mut seen: HashSet<u64, BuildFastHasher> = HashSet::default();
         for base in 0..4u64 {
             for shard in 0..16u64 {
                 for offset in 0..16u64 {

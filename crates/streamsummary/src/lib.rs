@@ -37,6 +37,23 @@ struct Bucket<V> {
     tail: u32,
 }
 
+/// One slot's links: its neighbours within the owning bucket's sub-list
+/// and the owning bucket, kept together so a slot move touches one record.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+    bucket: u32,
+}
+
+impl Link {
+    const UNPLACED: Self = Self {
+        prev: NIL,
+        next: NIL,
+        bucket: NIL,
+    };
+}
+
 /// The bucket list over `V`-valued slots.
 ///
 /// `V` only needs `Copy + Eq`; the caller supplies every new value
@@ -45,10 +62,7 @@ struct Bucket<V> {
 #[derive(Debug, Clone)]
 pub struct BucketList<V> {
     /// Per-slot links within the owning bucket's sub-list.
-    ent_prev: Vec<u32>,
-    ent_next: Vec<u32>,
-    /// Per-slot owning bucket.
-    ent_bucket: Vec<u32>,
+    links: Vec<Link>,
     /// Bucket arena; `free` recycles unlinked nodes, so at most
     /// `slots + 1` arena nodes ever exist.
     buckets: Vec<Bucket<V>>,
@@ -63,9 +77,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// Creates an empty list with room for `capacity` slots.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            ent_prev: Vec::with_capacity(capacity),
-            ent_next: Vec::with_capacity(capacity),
-            ent_bucket: Vec::with_capacity(capacity),
+            links: Vec::with_capacity(capacity),
             buckets: Vec::with_capacity(capacity + 1),
             free: Vec::new(),
             head_bucket: NIL,
@@ -78,9 +90,7 @@ impl<V: Copy + Eq> BucketList<V> {
     ///
     /// [`place_fresh`]: BucketList::place_fresh
     pub fn push_slot(&mut self) {
-        self.ent_prev.push(NIL);
-        self.ent_next.push(NIL);
-        self.ent_bucket.push(NIL);
+        self.links.push(Link::UNPLACED);
     }
 
     /// The minimum value over all occupied slots, if any.
@@ -117,9 +127,7 @@ impl<V: Copy + Eq> BucketList<V> {
 
     /// Forgets all buckets and slots (allocations are kept).
     pub fn clear(&mut self) {
-        self.ent_prev.clear();
-        self.ent_next.clear();
-        self.ent_bucket.clear();
+        self.links.clear();
         self.buckets.clear();
         self.free.clear();
         self.head_bucket = NIL;
@@ -191,12 +199,14 @@ impl<V: Copy + Eq> BucketList<V> {
     /// selection and eviction take from the front).
     fn push_entry_tail(&mut self, b: u32, slot: u32) {
         let tail = self.buckets[b as usize].tail;
-        self.ent_prev[slot as usize] = tail;
-        self.ent_next[slot as usize] = NIL;
-        self.ent_bucket[slot as usize] = b;
+        self.links[slot as usize] = Link {
+            prev: tail,
+            next: NIL,
+            bucket: b,
+        };
         match tail {
             NIL => self.buckets[b as usize].head = slot,
-            t => self.ent_next[t as usize] = slot,
+            t => self.links[t as usize].next = slot,
         }
         self.buckets[b as usize].tail = slot;
     }
@@ -204,15 +214,15 @@ impl<V: Copy + Eq> BucketList<V> {
     /// Removes `slot` from its bucket's sub-list (bucket stays linked even
     /// if it becomes empty; callers unlink it afterwards).
     fn detach_entry(&mut self, slot: u32) {
-        let b = self.ent_bucket[slot as usize] as usize;
-        let (prev, next) = (self.ent_prev[slot as usize], self.ent_next[slot as usize]);
+        let Link { prev, next, bucket } = self.links[slot as usize];
+        let b = bucket as usize;
         match prev {
             NIL => self.buckets[b].head = next,
-            p => self.ent_next[p as usize] = next,
+            p => self.links[p as usize].next = next,
         }
         match next {
             NIL => self.buckets[b].tail = prev,
-            n => self.ent_prev[n as usize] = prev,
+            n => self.links[n as usize].prev = prev,
         }
     }
 
@@ -220,11 +230,21 @@ impl<V: Copy + Eq> BucketList<V> {
 
     /// Moves `slot` from its bucket to the bucket for `successor` (its
     /// value plus one, in the caller's arithmetic), creating that bucket
-    /// next to the current one if absent. O(1).
+    /// next to the current one if absent — or, when `slot` is alone in
+    /// its bucket, relabelling that bucket to `successor`. O(1).
     pub fn advance(&mut self, slot: u32, successor: V) {
-        let b = self.ent_bucket[slot as usize];
-        let nb = self.buckets[b as usize].next;
-        let target = if nb != NIL && self.buckets[nb as usize].value == successor {
+        let b = self.links[slot as usize].bucket;
+        let bucket = self.buckets[b as usize];
+        let nb = bucket.next;
+        let joins_next = nb != NIL && self.buckets[nb as usize].value == successor;
+        if !joins_next && bucket.head == bucket.tail {
+            // The slot is alone in its bucket and no bucket holds the
+            // successor yet: relabel the bucket in place. It still sits
+            // between its neighbours in order, so no link changes.
+            self.buckets[b as usize].value = successor;
+            return;
+        }
+        let target = if joins_next {
             nb
         } else {
             let t = self.alloc_bucket(successor);
@@ -242,7 +262,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// below every occupied value), creating it at the front if absent.
     /// This is the decrement-to-min of the greedy RFM step. O(1).
     pub fn drop_to_floor(&mut self, slot: u32, floor: V) {
-        let b = self.ent_bucket[slot as usize];
+        let b = self.links[slot as usize].bucket;
         self.detach_entry(slot);
         let head = self.head_bucket;
         if head != NIL && self.buckets[head as usize].value == floor {
@@ -261,7 +281,7 @@ impl<V: Copy + Eq> BucketList<V> {
 
     /// Registered slots (occupied or not yet placed).
     pub fn slot_count(&self) -> usize {
-        self.ent_bucket.len()
+        self.links.len()
     }
 
     /// Verifies every structural invariant of the list against the
@@ -275,7 +295,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// 1. the bucket chain is doubly linked, starts at `head_bucket`,
     ///    ends at `tail_bucket`, and bucket keys strictly increase;
     /// 2. every bucket's slot sub-list is doubly linked, non-empty and
-    ///    consistent with the per-slot `ent_*` links;
+    ///    consistent with the per-slot links;
     /// 3. every registered slot appears in exactly one sub-list;
     /// 4. every slot's bucket value equals `value_of(slot)` — the check
     ///    that catches a soft error flipping a stored counter bit.
@@ -287,7 +307,7 @@ impl<V: Copy + Eq> BucketList<V> {
         value_of: impl Fn(u32) -> V,
         key_of: impl Fn(V) -> u64,
     ) -> Result<(), String> {
-        let slots = self.ent_bucket.len();
+        let slots = self.links.len();
         let mut seen = vec![false; slots];
         let mut visited_buckets = 0usize;
         let mut prev_bucket = NIL;
@@ -324,17 +344,18 @@ impl<V: Copy + Eq> BucketList<V> {
                     return Err(format!("slot {s}: linked twice"));
                 }
                 seen[si] = true;
-                if self.ent_bucket[si] != b {
-                    return Err(format!("slot {s}: ent_bucket disagrees with chain"));
+                let link = self.links[si];
+                if link.bucket != b {
+                    return Err(format!("slot {s}: owning bucket disagrees with chain"));
                 }
-                if self.ent_prev[si] != prev_slot {
+                if link.prev != prev_slot {
                     return Err(format!("slot {s}: prev link broken"));
                 }
                 if value_of(s) != bucket.value {
                     return Err(format!("slot {s}: stored value disagrees with its bucket"));
                 }
                 prev_slot = s;
-                s = self.ent_next[si];
+                s = link.next;
             }
             if bucket.tail != prev_slot {
                 return Err(format!("bucket {b}: tail link broken"));
@@ -368,16 +389,14 @@ impl<V: Copy + Eq> BucketList<V> {
     ///
     /// [`self_check`]: BucketList::self_check
     pub fn rebuild(&mut self, value_of: impl Fn(u32) -> V, key_of: impl Fn(V) -> u64) {
-        let slots = self.ent_bucket.len();
+        let slots = self.links.len();
         let mut order: Vec<u32> = (0..slots as u32).collect();
         order.sort_unstable_by_key(|&s| (key_of(value_of(s)), s));
         self.buckets.clear();
         self.free.clear();
         self.head_bucket = NIL;
         self.tail_bucket = NIL;
-        for s in &mut self.ent_bucket {
-            *s = NIL;
-        }
+        self.links.fill(Link::UNPLACED);
         for slot in order {
             let v = value_of(slot);
             let tail = self.tail_bucket;
@@ -510,13 +529,10 @@ mod tests {
         for _ in 0..1000 {
             h.bump(a);
         }
-        // One occupied slot → one live bucket, arena recycled throughout.
+        // One occupied slot → one live bucket, relabelled in place on
+        // every bump, so the arena never grows past its first node.
         assert_eq!(h.list.bucket_count(), 1);
-        assert!(
-            h.list.buckets.len() <= 3,
-            "arena grew: {}",
-            h.list.buckets.len()
-        );
+        assert_eq!(h.list.buckets.len(), 1, "arena grew");
     }
 
     #[test]

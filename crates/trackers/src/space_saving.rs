@@ -31,7 +31,7 @@
 //! retains the O(capacity) linear-scan implementation of the same policy
 //! for differential testing (`tests/differential.rs`) and benchmarking.
 
-use mithril_fasthash::{fast_map_with_capacity, FastHashMap};
+use mithril_fasthash::RowIndex;
 use mithril_streamsummary::BucketList;
 
 use crate::FrequencyTracker;
@@ -82,8 +82,8 @@ pub struct TrackedEntry {
 pub struct SpaceSaving {
     items: Vec<u64>,
     counts: Vec<u64>,
-    /// item -> slot index
-    index: FastHashMap<u64, u32>,
+    /// Valid item tag -> `slot + 1` (the index's value word is non-zero).
+    index: RowIndex<u64>,
     /// The shared Stream-Summary bucket list over the slots.
     list: BucketList<u64>,
     capacity: usize,
@@ -103,12 +103,18 @@ impl SpaceSaving {
         Self {
             items: Vec::with_capacity(capacity),
             counts: Vec::with_capacity(capacity),
-            index: fast_map_with_capacity(capacity),
+            index: RowIndex::new(),
             list: BucketList::with_capacity(capacity),
             capacity,
             total_recorded: 0,
             evictions: 0,
         }
+    }
+
+    /// The slot holding `item`, if it is tracked.
+    #[inline]
+    fn slot_of(&self, item: u64) -> Option<u32> {
+        self.index.get(item).map(|v| v - 1)
     }
 
     /// Moves `slot` to the bucket for `count + 1`. O(1) via the shared
@@ -124,7 +130,7 @@ impl SpaceSaving {
     /// Records `item` and reports what happened to the table.
     pub fn record_outcome(&mut self, item: u64) -> RecordOutcome {
         self.total_recorded += 1;
-        if let Some(&slot) = self.index.get(&item) {
+        if let Some(slot) = self.slot_of(item) {
             self.increment(slot);
             return RecordOutcome::Hit;
         }
@@ -132,7 +138,7 @@ impl SpaceSaving {
             let slot = self.items.len() as u32;
             self.items.push(item);
             self.counts.push(1);
-            self.index.insert(item, slot);
+            self.index.insert(item, slot + 1);
             self.list.push_slot();
             self.list.place_fresh(slot, 0, 1);
             return RecordOutcome::Inserted;
@@ -143,9 +149,9 @@ impl SpaceSaving {
             .oldest_min_slot()
             .expect("full table is non-empty");
         let evicted = self.items[victim as usize];
-        self.index.remove(&evicted);
+        self.index.remove(evicted);
         self.items[victim as usize] = item;
-        self.index.insert(item, victim);
+        self.index.insert(item, victim + 1);
         self.evictions += 1;
         self.increment(victim);
         RecordOutcome::Evicted(evicted)
@@ -195,7 +201,7 @@ impl SpaceSaving {
     /// after a refresh the actual count is 0, and the entry may still "owe"
     /// up to `min` counts inherited from evictions.
     pub fn reset_to_min(&mut self, item: u64) -> bool {
-        let Some(&slot) = self.index.get(&item) else {
+        let Some(slot) = self.slot_of(item) else {
             return false;
         };
         let floor = self.min_count();
@@ -241,9 +247,7 @@ impl SpaceSaving {
 
     /// Returns the tracked count for `item`, or `None` if off-table.
     pub fn tracked_count(&self, item: u64) -> Option<u64> {
-        self.index
-            .get(&item)
-            .map(|&slot| self.counts[slot as usize])
+        self.slot_of(item).map(|slot| self.counts[slot as usize])
     }
 
     // ------------------------------------------------------ fault surface
@@ -282,7 +286,7 @@ impl SpaceSaving {
             return false;
         }
         let item = self.items[slot];
-        self.index.remove(&item);
+        self.index.remove(item);
         self.items[slot] = INVALID_ITEM;
         true
     }
@@ -299,9 +303,9 @@ impl SpaceSaving {
                 continue;
             }
             valid += 1;
-            match self.index.get(&item) {
-                Some(&s) if s as usize == slot => {}
-                Some(&s) => {
+            match self.slot_of(item) {
+                Some(s) if s as usize == slot => {}
+                Some(s) => {
                     return Err(format!(
                         "item {item}: index points at slot {s}, stored in {slot}"
                     ))
@@ -329,13 +333,10 @@ impl SpaceSaving {
             if item == INVALID_ITEM {
                 continue;
             }
-            match self.index.entry(item) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(slot as u32);
-                }
-                std::collections::hash_map::Entry::Occupied(_) => {
-                    self.items[slot] = INVALID_ITEM;
-                }
+            if self.index.contains(item) {
+                self.items[slot] = INVALID_ITEM;
+            } else {
+                self.index.insert(item, slot as u32 + 1);
             }
         }
         let counts = &self.counts;
@@ -349,8 +350,8 @@ impl FrequencyTracker for SpaceSaving {
     }
 
     fn estimate(&self, item: u64) -> u64 {
-        match self.index.get(&item) {
-            Some(&slot) => self.counts[slot as usize],
+        match self.slot_of(item) {
+            Some(slot) => self.counts[slot as usize],
             None => self.min_count(),
         }
     }

@@ -12,26 +12,36 @@
 //!
 //! The same allocator also counts requested bytes, which pins the LLC
 //! model's footprint: one 8-byte tag word per line plus one length byte
-//! per set (see "LLC set layout" in ARCHITECTURE.md).
+//! per set (see "LLC set layout" in ARCHITECTURE.md). It subtracts freed
+//! bytes too, which pins the live footprint of a filled Mithril table
+//! (see "Hashing" in ARCHITECTURE.md): its row index grows on demand and
+//! must stay within what the pre-sized hash map it replaced held.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mithril_repro::core::{MithrilConfig, MithrilScheme};
+use mithril_repro::core::{MithrilConfig, MithrilScheme, MithrilTable};
 use mithril_repro::dram::{AttackHarness, Ddr5Timing};
 use mithril_repro::sim::{Llc, LlcConfig, Scheme, System, SystemConfig};
 use mithril_repro::workloads::mix_high;
 
 /// Counts allocations (including reallocations) and the bytes they
-/// request, and forwards them to the system allocator.
+/// request, tracks the bytes live (requested minus freed), and forwards
+/// every call to the system allocator.
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 fn count(bytes: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    LIVE.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+fn free(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for Counting {
@@ -47,10 +57,12 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        free(layout.size());
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        free(layout.size());
         SystemAlloc.dealloc(ptr, layout)
     }
 }
@@ -64,6 +76,29 @@ fn allocs() -> u64 {
 
 fn bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
+}
+
+fn live() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// `Nentry` of the Mithril+ configuration the `System` runs below use
+/// (FlipTH 6,250, RFM_TH 64, AdTH 200), and the live heap bytes of a
+/// table of that size with every entry occupied.
+fn table_footprint() -> (usize, u64) {
+    let t = Ddr5Timing::ddr5_4800();
+    let nentry = MithrilConfig::solve(6_250, 64, 1, Some(200), &t)
+        .unwrap()
+        .nentry;
+    let before = live();
+    let mut table: MithrilTable = MithrilTable::new(nentry);
+    for row in 0..nentry as u64 {
+        table.on_activate(1_000 + 2 * row);
+    }
+    let held = live() - before;
+    assert_eq!(table.len(), nentry);
+    drop(table);
+    (nentry, held)
 }
 
 /// Bytes requested by building the Table III LLC, and its line and set
@@ -121,6 +156,7 @@ fn per_act_hot_path_does_not_allocate() {
     let (harness_allocs, harness_acts) = harness_hammer();
     let (system_allocs, system_acts) = system_continuation();
     let (llc_bytes, llc_lines, llc_sets) = llc_footprint();
+    let (nentry, table_bytes) = table_footprint();
     assert!(
         harness_acts > 500_000,
         "one tREFW is ~590k ACTs, got {harness_acts}"
@@ -138,5 +174,10 @@ fn per_act_hot_path_does_not_allocate() {
     assert!(
         llc_bytes <= 8 * llc_lines + llc_sets,
         "the {llc_lines}-line LLC requested {llc_bytes} B (limit 8 B per line + 1 B per set)"
+    );
+    assert_eq!(nentry, 225, "the Mithril+ configuration changed");
+    assert!(
+        table_bytes <= 18_190,
+        "a full {nentry}-entry table holds {table_bytes} live heap bytes (limit 18,190 B)"
     );
 }
