@@ -16,10 +16,14 @@
 //! writer (`render_report`): rates as whole ops/s, speedups to two
 //! decimals.
 //!
-//! The workload is the `table_hot_path` criterion stream: 30% hot-row hits,
+//! Any other argument, or `--out` without a path, prints usage and exits
+//! with status 2 before anything is measured or written.
+//!
+//! The table workload is a fixed xorshift ACT stream: 30% hot-row hits,
 //! 70% cold misses over a 4×K row universe, one RFM every 64 ACTs — the
 //! same mix the simulator's activation path produces under mix-high.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use mithril::{MithrilTable, NaiveTable};
@@ -296,15 +300,21 @@ fn bench_obs() -> Json {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_table.json".to_string());
-    let with_obs = args.iter().any(|a| a == "--obs");
+fn main() -> ExitCode {
+    let mut out_path = String::from("BENCH_table.json");
+    let mut with_obs = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let value = (arg == "--out").then(|| args.next()).flatten();
+        match (arg.as_str(), value) {
+            ("--obs", None) => with_obs = true,
+            ("--out", Some(path)) => out_path = path,
+            _ => {
+                eprintln!("usage: perf_report [--out PATH] [--obs]");
+                return ExitCode::from(2);
+            }
+        }
+    }
 
     // Members evaluate in order, so the sections print in report order.
     let mut report = json_obj! {
@@ -320,7 +330,10 @@ fn main() {
     if with_obs {
         report.push("obs_summary", bench_obs());
     }
-    std::fs::write(&out_path, report.render_report())
-        .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
+    if let Err(e) = std::fs::write(&out_path, report.render_report()) {
+        eprintln!("cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
     println!("\nwrote {out_path}");
+    ExitCode::SUCCESS
 }

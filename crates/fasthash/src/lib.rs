@@ -17,9 +17,9 @@
 //!   FxHash/multiply-shift tradition for `HashMap`-style containers: one
 //!   XOR + one multiply + one rotate per 8-byte word.
 //! * [`MultiplyShiftHasher`] — the 2-universal multiply-shift family
-//!   (Dietzfelbinger et al.) for power-of-two sketch ranges, used by the
-//!   Count-Min Sketch and counting Bloom filters; this is the hash family
-//!   hardware sketches implement.
+//!   (Dietzfelbinger et al.) for power-of-two sketch ranges, used by
+//!   BlockHammer's counting Bloom filter; this is the hash family hardware
+//!   sketches implement.
 //!
 //! The hashers are seeded/finalized through [`splitmix64`] so that the
 //! near-sequential row addresses DRAM workloads produce do not collide
@@ -272,6 +272,18 @@ mod tests {
         assert!(
             differing > 900,
             "seeds should give mostly different buckets"
+        );
+    }
+
+    #[test]
+    fn multiply_shift_spreads_sequential_keys() {
+        // Row addresses arrive sequentially; the finalizer must spread them.
+        let h = MultiplyShiftHasher::new(3, 8);
+        let buckets: HashSet<usize> = (0..256u64).map(|key| h.bucket(key)).collect();
+        assert!(
+            buckets.len() > 128,
+            "sequential keys collapsed into {} buckets",
+            buckets.len()
         );
     }
 

@@ -1,6 +1,6 @@
 //! QoS campaign acceptance and determinism pins.
 //!
-//! The acceptance criterion of the multi-tenant QoS layer: on the
+//! The acceptance test of the multi-tenant QoS layer: on the
 //! noisy-neighbor tenancy mix under Mithril, turning throttling on must
 //! improve the victims' tail latency *and* the activations fairness
 //! ratio at equal flip safety — and the campaign report proving it must

@@ -41,7 +41,7 @@ pub use llc::{Llc, LlcAccess, LlcConfig};
 pub use metrics::{geomean, ChannelMetrics, Metrics};
 pub use system::{ObsConfig, Scheme, System, SystemConfig};
 
-// Re-exported so benches and the runner can select the controller's
+// Re-exported so perf_report and the runner can select the controller's
 // scheduler core and configure the QoS throttling layer without a
 // direct memctrl dependency.
 pub use mithril_memctrl::{

@@ -1,98 +1,19 @@
-//! Count-Min Sketch and counting Bloom filters.
+//! Counting Bloom filters.
 //!
 //! BlockHammer (HPCA 2021) tracks row activation rates with a pair of
 //! *counting Bloom filters* (CBFs), which the Mithril paper classifies as a
-//! Count-Min-Sketch-style streaming algorithm (Table I). Both structures
-//! over-approximate counts (never undercount) but have **no useful upper
-//! bound**, which is why they can only drive throttling remedies, not
+//! Count-Min-Sketch-style streaming algorithm (Table I). A CBF
+//! over-approximates counts (never undercounts) but has **no useful upper
+//! bound**, which is why it can only drive throttling remedies, not
 //! refresh-based ones (paper Section III-C).
 
-use crate::hash::MultiplyShiftHasher;
 use crate::FrequencyTracker;
-
-/// Count-Min Sketch: `depth` independent rows of `2^width_bits` counters.
-///
-/// `estimate` returns the minimum over the `depth` hashed counters, an upper
-/// bound on the true count.
-///
-/// # Example
-///
-/// ```
-/// use mithril_trackers::{CountMinSketch, FrequencyTracker};
-///
-/// let mut s = CountMinSketch::new(4, 10, 42);
-/// for _ in 0..25 {
-///     s.record(1234);
-/// }
-/// assert!(s.estimate(1234) >= 25);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CountMinSketch {
-    rows: Vec<Vec<u64>>,
-    hashers: Vec<MultiplyShiftHasher>,
-}
-
-impl CountMinSketch {
-    /// Creates a sketch with `depth` rows of `2^width_bits` counters each,
-    /// hash functions seeded from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or `width_bits` is not in `1..=63`.
-    pub fn new(depth: usize, width_bits: u32, seed: u64) -> Self {
-        assert!(depth > 0, "depth must be non-zero");
-        let hashers: Vec<_> = (0..depth)
-            .map(|i| MultiplyShiftHasher::new(seed.wrapping_add(i as u64), width_bits))
-            .collect();
-        let width = 1usize << width_bits;
-        Self {
-            rows: vec![vec![0; width]; depth],
-            hashers,
-        }
-    }
-
-    /// Number of rows (independent hash functions).
-    pub fn depth(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.rows[0].len()
-    }
-}
-
-impl FrequencyTracker for CountMinSketch {
-    fn record(&mut self, item: u64) {
-        for (row, h) in self.rows.iter_mut().zip(&self.hashers) {
-            row[h.bucket(item)] += 1;
-        }
-    }
-
-    fn estimate(&self, item: u64) -> u64 {
-        self.rows
-            .iter()
-            .zip(&self.hashers)
-            .map(|(row, h)| row[h.bucket(item)])
-            .min()
-            .expect("depth > 0")
-    }
-
-    fn counter_slots(&self) -> usize {
-        self.depth() * self.width()
-    }
-
-    fn clear(&mut self) {
-        for row in &mut self.rows {
-            row.fill(0);
-        }
-    }
-}
+use mithril_fasthash::MultiplyShiftHasher;
 
 /// A counting Bloom filter: one array of counters, `k` hash functions.
 ///
-/// This is the exact structure BlockHammer instantiates (one array shared by
-/// all hash functions, unlike the per-row arrays of [`CountMinSketch`]).
+/// This is the exact structure BlockHammer instantiates: one array shared by
+/// all hash functions, where a Count-Min Sketch gives each its own row.
 ///
 /// # Example
 ///
@@ -185,33 +106,6 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
-    fn cms_never_undercounts() {
-        let mut s = CountMinSketch::new(4, 8, 1);
-        let mut exact: HashMap<u64, u64> = HashMap::new();
-        for i in 0..10_000u64 {
-            let item = (i * 31) % 500;
-            s.record(item);
-            *exact.entry(item).or_insert(0) += 1;
-        }
-        for (&x, &actual) in &exact {
-            assert!(s.estimate(x) >= actual);
-        }
-    }
-
-    #[test]
-    fn cms_is_reasonably_tight_for_hot_items() {
-        let mut s = CountMinSketch::new(4, 12, 99);
-        for _ in 0..1_000 {
-            s.record(42);
-        }
-        for i in 0..1_000u64 {
-            s.record(i + 100);
-        }
-        let est = s.estimate(42);
-        assert!((1_000..=1_200).contains(&est), "estimate {est} too loose");
-    }
-
-    #[test]
     fn cbf_never_undercounts() {
         let mut f = CountingBloomFilter::new(8, 4, 3);
         let mut exact: HashMap<u64, u64> = HashMap::new();
@@ -258,23 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_both() {
-        let mut s = CountMinSketch::new(2, 4, 0);
+    fn clear_resets() {
         let mut f = CountingBloomFilter::new(4, 2, 0);
-        s.record(9);
         f.record(9);
-        s.clear();
         f.clear();
-        assert_eq!(s.estimate(9), 0);
         assert_eq!(f.estimate(9), 0);
     }
 
     #[test]
     fn geometry_accessors() {
-        let s = CountMinSketch::new(3, 5, 0);
-        assert_eq!(s.depth(), 3);
-        assert_eq!(s.width(), 32);
-        assert_eq!(s.counter_slots(), 96);
         let f = CountingBloomFilter::new(6, 4, 0);
         assert_eq!(f.num_counters(), 64);
         assert_eq!(f.num_hashes(), 4);

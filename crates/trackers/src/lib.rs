@@ -9,11 +9,12 @@
 //!   Misra–Gries / Metwally et al., the building block of **Mithril** and
 //!   **Graphene**. Provides both a lower bound and an upper bound on the true
 //!   count (inequalities (1) and (2) in the paper).
-//! * [`LossyCounting`] — the algorithm behind **TWiCe**. Also two-sided, but
-//!   needs a larger table for the same error (paper Fig. 6).
-//! * [`CountMinSketch`] and [`CountingBloomFilter`] — one-sided
-//!   over-approximations used by **BlockHammer**.
+//! * [`CountingBloomFilter`] — the one-sided, Count-Min-style
+//!   over-approximation used by **BlockHammer**.
 //! * [`CounterTree`] — the grouped-counter approach of **CBT**.
+//!
+//! **TWiCe**'s Lossy Counting table lives with its scheme in
+//! `mithril-baselines`.
 //!
 //! All trackers observe a stream of `u64` items (row addresses) through
 //! [`FrequencyTracker::record`] and answer point queries through
@@ -37,15 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cms;
-mod hash;
-mod lossy;
+mod bloom;
 mod space_saving;
 mod tree;
 
-pub use cms::{CountMinSketch, CountingBloomFilter};
-pub use hash::MultiplyShiftHasher;
-pub use lossy::{LossyCounting, LossyEntry};
+pub use bloom::CountingBloomFilter;
 pub use space_saving::{NaiveSpaceSaving, RecordOutcome, SpaceSaving, TrackedEntry, INVALID_ITEM};
 pub use tree::{CounterTree, TreeStats};
 
@@ -65,7 +62,7 @@ pub use tree::{CounterTree, TreeStats};
 /// # Example
 ///
 /// ```
-/// use mithril_trackers::{FrequencyTracker, LossyCounting};
+/// use mithril_trackers::{FrequencyTracker, SpaceSaving};
 ///
 /// fn hot_items<T: FrequencyTracker>(t: &mut T, stream: &[u64], thresh: u64) -> Vec<u64> {
 ///     for &x in stream {
@@ -74,8 +71,8 @@ pub use tree::{CounterTree, TreeStats};
 ///     stream.iter().copied().filter(|&x| t.estimate(x) >= thresh).collect()
 /// }
 ///
-/// let mut lc = LossyCounting::new(64);
-/// let hot = hot_items(&mut lc, &[7, 7, 7, 9], 3);
+/// let mut ss = SpaceSaving::new(64);
+/// let hot = hot_items(&mut ss, &[7, 7, 7, 9], 3);
 /// assert!(hot.contains(&7));
 /// ```
 pub trait FrequencyTracker {

@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 
-use mithril_trackers::{
-    CountMinSketch, CounterTree, CountingBloomFilter, FrequencyTracker, LossyCounting, SpaceSaving,
-};
+use mithril_trackers::{CounterTree, CountingBloomFilter, FrequencyTracker, SpaceSaving};
 use proptest::prelude::*;
 
 fn exact(stream: &[u64]) -> HashMap<u64, u64> {
@@ -122,43 +120,7 @@ proptest! {
         }
     }
 
-    // ---------------- Lossy Counting ----------------
-
-    #[test]
-    fn lossy_lower_bound(stream in dense_stream(), width in 1u64..200) {
-        let mut t = LossyCounting::new(width);
-        for &x in &stream {
-            t.record(x);
-        }
-        for (&x, &actual) in &exact(&stream) {
-            prop_assert!(t.estimate(x) >= actual);
-        }
-    }
-
-    #[test]
-    fn lossy_error_bound(stream in dense_stream(), width in 1u64..200) {
-        let mut t = LossyCounting::new(width);
-        for &x in &stream {
-            t.record(x);
-        }
-        let bound = stream.len() as u64 / width;
-        for (&x, &actual) in &exact(&stream) {
-            prop_assert!(t.estimate(x) <= actual + bound + 1);
-        }
-    }
-
-    // ---------------- Count-Min Sketch / CBF ----------------
-
-    #[test]
-    fn cms_lower_bound(stream in dense_stream(), depth in 1usize..5, bits in 2u32..10) {
-        let mut t = CountMinSketch::new(depth, bits, 42);
-        for &x in &stream {
-            t.record(x);
-        }
-        for (&x, &actual) in &exact(&stream) {
-            prop_assert!(t.estimate(x) >= actual);
-        }
-    }
+    // ---------------- Counting Bloom filter ----------------
 
     #[test]
     fn cbf_lower_bound(stream in dense_stream(), k in 1usize..5, bits in 2u32..10) {

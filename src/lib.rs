@@ -5,7 +5,7 @@
 //! Managed Refresh* (Kim et al., HPCA 2022):
 //!
 //! * [`trackers`] — streaming frequency-estimation algorithms (CbS /
-//!   Space-Saving, Lossy Counting, Count-Min Sketch, counter trees).
+//!   Space-Saving, counting Bloom filter, counter trees).
 //! * [`dram`] — DDR5-class DRAM device and timing model, the RFM interface,
 //!   a Row Hammer disturbance oracle and an energy model.
 //! * [`core`] — the Mithril and Mithril+ schemes: table, greedy selection,
