@@ -24,7 +24,7 @@
 use mithril_dram::{BankId, Ddr5Timing, RowId, TimePs};
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::{McAction, McMitigation};
-use mithril_trackers::{CountingBloomFilter, FrequencyTracker};
+use mithril_trackers::CountingBloomFilter;
 
 /// BlockHammer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

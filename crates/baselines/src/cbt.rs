@@ -13,7 +13,7 @@
 
 use mithril_dram::{BankId, Ddr5Timing, RowId, TimePs};
 use mithril_memctrl::{McAction, McMitigation};
-use mithril_trackers::{CounterTree, FrequencyTracker};
+use mithril_trackers::CounterTree;
 
 /// CBT configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,9 +15,9 @@
 //! last row in the queue keeps taking hits while it waits. This is the
 //! concentration weakness that motivates Mithril's greedy selection.
 
+use mithril::MithrilTable;
 use mithril_dram::{victims, BankId, Ddr5Timing, DramMitigation, RfmOutcome, RowId, TimePs};
 use mithril_memctrl::{McAction, McMitigation};
-use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use std::collections::VecDeque;
 
 /// Graphene configuration.
@@ -68,7 +68,7 @@ impl GrapheneConfig {
 /// bank, so the sim instantiates one per bank via [`GrapheneBankSet`]).
 #[derive(Debug, Clone)]
 struct GrapheneBank {
-    table: SpaceSaving,
+    table: MithrilTable<u64>,
     /// Per-slot count of threshold multiples already triggered.
     fired: mithril_fasthash::FastHashMap<RowId, u64>,
 }
@@ -76,14 +76,14 @@ struct GrapheneBank {
 impl GrapheneBank {
     fn new(nentry: usize) -> Self {
         Self {
-            table: SpaceSaving::new(nentry),
+            table: MithrilTable::new(nentry),
             fired: mithril_fasthash::FastHashMap::default(),
         }
     }
 
     /// Returns victims to ARR if the activation crossed a threshold.
     fn on_activate(&mut self, row: RowId, cfg: &GrapheneConfig) -> Option<Vec<RowId>> {
-        self.table.record(row);
+        self.table.on_activate(row);
         let est = self.table.estimate(row);
         let crossings = est / cfg.threshold;
         let fired = self.fired.entry(row).or_insert(0);
@@ -186,7 +186,7 @@ impl McMitigation for Graphene {
 /// effect measured by Fig. 2 of the `paper` report (`mithril-bench`).
 #[derive(Debug)]
 pub struct RfmGraphene {
-    table: SpaceSaving,
+    table: MithrilTable<u64>,
     threshold: u64,
     rows_per_bank: u64,
     pending: VecDeque<RowId>,
@@ -203,7 +203,7 @@ impl RfmGraphene {
     pub fn new(threshold: u64, nentry: usize, rows_per_bank: u64) -> Self {
         assert!(threshold > 0, "threshold must be non-zero");
         Self {
-            table: SpaceSaving::new(nentry),
+            table: MithrilTable::new(nentry),
             threshold,
             rows_per_bank,
             pending: VecDeque::new(),
@@ -224,7 +224,7 @@ impl RfmGraphene {
 
 impl DramMitigation for RfmGraphene {
     fn on_activate(&mut self, row: RowId) {
-        self.table.record(row);
+        self.table.on_activate(row);
         // Crossing the threshold enqueues the row once.
         if self.table.estimate(row) >= self.threshold && !self.pending.contains(&row) {
             self.pending.push_back(row);
@@ -234,7 +234,7 @@ impl DramMitigation for RfmGraphene {
     fn on_rfm_into(&mut self, out: &mut RfmOutcome) {
         match self.pending.pop_front() {
             Some(row) => {
-                self.table.reset_to_min(row);
+                self.table.reset_row(row);
                 self.refreshes += 1;
                 out.begin_refresh(row)
                     .extend(victims(row, 1, self.rows_per_bank));

@@ -30,7 +30,6 @@ use mithril::{MithrilTable, NaiveTable};
 use mithril_obs::json::Json;
 use mithril_obs::{json_obj, kind_counts_tree, KIND_NAMES};
 use mithril_sim::{ObsConfig, SchedulerKind, Scheme, System, SystemConfig};
-use mithril_trackers::{FrequencyTracker, NaiveSpaceSaving, SpaceSaving};
 use mithril_workloads::mix_high;
 
 const TABLE_SIZES: [usize; 4] = [32, 128, 512, 2048];
@@ -82,33 +81,12 @@ fn speedup(fast: f64, slow: f64) -> f64 {
     (fast / slow * 100.0).round() / 100.0
 }
 
-/// Prints a bucket-vs-naive section's title and column header.
-fn pair_header(title: &str) {
-    println!("{title}");
+fn bench_tables() -> Json {
+    println!("# Mithril table hot path: bucket vs naive ({OPS} ACTs, RFM every {RFM_EVERY})");
     println!(
         "{:>6} {:>18} {:>18} {:>9}",
         "K", "bucket ops/s", "naive ops/s", "speedup"
     );
-}
-
-/// Prints one bucket-vs-naive measurement and returns its report row.
-fn pair_row(k: usize, bucket: f64, naive: f64) -> Json {
-    println!(
-        "{k:>6} {bucket:>18.0} {naive:>18.0} {:>8.2}x",
-        bucket / naive
-    );
-    json_obj! {
-        "k": k,
-        "bucket_ops_per_sec": rate(bucket),
-        "naive_ops_per_sec": rate(naive),
-        "speedup": speedup(bucket, naive),
-    }
-}
-
-fn bench_tables() -> Json {
-    pair_header(&format!(
-        "# Mithril table hot path: bucket vs naive ({OPS} ACTs, RFM every {RFM_EVERY})"
-    ));
     Json::arr(TABLE_SIZES.iter().map(|&k| {
         let ops = act_stream(OPS, 4 * k as u64);
         let bucket = measure(OPS, || {
@@ -135,31 +113,16 @@ fn bench_tables() -> Json {
             }
             std::hint::black_box(t.spread());
         });
-        pair_row(k, bucket, naive)
-    }))
-}
-
-fn bench_trackers() -> Json {
-    pair_header("\n# Space-Saving tracker: bucket vs naive (record-only)");
-    Json::arr(TABLE_SIZES.iter().map(|&k| {
-        let ops = act_stream(OPS, 4 * k as u64);
-        let bucket = measure(OPS, || {
-            let mut t = SpaceSaving::new(k);
-            for &r in &ops {
-                t.record(r);
-            }
-            std::hint::black_box(t.min_count());
-        });
-        let naive_ops = if k >= 512 { OPS / 10 } else { OPS };
-        let stream = &ops[..naive_ops];
-        let naive = measure(naive_ops, || {
-            let mut t = NaiveSpaceSaving::new(k);
-            for &r in stream {
-                t.record(r);
-            }
-            std::hint::black_box(t.min_count());
-        });
-        pair_row(k, bucket, naive)
+        println!(
+            "{k:>6} {bucket:>18.0} {naive:>18.0} {:>8.2}x",
+            bucket / naive
+        );
+        json_obj! {
+            "k": k,
+            "bucket_ops_per_sec": rate(bucket),
+            "naive_ops_per_sec": rate(naive),
+            "speedup": speedup(bucket, naive),
+        }
     }))
 }
 
@@ -322,7 +285,6 @@ fn main() -> ExitCode {
         "ops_per_run": OPS,
         "rfm_every": RFM_EVERY,
         "mithril_table": bench_tables(),
-        "space_saving": bench_trackers(),
         "sim_insts_per_core": SIM_INSTS,
         "sim_runs": SIM_RUNS,
         "sim_ops_per_sec": bench_sim(),

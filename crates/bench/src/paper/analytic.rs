@@ -18,7 +18,6 @@ use mithril_obs::json_obj;
 use mithril_runner::engine::{run_sharded, PoolConfig};
 use mithril_runner::scenarios::{default_rfm_th, table_area_rows};
 use mithril_sim::{Llc, LlcAccess, LlcConfig};
-use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use mithril_workloads::{StreamSweep, TraceSource};
 
 use super::{fixed, sci};
@@ -90,7 +89,7 @@ fn arr_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
     let mut worst = 0;
     for &m in &candidates {
         let m = m.min(8_192);
-        let mut table = SpaceSaving::new(nentry);
+        let mut table = MithrilTable::<u64>::new(nentry);
         let mut fired = HashMap::new();
         let mut oracle = RowHammerOracle::new(u64::MAX, 1, ROWS);
         // Two refresh windows with a table reset at the boundary: the
@@ -99,7 +98,7 @@ fn arr_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
             for i in 0..budget {
                 let row = 1_000 + 2 * ((window * budget / 2 + i) % m);
                 oracle.on_activate(row);
-                table.record(row);
+                table.on_activate(row);
                 let est = table.estimate(row);
                 let crossings = est / threshold;
                 let f = fired.entry(row).or_insert(0u64);

@@ -211,7 +211,10 @@ pub struct Selection {
 /// The per-bank Mithril table (paper Fig. 4/5), Stream-Summary backed.
 ///
 /// `C` is the hardware counter type; the deployed configuration is `u16`
-/// (the default), and `u64` serves as the unbounded reference model.
+/// (the default). With `C = u64` the table is an unbounded Counter-based
+/// Summary (Space-Saving) table: the wrapping model's reference, and the
+/// tracker Graphene, RFM-Graphene and `trace stat` run on (read through
+/// [`MithrilTable::estimate`]).
 ///
 /// Tie-breaking is *age at the current counter value*: the entry that has
 /// held the minimum longest is evicted first, and the entry that reached
@@ -362,8 +365,11 @@ impl<C: Counter> MithrilTable<C> {
         self.increment(victim);
     }
 
-    /// Cumulative minimum-entry evictions since construction — the
-    /// Space-Saving replacement pressure the observability layer tracks.
+    /// Cumulative minimum-entry evictions since construction (or the last
+    /// [`clear`]) — the Space-Saving replacement pressure the
+    /// observability layer tracks.
+    ///
+    /// [`clear`]: MithrilTable::clear
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -372,25 +378,50 @@ impl<C: Counter> MithrilTable<C> {
     /// decrement of its counter to the table minimum (Fig. 5 step ③).
     /// Returns `None` only if the table is empty.
     pub fn on_rfm(&mut self) -> Option<Selection> {
-        if self.addrs.is_empty() {
-            return None;
+        let slot = self.list.oldest_max_slot()?;
+        Some(Selection {
+            row: self.addrs[slot as usize],
+            count_above_min: self.reset_slot(slot),
+        })
+    }
+
+    /// Drops an on-table `row`'s counter to the table minimum — the reset
+    /// a scheme applies after refreshing the row's victims outside the
+    /// greedy selection (RFM-Graphene's queue). Safe by inequality (2):
+    /// the refreshed row's true count is zero, and the entry may still owe
+    /// up to the minimum from evictions. Returns `false` (and changes
+    /// nothing) if `row` is off the table.
+    pub fn reset_row(&mut self, row: RowId) -> bool {
+        match self.slot_of(row) {
+            Some(slot) => {
+                self.reset_slot(slot);
+                true
+            }
+            None => false,
         }
-        let full = self.len() == self.capacity;
-        let slot = self.list.oldest_max_slot().expect("non-empty");
-        let row = self.addrs[slot as usize];
-        let min_c = self.min_value();
-        let above = self.counts[slot as usize].diff(min_c);
+    }
+
+    /// Drops `slot` to the table minimum (the implicit zero while entries
+    /// are free) and returns how far above it the slot was. A slot already
+    /// at the minimum keeps its age there.
+    fn reset_slot(&mut self, slot: u32) -> u64 {
+        let floor = self.min_value();
+        let above = self.counts[slot as usize].diff(floor);
         if above > 0 {
-            // Full tables decrement to the minimum entry; not-full tables
-            // measure against the implicit zero of the free entries.
-            let floor = if full { min_c } else { C::zero() };
             self.counts[slot as usize] = floor;
             self.list.drop_to_floor(slot, floor);
         }
-        Some(Selection {
-            row,
-            count_above_min: above,
-        })
+        above
+    }
+
+    /// Empties the table (Graphene's per-reset-window clear). Allocations
+    /// are kept; the eviction counter restarts at zero.
+    pub fn clear(&mut self) {
+        self.addrs.clear();
+        self.counts.clear();
+        self.index.clear();
+        self.list.clear();
+        self.evictions = 0;
     }
 
     /// Iterates over `(row, count_above_min)` pairs.
@@ -530,6 +561,36 @@ impl<C: Counter> MithrilTable<C> {
     }
 }
 
+impl MithrilTable<u64> {
+    /// The Counter-based Summary estimate of `row`'s count: its counter
+    /// when on the table, the table minimum (the off-table bound of
+    /// inequality (2)) otherwise. Only the unbounded counter has absolute
+    /// values; wrapping tables answer [`estimate_above_min`].
+    ///
+    /// [`estimate_above_min`]: MithrilTable::estimate_above_min
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mithril::MithrilTable;
+    ///
+    /// let mut t: MithrilTable<u64> = MithrilTable::new(2);
+    /// t.on_activate(1);
+    /// t.on_activate(1);
+    /// t.on_activate(2);
+    /// t.on_activate(3); // evicts 2, the minimum entry, and inherits its count
+    /// assert_eq!(t.estimate(1), 2);
+    /// assert_eq!(t.estimate(3), 2); // 1 (own) + 1 (inherited from 2)
+    /// assert_eq!(t.estimate(2), 2); // off-table rows read the minimum
+    /// ```
+    pub fn estimate(&self, row: RowId) -> u64 {
+        match self.slot_of(row) {
+            Some(slot) => self.counts[slot as usize],
+            None => self.min_value(),
+        }
+    }
+}
+
 impl<C: Counter> mithril_obs::Observe for MithrilTable<C> {
     /// O(1) snapshot for the cycle-domain sampler. The wrapping hardware
     /// counters have no absolute value, so min/max are reported *relative
@@ -553,9 +614,9 @@ impl<C: Counter> mithril_obs::Observe for MithrilTable<C> {
 /// are broken by *age at the current counter value* (tracked with an
 /// explicit sequence number), the same policy [`MithrilTable`]'s bucket
 /// lists realize structurally — so the two make identical decisions on any
-/// stream whose spread fits the wrapping counter's range. Kept for
-/// differential property tests (`tests/differential.rs`) and as the
-/// baseline of the `table_hot_path` benchmark.
+/// stream whose spread fits the wrapping counter's range. Kept for the
+/// differential property tests (`tests/differential.rs`) and as the naive
+/// side of `perf_report`'s table rows.
 #[derive(Debug, Clone)]
 pub struct NaiveTable {
     addrs: Vec<RowId>,
@@ -680,19 +741,50 @@ impl NaiveTable {
             return None;
         }
         let slot = self.max_slot();
-        let row = self.addrs[slot];
+        Some(Selection {
+            row: self.addrs[slot],
+            count_above_min: self.reset_slot(slot),
+        })
+    }
+
+    /// Mirror of [`MithrilTable::reset_row`].
+    pub fn reset_row(&mut self, row: RowId) -> bool {
+        match self.index.get(&row) {
+            Some(&slot) => {
+                self.reset_slot(slot);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Drops `slot` to the scanned minimum; returns how far above it was.
+    fn reset_slot(&mut self, slot: usize) -> u64 {
         let min = self.min_value();
         let above = self.counts[slot] - min;
         if above > 0 {
-            // Full tables decrement to the minimum entry; not-full tables
-            // measure against the implicit zero of the free entries.
-            self.counts[slot] = if self.len() == self.capacity { min } else { 0 };
+            self.counts[slot] = min;
             self.seqs[slot] = self.bump_seq();
         }
-        Some(Selection {
-            row,
-            count_above_min: above,
-        })
+        above
+    }
+
+    /// Mirror of [`MithrilTable::clear`].
+    pub fn clear(&mut self) {
+        self.addrs.clear();
+        self.counts.clear();
+        self.seqs.clear();
+        self.index.clear();
+        self.next_seq = 0;
+    }
+
+    /// Mirror of [`MithrilTable::estimate`]: the row's counter, or the
+    /// scanned minimum for an off-table row.
+    pub fn estimate(&self, row: RowId) -> u64 {
+        match self.index.get(&row) {
+            Some(&slot) => self.counts[slot],
+            None => self.min_value(),
+        }
     }
 
     /// Iterates over `(row, count_above_min)` pairs.
@@ -908,6 +1000,33 @@ mod tests {
         assert_eq!(t.estimate_above_min(2), 1);
         // Next RFM now selects row 2.
         assert_eq!(t.on_rfm().unwrap().row, 2);
+    }
+
+    #[test]
+    fn reset_row_drops_to_min_and_ignores_off_table_rows() {
+        let mut t: MithrilTable<u64> = MithrilTable::new(2);
+        t.on_activate(1);
+        t.on_activate(1);
+        assert!(!t.reset_row(99));
+        assert_eq!(t.estimate(1), 2);
+        assert!(t.reset_row(1));
+        // Not full: the minimum is the implicit zero of the free entry.
+        assert_eq!(t.estimate(1), 0);
+        assert_eq!(t.estimate(99), 0);
+    }
+
+    #[test]
+    fn clear_empties_the_table() {
+        let mut t: MithrilTable<u64> = MithrilTable::new(3);
+        for i in 0..10 {
+            t.on_activate(i);
+        }
+        assert_eq!(t.evictions(), 7);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!((t.spread(), t.evictions(), t.on_rfm()), (0, 0, None));
+        t.on_activate(5);
+        assert_eq!(t.estimate(5), 1);
     }
 
     #[test]

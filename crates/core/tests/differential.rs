@@ -1,7 +1,8 @@
 //! Differential tests: the Stream-Summary bucket table must make
 //! decisions *identical* to the retained linear-scan reference
 //! ([`mithril::NaiveTable`]) — same RFM selections, same evictions, same
-//! spreads, same estimates — on random and adversarial streams.
+//! row resets and clears, same spreads, same estimates — on random and
+//! adversarial streams.
 //!
 //! `NaiveTable` uses unbounded `u64` counters, so running it against the
 //! wrapping `u16` production table also re-proves the Section IV-E
@@ -10,42 +11,64 @@
 use mithril::{MithrilTable, NaiveTable};
 use proptest::prelude::*;
 
-/// One step of a differential run: activate or RFM.
+/// One step of a differential run.
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
     Act(u64),
     Rfm,
+    ResetRow(u64),
+    Clear,
 }
 
-/// Drives both tables through `cmds`, asserting equal observable behavior
-/// at every step. Returns the number of commands executed.
-fn assert_lockstep<C: mithril::Counter>(
+/// Applies `cmd` (step `n`) to both tables, asserting equal outcomes and
+/// an equal spread afterwards.
+fn step<C: mithril::Counter>(
     fast: &mut MithrilTable<C>,
     naive: &mut NaiveTable,
-    cmds: impl Iterator<Item = Cmd>,
-) -> u64 {
-    let mut n = 0;
-    for cmd in cmds {
-        match cmd {
-            Cmd::Act(row) => {
-                fast.on_activate(row);
-                naive.on_activate(row);
-                debug_assert_eq!(fast.contains(row), naive.contains(row));
-            }
-            Cmd::Rfm => {
-                assert_eq!(fast.on_rfm(), naive.on_rfm(), "RFM diverged at step {n}");
-            }
+    cmd: Cmd,
+    n: usize,
+) {
+    match cmd {
+        Cmd::Act(row) => {
+            fast.on_activate(row);
+            naive.on_activate(row);
+            assert_eq!(fast.contains(row), naive.contains(row));
         }
-        n += 1;
+        Cmd::Rfm => assert_eq!(fast.on_rfm(), naive.on_rfm(), "RFM diverged at step {n}"),
+        Cmd::ResetRow(row) => assert_eq!(
+            fast.reset_row(row),
+            naive.reset_row(row),
+            "reset_row({row}) diverged at step {n}"
+        ),
+        Cmd::Clear => {
+            fast.clear();
+            naive.clear();
+        }
     }
-    assert_eq!(fast.spread(), naive.spread(), "final spread diverged");
+    assert_eq!(fast.spread(), naive.spread(), "spread diverged at step {n}");
+}
+
+/// Asserts both tables hold the same `(row, count_above_min)` entries.
+fn assert_same_contents<C: mithril::Counter>(fast: &MithrilTable<C>, naive: &NaiveTable) {
     assert_eq!(fast.len(), naive.len());
     let mut a: Vec<_> = fast.iter_relative().collect();
     let mut b: Vec<_> = naive.iter_relative().collect();
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b, "final table contents diverged");
-    n
+}
+
+/// Drives both tables through `cmds`, asserting equal observable behavior
+/// at every step and equal contents at the end.
+fn assert_lockstep<C: mithril::Counter>(
+    fast: &mut MithrilTable<C>,
+    naive: &mut NaiveTable,
+    cmds: impl Iterator<Item = Cmd>,
+) {
+    for (n, cmd) in cmds.enumerate() {
+        step(fast, naive, cmd, n);
+    }
+    assert_same_contents(fast, naive);
 }
 
 /// Splitmix-style deterministic stream generator for the long runs.
@@ -151,62 +174,66 @@ fn attack_streams_100k_identical_decisions() {
         });
         assert_lockstep(&mut fast, &mut naive, cmds);
     }
+    // Graphene-style: rows reset as they cross a threshold, table cleared
+    // every window, on the unbounded table Graphene tracks with.
+    {
+        let mut fast: MithrilTable<u64> = MithrilTable::new(20);
+        let mut naive = NaiveTable::new(20);
+        let mut rng = Lcg(11);
+        let cmds = (0..100_000u64).map(|i| {
+            let row = rng.next() % 40;
+            if i % 25_000 == 24_999 {
+                Cmd::Clear
+            } else if i % 50 == 49 {
+                Cmd::ResetRow(row)
+            } else {
+                Cmd::Act(row)
+            }
+        });
+        assert_lockstep(&mut fast, &mut naive, cmds);
+    }
 }
+
+/// A row the command streams never activate: its estimate is the minimum.
+const OFF_TABLE: u64 = 1 << 40;
 
 fn cmd_stream() -> impl Strategy<Value = Vec<Cmd>> {
     prop::collection::vec(
         prop_oneof![
-            10 => (0u64..48).prop_map(Cmd::Act),
-            2 => (10_000u64..10_064).prop_map(Cmd::Act), // cold tail
-            1 => Just(Cmd::Rfm),
+            40 => (0u64..48).prop_map(Cmd::Act),
+            8 => (10_000u64..10_064).prop_map(Cmd::Act), // cold tail
+            4 => Just(Cmd::Rfm),
+            3 => (0u64..48).prop_map(Cmd::ResetRow),
+            1 => Just(Cmd::Clear),
         ],
         1..3000,
     )
 }
 
 proptest! {
-    /// Random interleavings of ACTs and RFMs: bucket and naive tables stay
-    /// in lockstep at every step, for any capacity.
+    /// Random interleavings of ACTs, RFMs, row resets and clears: bucket
+    /// and naive tables stay in lockstep at every step, for any capacity.
     #[test]
     fn proptest_lockstep_u16(stream in cmd_stream(), cap in 1usize..40) {
         let mut fast: MithrilTable<u16> = MithrilTable::new(cap);
         let mut naive = NaiveTable::new(cap);
-        for (i, cmd) in stream.iter().enumerate() {
-            match *cmd {
-                Cmd::Act(row) => {
-                    fast.on_activate(row);
-                    naive.on_activate(row);
-                }
-                Cmd::Rfm => {
-                    prop_assert_eq!(fast.on_rfm(), naive.on_rfm(), "diverged at step {}", i);
-                }
-            }
-            prop_assert_eq!(fast.spread(), naive.spread());
-        }
-        let mut a: Vec<_> = fast.iter_relative().collect();
-        let mut b: Vec<_> = naive.iter_relative().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        assert_lockstep(&mut fast, &mut naive, stream.iter().copied());
     }
 
     /// The wide (u64) bucket table matches the naive reference too — this
-    /// isolates bucket-structure bugs from wrapping-counter bugs.
+    /// isolates bucket-structure bugs from wrapping-counter bugs — and so
+    /// do its absolute Counter-based Summary estimates, on- and off-table.
     #[test]
     fn proptest_lockstep_u64(stream in cmd_stream(), cap in 1usize..24) {
         let mut fast: MithrilTable<u64> = MithrilTable::new(cap);
         let mut naive = NaiveTable::new(cap);
-        for cmd in &stream {
-            match *cmd {
-                Cmd::Act(row) => {
-                    fast.on_activate(row);
-                    naive.on_activate(row);
-                }
-                Cmd::Rfm => {
-                    prop_assert_eq!(fast.on_rfm(), naive.on_rfm());
-                }
+        for (n, &cmd) in stream.iter().enumerate() {
+            step(&mut fast, &mut naive, cmd, n);
+            if let Cmd::Act(row) | Cmd::ResetRow(row) = cmd {
+                prop_assert_eq!(fast.estimate(row), naive.estimate(row), "step {}", n);
             }
+            prop_assert_eq!(fast.estimate(OFF_TABLE), naive.estimate(OFF_TABLE), "step {}", n);
         }
-        prop_assert_eq!(fast.spread(), naive.spread());
+        assert_same_contents(&fast, &naive);
     }
 }

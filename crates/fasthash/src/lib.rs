@@ -2,13 +2,14 @@
 //!
 //! Every DRAM activation updates a few keyed lookups, so their cost is a
 //! first-order term of simulation throughput. The per-ACT ones — the
-//! Mithril table's row index, the Space-Saving tracker's item index and
-//! the disturbance oracle's per-victim counts — are [`RowIndex`]es: small
-//! open-addressed tables with linear probing from a Fibonacci-hashed home
-//! slot, with the empty marker in the value word so no key is reserved. Everything else keyed (the LLC's MSHR, the
-//! simulator's miss waiters, trace statistics, baseline side tables)
-//! stays in a `HashMap`. `std`'s default hasher is SipHash-1-3 — a keyed
-//! DoS-resistant hash that costs tens of cycles per `u64`. None of these
+//! Mithril table's row index and the disturbance oracle's per-victim
+//! counts — are [`RowIndex`]es: small open-addressed tables with linear
+//! probing from a Fibonacci-hashed home slot, with the empty marker in
+//! the value word so no key is reserved. Everything else keyed (the
+//! LLC's MSHR, the simulator's miss waiters, trace statistics, baseline
+//! side tables) stays in a `HashMap`. `std`'s default hasher is
+//! SipHash-1-3 — a keyed DoS-resistant hash that costs tens of cycles per
+//! `u64`. None of these
 //! structures face attacker-controlled keys across a trust boundary (they
 //! model *hardware CAMs*), so this crate provides cheaper families:
 //!

@@ -760,9 +760,9 @@ impl TrackerObservation {
     }
 }
 
-/// Pull-based probe hook for tracker structures (`MithrilTable`,
-/// `SpaceSaving`, ...). Must be O(1) and side-effect free so sampling
-/// never perturbs the simulation.
+/// Pull-based probe hook for tracker structures (`MithrilTable`). Must
+/// be O(1) and side-effect free so sampling never perturbs the
+/// simulation.
 pub trait Observe {
     /// Snapshots the structure.
     fn observe(&self) -> TrackerObservation;

@@ -1,6 +1,6 @@
-//! The Stream-Summary bucket list (Metwally et al.), shared by the Mithril
-//! table (`mithril::MithrilTable`) and the Space-Saving tracker
-//! (`mithril_trackers::SpaceSaving`).
+//! The Stream-Summary bucket list (Metwally et al.) behind the Mithril
+//! table (`mithril::MithrilTable`), the repository's Counter-based
+//! Summary.
 //!
 //! A [`BucketList`] groups externally-owned *slots* (the caller keeps the
 //! per-slot addresses and counter values) into **buckets**, one per

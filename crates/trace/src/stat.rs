@@ -1,17 +1,17 @@
 //! Streaming statistics over a captured trace: access mix, per-channel /
 //! per-bank pressure, row-touch distribution and the hottest rows.
 //!
-//! The hot-row list is maintained with the Space-Saving tracker from
-//! `mithril-trackers` — the same `mithril-streamsummary` bucket structure
-//! the protection schemes themselves run on — so `trace stat` doubles as
-//! a "what would a tracker see" probe: the rows it surfaces are the rows
-//! a Mithril/Graphene table would be defending.
+//! Each row's tracker estimate comes from an unbounded Counter-based
+//! Summary table — `mithril::MithrilTable<u64>`, the table the protection
+//! schemes themselves run on — so `trace stat` doubles as a "what would a
+//! tracker see" probe: the rows it surfaces are the rows a
+//! Mithril/Graphene table would be defending.
 
+use mithril::MithrilTable;
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::AddressMapping;
 use mithril_obs::json::Json;
 use mithril_obs::json_obj;
-use mithril_trackers::{FrequencyTracker, SpaceSaving};
 use mithril_workloads::TraceOp;
 
 use crate::error::Result;
@@ -29,9 +29,9 @@ pub struct HotRow {
     pub row: u64,
     /// Exact access count.
     pub count: u64,
-    /// What the streamsummary-backed Space-Saving tracker estimates for
-    /// this row (`>= count` by the Space-Saving bracket; the gap shows how
-    /// much slack a fixed-size hardware table would have on this trace).
+    /// What the Counter-based Summary table estimates for this row
+    /// (`>= count` by the Space-Saving bracket; the gap shows how much
+    /// slack a fixed-size hardware table would have on this trace).
     pub tracker_estimate: u64,
 }
 
@@ -67,7 +67,7 @@ pub struct TraceStats {
 /// Streaming collector: feed `(core, op)` pairs, then [`finish`].
 ///
 /// Memory: O(distinct rows touched) for the exact histogram plus the
-/// fixed-size Space-Saving table — not O(ops).
+/// fixed-size Counter-based Summary table — not O(ops).
 ///
 /// [`finish`]: StatsCollector::finish
 pub struct StatsCollector {
@@ -80,7 +80,7 @@ pub struct StatsCollector {
     uncacheable: u64,
     per_bank: Vec<Vec<u64>>,
     row_counts: FastHashMap<u64, u64>,
-    summary: SpaceSaving,
+    summary: MithrilTable<u64>,
 }
 
 impl StatsCollector {
@@ -101,7 +101,7 @@ impl StatsCollector {
             // estimates are exact unless the trace touches far more hot
             // rows than the report shows (the Space-Saving guarantee
             // degrades gracefully from there).
-            summary: SpaceSaving::new((top.max(1) * 8).max(64)),
+            summary: MithrilTable::new((top.max(1) * 8).max(64)),
             top: top.max(1),
             header,
             mapping,
@@ -136,7 +136,7 @@ impl StatsCollector {
         self.per_bank[a.channel.0][a.bank] += 1;
         let key = self.row_key(a.channel.0, a.bank, a.row);
         *self.row_counts.entry(key).or_insert(0) += 1;
-        self.summary.record(key);
+        self.summary.on_activate(key);
     }
 
     /// Seals the collection into a [`TraceStats`].
@@ -162,7 +162,6 @@ impl StatsCollector {
             .collect();
         hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hot.truncate(self.top);
-        let min = self.summary.min_count();
         let hot_rows = hot
             .into_iter()
             .map(|(key, count)| {
@@ -172,7 +171,7 @@ impl StatsCollector {
                     bank,
                     row,
                     count,
-                    tracker_estimate: self.summary.tracked_count(key).unwrap_or(min),
+                    tracker_estimate: self.summary.estimate(key),
                 }
             })
             .collect();

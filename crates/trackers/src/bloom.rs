@@ -7,7 +7,6 @@
 //! bound**, which is why it can only drive throttling remedies, not
 //! refresh-based ones (paper Section III-C).
 
-use crate::FrequencyTracker;
 use mithril_fasthash::MultiplyShiftHasher;
 
 /// A counting Bloom filter: one array of counters, `k` hash functions.
@@ -18,7 +17,7 @@ use mithril_fasthash::MultiplyShiftHasher;
 /// # Example
 ///
 /// ```
-/// use mithril_trackers::{CountingBloomFilter, FrequencyTracker};
+/// use mithril_trackers::CountingBloomFilter;
 ///
 /// let mut f = CountingBloomFilter::new(10, 4, 7);
 /// for _ in 0..100 {
@@ -72,10 +71,9 @@ impl CountingBloomFilter {
     pub fn is_blacklisted(&self, item: u64, threshold: u64) -> bool {
         self.estimate(item) >= threshold
     }
-}
 
-impl FrequencyTracker for CountingBloomFilter {
-    fn record(&mut self, item: u64) {
+    /// Records one occurrence of `item`.
+    pub fn record(&mut self, item: u64) {
         // Conservative-increment variant would only bump the minimum
         // counters; BlockHammer uses plain increments, which we follow.
         for h in &self.hashers {
@@ -83,7 +81,8 @@ impl FrequencyTracker for CountingBloomFilter {
         }
     }
 
-    fn estimate(&self, item: u64) -> u64 {
+    /// The minimum over `item`'s counters: never below its true count.
+    pub fn estimate(&self, item: u64) -> u64 {
         self.hashers
             .iter()
             .map(|h| self.counters[h.bucket(item)])
@@ -91,11 +90,8 @@ impl FrequencyTracker for CountingBloomFilter {
             .expect("k > 0")
     }
 
-    fn counter_slots(&self) -> usize {
-        self.counters.len()
-    }
-
-    fn clear(&mut self) {
+    /// Zeroes every counter.
+    pub fn clear(&mut self) {
         self.counters.fill(0);
     }
 }

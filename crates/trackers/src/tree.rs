@@ -14,7 +14,6 @@
 //! RFM compatibility (a leaf wider than ~8 rows does not fit in one tRFM
 //! window; Section III-D).
 
-use crate::FrequencyTracker;
 use std::ops::Range;
 
 #[derive(Debug, Clone)]
@@ -54,7 +53,7 @@ pub struct TreeStats {
 /// # Example
 ///
 /// ```
-/// use mithril_trackers::{CounterTree, FrequencyTracker};
+/// use mithril_trackers::CounterTree;
 ///
 /// // 1024 rows, 15 counters, split a group once it has 8 activations.
 /// let mut t = CounterTree::new(1024, 15, 8);
@@ -104,6 +103,40 @@ impl CounterTree {
     /// The number of rows the tree covers.
     pub fn num_rows(&self) -> u64 {
         self.num_rows
+    }
+
+    /// Records one activation of `row`, splitting its leaf once the leaf
+    /// reaches the split threshold and a counter is spare.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= num_rows`.
+    pub fn record(&mut self, row: u64) {
+        let idx = self.leaf_for(row);
+        self.nodes[idx].count += 1;
+        self.try_split(idx);
+    }
+
+    /// The counter of `row`'s group: never below `row`'s true count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= num_rows`.
+    pub fn estimate(&self, row: u64) -> u64 {
+        self.nodes[self.leaf_for(row)].count
+    }
+
+    /// Collapses the tree back to the single root counter at zero.
+    pub fn clear(&mut self) {
+        let n = self.num_rows;
+        self.nodes.clear();
+        self.nodes.push(Node {
+            lo: 0,
+            hi: n,
+            count: 0,
+            left_child: None,
+        });
+        self.splits = 0;
     }
 
     /// The range of rows sharing a counter with `row`.
@@ -209,34 +242,6 @@ impl CounterTree {
         });
         self.nodes[idx].left_child = Some(left);
         self.splits += 1;
-    }
-}
-
-impl FrequencyTracker for CounterTree {
-    fn record(&mut self, item: u64) {
-        let idx = self.leaf_for(item);
-        self.nodes[idx].count += 1;
-        self.try_split(idx);
-    }
-
-    fn estimate(&self, item: u64) -> u64 {
-        self.nodes[self.leaf_for(item)].count
-    }
-
-    fn counter_slots(&self) -> usize {
-        self.max_counters
-    }
-
-    fn clear(&mut self) {
-        let n = self.num_rows;
-        self.nodes.clear();
-        self.nodes.push(Node {
-            lo: 0,
-            hi: n,
-            count: 0,
-            left_child: None,
-        });
-        self.splits = 0;
     }
 }
 

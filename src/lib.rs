@@ -4,12 +4,13 @@
 //! *Mithril: Cooperative Row Hammer Protection on Commodity DRAM Leveraging
 //! Managed Refresh* (Kim et al., HPCA 2022):
 //!
-//! * [`trackers`] — streaming frequency-estimation algorithms (CbS /
-//!   Space-Saving, counting Bloom filter, counter trees).
+//! * [`trackers`] — the one-sided frequency estimators of BlockHammer and
+//!   CBT (counting Bloom filter, counter tree).
 //! * [`dram`] — DDR5-class DRAM device and timing model, the RFM interface,
 //!   a Row Hammer disturbance oracle and an energy model.
-//! * [`core`] — the Mithril and Mithril+ schemes: table, greedy selection,
-//!   wrapping counters, adaptive refresh, protection bounds (Theorems 1–2),
+//! * [`core`] — the Mithril and Mithril+ schemes: table (the one
+//!   Counter-based Summary, also Graphene's), greedy selection, wrapping
+//!   counters, adaptive refresh, protection bounds (Theorems 1–2),
 //!   configuration solver and area model.
 //! * [`baselines`] — PARA, PARFM, Graphene, RFM-Graphene, TWiCe,
 //!   BlockHammer and CBT.
