@@ -297,6 +297,19 @@ impl Cand {
             },
         }
     }
+
+    /// `self.action(bank).priority()`, without building the action.
+    const fn priority(self) -> u8 {
+        match self {
+            Cand::Idle => panic!("idle candidate has no priority"),
+            Cand::MaintPre => PRIO_MAINT_PRE,
+            Cand::Rfm => PRIO_RFM,
+            Cand::Arr => PRIO_ARR,
+            Cand::Column { .. } => PRIO_COLUMN,
+            Cand::Pre => PRIO_PRE,
+            Cand::Act { .. } => PRIO_ACT,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -849,7 +862,7 @@ impl<S: EventSink> MemoryController<S> {
             self.active[word] &= !bit;
         } else {
             self.active[word] |= bit;
-            self.cand_prio[b] = cand.action(b).priority();
+            self.cand_prio[b] = cand.priority();
         }
         if stale_at == TimePs::MAX {
             self.held[word] &= !bit;
@@ -1603,6 +1616,26 @@ mod tests {
             .priority(),
             PRIO_ACT
         );
+        let cands = [
+            Cand::MaintPre,
+            Cand::Rfm,
+            Cand::Arr,
+            Cand::Column { pos: 3 },
+            Cand::Pre,
+            Cand::Act {
+                pos: 5,
+                throttled: false,
+                qos_throttled: false,
+            },
+            Cand::Act {
+                pos: 5,
+                throttled: true,
+                qos_throttled: true,
+            },
+        ];
+        for cand in cands {
+            assert_eq!(cand.priority(), cand.action(7).priority(), "{cand:?}");
+        }
     }
 
     #[test]

@@ -41,6 +41,16 @@
 //! guarded by an FNV-1a checksum and the file by an explicit end marker
 //! carrying the total op count: flipped bytes report as
 //! [`TraceError::BadChecksum`], missing bytes as [`TraceError::Truncated`].
+//!
+//! Both directions make one pass over the payload bytes. The writer sizes
+//! a chunk's payload from its varints' bit lengths, writes the frame, then
+//! encodes each payload byte and folds it into the frame's checksum state.
+//! The reader frames a chunk (varints, bounds checks, payload bytes,
+//! stored checksum), then feeds each payload byte to the checksum as the
+//! varint decoder consumes it. The checksum verdict still wins: a chunk
+//! that fails both its checksum and its decode reports
+//! [`TraceError::BadChecksum`], and only a checksum-valid chunk reports a
+//! decode error (in payload order) or trailing bytes.
 
 use std::io::{Read, Write};
 
@@ -79,10 +89,14 @@ impl Fnv64 {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
+    #[inline(always)]
+    fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.byte(b);
         }
     }
 
@@ -117,28 +131,45 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Decodes a varint from `buf[*pos..]`, advancing `pos`.
-fn get_varint(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u64> {
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf.get(*pos).ok_or(TraceError::Truncated { context })?;
+/// Writes `v` as a varint at `buf[*pos..]`, advancing `pos` and folding
+/// each byte into `check` as it goes.
+#[inline(always)]
+fn write_varint(buf: &mut [u8], pos: &mut usize, check: &mut Fnv64, mut v: u64) {
+    while v >= 0x80 {
+        let byte = v as u8 | 0x80;
+        buf[*pos] = byte;
+        check.byte(byte);
         *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(TraceError::Corrupt(format!(
-                "varint overflow while reading {context}"
-            )));
-        }
-        out |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(TraceError::Corrupt(format!(
-                "varint longer than 10 bytes while reading {context}"
-            )));
-        }
+        v >>= 7;
+    }
+    buf[*pos] = v as u8;
+    check.byte(v as u8);
+    *pos += 1;
+}
+
+/// Encoded length of `v` as a varint: one byte per started 7 bits.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The per-chunk delta state, reset at every chunk boundary.
+#[derive(Default)]
+struct Deltas {
+    line: u64,
+    nmi: i64,
+}
+
+impl Deltas {
+    /// `op`'s two varint words (see the module docs), advancing the state.
+    #[inline(always)]
+    fn encode(&mut self, op: &TraceOp) -> (u64, u64) {
+        let flags = (op.uncacheable as u64) << 1 | op.is_write as u64;
+        let nmi = op.non_mem_insts as i64;
+        let head = zigzag(nmi - self.nmi) << 2 | flags;
+        let line = zigzag(op.line_addr.wrapping_sub(self.line) as i64);
+        self.nmi = nmi;
+        self.line = op.line_addr;
+        (head, line)
     }
 }
 
@@ -290,13 +321,10 @@ impl TraceHeader {
             return Err(TraceError::UnsupportedVersion(version));
         }
 
-        // Re-read the checksummed region through a tee so the stored
+        // Hash the checksummed region as it is parsed, so the stored
         // checksum can be verified without buffering the whole file.
-        let mut checked: Vec<u8> = ver.to_vec();
-        let mut tee = Tee {
-            inner: r,
-            copy: &mut checked,
-        };
+        let mut tee = Hashing::new(r);
+        tee.check.update(&ver);
         let mut fields = [0u64; 8];
         for (i, f) in fields.iter_mut().enumerate() {
             let names = [
@@ -321,10 +349,11 @@ impl TraceHeader {
         }
         let mut source = vec![0u8; source_len as usize];
         read_exact(&mut tee, &mut source, "header source name")?;
+        let check = tee.check;
 
         let mut stored = [0u8; 8];
         read_exact(r, &mut stored, "header checksum")?;
-        if u64::from_le_bytes(stored) != fnv1a64(&checked) {
+        if u64::from_le_bytes(stored) != check.finish() {
             return Err(TraceError::Corrupt("header checksum mismatch".into()));
         }
 
@@ -353,17 +382,26 @@ impl TraceHeader {
     }
 }
 
-/// A `Read` adapter copying everything it reads into a side buffer
-/// (used to checksum the header while decoding it).
-struct Tee<'a, R> {
+/// A `Read` adapter folding everything it reads into an FNV-1a state
+/// (used to checksum the header and chunk frames while parsing them).
+struct Hashing<'a, R> {
     inner: &'a mut R,
-    copy: &'a mut Vec<u8>,
+    check: Fnv64,
 }
 
-impl<R: Read> Read for Tee<'_, R> {
+impl<'a, R> Hashing<'a, R> {
+    fn new(inner: &'a mut R) -> Self {
+        Self {
+            inner,
+            check: Fnv64::new(),
+        }
+    }
+}
+
+impl<R: Read> Read for Hashing<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        self.copy.extend_from_slice(&buf[..n]);
+        self.check.update(&buf[..n]);
         Ok(n)
     }
 }
@@ -380,8 +418,7 @@ pub struct MtrcWriter<W: Write> {
     cores: usize,
     chunk_ops: usize,
     pending: Vec<Vec<TraceOp>>,
-    payload: Vec<u8>,
-    frame: Vec<u8>,
+    record: Vec<u8>,
     total_ops: u64,
 }
 
@@ -408,8 +445,7 @@ impl<W: Write> MtrcWriter<W> {
             cores: header.cores,
             chunk_ops: chunk_ops.max(1),
             pending: (0..header.cores).map(|_| Vec::new()).collect(),
-            payload: Vec::new(),
-            frame: Vec::new(),
+            record: Vec::new(),
             total_ops: 0,
         })
     }
@@ -432,35 +468,42 @@ impl<W: Write> MtrcWriter<W> {
     }
 
     fn flush_core(&mut self, core: usize) -> Result<()> {
-        if self.pending[core].is_empty() {
+        let ops = &self.pending[core];
+        if ops.is_empty() {
             return Ok(());
         }
-        self.payload.clear();
-        let mut prev_line = 0u64;
-        let mut prev_nmi = 0i64;
-        for op in &self.pending[core] {
-            let flags = (op.uncacheable as u64) << 1 | op.is_write as u64;
-            let nmi_delta = op.non_mem_insts as i64 - prev_nmi;
-            put_varint(&mut self.payload, zigzag(nmi_delta) << 2 | flags);
-            put_varint(
-                &mut self.payload,
-                zigzag(op.line_addr.wrapping_sub(prev_line) as i64),
-            );
-            prev_line = op.line_addr;
-            prev_nmi = op.non_mem_insts as i64;
-        }
-        self.frame.clear();
-        put_varint(&mut self.frame, core as u64);
-        put_varint(&mut self.frame, self.pending[core].len() as u64);
-        put_varint(&mut self.frame, self.payload.len() as u64);
+        // The frame carries the payload length, so size the payload first
+        // from the varints' bit lengths; the bytes are written once, below.
+        let mut deltas = Deltas::default();
+        let payload_len: usize = ops
+            .iter()
+            .map(|op| {
+                let (head, line) = deltas.encode(op);
+                varint_len(head) + varint_len(line)
+            })
+            .sum();
+        let record = &mut self.record;
+        record.clear();
+        put_varint(record, core as u64);
+        put_varint(record, ops.len() as u64);
+        put_varint(record, payload_len as u64);
         // The checksum spans frame *and* payload: a flipped core-id bit
         // must not silently reroute a chunk to another core's stream.
         let mut check = Fnv64::new();
-        check.update(&self.frame);
-        check.update(&self.payload);
-        self.sink.write_all(&self.frame)?;
-        self.sink.write_all(&self.payload)?;
-        self.sink.write_all(&check.finish().to_le_bytes())?;
+        check.update(record);
+        let frame_len = record.len();
+        record.resize(frame_len + payload_len + 8, 0);
+        let (payload, stored) = record[frame_len..].split_at_mut(payload_len);
+        let mut pos = 0;
+        let mut deltas = Deltas::default();
+        for op in ops {
+            let (head, line) = deltas.encode(op);
+            write_varint(payload, &mut pos, &mut check, head);
+            write_varint(payload, &mut pos, &mut check, line);
+        }
+        debug_assert_eq!(pos, payload_len, "payload length pre-pass");
+        stored.copy_from_slice(&check.finish().to_le_bytes());
+        self.sink.write_all(record)?;
         self.pending[core].clear();
         Ok(())
     }
@@ -472,13 +515,14 @@ impl<W: Write> MtrcWriter<W> {
         for core in 0..self.cores {
             self.flush_core(core)?;
         }
-        self.frame.clear();
-        put_varint(&mut self.frame, CORE_END);
-        let count_start = self.frame.len();
-        put_varint(&mut self.frame, self.total_ops);
-        let check = fnv1a64(&self.frame[count_start..]);
-        self.frame.extend_from_slice(&check.to_le_bytes());
-        self.sink.write_all(&self.frame)?;
+        let record = &mut self.record;
+        record.clear();
+        put_varint(record, CORE_END);
+        let count_start = record.len();
+        put_varint(record, self.total_ops);
+        let check = fnv1a64(&record[count_start..]);
+        record.extend_from_slice(&check.to_le_bytes());
+        self.sink.write_all(record)?;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -533,6 +577,13 @@ impl<R: Read> MtrcReader<R> {
     /// count mismatch in the end marker, ...).
     pub fn next_chunk(&mut self, ops: &mut Vec<TraceOp>) -> Result<Option<usize>> {
         ops.clear();
+        self.read_into(ops)
+    }
+
+    /// Decodes the next chunk, appending its ops to `sink`'s vector for
+    /// the chunk's core, and returns the core id (`None` after a valid
+    /// end marker). On error nothing is appended.
+    fn read_into<S: OpSink + ?Sized>(&mut self, sink: &mut S) -> Result<Option<usize>> {
         if self.done {
             return Ok(None);
         }
@@ -541,7 +592,7 @@ impl<R: Read> MtrcReader<R> {
             self.header.cores,
             self.chunk_index,
             &mut self.payload,
-            ops,
+            sink,
         )? {
             RawChunk::End { total } => {
                 if total != self.ops_seen {
@@ -553,8 +604,8 @@ impl<R: Read> MtrcReader<R> {
                 self.done = true;
                 Ok(None)
             }
-            RawChunk::Ops { core } => {
-                self.ops_seen += ops.len() as u64;
+            RawChunk::Ops { core, ops } => {
+                self.ops_seen += ops;
                 self.chunk_index += 1;
                 Ok(Some(core))
             }
@@ -567,13 +618,34 @@ impl<R: Read> MtrcReader<R> {
     }
 }
 
+/// Where a decoded chunk's ops go: one buffer for every core (a
+/// streaming reader's caller buffer) or one vector per core (a whole-file
+/// load, decoding straight into its per-core streams).
+pub(crate) trait OpSink {
+    /// The vector `core`'s ops are appended to.
+    fn ops_for(&mut self, core: usize) -> &mut Vec<TraceOp>;
+}
+
+impl OpSink for Vec<TraceOp> {
+    fn ops_for(&mut self, _core: usize) -> &mut Vec<TraceOp> {
+        self
+    }
+}
+
+impl OpSink for [Vec<TraceOp>] {
+    fn ops_for(&mut self, core: usize) -> &mut Vec<TraceOp> {
+        &mut self[core]
+    }
+}
+
 /// One strictly-decoded record: a chunk of ops or the end marker.
 pub(crate) enum RawChunk {
-    /// A checksum-valid ops chunk; the decoded ops are in the caller's
-    /// buffer, its count is `ops.len()`.
+    /// A checksum-valid ops chunk, appended to the caller's sink.
     Ops {
         /// The recorded core stream this chunk belongs to.
         core: usize,
+        /// How many ops it held.
+        ops: u64,
     },
     /// A checksum-valid end marker claiming `total` ops for the file.
     End {
@@ -584,57 +656,81 @@ pub(crate) enum RawChunk {
 
 /// Decodes exactly one record at the stream's current position — the
 /// single strict-decode path shared by [`MtrcReader`] and the resilient
-/// reader, so both accept byte-for-byte the same records. `ops` is
-/// cleared first; `chunk_index` only labels [`TraceError::BadChecksum`].
-pub(crate) fn read_raw_chunk<R: Read>(
+/// reader, so both accept byte-for-byte the same records: [`read_frame`],
+/// then [`decode_chunk`] into `sink`'s vector for the chunk's core.
+/// `chunk_index` only labels [`TraceError::BadChecksum`].
+pub(crate) fn read_raw_chunk<R: Read, S: OpSink + ?Sized>(
     source: &mut R,
     cores: usize,
     chunk_index: u64,
     payload: &mut Vec<u8>,
-    ops: &mut Vec<TraceOp>,
+    sink: &mut S,
 ) -> Result<RawChunk> {
-    ops.clear();
-    let mut frame_bytes = Vec::new();
-    let core = {
-        let mut tee = Tee {
-            inner: source,
-            copy: &mut frame_bytes,
-        };
-        read_varint(&mut tee, "chunk core id")?
-    };
+    match read_frame(source, cores, payload)? {
+        Frame::End { total } => Ok(RawChunk::End { total }),
+        Frame::Ops {
+            core,
+            count,
+            check,
+            stored,
+        } => {
+            decode_chunk(
+                payload,
+                count,
+                check,
+                stored,
+                chunk_index,
+                sink.ops_for(core),
+            )?;
+            Ok(RawChunk::Ops { core, ops: count })
+        }
+    }
+}
+
+/// A framed record, before its payload is verified or decoded.
+enum Frame {
+    /// An ops chunk whose payload bytes are in the caller's buffer.
+    Ops {
+        core: usize,
+        /// The claimed op count, at most half the payload length.
+        count: u64,
+        /// The checksum state after the frame varints.
+        check: Fnv64,
+        /// The checksum stored after the payload.
+        stored: u64,
+    },
+    /// A checksum-valid end marker.
+    End { total: u64 },
+}
+
+/// The framing step: the frame varints (hashed as they are read), their
+/// bounds checks, the payload bytes into `payload`, and the stored
+/// checksum. Verifying and decoding the payload is [`decode_chunk`]'s.
+fn read_frame<R: Read>(source: &mut R, cores: usize, payload: &mut Vec<u8>) -> Result<Frame> {
+    let mut frame = Hashing::new(source);
+    let core = read_varint(&mut frame, "chunk core id")?;
     if core == CORE_END {
-        let mut count_bytes = Vec::new();
-        let total = {
-            let mut tee = Tee {
-                inner: source,
-                copy: &mut count_bytes,
-            };
-            read_varint(&mut tee, "end-marker op count")?
-        };
+        let mut count = Hashing::new(frame.inner);
+        let total = read_varint(&mut count, "end-marker op count")?;
+        let check = count.check;
         let mut stored = [0u8; 8];
         read_exact(source, &mut stored, "end-marker checksum")?;
-        if u64::from_le_bytes(stored) != fnv1a64(&count_bytes) {
+        if u64::from_le_bytes(stored) != check.finish() {
             return Err(TraceError::Corrupt("end-marker checksum mismatch".into()));
         }
-        return Ok(RawChunk::End { total });
+        return Ok(Frame::End { total });
     }
     if core as usize >= cores {
         return Err(TraceError::Corrupt(format!(
             "chunk core id {core} >= header core count {cores}"
         )));
     }
-    let (count, payload_len) = {
-        let mut tee = Tee {
-            inner: source,
-            copy: &mut frame_bytes,
-        };
-        let count = read_varint(&mut tee, "chunk op count")?;
-        if count == 0 {
-            return Err(TraceError::Corrupt("empty chunk".into()));
-        }
-        let payload_len = read_varint(&mut tee, "chunk payload length")?;
-        (count, payload_len)
-    };
+    let count = read_varint(&mut frame, "chunk op count")?;
+    if count == 0 {
+        return Err(TraceError::Corrupt("empty chunk".into()));
+    }
+    let payload_len = read_varint(&mut frame, "chunk payload length")?;
+    let check = frame.check;
     if payload_len > (1 << 31) {
         return Err(TraceError::Corrupt(format!(
             "implausible chunk payload length {payload_len}"
@@ -656,45 +752,111 @@ pub(crate) fn read_raw_chunk<R: Read>(
     }
     let mut stored = [0u8; 8];
     read_exact(source, &mut stored, "chunk checksum")?;
-    let mut check = Fnv64::new();
-    check.update(&frame_bytes);
-    check.update(payload);
-    if u64::from_le_bytes(stored) != check.finish() {
-        return Err(TraceError::BadChecksum { chunk: chunk_index });
-    }
+    Ok(Frame::Ops {
+        core: core as usize,
+        count,
+        check,
+        stored: u64::from_le_bytes(stored),
+    })
+}
 
+/// The verify-and-decode pass over one framed payload: each byte is fed
+/// to the checksum state `check` as the varint decoder consumes it, and
+/// ops are appended to `ops`. On any failure `ops` is truncated back, and
+/// the verdicts keep their precedence: a checksum mismatch first (even
+/// when the payload also fails to decode), then decode errors in payload
+/// order, then trailing bytes.
+fn decode_chunk(
+    payload: &[u8],
+    count: u64,
+    mut check: Fnv64,
+    stored: u64,
+    chunk_index: u64,
+    ops: &mut Vec<TraceOp>,
+) -> Result<()> {
+    let start = ops.len();
+    // `read_frame` bounded `count` by the payload bytes actually read.
     ops.reserve(count as usize);
     let mut pos = 0usize;
-    let mut prev_line = 0u64;
-    let mut prev_nmi = 0i64;
+    let decoded = decode_ops(payload, count, &mut pos, &mut check, ops);
+    // Bytes the decoder stopped short of still count toward the checksum.
+    check.update(&payload[pos..]);
+    let err = if check.finish() != stored {
+        TraceError::BadChecksum { chunk: chunk_index }
+    } else if let Err(err) = decoded {
+        err
+    } else if pos != payload.len() {
+        TraceError::Corrupt(format!(
+            "chunk payload has {} trailing bytes",
+            payload.len() - pos
+        ))
+    } else {
+        return Ok(());
+    };
+    ops.truncate(start);
+    Err(err)
+}
+
+/// Decodes `count` ops from `payload[*pos..]`, hashing every byte it
+/// consumes; stops at the first error with `pos` just past its bytes.
+fn decode_ops(
+    payload: &[u8],
+    count: u64,
+    pos: &mut usize,
+    check: &mut Fnv64,
+    ops: &mut Vec<TraceOp>,
+) -> Result<()> {
+    let mut deltas = Deltas::default();
     for _ in 0..count {
-        let head = get_varint(payload, &mut pos, "op flags/Δnon_mem_insts")?;
-        let nmi = prev_nmi + unzigzag(head >> 2);
+        let head = take_varint(payload, pos, check, "op flags/Δnon_mem_insts")?;
+        let nmi = deltas.nmi + unzigzag(head >> 2);
         if !(0..=u32::MAX as i64).contains(&nmi) {
             return Err(TraceError::Corrupt(format!(
                 "non_mem_insts {nmi} out of u32 range"
             )));
         }
-        let line_z = get_varint(payload, &mut pos, "op Δline_addr")?;
-        let line = prev_line.wrapping_add(unzigzag(line_z) as u64);
+        let line_z = take_varint(payload, pos, check, "op Δline_addr")?;
+        let line = deltas.line.wrapping_add(unzigzag(line_z) as u64);
         ops.push(TraceOp {
             non_mem_insts: nmi as u32,
             line_addr: line,
             is_write: head & 1 != 0,
             uncacheable: head & 2 != 0,
         });
-        prev_line = line;
-        prev_nmi = nmi;
+        deltas = Deltas { line, nmi };
     }
-    if pos != payload.len() {
-        return Err(TraceError::Corrupt(format!(
-            "chunk payload has {} trailing bytes",
-            payload.len() - pos
-        )));
+    Ok(())
+}
+
+/// Decodes a varint from `buf[*pos..]`, advancing `pos` and hashing each
+/// byte it consumes.
+#[inline(always)]
+fn take_varint(
+    buf: &[u8],
+    pos: &mut usize,
+    check: &mut Fnv64,
+    context: &'static str,
+) -> Result<u64> {
+    let mut out = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&byte) = buf.get(*pos) else {
+            return Err(TraceError::Truncated { context });
+        };
+        *pos += 1;
+        check.byte(byte);
+        // The tenth byte may only carry bit 63, and so ends the varint.
+        if shift == 63 && byte > 1 {
+            return Err(TraceError::Corrupt(format!(
+                "varint overflow while reading {context}"
+            )));
+        }
+        out |= ((byte & 0x7f) as u64) << shift;
+        if byte < 0x80 {
+            return Ok(out);
+        }
+        shift += 7;
     }
-    Ok(RawChunk::Ops {
-        core: core as usize,
-    })
 }
 
 /// A `Read` adapter counting the bytes that pass through it.
@@ -728,10 +890,7 @@ pub fn read_header_path(path: &std::path::Path) -> Result<TraceHeader> {
 pub fn read_all<R: Read>(source: R) -> Result<(TraceHeader, Vec<Vec<TraceOp>>)> {
     let mut reader = MtrcReader::new(source)?;
     let mut per_core: Vec<Vec<TraceOp>> = (0..reader.header().cores).map(|_| Vec::new()).collect();
-    let mut chunk = Vec::new();
-    while let Some(core) = reader.next_chunk(&mut chunk)? {
-        per_core[core].extend_from_slice(&chunk);
-    }
+    while reader.read_into(&mut per_core[..])?.is_some() {}
     Ok((reader.header, per_core))
 }
 

@@ -35,7 +35,9 @@ use std::io::{Read, Seek, SeekFrom};
 use mithril_workloads::TraceOp;
 
 use crate::error::{Result, TraceError};
-use crate::format::{read_raw_chunk, read_varint, CountingReader, RawChunk, TraceHeader, CORE_END};
+use crate::format::{
+    read_raw_chunk, read_varint, CountingReader, OpSink, RawChunk, TraceHeader, CORE_END,
+};
 
 /// What a resilient read skipped, for reporting and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,6 +132,13 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     /// Only genuine I/O failure (device errors, not EOF/corruption).
     pub fn next_chunk(&mut self, ops: &mut Vec<TraceOp>) -> Result<Option<usize>> {
         ops.clear();
+        self.read_into(ops)
+    }
+
+    /// Decodes the next valid chunk, appending its ops to `sink`'s vector
+    /// for the chunk's core, and returns the core id (`None` at end of
+    /// stream). Skipped records append nothing.
+    fn read_into<S: OpSink + ?Sized>(&mut self, sink: &mut S) -> Result<Option<usize>> {
         if self.done {
             return Ok(None);
         }
@@ -145,7 +154,7 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
                 self.header.cores,
                 self.chunk_index,
                 &mut self.payload,
-                ops,
+                sink,
             ) {
                 Ok(RawChunk::End { total }) => {
                     self.done = true;
@@ -154,8 +163,8 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
                     }
                     return Ok(None);
                 }
-                Ok(RawChunk::Ops { core }) => {
-                    self.ops_seen += ops.len() as u64;
+                Ok(RawChunk::Ops { core, ops }) => {
+                    self.ops_seen += ops;
                     self.chunk_index += 1;
                     return Ok(Some(core));
                 }
@@ -229,6 +238,7 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     /// True when a record decodes and checksums cleanly at `offset`.
     fn probe(&mut self, offset: u64) -> Result<bool> {
         self.source.seek(SeekFrom::Start(offset))?;
+        self.scratch_ops.clear();
         match read_raw_chunk(
             &mut self.source,
             self.header.cores,
@@ -274,10 +284,7 @@ pub fn read_all_resilient<R: Read + Seek>(
 ) -> Result<(TraceHeader, Vec<Vec<TraceOp>>, ResilienceReport)> {
     let mut reader = ResilientMtrcReader::new(source)?;
     let mut per_core: Vec<Vec<TraceOp>> = (0..reader.header().cores).map(|_| Vec::new()).collect();
-    let mut chunk = Vec::new();
-    while let Some(core) = reader.next_chunk(&mut chunk)? {
-        per_core[core].extend_from_slice(&chunk);
-    }
+    while reader.read_into(&mut per_core[..])?.is_some() {}
     Ok((reader.header, per_core, reader.report))
 }
 

@@ -18,12 +18,20 @@ use mithril_memctrl::{AddressMapping, MappedAddr};
 /// Attacks are channel-aware: the mapping routes cache lines over the
 /// system's channels, and a physical-row attack inverts that routing so
 /// every access lands on its chosen channel.
+///
+/// The column is a plain bit field of the line address, so a target's
+/// line at column `c` is its column-0 line plus `c` column steps; both
+/// are precomputed and `next_op` does no division.
 #[derive(Debug, Clone)]
 pub struct RowAttack {
-    mapping: AddressMapping,
-    targets: Vec<MappedAddr>,
+    targets: Vec<(usize, RowId)>,
+    /// Each target's column-0 line.
+    lines: Vec<u64>,
+    /// The line distance between adjacent columns of a row.
+    col_step: u64,
+    lines_per_row: u64,
     cursor: usize,
-    col_toggle: u64,
+    col: u64,
     name: &'static str,
 }
 
@@ -32,8 +40,8 @@ impl RowAttack {
     ///
     /// # Panics
     ///
-    /// Panics if `targets` is empty or `channel` is out of range for the
-    /// mapping's geometry.
+    /// Panics if `targets` is empty, or `channel` or any target is out of
+    /// range for the mapping's geometry.
     pub fn new(
         mapping: AddressMapping,
         channel: ChannelId,
@@ -42,39 +50,53 @@ impl RowAttack {
     ) -> Self {
         assert!(!targets.is_empty(), "targets must be non-empty");
         assert!(channel.0 < mapping.channels(), "channel out of range");
+        let line = |(bank, row), col| {
+            mapping.line_for(MappedAddr {
+                channel,
+                bank,
+                row,
+                col,
+            })
+        };
+        let lines: Vec<u64> = targets.iter().map(|&t| line(t, 0)).collect();
+        let lines_per_row = mapping.geometry().lines_per_row();
+        let col_step = if lines_per_row > 1 {
+            line(targets[0], 1) - lines[0]
+        } else {
+            0
+        };
         Self {
-            targets: targets
-                .into_iter()
-                .map(|(bank, row)| MappedAddr {
-                    channel,
-                    bank,
-                    row,
-                    col: 0,
-                })
-                .collect(),
-            mapping,
+            targets,
+            lines,
+            col_step,
+            lines_per_row,
             cursor: 0,
-            col_toggle: 0,
+            col: 0,
             name,
         }
     }
 
     /// The attack's target list.
     pub fn targets(&self) -> impl Iterator<Item = (usize, RowId)> + '_ {
-        self.targets.iter().map(|a| (a.bank, a.row))
+        self.targets.iter().copied()
     }
 }
 
 impl TraceSource for RowAttack {
     fn next_op(&mut self) -> TraceOp {
-        let mut addr = self.targets[self.cursor];
-        self.cursor = (self.cursor + 1) % self.targets.len();
+        let line = self.lines[self.cursor];
+        self.cursor += 1;
+        if self.cursor == self.lines.len() {
+            self.cursor = 0;
+        }
         // Vary the column so request merging cannot collapse the stream.
-        self.col_toggle = (self.col_toggle + 1) % self.mapping.geometry().lines_per_row();
-        addr.col = self.col_toggle;
+        self.col += 1;
+        if self.col == self.lines_per_row {
+            self.col = 0;
+        }
         TraceOp {
             non_mem_insts: 0,
-            line_addr: self.mapping.line_for(addr),
+            line_addr: line + self.col * self.col_step,
             is_write: false,
             uncacheable: true,
         }
@@ -386,6 +408,77 @@ mod tests {
             rows.insert((addr.bank, addr.row));
         }
         assert!(rows.len() > 8, "pinning must preserve footprint diversity");
+    }
+
+    /// The stream `RowAttack` produced when it inverted the mapping on
+    /// every op: target `i mod n`, column `(i + 1) mod lines_per_row`,
+    /// each through `line_for`.
+    fn line_for_stream(
+        m: AddressMapping,
+        channel: ChannelId,
+        targets: &[(usize, RowId)],
+        ops: usize,
+    ) -> Vec<u64> {
+        let lines_per_row = m.geometry().lines_per_row();
+        (0..ops)
+            .map(|i| {
+                let (bank, row) = targets[i % targets.len()];
+                let col = (i as u64 + 1) % lines_per_row;
+                m.line_for(MappedAddr {
+                    channel,
+                    bank,
+                    row,
+                    col,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_attacks_match_the_line_for_stream() {
+        let geometries = [
+            Geometry::default(),
+            Geometry::table_iii_system(),
+            Geometry::default().with_ranks(2),
+        ];
+        for g in geometries {
+            let m = AddressMapping::new(g);
+            let last_bank = g.banks_total() - 1;
+            let top_row = g.rows_per_bank - 1;
+            for channel in g.channel_ids() {
+                let double = DoubleSided::new(m, channel, 3, 1000);
+                let double_top = DoubleSided::new(m, channel, last_bank, top_row - 1);
+                let multi = MultiSided::new(m, channel, 0, 5000, 32);
+                let single = MultiSided::new(m, channel, last_bank, top_row, 1);
+                let row_list: Vec<_> = (0..=last_bank)
+                    .map(|b| (b, (b as u64 * 977) % top_row))
+                    .collect();
+                let attacks: Vec<(&str, Vec<_>, Box<dyn TraceSource>)> = vec![
+                    ("double", double.0.targets().collect(), Box::new(double)),
+                    (
+                        "double-top",
+                        double_top.0.targets().collect(),
+                        Box::new(double_top),
+                    ),
+                    ("multi", multi.0.targets().collect(), Box::new(multi)),
+                    ("single", single.0.targets().collect(), Box::new(single)),
+                    (
+                        "row-list",
+                        row_list.clone(),
+                        Box::new(RowAttack::new(m, channel, row_list, "row-list")),
+                    ),
+                ];
+                for (label, targets, mut attack) in attacks {
+                    let ops = 2 * targets.len() * g.lines_per_row() as usize;
+                    let got: Vec<u64> = (0..ops).map(|_| attack.next_op().line_addr).collect();
+                    assert_eq!(
+                        got,
+                        line_for_stream(m, channel, &targets, ops),
+                        "{label} on {channel} of {g:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
