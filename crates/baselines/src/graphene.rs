@@ -128,7 +128,6 @@ pub struct Graphene {
     config: GrapheneConfig,
     banks: Vec<GrapheneBank>,
     next_reset: TimePs,
-    arrs: u64,
 }
 
 impl Graphene {
@@ -140,13 +139,7 @@ impl Graphene {
                 .collect(),
             next_reset: config.reset_period,
             config,
-            arrs: 0,
         }
-    }
-
-    /// ARRs triggered so far.
-    pub fn arrs_triggered(&self) -> u64 {
-        self.arrs
     }
 
     /// The configuration in use.
@@ -164,10 +157,7 @@ impl McMitigation for Graphene {
             self.next_reset += self.config.reset_period;
         }
         match self.banks[bank].on_activate(row, &self.config) {
-            Some(victims) => {
-                self.arrs += 1;
-                McAction::Arr { bank, victims }
-            }
+            Some(victims) => McAction::Arr { bank, victims },
             None => McAction::None,
         }
     }

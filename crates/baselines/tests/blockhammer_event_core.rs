@@ -91,9 +91,9 @@ fn blockhammer_swaps_keep_cores_decision_identical() {
     assert_eq!(done_event, done_naive, "completion streams diverge");
     assert_eq!(event.stats(), naive.stats(), "controller stats diverge");
     assert_eq!(
-        event.device().stats(),
-        naive.device().stats(),
-        "device stats diverge"
+        event.device().counters(),
+        naive.device().counters(),
+        "device counters diverge"
     );
     let log_event = event.take_command_log();
     let log_naive = naive.take_command_log();

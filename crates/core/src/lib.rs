@@ -65,5 +65,5 @@ pub mod fasthash {
 }
 
 pub use config::{ConfigError, MithrilConfig};
-pub use scheme::{MithrilScheme, SchemeStats};
+pub use scheme::MithrilScheme;
 pub use table::{Counter, MithrilTable, NaiveTable, Selection, INVALID_ROW};

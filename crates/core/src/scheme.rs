@@ -17,21 +17,6 @@ use crate::config::MithrilConfig;
 use crate::table::{MithrilTable, INVALID_ROW};
 use mithril_dram::{victims, DramMitigation, FaultSurface, RfmOutcome, RowId};
 
-/// Operation counters for one Mithril engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchemeStats {
-    /// ACTs observed.
-    pub acts: u64,
-    /// RFM windows received.
-    pub rfms: u64,
-    /// Preventive refreshes actually executed.
-    pub refreshes: u64,
-    /// RFM windows skipped by the adaptive policy.
-    pub skips: u64,
-    /// Victim rows refreshed in total.
-    pub victim_rows: u64,
-}
-
 /// The per-bank Mithril engine with a 16-bit wrapping-counter table.
 ///
 /// # Example
@@ -54,7 +39,6 @@ pub struct SchemeStats {
 pub struct MithrilScheme {
     table: MithrilTable<u16>,
     config: MithrilConfig,
-    stats: SchemeStats,
 }
 
 impl MithrilScheme {
@@ -63,18 +47,12 @@ impl MithrilScheme {
         Self {
             table: MithrilTable::new(config.nentry),
             config,
-            stats: SchemeStats::default(),
         }
     }
 
     /// The configuration this engine was built with.
     pub fn config(&self) -> &MithrilConfig {
         &self.config
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> SchemeStats {
-        self.stats
     }
 
     /// Current `MaxPtr − MinPtr` spread (the adaptive-refresh signal).
@@ -97,15 +75,12 @@ impl MithrilScheme {
 
 impl DramMitigation for MithrilScheme {
     fn on_activate(&mut self, row: RowId) {
-        self.stats.acts += 1;
         self.table.on_activate(row);
     }
 
     fn on_rfm_into(&mut self, out: &mut RfmOutcome) {
         out.reset_to_skipped();
-        self.stats.rfms += 1;
         if self.adaptive_skip() {
-            self.stats.skips += 1;
             return;
         }
         if let Some(sel) = self.table.on_rfm() {
@@ -120,8 +95,6 @@ impl DramMitigation for MithrilScheme {
                 self.config.blast_radius,
                 self.config.rows_per_bank,
             ));
-            self.stats.refreshes += 1;
-            self.stats.victim_rows += out.refreshed_victims.len() as u64;
             out.selected_aggressor = Some(sel.row);
             out.skipped = false;
         }
@@ -226,16 +199,19 @@ mod tests {
         let cfg = config(6_250, 64).with_adaptive(100, &t).unwrap();
         let mut m = MithrilScheme::new(cfg);
         // A perfectly uniform sweep keeps spread ≈ 1: all RFMs skipped.
+        let (mut rfms, mut skips) = (0u64, 0u64);
         for i in 0..10_000u64 {
             m.on_activate(i % (cfg.nentry as u64 * 4));
             if i % 64 == 63 {
-                m.on_rfm();
+                rfms += 1;
+                skips += u64::from(m.on_rfm().skipped);
             }
         }
-        let s = m.stats();
-        assert!(s.skips > 0, "uniform sweep should trigger skips");
-        assert_eq!(s.refreshes + s.skips, s.rfms);
-        assert!(s.skips as f64 / s.rfms as f64 > 0.9, "skips = {s:?}");
+        assert!(skips > 0, "uniform sweep should trigger skips");
+        assert!(
+            skips as f64 / rfms as f64 > 0.9,
+            "{skips} of {rfms} skipped"
+        );
     }
 
     #[test]
@@ -244,21 +220,22 @@ mod tests {
         let cfg = config(6_250, 64).with_adaptive(100, &t).unwrap();
         let mut m = MithrilScheme::new(cfg);
         // A focused hammer builds spread past AdTH quickly.
+        let (mut rfms, mut refreshes) = (0u64, 0u64);
         for i in 0..10_000u64 {
             m.on_activate(777);
             if i % 64 == 63 {
-                m.on_rfm();
+                rfms += 1;
+                refreshes += u64::from(!m.on_rfm().skipped);
             }
         }
-        let s = m.stats();
         // With AdTH=100 > RFMTH=64 the spread crosses AdTH every other
         // interval: half the RFMs refresh, which is exactly what Theorem 2
         // accounts for. The attack must never be *persistently* skipped.
         assert!(
-            s.refreshes >= s.rfms / 3,
-            "attack persistently skipped: {s:?}"
+            refreshes >= rfms / 3,
+            "attack persistently skipped: {refreshes} of {rfms} refreshed"
         );
-        assert!(s.refreshes > 0);
+        assert!(refreshes > 0);
     }
 
     #[test]
@@ -286,20 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_account_every_rfm() {
+    fn every_rfm_window_refreshes_or_skips() {
         let t = Ddr5Timing::ddr5_4800();
         let cfg = config(3_125, 16).with_adaptive(200, &t).unwrap();
         let mut m = MithrilScheme::new(cfg);
         for i in 0..5_000u64 {
             m.on_activate(i % 97);
             if i % 16 == 15 {
-                m.on_rfm();
+                // Every window either refreshes the selected aggressor's
+                // victims or is skipped with nothing selected.
+                let out = m.on_rfm();
+                assert_eq!(out.skipped, out.selected_aggressor.is_none());
+                assert_eq!(out.skipped, out.refreshed_victims.is_empty());
             }
         }
-        let s = m.stats();
-        assert_eq!(s.rfms, 5_000 / 16);
-        assert_eq!(s.refreshes + s.skips, s.rfms);
-        assert_eq!(s.acts, 5_000);
     }
 
     #[test]

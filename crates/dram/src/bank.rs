@@ -17,25 +17,6 @@ pub enum BankState {
     Active(RowId),
 }
 
-/// Counters of commands a bank has executed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankStats {
-    /// ACT commands.
-    pub acts: u64,
-    /// PRE commands.
-    pub pres: u64,
-    /// Read bursts.
-    pub reads: u64,
-    /// Write bursts.
-    pub writes: u64,
-    /// REF commands observed (rank-level REFs reaching this bank).
-    pub refs: u64,
-    /// RFM commands received.
-    pub rfms: u64,
-    /// Victim rows preventively refreshed (during RFM or ARR).
-    pub preventive_rows: u64,
-}
-
 /// One DRAM bank: state machine + timing bookkeeping.
 ///
 /// All `issue_*` methods assume their `can_*` counterpart returned `true`
@@ -67,7 +48,6 @@ pub struct Bank {
     next_col: TimePs,
     /// The bank is busy (REF/RFM) until this time.
     busy_until: TimePs,
-    stats: BankStats,
 }
 
 impl Bank {
@@ -80,18 +60,12 @@ impl Bank {
             next_pre: 0,
             next_col: 0,
             busy_until: 0,
-            stats: BankStats::default(),
         }
     }
 
     /// Current activation state.
     pub fn state(&self) -> BankState {
         self.state
-    }
-
-    /// Command counters.
-    pub fn stats(&self) -> BankStats {
-        self.stats
     }
 
     /// The open row, if any.
@@ -148,7 +122,6 @@ impl Bank {
         self.next_act = now + self.timing.trc;
         self.next_pre = now + self.timing.tras;
         self.next_col = now + self.timing.trcd;
-        self.stats.acts += 1;
     }
 
     /// Closes the open row at time `now`.
@@ -160,7 +133,6 @@ impl Bank {
         assert!(self.can_precharge(now), "illegal PRE at {now}");
         self.state = BankState::Precharged;
         self.next_act = self.next_act.max(now + self.timing.trp);
-        self.stats.pres += 1;
     }
 
     /// Issues a read burst; returns the time the data burst completes.
@@ -170,7 +142,6 @@ impl Bank {
     /// Panics if the column command is not legal at `now`.
     pub fn issue_read(&mut self, row: RowId, now: TimePs) -> TimePs {
         assert!(self.can_column(row, now), "illegal RD at {now}");
-        self.stats.reads += 1;
         // Consecutive bursts are spaced by tBL; PRE must wait tRTP.
         self.next_col = now + self.timing.tbl;
         self.next_pre = self.next_pre.max(now + self.timing.trtp);
@@ -184,7 +155,6 @@ impl Bank {
     /// Panics if the column command is not legal at `now`.
     pub fn issue_write(&mut self, row: RowId, now: TimePs) -> TimePs {
         assert!(self.can_column(row, now), "illegal WR at {now}");
-        self.stats.writes += 1;
         self.next_col = now + self.timing.tbl;
         let done = now + self.timing.tcl + self.timing.tbl + self.timing.twr;
         self.next_pre = self.next_pre.max(done);
@@ -200,22 +170,18 @@ impl Bank {
     pub fn issue_refresh(&mut self, now: TimePs) -> TimePs {
         assert!(self.can_refresh(now), "illegal REF at {now}");
         self.busy_until = now + self.timing.trfc;
-        self.stats.refs += 1;
         self.busy_until
     }
 
     /// Starts an RFM window; the bank is busy until `now + tRFM`. Returns
-    /// the busy-until time. `victims_refreshed` is the number of rows the
-    /// mitigation engine preventively refreshed inside the window.
+    /// the busy-until time.
     ///
     /// # Panics
     ///
     /// Panics if the bank is not precharged and idle.
-    pub fn issue_rfm(&mut self, now: TimePs, victims_refreshed: u64) -> TimePs {
+    pub fn issue_rfm(&mut self, now: TimePs) -> TimePs {
         assert!(self.can_refresh(now), "illegal RFM at {now}");
         self.busy_until = now + self.timing.trfm;
-        self.stats.rfms += 1;
-        self.stats.preventive_rows += victims_refreshed;
         self.busy_until
     }
 
@@ -228,7 +194,6 @@ impl Bank {
     pub fn issue_arr(&mut self, now: TimePs, victims: u64) -> TimePs {
         assert!(self.can_refresh(now), "illegal ARR at {now}");
         self.busy_until = now + self.timing.trc * victims.max(1);
-        self.stats.preventive_rows += victims;
         self.busy_until
     }
 }
@@ -301,10 +266,9 @@ mod tests {
     #[test]
     fn rfm_blocks_bank_for_trfm() {
         let (mut b, t) = bank();
-        let busy = b.issue_rfm(0, 2);
+        let busy = b.issue_rfm(0);
         assert_eq!(busy, t.trfm);
-        assert_eq!(b.stats().rfms, 1);
-        assert_eq!(b.stats().preventive_rows, 2);
+        assert!(!b.can_activate(t.trfm - 1));
         assert!(b.can_activate(t.trfm));
     }
 
@@ -320,7 +284,8 @@ mod tests {
         let (mut b, t) = bank();
         let busy = b.issue_arr(0, 2);
         assert_eq!(busy, 2 * t.trc);
-        assert_eq!(b.stats().preventive_rows, 2);
+        assert!(!b.can_activate(2 * t.trc - 1));
+        assert!(b.can_activate(2 * t.trc));
     }
 
     #[test]
@@ -330,15 +295,5 @@ mod tests {
         b.issue_activate(1, 0);
         b.issue_precharge(t.tras);
         b.issue_activate(2, t.trc - 1);
-    }
-
-    #[test]
-    fn stats_count_commands() {
-        let (mut b, t) = bank();
-        b.issue_activate(1, 0);
-        b.issue_read(1, t.trcd);
-        b.issue_precharge(t.tras + t.trtp);
-        let s = b.stats();
-        assert_eq!((s.acts, s.reads, s.pres), (1, 1, 1));
     }
 }

@@ -6,28 +6,13 @@
 //! counters. The memory controller (see `mithril-memctrl`) drives it through
 //! the `issue_*` methods; the device enforces command legality.
 
-use crate::bank::{Bank, BankStats};
+use crate::bank::Bank;
 use crate::energy::EnergyCounters;
 use crate::mitigation::{DramMitigation, RfmOutcome};
 use crate::oracle::RowHammerOracle;
 use crate::rank::RankTiming;
 use crate::timing::Ddr5Timing;
 use crate::types::{BankId, Geometry, RankId, RowId, TimePs};
-
-/// Aggregate statistics over all banks of a device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Sum of per-bank command counters.
-    pub bank_totals: BankStats,
-    /// REF commands issued (rank level).
-    pub ref_commands: u64,
-    /// RFM commands issued.
-    pub rfm_commands: u64,
-    /// RFMs elided by the Mithril+ MRR flag.
-    pub rfm_elisions: u64,
-    /// MRR polls.
-    pub mrr_commands: u64,
-}
 
 /// A DDR5 channel-worth of DRAM: ranks × banks with per-bank mitigation.
 ///
@@ -56,7 +41,6 @@ pub struct DramDevice {
     ref_ptrs: Vec<RowId>,
     rows_per_ref: u64,
     counters: EnergyCounters,
-    stats: DeviceStats,
     /// Reusable outcome buffer for [`DramMitigation::on_rfm_into`], so the
     /// per-RFM victim list never reallocates on the hot path.
     rfm_scratch: RfmOutcome,
@@ -91,7 +75,6 @@ impl DramDevice {
             ref_ptrs: vec![0; geometry.ranks],
             rows_per_ref: timing.rows_per_ref(geometry.rows_per_bank),
             counters: EnergyCounters::default(),
-            stats: DeviceStats::default(),
             rfm_scratch: RfmOutcome::default(),
         }
     }
@@ -156,22 +139,6 @@ impl DramDevice {
     /// Accumulated operation counters (for the energy model).
     pub fn counters(&self) -> &EnergyCounters {
         &self.counters
-    }
-
-    /// Aggregate device statistics.
-    pub fn stats(&self) -> DeviceStats {
-        let mut s = self.stats;
-        for b in &self.banks {
-            let bs = b.stats();
-            s.bank_totals.acts += bs.acts;
-            s.bank_totals.pres += bs.pres;
-            s.bank_totals.reads += bs.reads;
-            s.bank_totals.writes += bs.writes;
-            s.bank_totals.refs += bs.refs;
-            s.bank_totals.rfms += bs.rfms;
-            s.bank_totals.preventive_rows += bs.preventive_rows;
-        }
-        s
     }
 
     /// Earliest time an ACT to `bank` may issue, at or after `now`.
@@ -273,13 +240,7 @@ impl DramDevice {
         } else {
             hi
         };
-        self.stats.ref_commands += 1;
         (busy, lo, hi)
-    }
-
-    /// True if `bank` can start an RFM (or ARR) at `now`.
-    pub fn can_rfm(&self, bank: BankId, now: TimePs) -> bool {
-        self.banks[bank].can_refresh(now)
     }
 
     /// Issues an RFM to `bank`, handing the tRFM window to its engine.
@@ -300,8 +261,7 @@ impl DramDevice {
         }
         self.counters.preventive_rows += outcome.refreshed_victims.len() as u64;
         self.counters.rfm_commands += 1;
-        self.stats.rfm_commands += 1;
-        let busy = self.banks[bank].issue_rfm(now, outcome.refreshed_victims.len() as u64);
+        let busy = self.banks[bank].issue_rfm(now);
         self.rfm_scratch = outcome;
         (&self.rfm_scratch, busy)
     }
@@ -309,13 +269,7 @@ impl DramDevice {
     /// Polls the Mithril+ mode-register flag of `bank` (an MRR command).
     pub fn issue_mrr(&mut self, bank: BankId) -> bool {
         self.counters.mrr_commands += 1;
-        self.stats.mrr_commands += 1;
         self.engines[bank].refresh_pending()
-    }
-
-    /// Records that the MC elided an RFM after a clear MRR flag.
-    pub fn note_rfm_elided(&mut self) {
-        self.stats.rfm_elisions += 1;
     }
 
     /// Executes an MC-directed ARR on `bank`: preventively refreshes
@@ -400,7 +354,6 @@ mod tests {
         assert_eq!(d.oracle(0).disturbance(1), 0);
         assert_eq!((lo, hi), (0, rows_per_ref));
         assert_eq!(d.counters().auto_refresh_rows, 32 * rows_per_ref);
-        assert_eq!(d.stats().ref_commands, 1);
     }
 
     #[test]
@@ -409,7 +362,7 @@ mod tests {
         let (outcome, busy) = d.issue_rfm(5, 0);
         assert!(outcome.skipped); // NoMitigation
         assert_eq!(busy, d.timing().trfm);
-        assert_eq!(d.stats().rfm_commands, 1);
+        assert_eq!(d.counters().rfm_commands, 1);
     }
 
     #[test]
@@ -429,15 +382,15 @@ mod tests {
     fn mrr_reports_engine_flag() {
         let mut d = device();
         assert!(!d.issue_mrr(0)); // NoMitigation never pending
-        assert_eq!(d.stats().mrr_commands, 1);
+        assert_eq!(d.counters().mrr_commands, 1);
     }
 
     #[test]
-    fn stats_aggregate_banks() {
+    fn counters_sum_over_banks() {
         let mut d = device();
         d.issue_activate(0, 1, 0);
         let when = d.earliest_activate(1, 0);
         d.issue_activate(1, 2, when);
-        assert_eq!(d.stats().bank_totals.acts, 2);
+        assert_eq!(d.counters().acts, 2);
     }
 }

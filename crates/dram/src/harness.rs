@@ -57,7 +57,6 @@ pub struct AttackHarness<S: EventSink = NullSink> {
     rows_per_ref: u64,
     counters: EnergyCounters,
     mrr_elision: bool,
-    rfms_issued: u64,
     rfms_elided: u64,
     /// Reusable RFM outcome buffer (see `DramMitigation::on_rfm_into`).
     rfm_scratch: RfmOutcome,
@@ -141,7 +140,6 @@ impl<S: EventSink> AttackHarness<S> {
             rows_per_ref: timing.rows_per_ref(rows),
             counters: EnergyCounters::default(),
             mrr_elision: false,
-            rfms_issued: 0,
             rfms_elided: 0,
             rfm_scratch: RfmOutcome::default(),
             obs,
@@ -196,11 +194,6 @@ impl<S: EventSink> AttackHarness<S> {
         true
     }
 
-    /// Remaining ACT slots in the current window, assuming no further RFM.
-    pub fn remaining_acts_in_window(&self) -> u64 {
-        (self.window_end.saturating_sub(self.now)) / self.timing.trc
-    }
-
     /// Extends the simulation into the next tREFW window.
     pub fn advance_window(&mut self) {
         self.window_end += self.timing.trefw;
@@ -223,7 +216,7 @@ impl<S: EventSink> AttackHarness<S> {
 
     /// RFM commands actually issued to the bank.
     pub fn rfms_issued(&self) -> u64 {
-        self.rfms_issued
+        self.counters.rfm_commands
     }
 
     /// RFM commands elided via the Mithril+ MRR flag.
@@ -261,7 +254,6 @@ impl<S: EventSink> AttackHarness<S> {
             }
         }
         self.counters.rfm_commands += 1;
-        self.rfms_issued += 1;
         let mut outcome = std::mem::take(&mut self.rfm_scratch);
         self.engine.on_rfm_into(&mut outcome);
         for &victim in &outcome.refreshed_victims {
@@ -307,7 +299,7 @@ impl<S: EventSink> std::fmt::Debug for AttackHarness<S> {
             .field("rfm_th", &self.rfm_th)
             .field("now", &self.now)
             .field("acts", &self.counters.acts)
-            .field("rfms_issued", &self.rfms_issued)
+            .field("rfms_issued", &self.counters.rfm_commands)
             .finish()
     }
 }

@@ -43,7 +43,7 @@ mod timing;
 mod types;
 
 pub use bank::{Bank, BankState};
-pub use device::{DeviceStats, DramDevice};
+pub use device::DramDevice;
 pub use energy::{EnergyCounters, EnergyModel};
 pub use harness::AttackHarness;
 pub use mitigation::{DramMitigation, FaultStats, FaultSurface, NoMitigation, RfmOutcome};

@@ -211,15 +211,6 @@ impl RowHammerOracle {
         self.max_observed
     }
 
-    /// Current (not high-water) maximum disturbance across victims.
-    pub fn current_max_disturbance(&self) -> u64 {
-        self.disturbance
-            .iter()
-            .map(|(_, d)| u64::from(d))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// All bit flips detected so far.
     pub fn flips(&self) -> &[FlipEvent] {
         &self.flips

@@ -89,12 +89,6 @@ impl RankTiming {
         self.total_acts
     }
 
-    /// The peak sustainable ACT rate of a rank in ACTs per second, as
-    /// limited by tFAW (4 ACTs per window).
-    pub fn max_acts_per_second(timing: &Ddr5Timing) -> f64 {
-        4.0 / (timing.tfaw as f64 * 1e-12)
-    }
-
     /// How many banks can be hammered at the per-bank maximum rate (one ACT
     /// per tRC each) before the rank-level tFAW limit binds — the paper's
     /// "22 banks" argument (Appendix C).

@@ -17,6 +17,8 @@
 //! * [`FxHasher64`] / [`FastHashMap`] — a multiply-fold hasher in the
 //!   FxHash/multiply-shift tradition for `HashMap`-style containers: one
 //!   XOR + one multiply + one rotate per 8-byte word.
+//! * [`Fnv64`] / [`fnv1a64`] — streaming 64-bit FNV-1a, the checksum of
+//!   the MTRC trace format and of the sweep journal.
 //! * [`MultiplyShiftHasher`] — the 2-universal multiply-shift family
 //!   (Dietzfelbinger et al.) for power-of-two sketch ranges, used by
 //!   BlockHammer's counting Bloom filter; this is the hash family hardware
@@ -215,10 +217,78 @@ impl MultiplyShiftHasher {
     }
 }
 
+/// Streaming 64-bit FNV-1a: the integrity check of MTRC trace headers
+/// and chunks and of sweep-journal lines. Not cryptographic: it guards
+/// against bit rot and truncation, not malice, which is what a file on
+/// disk needs.
+///
+/// # Example
+///
+/// ```
+/// use mithril_fasthash::{fnv1a64, Fnv64};
+///
+/// let mut h = Fnv64::new();
+/// h.update(b"mith");
+/// h.update(b"ril");
+/// assert_eq!(h.finish(), fnv1a64(b"mithril"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A fresh state (the FNV-1a 64-bit offset basis).
+    #[inline]
+    pub fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds one byte into the state.
+    #[inline(always)]
+    pub fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Folds every byte of `bytes`, in order.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
+
+    /// The hash of every byte folded so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The 64-bit FNV-1a hash of `bytes`.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fast_map_behaves_like_hashmap() {

@@ -146,23 +146,13 @@ impl CoreStats {
 /// Aggregate controller statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct McStats {
-    /// Demand reads serviced.
-    pub reads_done: u64,
-    /// Writebacks serviced.
-    pub writes_done: u64,
-    /// ACT commands issued.
-    pub acts: u64,
     /// Column commands that reused an already-open row (i.e. columns
     /// beyond the first one served by each activation).
     pub row_hits: u64,
     /// Rank REF commands issued.
     pub refs: u64,
-    /// RFM commands issued.
-    pub rfms: u64,
     /// RFMs elided after a clear MRR flag (Mithril+).
     pub rfm_elisions: u64,
-    /// MRR polls issued.
-    pub mrrs: u64,
     /// ARR commands issued on behalf of MC-side schemes.
     pub arrs: u64,
     /// ACTs whose issue was delayed by a throttling mitigation.
@@ -172,7 +162,9 @@ pub struct McStats {
     pub read_latency: LatencyHistogram,
     /// Writeback-latency distribution (commit − arrival, picoseconds).
     pub write_latency: LatencyHistogram,
-    /// Per-issuing-core attribution of the counters above.
+    /// Per-issuing-core attribution of this controller's activity (the
+    /// device's [`EnergyCounters`](mithril_dram::EnergyCounters) hold the
+    /// totals).
     pub per_core: PerCore<CoreStats>,
 }
 
@@ -182,7 +174,7 @@ impl McStats {
     /// 0.0 = every column needed its own ACT (no locality); values near
     /// 1.0 mean long same-row bursts.
     pub fn row_hit_rate(&self) -> f64 {
-        let cols = self.reads_done + self.writes_done;
+        let cols = self.read_latency.count() + self.write_latency.count();
         if cols == 0 {
             0.0
         } else {
@@ -1246,10 +1238,8 @@ impl<S: EventSink> MemoryController<S> {
             }
             Action::Rfm { bank } => {
                 if self.config.rfm_mode == RfmMode::MrrElision {
-                    self.stats.mrrs += 1;
                     let pending = self.device.issue_mrr(bank);
                     if !pending {
-                        self.device.note_rfm_elided();
                         self.stats.rfm_elisions += 1;
                         self.lanes[bank].rfm_pending = false;
                         self.lanes[bank].raa = 0;
@@ -1275,7 +1265,6 @@ impl<S: EventSink> MemoryController<S> {
                         out.skipped,
                     )
                 };
-                self.stats.rfms += 1;
                 self.lanes[bank].rfm_pending = false;
                 self.lanes[bank].raa = 0;
                 self.mark_dirty(bank);
@@ -1320,10 +1309,8 @@ impl<S: EventSink> MemoryController<S> {
                     .remove(pos)
                     .expect("valid queue position");
                 let done = if req.is_write {
-                    self.stats.writes_done += 1;
                     self.device.issue_write(bank, req.addr.row, now)
                 } else {
-                    self.stats.reads_done += 1;
                     self.device.issue_read(bank, req.addr.row, now)
                 };
                 // Only columns beyond the first per activation are
@@ -1385,7 +1372,6 @@ impl<S: EventSink> MemoryController<S> {
                     (TrackerObservation::default(), FaultStats::default())
                 };
                 self.device.issue_activate(bank, req.addr.row, now);
-                self.stats.acts += 1;
                 let core = self.stats.per_core.slot(req.thread);
                 core.acts += 1;
                 self.lanes[bank].hits_served = 0;
@@ -1554,11 +1540,12 @@ mod tests {
         assert_eq!(done.len(), 7);
 
         let s = mc.stats();
-        assert_eq!(s.read_latency.count(), s.reads_done);
-        assert_eq!(s.write_latency.count(), s.writes_done);
+        let c = *mc.device().counters();
+        assert_eq!(s.read_latency.count(), c.reads);
+        assert_eq!(s.write_latency.count(), c.writes);
         assert!(s.read_latency.min() > 0, "reads cannot complete at t=0");
 
-        // Per-core shares sum to the controller totals.
+        // Per-core shares sum to the device totals.
         let (mut acts, mut reads, mut writes) = (0, 0, 0);
         let mut merged = LatencyHistogram::new();
         for (_, core) in s.per_core.iter() {
@@ -1567,9 +1554,9 @@ mod tests {
             writes += core.writes_done;
             merged.merge(&core.read_latency);
         }
-        assert_eq!(acts, s.acts);
-        assert_eq!(reads, s.reads_done);
-        assert_eq!(writes, s.writes_done);
+        assert_eq!(acts, c.acts);
+        assert_eq!(reads, c.reads);
+        assert_eq!(writes, c.writes);
         assert_eq!(merged, s.read_latency);
         assert_eq!(s.per_core.get(0).unwrap().reads_done, 2);
         assert_eq!(s.per_core.get(1).unwrap().reads_done, 4);
@@ -1672,7 +1659,11 @@ mod tests {
         mc.enqueue(MemRequest::read(2, b, 0, 0));
         let done = drain(&mut mc, PS_PER_US);
         assert_eq!(done.len(), 2);
-        assert_eq!(mc.stats().acts, 1, "second access must be a row hit");
+        assert_eq!(
+            mc.device().counters().acts,
+            1,
+            "second access must be a row hit"
+        );
     }
 
     #[test]
@@ -1690,7 +1681,7 @@ mod tests {
         let done = drain(&mut mc, 10 * PS_PER_US);
         assert_eq!(done.len(), 6);
         // 6 same-row requests with max 4 hits per activation: 2 ACTs.
-        assert_eq!(mc.stats().acts, 2);
+        assert_eq!(mc.device().counters().acts, 2);
     }
 
     #[test]
@@ -1712,7 +1703,7 @@ mod tests {
         mc.enqueue(MemRequest::read(2, b, 0, 0));
         let done = drain(&mut mc, PS_PER_US);
         assert_eq!(done.len(), 2);
-        assert_eq!(mc.stats().acts, 2);
+        assert_eq!(mc.device().counters().acts, 2);
         // Second completes after a full row cycle.
         assert!(done[1].at > Ddr5Timing::ddr5_4800().trc);
     }
@@ -1745,8 +1736,12 @@ mod tests {
         }
         let done = drain(&mut mc, PS_PER_MS);
         assert_eq!(done.len(), 8);
-        assert_eq!(mc.stats().acts, 8);
-        assert_eq!(mc.stats().rfms, 2, "RAA reaches 4 twice");
+        assert_eq!(mc.device().counters().acts, 8);
+        assert_eq!(
+            mc.device().counters().rfm_commands,
+            2,
+            "RAA reaches 4 twice"
+        );
     }
 
     #[test]
@@ -1768,9 +1763,9 @@ mod tests {
             mc.enqueue(MemRequest::read(i, addr, 0, 0));
         }
         drain(&mut mc, PS_PER_MS);
-        assert_eq!(mc.stats().rfms, 0);
+        assert_eq!(mc.device().counters().rfm_commands, 0);
         assert_eq!(mc.stats().rfm_elisions, 2);
-        assert_eq!(mc.stats().mrrs, 2);
+        assert_eq!(mc.device().counters().mrr_commands, 2);
     }
 
     #[test]
@@ -2011,6 +2006,6 @@ mod tests {
         let done = drain(&mut mc, PS_PER_US);
         assert_eq!(done.len(), 1);
         assert!(done[0].is_write);
-        assert_eq!(mc.stats().writes_done, 1);
+        assert_eq!(mc.device().counters().writes, 1);
     }
 }

@@ -184,9 +184,9 @@ fn assert_controllers_agree(
     assert_eq!(done_event, done_naive, "completion streams diverge");
     assert_eq!(event.stats(), naive.stats(), "controller stats diverge");
     assert_eq!(
-        event.device().stats(),
-        naive.device().stats(),
-        "device stats diverge"
+        event.device().counters(),
+        naive.device().counters(),
+        "device counters diverge"
     );
     assert_eq!(
         event.device().max_disturbance(),

@@ -910,11 +910,6 @@ impl Sampler {
         &self.rows
     }
 
-    /// Consumes the sampler, yielding its rows.
-    pub fn into_rows(self) -> Vec<SampleRow> {
-        self.rows
-    }
-
     /// Drains the recorded rows, keeping the grid position so sampling
     /// continues where it left off.
     pub fn take_rows(&mut self) -> Vec<SampleRow> {

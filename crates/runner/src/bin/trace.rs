@@ -136,33 +136,15 @@ fn schemes_for(
     nbl_scale: u64,
 ) -> Vec<(String, Scheme)> {
     let rfm = rfm_th.unwrap_or_else(|| default_rfm_th(flip_th));
-    if name == "all" {
-        return all_schemes(rfm, nbl_scale)
-            .into_iter()
-            .map(|(l, s)| (l.to_string(), s))
-            .collect();
+    let picked: Vec<(String, Scheme)> = all_schemes(rfm, nbl_scale)
+        .into_iter()
+        .filter(|&(label, _)| name == "all" || name == label)
+        .map(|(label, s)| (label.to_string(), s))
+        .collect();
+    if picked.is_empty() {
+        die(&format!("unknown scheme {name:?}"));
     }
-    let scheme = match name {
-        "none" => Scheme::None,
-        "mithril" => Scheme::Mithril {
-            rfm_th: rfm,
-            ad_th: Some(200),
-            plus: false,
-        },
-        "mithril+" => Scheme::Mithril {
-            rfm_th: rfm,
-            ad_th: Some(200),
-            plus: true,
-        },
-        "parfm" => Scheme::Parfm,
-        "para" => Scheme::Para,
-        "graphene" => Scheme::Graphene,
-        "twice" => Scheme::TwiCe,
-        "cbt" => Scheme::Cbt,
-        "blockhammer" => Scheme::BlockHammer { nbl_scale },
-        other => die(&format!("unknown scheme {other:?}")),
-    };
-    vec![(name.to_string(), scheme)]
+    picked
 }
 
 fn geometry_from(args: &mut Args) -> mithril_dram::Geometry {
@@ -343,7 +325,11 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
         match &r.outcome {
             Ok(m) => table.push_str(&format!(
                 "# {:<40} agg_ipc {:>8.3}  rfms {:>7}  max_disturbance {:>7}  flips {}\n",
-                r.scenario.name, m.aggregate_ipc, m.rfms, m.max_disturbance, m.flips
+                r.scenario.name,
+                m.aggregate_ipc,
+                m.counters.rfm_commands,
+                m.max_disturbance,
+                m.flips
             )),
             Err(e) => table.push_str(&format!("# {:<40} unavailable: {e}\n", r.scenario.name)),
         }

@@ -49,11 +49,6 @@ pub fn default_threads() -> usize {
 
 pub use mithril_fasthash::splitmix64;
 
-/// The deterministic RNG seed of shard `shard` under `base_seed`.
-pub fn shard_seed(base_seed: u64, shard: usize) -> u64 {
-    mithril_fasthash::splitmix64_shard(base_seed, shard as u64)
-}
-
 /// The deterministic RNG seed of the item at `offset` within its shard.
 ///
 /// Delegates to [`mithril_fasthash::splitmix64_seed`] — the same helper

@@ -32,6 +32,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+use mithril_fasthash::fnv1a64;
 use mithril_obs::json::Json;
 use mithril_obs::FORMAT_VERSION;
 
@@ -39,15 +40,6 @@ use crate::scenarios::Scenario;
 
 /// Magic tag of journal format v1.
 pub const JOURNAL_MAGIC: &str = "MTRJ1";
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Fingerprint of a sweep's identity: the report [`FORMAT_VERSION`], the
 /// base seed and every expanded scenario's name and size knobs. Two

@@ -54,12 +54,12 @@ fn counters_tree(c: &EnergyCounters) -> Json {
 fn channel_tree(c: &ChannelMetrics) -> Json {
     json_obj! {
         "channel": c.channel.0,
-        "reads_done": c.reads_done,
-        "writes_done": c.writes_done,
+        "reads_done": c.counters.reads,
+        "writes_done": c.counters.writes,
         "latency": latency_tree(&c.read_latency, &c.write_latency),
         "row_hit_rate": c.row_hit_rate,
         "energy_pj": c.energy_pj,
-        "rfms": c.rfms,
+        "rfms": c.counters.rfm_commands,
         "rfm_elisions": c.rfm_elisions,
         "arrs": c.arrs,
         "throttled_acts": c.throttled_acts,
@@ -142,7 +142,7 @@ fn metrics_tree(m: &Metrics) -> Json {
         "sim_time_ps": m.sim_time_ps,
         "llc_miss_rate": m.llc_miss_rate,
         "energy_pj": m.energy_pj,
-        "rfms": m.rfms,
+        "rfms": m.counters.rfm_commands,
         "rfm_elisions": m.rfm_elisions,
         "arrs": m.arrs,
         "throttled_acts": m.throttled_acts,
@@ -272,7 +272,7 @@ pub fn fault_point_tree(r: &SweepResult) -> Json {
             "repairs": m.faults.as_ref().map_or(0, |f| f.repairs),
             "max_disturbance": m.max_disturbance,
             "flips": m.flips,
-            "rfms": m.rfms,
+            "rfms": m.counters.rfm_commands,
             "preventive_rows": m.counters.preventive_rows,
         },
         Err(e) => json_obj! {"rate_ppm": rate_ppm(r), "error": e},

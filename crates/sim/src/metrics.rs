@@ -16,18 +16,13 @@ use mithril_obs::{LatencyHistogram, PerCore};
 pub struct ChannelMetrics {
     /// The channel this breakdown belongs to.
     pub channel: ChannelId,
-    /// Demand reads serviced by this channel.
-    pub reads_done: u64,
-    /// Writebacks serviced by this channel.
-    pub writes_done: u64,
     /// Row-buffer hit rate over column commands.
     pub row_hit_rate: f64,
-    /// DRAM operation counters of this channel's device.
+    /// DRAM operation counters of this channel's device: the one count
+    /// of its ACTs, reads, writes, RFMs and MRRs.
     pub counters: EnergyCounters,
     /// Dynamic DRAM energy of this channel, picojoules.
     pub energy_pj: f64,
-    /// RFM commands issued on this channel.
-    pub rfms: u64,
     /// RFMs elided via MRR (Mithril+).
     pub rfm_elisions: u64,
     /// ARR commands issued (MC-side schemes).
@@ -74,7 +69,8 @@ pub struct Metrics {
     pub counters: EnergyCounters,
     /// Total dynamic DRAM energy in picojoules.
     pub energy_pj: f64,
-    /// RFM commands issued.
+    /// RFM commands issued: `counters.rfm_commands`, kept as a field for
+    /// callers that read it by name.
     pub rfms: u64,
     /// RFMs elided via MRR (Mithril+).
     pub rfm_elisions: u64,
@@ -123,7 +119,6 @@ impl Metrics {
     ) -> Self {
         let aggregate_ipc = per_core_ipc.iter().sum();
         let mut counters = EnergyCounters::default();
-        let mut rfms = 0;
         let mut rfm_elisions = 0;
         let mut arrs = 0;
         let mut throttled_acts = 0;
@@ -135,7 +130,6 @@ impl Metrics {
         let mut qos: Option<QosStats> = None;
         for ch in &per_channel {
             counters = counters.merged(&ch.counters);
-            rfms += ch.rfms;
             rfm_elisions += ch.rfm_elisions;
             arrs += ch.arrs;
             throttled_acts += ch.throttled_acts;
@@ -157,9 +151,9 @@ impl Metrics {
             sim_time_ps,
             llc_miss_rate,
             energy_pj: model.dynamic_energy_pj(&counters),
+            rfms: counters.rfm_commands,
             counters,
             per_channel,
-            rfms,
             rfm_elisions,
             arrs,
             throttled_acts,
@@ -229,16 +223,14 @@ mod tests {
         let counters = EnergyCounters {
             acts,
             pres: acts,
+            rfm_commands: acts / 10,
             ..Default::default()
         };
         ChannelMetrics {
             channel: ChannelId(ch),
-            reads_done: acts * 2,
-            writes_done: acts / 2,
             row_hit_rate: 0.5,
             counters,
             energy_pj: EnergyModel::ddr5_default().dynamic_energy_pj(&counters),
-            rfms: acts / 10,
             rfm_elisions: 0,
             arrs: 1,
             throttled_acts: 0,
@@ -269,7 +261,8 @@ mod tests {
         let m = metrics(10.0, 100);
         assert_eq!(m.per_channel.len(), 2);
         assert_eq!(m.counters.acts, 150);
-        assert_eq!(m.rfms, 10 + 5);
+        assert_eq!(m.counters.rfm_commands, 10 + 5);
+        assert_eq!(m.rfms, m.counters.rfm_commands);
         assert_eq!(m.arrs, 2);
         assert_eq!(m.max_disturbance, 100);
         let sum: f64 = m.per_channel.iter().map(|c| c.energy_pj).sum();

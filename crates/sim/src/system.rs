@@ -568,13 +568,14 @@ impl<S: EventSink> System<S> {
         for (ch, sampler) in samplers.iter_mut().enumerate() {
             let mc = &self.mcs[ch];
             let s = mc.stats();
+            let c = mc.device().counters();
             let (cand_hits, cand_invalidations) = mc.obs_cand_counters();
             sampler.poll(now, &mut |cycle| SampleRow {
                 cycle,
                 channel: ch as u32,
-                acts: s.acts,
+                acts: c.acts,
                 refs: s.refs,
-                rfms: s.rfms,
+                rfms: c.rfm_commands,
                 rfm_elisions: s.rfm_elisions,
                 arrs: s.arrs,
                 queue_depth: mc.queue_depth(),
@@ -614,12 +615,9 @@ impl<S: EventSink> System<S> {
                 let counters = *mc.device().counters();
                 ChannelMetrics {
                     channel: mithril_dram::ChannelId(ch),
-                    reads_done: s.reads_done,
-                    writes_done: s.writes_done,
                     row_hit_rate: s.row_hit_rate(),
                     energy_pj: model.dynamic_energy_pj(&counters),
                     counters,
-                    rfms: s.rfms,
                     rfm_elisions: s.rfm_elisions,
                     arrs: s.arrs,
                     throttled_acts: s.throttled_acts,
@@ -696,7 +694,7 @@ mod tests {
         assert!(m.total_insts >= 4 * 20_000);
         assert!(m.aggregate_ipc > 0.1, "aggregate IPC {}", m.aggregate_ipc);
         assert!(m.llc_miss_rate > 0.0);
-        assert_eq!(m.rfms, 0);
+        assert_eq!(m.counters.rfm_commands, 0);
     }
 
     #[test]
@@ -709,7 +707,7 @@ mod tests {
             },
             20_000,
         );
-        assert!(m.rfms > 0, "no RFMs issued");
+        assert!(m.counters.rfm_commands > 0, "no RFMs issued");
         assert_eq!(m.flips, 0);
         assert!(m.counters.preventive_rows > 0);
     }
@@ -860,7 +858,6 @@ mod tests {
                 assert_eq!(ev.total_insts, na.total_insts, "insts diverge ({tag})");
                 assert_eq!(ev.sim_time_ps, na.sim_time_ps, "time diverges ({tag})");
                 assert_eq!(ev.counters, na.counters, "counters diverge ({tag})");
-                assert_eq!(ev.rfms, na.rfms, "rfms diverge ({tag})");
                 assert_eq!(ev.arrs, na.arrs, "arrs diverge ({tag})");
                 assert_eq!(
                     ev.throttled_acts, na.throttled_acts,

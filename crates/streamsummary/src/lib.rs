@@ -103,13 +103,6 @@ impl<V: Copy + Eq> BucketList<V> {
         (self.tail_bucket != NIL).then(|| self.buckets[self.tail_bucket as usize].value)
     }
 
-    /// The `(min, max)` value pair in one O(1) read — the observability
-    /// probe of the structure (`mithril-obs` snapshots counter spans
-    /// through this without walking buckets).
-    pub fn value_span(&self) -> Option<(V, V)> {
-        Some((self.min_value()?, self.max_value()?))
-    }
-
     /// The slot that has held the minimum value longest (eviction target).
     pub fn oldest_min_slot(&self) -> Option<u32> {
         (self.head_bucket != NIL).then(|| self.buckets[self.head_bucket as usize].head)

@@ -55,6 +55,7 @@
 use std::io::{Read, Write};
 
 use mithril_dram::Geometry;
+use mithril_fasthash::{fnv1a64, Fnv64};
 use mithril_workloads::TraceOp;
 
 use crate::error::{Result, TraceError};
@@ -77,39 +78,6 @@ pub const DEFAULT_CHUNK_OPS: usize = 4096;
 pub const MAX_SOURCE_LEN: usize = 4096;
 
 // --------------------------------------------------------------- primitives
-
-/// Streaming FNV-1a over 64 bits — the chunk/header integrity check.
-/// Not cryptographic: it guards against bit rot and truncation, not
-/// malice, which matches what a trace file needs.
-#[derive(Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline(always)]
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
 
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -525,11 +493,6 @@ impl<W: Write> MtrcWriter<W> {
         self.sink.write_all(record)?;
         self.sink.flush()?;
         Ok(self.sink)
-    }
-
-    /// Ops accepted so far (across all cores).
-    pub fn ops_written(&self) -> u64 {
-        self.total_ops
     }
 }
 

@@ -361,15 +361,6 @@ mod tests {
             }
         }
 
-        fn fnv(bytes: &[u8]) -> u64 {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        }
-
         fn zigzag(v: i64) -> u64 {
             ((v << 1) ^ (v >> 63)) as u64
         }
@@ -401,7 +392,7 @@ mod tests {
             self.bytes.extend_from_slice(&frame);
             self.bytes.extend_from_slice(&payload);
             self.bytes
-                .extend_from_slice(&Self::fnv(&checked).to_le_bytes());
+                .extend_from_slice(&mithril_fasthash::fnv1a64(&checked).to_le_bytes());
             self.total += ops.len() as u64;
         }
 
@@ -410,7 +401,7 @@ mod tests {
             Self::put_varint(&mut frame, u64::MAX);
             let count_start = frame.len();
             Self::put_varint(&mut frame, self.total);
-            let check = Self::fnv(&frame[count_start..]);
+            let check = mithril_fasthash::fnv1a64(&frame[count_start..]);
             frame.extend_from_slice(&check.to_le_bytes());
             self.bytes.extend_from_slice(&frame);
             (self.bytes, self.layout)

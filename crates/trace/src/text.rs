@@ -138,11 +138,6 @@ impl<R: BufRead> TextReader<R> {
             buf: String::new(),
         }
     }
-
-    /// The 1-based number of the last line read.
-    pub fn line_number(&self) -> usize {
-        self.line_no
-    }
 }
 
 impl<R: BufRead> Iterator for TextReader<R> {

@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "ch{:<9} {:>8} {:>12} {:>16.1} {:>14}",
             ch.channel.0,
-            ch.rfms,
+            ch.counters.rfm_commands,
             ch.counters.preventive_rows,
             ch.read_latency.mean() / 1000.0,
             ch.max_disturbance

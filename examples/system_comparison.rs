@@ -77,7 +77,7 @@ fn main() {
                 "{name:<12} {:>8.1}% {:>9.2}% {:>8} {:>12} {:>8}",
                 m.normalized_ipc(b) * 100.0,
                 (m.relative_energy(b) - 1.0) * 100.0,
-                m.rfms,
+                m.counters.rfm_commands,
                 m.max_disturbance,
                 m.flips
             );

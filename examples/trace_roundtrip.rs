@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m = replay[0].outcome.as_ref().expect("replay ran");
     println!(
         "replay == live: aggregate IPC {:.3}, {} RFMs, {} flips (byte-identical report, 4 threads vs 1)",
-        m.aggregate_ipc, m.rfms, m.flips
+        m.aggregate_ipc, m.counters.rfm_commands, m.flips
     );
     Ok(())
 }

@@ -114,10 +114,10 @@ fn mithril_plus_dominates_mithril_in_rfm_traffic() {
     let mithril = run(false);
     let plus = run(true);
     assert!(
-        plus.rfms <= mithril.rfms,
+        plus.counters.rfm_commands <= mithril.counters.rfm_commands,
         "{} > {}",
-        plus.rfms,
-        mithril.rfms
+        plus.counters.rfm_commands,
+        mithril.counters.rfm_commands
     );
     assert!(plus.rfm_elisions > 0);
 }
@@ -176,14 +176,14 @@ fn parfm_rfm_rate_follows_solved_threshold() {
     // RFMs ≈ ACTs / solved threshold (within slack for per-bank rounding).
     let expected = m.counters.acts / solved;
     assert!(
-        m.rfms >= expected / 4,
+        m.counters.rfm_commands >= expected / 4,
         "rfms {} << expected {expected}",
-        m.rfms
+        m.counters.rfm_commands
     );
     assert!(
-        m.rfms <= expected + 64 * 2,
+        m.counters.rfm_commands <= expected + 64 * 2,
         "rfms {} >> expected {expected}",
-        m.rfms
+        m.counters.rfm_commands
     );
 }
 
