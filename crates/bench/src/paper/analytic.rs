@@ -7,12 +7,12 @@ use std::collections::{HashMap, HashSet};
 
 use mithril::{MithrilConfig, MithrilScheme, MithrilTable};
 use mithril_baselines::parfm_analysis::{max_rfm_th, single_row_failure, system_failure};
-use mithril_baselines::{BlockHammerConfig, RfmGraphene, FLIP_TH_SWEEP};
+use mithril_baselines::{BlockHammerConfig, Graphene, GrapheneConfig, RfmGraphene, FLIP_TH_SWEEP};
 use mithril_dram::{
     victims, AttackHarness, ChannelId, Ddr5Timing, DramMitigation, RfmOutcome, RowHammerOracle,
     RowId,
 };
-use mithril_memctrl::AddressMapping;
+use mithril_memctrl::{AddressMapping, McAction, McMitigation};
 use mithril_obs::json::Json;
 use mithril_obs::json_obj;
 use mithril_runner::engine::{run_sharded, PoolConfig};
@@ -77,38 +77,39 @@ fn rfm_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
     worst
 }
 
-/// Worst disturbance for ARR-Graphene at threshold `t`: the trigger fires
-/// immediately at every estimate multiple of `t`, so no RFM queueing
-/// exists. Simulated at command level with the same ACT budget and the
-/// periodic table reset (every tREFW) that forces Graphene's FlipTH/4
-/// provisioning.
+/// Worst disturbance for ARR-Graphene at threshold `t`: the shipped
+/// [`Graphene`] fires an ARR immediately at every estimate multiple of
+/// `t`, so no RFM queueing exists. Driven at command level with the same
+/// ACT budget and the periodic table reset (every tREFW) that forces
+/// Graphene's FlipTH/4 provisioning.
 fn arr_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
     let budget = timing.act_budget_per_trefw();
-    let nentry = (budget / threshold.max(1) + 8) as usize;
+    let config = GrapheneConfig {
+        threshold,
+        nentry: (budget / threshold.max(1) + 8) as usize,
+        reset_period: timing.trefw,
+        rows_per_bank: ROWS,
+    };
     let candidates = [(budget / threshold.max(1)).max(2), 64, 2];
     let mut worst = 0;
     for &m in &candidates {
         let m = m.min(8_192);
-        let mut table = MithrilTable::<u64>::new(nentry);
-        let mut fired = HashMap::new();
+        let mut graphene = Graphene::new(config, 1);
         let mut oracle = RowHammerOracle::new(u64::MAX, 1, ROWS);
-        // Two refresh windows with a table reset at the boundary: the
-        // reset is where ARR-Graphene loses a factor of two.
+        // Two refresh windows; the table resets at the second window's
+        // first ACT, which is where ARR-Graphene loses a factor of two.
         for window in 0..2 {
             for i in 0..budget {
                 let row = 1_000 + 2 * ((window * budget / 2 + i) % m);
                 oracle.on_activate(row);
-                table.on_activate(row);
-                let est = table.estimate(row);
-                let crossings = est / threshold;
-                let f = fired.entry(row).or_insert(0u64);
-                if crossings > *f {
-                    *f = crossings;
-                    oracle.on_neighbors_refreshed(row);
+                if let McAction::Arr { victims, .. } =
+                    graphene.on_activate(0, row, 0, window * timing.trefw)
+                {
+                    for victim in victims {
+                        oracle.on_row_refreshed(victim);
+                    }
                 }
             }
-            table.clear();
-            fired.clear();
         }
         worst = worst.max(oracle.max_disturbance());
     }

@@ -614,9 +614,9 @@ impl<C: Counter> mithril_obs::Observe for MithrilTable<C> {
 /// are broken by *age at the current counter value* (tracked with an
 /// explicit sequence number), the same policy [`MithrilTable`]'s bucket
 /// lists realize structurally — so the two make identical decisions on any
-/// stream whose spread fits the wrapping counter's range. Kept for the
-/// differential property tests (`tests/differential.rs`) and as the naive
-/// side of `perf_report`'s table rows.
+/// stream whose spread fits the wrapping counter's range. Kept as the
+/// oracle of the differential property tests (`tests/differential.rs`,
+/// `tests/fault_props.rs`).
 #[derive(Debug, Clone)]
 pub struct NaiveTable {
     addrs: Vec<RowId>,

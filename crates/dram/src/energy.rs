@@ -16,8 +16,6 @@
 //! * an auto-REF refreshes `rows_per_ref` rows, each an internal row cycle;
 //! * an MRR (mode-register read, Mithril+) is a register access: ~0.05 nJ.
 
-use crate::types::TimePs;
-
 /// Operation counters accumulated by a device or harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyCounters {
@@ -122,15 +120,6 @@ impl EnergyModel {
     pub fn relative_energy(&self, scheme: &EnergyCounters, baseline: &EnergyCounters) -> f64 {
         self.dynamic_energy_pj(scheme) / self.dynamic_energy_pj(baseline)
     }
-
-    /// Average power in milliwatts over a simulated duration.
-    pub fn average_power_mw(&self, c: &EnergyCounters, duration: TimePs) -> f64 {
-        if duration == 0 {
-            return 0.0;
-        }
-        // pJ / ps = W; scale to mW.
-        self.dynamic_energy_pj(c) / duration as f64 * 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -186,18 +175,5 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.acts, 15);
         assert_eq!(m.reads, 60);
-    }
-
-    #[test]
-    fn power_over_zero_duration_is_zero() {
-        let m = EnergyModel::ddr5_default();
-        assert_eq!(m.average_power_mw(&counters(10), 0), 0.0);
-    }
-
-    #[test]
-    fn power_is_positive_over_time() {
-        let m = EnergyModel::ddr5_default();
-        let p = m.average_power_mw(&counters(1000), 1_000_000_000);
-        assert!(p > 0.0);
     }
 }

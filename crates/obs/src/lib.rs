@@ -64,7 +64,7 @@ pub mod json;
 use json::Json;
 
 /// Version stamp carried by every emitted JSON report (sweep, metrics-only
-/// replay, fault campaign, perf report, obs summaries). Bump when a report
+/// replay, fault campaign, paper report, obs summaries). Bump when a report
 /// schema changes shape; diff-based gates validate it before comparing.
 ///
 /// History: 1 = original report dialect; 2 = added `latency`/`per_core`

@@ -1,7 +1,7 @@
 //! The report model against its committed artifacts: the baselines are
 //! fixed points of parse + render, integers survive exactly, and every
-//! key the reports, the perf and paper reports and the `--obs` artifacts
-//! emit is documented in `docs/REPORT_SCHEMA.md`.
+//! key the reports, the paper report and the `--obs` artifacts emit is
+//! documented in `docs/REPORT_SCHEMA.md`.
 
 use std::collections::BTreeSet;
 
@@ -13,12 +13,11 @@ use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
 use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_observed};
 use mithril_sim::ObsConfig;
 
-const BASELINES: [&str; 6] = [
+const BASELINES: [&str; 5] = [
     "BENCH_sweep.json",
     "BENCH_obs.json",
     "BENCH_qos.json",
     "BENCH_faults.json",
-    "BENCH_table.json",
     "BENCH_paper.json",
 ];
 
@@ -109,14 +108,13 @@ fn every_emitted_key_is_documented() {
         collect_keys(&Json::parse(text).unwrap(), &mut keys);
     }
     // The fault campaign carried real counters, an error entry showed up,
-    // and the perf report and the event log were among the inputs.
+    // and the event log was among the inputs.
     for key in [
         "fault_stats",
         "bit_flips",
         "points",
         "error",
         "runs",
-        "sim_ops_per_sec",
         "t_ps",
         "cause",
         "events_total",

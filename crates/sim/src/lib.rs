@@ -41,11 +41,10 @@ pub use llc::{Llc, LlcAccess, LlcConfig};
 pub use metrics::{geomean, ChannelMetrics, Metrics};
 pub use system::{ObsConfig, Scheme, System, SystemConfig};
 
-// Re-exported so perf_report and the runner can select the controller's
-// scheduler core and configure the QoS throttling layer without a
-// direct memctrl dependency.
+// Re-exported so the runner can configure the QoS throttling layer and
+// read per-core statistics without a direct memctrl dependency.
 pub use mithril_memctrl::{
-    CoreStats, QosConfig, QosPolicy, QosStats, QosThreadStats, SchedulerKind, ThrottleKind,
+    CoreStats, QosConfig, QosPolicy, QosStats, QosThreadStats, ThrottleKind,
 };
 
 /// Re-exported so report writers and analysis tools can name the latency

@@ -183,18 +183,6 @@ impl Metrics {
         }
         self.energy_pj / baseline.energy_pj
     }
-
-    /// Relative dynamic energy of one channel against the same channel of
-    /// a baseline run; 0.0 when either side lacks the channel.
-    pub fn relative_channel_energy(&self, channel: usize, baseline: &Metrics) -> f64 {
-        match (
-            self.per_channel.get(channel),
-            baseline.per_channel.get(channel),
-        ) {
-            (Some(a), Some(b)) if b.energy_pj > 0.0 => a.energy_pj / b.energy_pj,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Geometric mean of a slice of positive values.
@@ -275,14 +263,6 @@ mod tests {
         let run = metrics(9.5, 104);
         assert!((run.normalized_ipc(&base) - 0.95).abs() < 1e-12);
         assert!(run.relative_energy(&base) > 1.0);
-    }
-
-    #[test]
-    fn per_channel_relative_energy() {
-        let base = metrics(10.0, 100);
-        let run = metrics(10.0, 200);
-        assert!((run.relative_channel_energy(0, &base) - 2.0).abs() < 1e-9);
-        assert_eq!(run.relative_channel_energy(7, &base), 0.0);
     }
 
     #[test]

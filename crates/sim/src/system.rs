@@ -95,10 +95,6 @@ pub struct SystemConfig {
     pub blast_radius: u64,
     /// The protection scheme.
     pub scheme: Scheme,
-    /// Controller scheduler core. The default event-driven core and the
-    /// naive rescan are decision-identical (differentially tested); the
-    /// naive core exists for reference measurements and cross-checks.
-    pub scheduler: SchedulerKind,
     /// RNG seed for probabilistic schemes.
     pub seed: u64,
     /// Simulation epoch length (core/MC synchronization quantum).
@@ -129,7 +125,6 @@ impl SystemConfig {
             flip_th: 6_250,
             blast_radius: 1,
             scheme: Scheme::None,
-            scheduler: SchedulerKind::EventQueue,
             seed: 1,
             epoch_ps: 500_000,
             attackable_banks: 22,
@@ -223,7 +218,13 @@ impl System {
     /// Returns an error string when the scheme cannot be configured for
     /// `config.flip_th` (e.g. an infeasible Mithril `(FlipTH, RFMTH)` pair).
     pub fn new(config: SystemConfig, threads: ThreadSet) -> Result<Self, String> {
-        Self::assemble(config, threads, |_| NullSink, None)
+        Self::assemble(
+            config,
+            threads,
+            |_| NullSink,
+            None,
+            SchedulerKind::EventQueue,
+        )
     }
 }
 
@@ -241,6 +242,7 @@ impl System<RingSink> {
             threads,
             |_| RingSink::new(obs.ring_capacity),
             Some(obs),
+            SchedulerKind::EventQueue,
         )
     }
 
@@ -287,11 +289,14 @@ impl System<RingSink> {
 impl<S: EventSink> System<S> {
     /// Shared construction path: builds every channel with a sink from
     /// `mk_sink` and (when `obs` is set) a cycle-grid sampler per channel.
+    /// The public constructors pass the event-driven `scheduler`; this
+    /// module's tests pass the naive rescan to cross-check it.
     fn assemble(
         config: SystemConfig,
         threads: ThreadSet,
         mk_sink: impl Fn(usize) -> S,
         obs: Option<ObsConfig>,
+        scheduler: SchedulerKind,
     ) -> Result<Self, String> {
         assert_eq!(
             config.cores,
@@ -300,7 +305,12 @@ impl<S: EventSink> System<S> {
         );
         let mut mcs = Vec::with_capacity(config.geometry.channels);
         for ch in config.geometry.channel_ids() {
-            mcs.push(Self::build_channel(&config, ch.0, mk_sink(ch.0))?);
+            mcs.push(Self::build_channel(
+                &config,
+                ch.0,
+                mk_sink(ch.0),
+                scheduler,
+            )?);
         }
         let samplers = match obs {
             Some(o) => (0..config.geometry.channels)
@@ -330,6 +340,7 @@ impl<S: EventSink> System<S> {
         config: &SystemConfig,
         channel: usize,
         obs: S,
+        scheduler: SchedulerKind,
     ) -> Result<MemoryController<S>, String> {
         let timing = config.timing;
         // Each controller owns one channel's worth of the hierarchy.
@@ -427,7 +438,7 @@ impl<S: EventSink> System<S> {
                 })
             }
         };
-        let mut mc = MemoryController::with_obs(device, mc_cfg, mitigation, config.scheduler, obs);
+        let mut mc = MemoryController::with_obs(device, mc_cfg, mitigation, scheduler, obs);
         mc.set_qos(config.qos);
         Ok(mc)
     }
@@ -682,6 +693,11 @@ mod tests {
         cfg
     }
 
+    /// An unobserved system on the given controller `scheduler` core.
+    fn on_core(cfg: SystemConfig, threads: ThreadSet, scheduler: SchedulerKind) -> System {
+        System::assemble(cfg, threads, |_| NullSink, None, scheduler).unwrap()
+    }
+
     fn run(scheme: Scheme, insts: u64) -> Metrics {
         let cfg = quick_config(scheme);
         let mut sys = System::new(cfg, mix_high(4, 11)).unwrap();
@@ -848,9 +864,7 @@ mod tests {
                 let run = |scheduler: SchedulerKind| {
                     let mut cfg = quick_config(scheme);
                     cfg.geometry.channels = channels;
-                    cfg.scheduler = scheduler;
-                    let mut sys = System::new(cfg, mix_high(4, 11)).unwrap();
-                    sys.run(8_000, u64::MAX)
+                    on_core(cfg, mix_high(4, 11), scheduler).run(8_000, u64::MAX)
                 };
                 let ev = run(SchedulerKind::EventQueue);
                 let na = run(SchedulerKind::NaiveRescan);
@@ -886,11 +900,9 @@ mod tests {
                 plus: false,
             });
             cfg.flip_th = 1_500;
-            cfg.scheduler = scheduler;
             cfg.qos = QosPolicy::Throttle(QosConfig::default());
             let threads = attack_mix("multi", 4, cfg.mapping(), 3);
-            let mut sys = System::new(cfg, threads).unwrap();
-            sys.run(20_000, u64::MAX)
+            on_core(cfg, threads, scheduler).run(20_000, u64::MAX)
         };
         let ev = run(SchedulerKind::EventQueue);
         let na = run(SchedulerKind::NaiveRescan);

@@ -7,7 +7,7 @@
 
 use mithril_repro::core::{MithrilConfig, MithrilScheme};
 use mithril_repro::dram::{AttackHarness, Ddr5Timing};
-use mithril_repro::sim::{Metrics, QosPolicy, SchedulerKind, Scheme, System, SystemConfig};
+use mithril_repro::sim::{Metrics, QosPolicy, Scheme, System, SystemConfig};
 use mithril_repro::workloads::{mix_high, noisy_neighbor_mix};
 
 /// Worst victim read p99 of a noisy-neighbor run (the hammering tenant
@@ -78,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Simulation throughput: every ACT updates the Stream-Summary table,
     //    the oracle and the timing model, so this is the end-to-end hot
-    //    path (see ARCHITECTURE.md and BENCH_table.json).
+    //    path (see ARCHITECTURE.md; perfbench's `harness-adversarial`
+    //    workload measures it as the median of repeated runs).
     let per_sec = i as f64 / elapsed.as_secs_f64().max(1e-9);
     println!(
         "\nSimulated {i} activations in {:.1} ms — {:.2}M activations/sec",
@@ -89,12 +90,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Full-system rate: the number above is the per-bank attack harness;
     //    the figure sweeps actually experience is the full System loop
     //    (cores + LLC + controllers + DRAM) on the event-driven controller
-    //    core. BENCH_table.json's `sim_ops_per_sec` section tracks this
-    //    against the naive-rescan reference scheduler.
+    //    core. perfbench's `host_macts_per_s` tracks this as the median
+    //    of repeated runs.
     let mut cfg = SystemConfig::table_iii();
     cfg.cores = 4;
     cfg.scheme = Scheme::None;
-    cfg.scheduler = SchedulerKind::EventQueue;
     let mut sys = System::new(cfg, mix_high(4, 11))?;
     let started = std::time::Instant::now();
     let metrics = sys.run(60_000, u64::MAX);
