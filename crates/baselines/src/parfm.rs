@@ -138,20 +138,32 @@ pub mod parfm_analysis {
         let r = rfm_th as f64;
         let sel = j as f64 / r; // per-interval selection probability
         let escape = (1.0 - sel).powi(need as i32);
-        let step = sel * escape;
-        let mut p = vec![0.0f64; w + 1];
-        for i in need..=w {
-            if i == need {
-                p[i] = escape;
-            } else {
-                let lookback = if i > need { p[i - need - 1] } else { 0.0 };
-                p[i] = p[i - 1] + step * (1.0 - lookback);
-            }
-            if p[i] >= 1.0 {
-                p[i] = 1.0;
-            }
+        if escape == 0.0 {
+            // Every interval selects the row (RFMTH = j), or the escape
+            // underflows: each step adds `sel · 0`, so the recurrence
+            // below would stay at zero for all W intervals.
+            return 0.0;
         }
-        p[w]
+        let step = sel * escape;
+        // P[i] for i in need..=W, keeping only the last need + 1 values:
+        // P[i] goes to slot i mod (need + 1), which holds P[i − need − 1],
+        // the lookback it replaces. P[i] = 0 for i < need, and
+        // P[need] = escape ≤ 1.
+        let mut ring = vec![0.0f64; need + 1];
+        let mut slot = need;
+        let mut p = escape;
+        ring[slot] = p;
+        for _ in need..w {
+            slot = if slot == need { 0 } else { slot + 1 };
+            p += step * (1.0 - ring[slot]);
+            if p >= 1.0 {
+                // P clamps at 1, and every later step adds a
+                // non-negative term to 1 and clamps again.
+                return 1.0;
+            }
+            ring[slot] = p;
+        }
+        p
     }
 
     /// System failure probability across `banks` simultaneously attackable
@@ -278,6 +290,118 @@ mod tests {
         let many = system_failure(5_000, 64, 22, &t);
         assert!(many > one);
         assert!(many < 22.5 * one);
+    }
+
+    /// The Appendix-C solver before its early exits and ring buffer: the
+    /// recurrence filled a W + 1 vector at every RFMTH.
+    mod reference {
+        use mithril_dram::Ddr5Timing;
+
+        pub fn single_row_failure(flip_th: u64, rfm_th: u64, timing: &Ddr5Timing) -> f64 {
+            let w = timing.rfm_intervals_per_trefw(rfm_th) as usize;
+            let half = (flip_th / 2).max(1);
+            let j = half.div_ceil(w as u64).max(1);
+            if j > rfm_th {
+                return 0.0;
+            }
+            let need = half.div_ceil(j) as usize;
+            if need > w {
+                return 0.0;
+            }
+            let r = rfm_th as f64;
+            let sel = j as f64 / r;
+            let escape = (1.0 - sel).powi(need as i32);
+            let step = sel * escape;
+            let mut p = vec![0.0f64; w + 1];
+            for i in need..=w {
+                if i == need {
+                    p[i] = escape;
+                } else {
+                    let lookback = if i > need { p[i - need - 1] } else { 0.0 };
+                    p[i] = p[i - 1] + step * (1.0 - lookback);
+                }
+                if p[i] >= 1.0 {
+                    p[i] = 1.0;
+                }
+            }
+            p[w]
+        }
+
+        pub fn system_failure(flip_th: u64, rfm_th: u64, banks: u64, timing: &Ddr5Timing) -> f64 {
+            let f1 = single_row_failure(flip_th, rfm_th, timing);
+            if f1 == 0.0 {
+                return 0.0;
+            }
+            -f64::exp_m1(banks as f64 * f64::ln_1p(-f1))
+        }
+
+        pub fn max_rfm_th(
+            flip_th: u64,
+            target: f64,
+            banks: u64,
+            timing: &Ddr5Timing,
+        ) -> Option<u64> {
+            let mut best = None;
+            let (mut lo, mut hi) = (1u64, 4096u64);
+            if system_failure(flip_th, lo, banks, timing) > target {
+                return None;
+            }
+            while lo <= hi {
+                let mid = (lo + hi) / 2;
+                if system_failure(flip_th, mid, banks, timing) <= target {
+                    best = Some(mid);
+                    lo = mid + 1;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            best
+        }
+    }
+
+    #[test]
+    fn solver_is_bit_identical_to_the_full_recurrence() {
+        let t = timing();
+        // Appendix C's FlipTHs, and the Fig. 9 (FlipTH, RFMTH) points.
+        let fig9 = [
+            (12_500, 512),
+            (12_500, 256),
+            (12_500, 128),
+            (6_250, 256),
+            (6_250, 128),
+            (6_250, 64),
+            (3_125, 128),
+            (1_500, 32),
+        ];
+        // Tiny FlipTHs saturate P at 1 within the window.
+        let saturating = [(4, 64), (10, 512), (40, 64), (100, 512)];
+        for (flip, rfm) in saturating {
+            assert_eq!(single_row_failure(flip, rfm, &t), 1.0, "({flip}, {rfm})");
+        }
+        let small = crate::FLIP_TH_SWEEP
+            .iter()
+            .flat_map(|&flip| (1..=8).map(move |rfm| (flip, rfm)));
+        for (flip, rfm) in small.chain(fig9).chain(saturating) {
+            for (got, want) in [
+                (
+                    single_row_failure(flip, rfm, &t),
+                    reference::single_row_failure(flip, rfm, &t),
+                ),
+                (
+                    system_failure(flip, rfm, 22, &t),
+                    reference::system_failure(flip, rfm, 22, &t),
+                ),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "({flip}, {rfm})");
+            }
+        }
+        for flip in crate::FLIP_TH_SWEEP.into_iter().chain([500, 1_000]) {
+            assert_eq!(
+                max_rfm_th(flip, 1e-15, 22, &t),
+                reference::max_rfm_th(flip, 1e-15, 22, &t),
+                "FlipTH {flip}"
+            );
+        }
     }
 
     #[test]

@@ -678,9 +678,15 @@ impl<S: EventSink> MemoryController<S> {
     ///
     /// The controller clock tracks the last executed command, *not* `end`:
     /// callers may interleave `enqueue`/`advance_until_into` at the same
-    /// fence repeatedly (the simulator's intra-epoch relaxation), and
-    /// requests arriving between calls are scheduled at their natural
-    /// times rather than being quantized to the fence.
+    /// fence repeatedly (the simulator's intra-epoch relaxation).
+    ///
+    /// A queued request is schedulable at once: `arrival` orders requests
+    /// (FR-FCFS age) but does not hold one back until the controller
+    /// clock reaches it. A caller that enqueues requests stamped ahead of
+    /// that clock, as the simulator's cores do when they run ahead to the
+    /// epoch fence, can see commands issue before their request arrives,
+    /// and such a read records a latency of 0 (`done` saturates against
+    /// `arrival`). ROADMAP.md records the measured size of this gap.
     pub fn advance_until_into(&mut self, end: TimePs, out: &mut Vec<Completion>) {
         match self.scheduler {
             SchedulerKind::EventQueue => self.advance_event(end),

@@ -59,5 +59,5 @@ pub use controller::{
 };
 pub use mapping::{AddressMapping, MappedAddr};
 pub use mitigation::{McAction, McMitigation, NoMcMitigation};
-pub use qos::{QosConfig, QosPolicy, QosStats, QosThreadStats, ThrottleKind};
+pub use qos::{QosConfig, QosPolicy, QosStats, QosThreadStats};
 pub use request::MemRequest;

@@ -25,10 +25,10 @@
 //!   (a victim's incidental trigger burst can never outweigh a sustained
 //!   hammer), while the decayed score limits *when* throttling applies
 //!   (a thread that stops hammering is released within a few windows).
-//! * Suspects are rate-clamped by a per-thread **token bucket**
-//!   ([`ThrottleKind::TokenBucket`]): `tokens_per_window` ACTs per
-//!   window; once dry, further ACTs of that thread release only at the
-//!   **window boundary** (an absolute simulated time, so both scheduler
+//! * Suspects are rate-clamped by a per-thread **token bucket**: a
+//!   suspect spends one token per ACT and gets `tokens_per_window` fresh
+//!   tokens at each window rotation; once dry, further ACTs of that
+//!   thread release only at the **window boundary** (an absolute simulated time, so both scheduler
 //!   cores compute the identical release — see the decision-identity
 //!   notes in ARCHITECTURE.md).
 //!
@@ -47,23 +47,11 @@ use mithril_dram::TimePs;
 /// to stay suspect.
 pub const PRESSURE_SCALE: u64 = 16;
 
-/// How a suspect thread's activation rate is clamped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThrottleKind {
-    /// Per-thread token bucket: a suspect spends one token per ACT and
-    /// gets `tokens_per_window` fresh tokens at each window rotation;
-    /// when dry, its ACTs are deferred to the next window boundary.
-    #[default]
-    TokenBucket,
-}
-
 /// Tuning of the suspect scorer and throttle (all fields are part of the
 /// deterministic simulation state; `Copy` so `SystemConfig` stays
 /// `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QosConfig {
-    /// Throttle mechanism applied to suspects.
-    pub kind: ThrottleKind,
     /// Score window: decay, suspect re-election and token refill cadence
     /// (picoseconds of simulated time).
     pub window_ps: TimePs,
@@ -85,7 +73,6 @@ impl Default for QosConfig {
     /// clamp against an unthrottled single-bank hammer).
     fn default() -> Self {
         Self {
-            kind: ThrottleKind::TokenBucket,
             window_ps: 2_000_000,
             share_pct: 60,
             min_score: PRESSURE_SCALE / 2,
@@ -190,7 +177,6 @@ impl QosState {
                 t.score >= self.cfg.min_score && t.pressure * 100 > total * self.cfg.share_pct;
             if t.suspect {
                 t.suspect_windows += 1;
-                let ThrottleKind::TokenBucket = self.cfg.kind;
                 t.tokens = self.cfg.tokens_per_window;
             }
         }

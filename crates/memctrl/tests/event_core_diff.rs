@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use mithril_dram::{Ddr5Timing, DramDevice, Geometry, NoMitigation, RowId, TimePs, PS_PER_US};
 use mithril_memctrl::{
     MappedAddr, McAction, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
-    QosConfig, QosPolicy, RfmMode, SchedulerKind, ThrottleKind,
+    QosConfig, QosPolicy, RfmMode, SchedulerKind,
 };
 use mithril_obs::{Event, RingSink};
 use proptest::prelude::*;
@@ -252,7 +252,6 @@ fn aggressive_qos() -> QosPolicy {
 /// [`aggressive_qos`] with a chosen per-window token budget.
 fn aggressive_qos_with(tokens_per_window: u64) -> QosPolicy {
     QosPolicy::Throttle(QosConfig {
-        kind: ThrottleKind::TokenBucket,
         window_ps: 300_000,
         share_pct: 30,
         min_score: 8,

@@ -43,9 +43,7 @@ pub use system::{ObsConfig, Scheme, System, SystemConfig};
 
 // Re-exported so the runner can configure the QoS throttling layer and
 // read per-core statistics without a direct memctrl dependency.
-pub use mithril_memctrl::{
-    CoreStats, QosConfig, QosPolicy, QosStats, QosThreadStats, ThrottleKind,
-};
+pub use mithril_memctrl::{CoreStats, QosConfig, QosPolicy, QosStats, QosThreadStats};
 
 /// Re-exported so report writers and analysis tools can name the latency
 /// histogram / per-core attribution types without a direct obs dependency.

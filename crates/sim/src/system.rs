@@ -181,6 +181,74 @@ enum ReqKind {
     Writeback,
 }
 
+/// A scheme solved for one [`SystemConfig`]: the table size, RFM
+/// threshold or tracker configuration every channel shares. Channels
+/// differ only in their seeds, so [`System`] solves once and each
+/// channel instantiates the plan.
+#[derive(Clone, Copy)]
+enum Plan {
+    None,
+    Mithril { cfg: MithrilConfig, plus: bool },
+    Parfm { rfm_th: u64 },
+    Para(ParaConfig),
+    Graphene(GrapheneConfig),
+    TwiCe(TwiCeConfig),
+    Cbt(CbtConfig),
+    BlockHammer(BlockHammerConfig),
+}
+
+impl Plan {
+    /// Solves `config.scheme` for `config.flip_th` on one channel's
+    /// geometry.
+    fn solve(config: &SystemConfig) -> Result<Self, String> {
+        let timing = &config.timing;
+        let rows = config.geometry.channel_view().rows_per_bank;
+        let flip = config.flip_th;
+        Ok(match config.scheme {
+            Scheme::None => Plan::None,
+            Scheme::Mithril {
+                rfm_th,
+                ad_th,
+                plus,
+            } => Plan::Mithril {
+                cfg: MithrilConfig::solve(flip, rfm_th, config.blast_radius, ad_th, timing)
+                    .map_err(|e| e.to_string())?
+                    .with_rows_per_bank(rows),
+                plus,
+            },
+            Scheme::Parfm => Plan::Parfm {
+                rfm_th: parfm_analysis::max_rfm_th(flip, 1e-15, config.attackable_banks, timing)
+                    .ok_or_else(|| format!("PARFM cannot protect FlipTH {flip}"))?,
+            },
+            Scheme::Para => {
+                let budget = timing.act_budget_per_trefw();
+                let mut cfg =
+                    ParaConfig::for_failure_target(flip, 1e-15, budget, config.attackable_banks);
+                cfg.rows_per_bank = rows;
+                Plan::Para(cfg)
+            }
+            Scheme::Graphene => {
+                let mut cfg = GrapheneConfig::for_flip_threshold(flip, timing);
+                cfg.rows_per_bank = rows;
+                Plan::Graphene(cfg)
+            }
+            Scheme::TwiCe => {
+                let mut cfg = TwiCeConfig::for_flip_threshold(flip, timing);
+                cfg.rows_per_bank = rows;
+                Plan::TwiCe(cfg)
+            }
+            Scheme::Cbt => {
+                let mut cfg = CbtConfig::for_flip_threshold(flip, timing);
+                cfg.rows_per_bank = rows;
+                Plan::Cbt(cfg)
+            }
+            Scheme::BlockHammer { nbl_scale } => Plan::BlockHammer(
+                BlockHammerConfig::for_flip_threshold(flip, timing).with_nbl_scaled(nbl_scale),
+            ),
+        })
+    }
+}
+
 /// The assembled system.
 ///
 /// Generic over an observability sink `S` (default: the disabled
@@ -303,15 +371,12 @@ impl<S: EventSink> System<S> {
             threads.threads.len(),
             "thread count must match core count"
         );
-        let mut mcs = Vec::with_capacity(config.geometry.channels);
-        for ch in config.geometry.channel_ids() {
-            mcs.push(Self::build_channel(
-                &config,
-                ch.0,
-                mk_sink(ch.0),
-                scheduler,
-            )?);
-        }
+        let plan = Plan::solve(&config)?;
+        let mcs = config
+            .geometry
+            .channel_ids()
+            .map(|ch| Self::build_channel(&config, &plan, ch.0, mk_sink(ch.0), scheduler))
+            .collect();
         let samplers = match obs {
             Some(o) => (0..config.geometry.channels)
                 .map(|_| Sampler::new(o.interval_cycles, o.cycle_ps))
@@ -336,12 +401,15 @@ impl<S: EventSink> System<S> {
         })
     }
 
+    /// Instantiates `plan` on one channel: a device, the per-bank
+    /// engines and the controller, seeded per channel. Solves nothing.
     fn build_channel(
         config: &SystemConfig,
+        plan: &Plan,
         channel: usize,
         obs: S,
         scheduler: SchedulerKind,
-    ) -> Result<MemoryController<S>, String> {
+    ) -> MemoryController<S> {
         let timing = config.timing;
         // Each controller owns one channel's worth of the hierarchy.
         let geometry = config.geometry.channel_view();
@@ -354,29 +422,18 @@ impl<S: EventSink> System<S> {
             ..Default::default()
         };
         let mut mitigation: Box<dyn McMitigation> = Box::new(NoMcMitigation);
-        let engine_for: Box<dyn Fn(usize) -> Box<dyn DramMitigation>> = match config.scheme {
-            Scheme::None => Box::new(|_| Box::new(mithril_dram::NoMitigation)),
-            Scheme::Mithril {
-                rfm_th,
-                ad_th,
-                plus,
-            } => {
-                let mithril_cfg =
-                    MithrilConfig::solve(flip, rfm_th, config.blast_radius, ad_th, &timing)
-                        .map_err(|e| e.to_string())?
-                        .with_rows_per_bank(geometry.rows_per_bank);
+        let engine_for: Box<dyn Fn(usize) -> Box<dyn DramMitigation>> = match *plan {
+            Plan::None => Box::new(|_| Box::new(mithril_dram::NoMitigation)),
+            Plan::Mithril { cfg, plus } => {
                 mc_cfg.rfm_mode = if plus {
                     RfmMode::MrrElision
                 } else {
                     RfmMode::Standard
                 };
-                mc_cfg.rfm_th = rfm_th;
-                Box::new(move |_| Box::new(MithrilScheme::new(mithril_cfg)))
+                mc_cfg.rfm_th = cfg.rfm_th;
+                Box::new(move |_| Box::new(MithrilScheme::new(cfg)))
             }
-            Scheme::Parfm => {
-                let rfm_th =
-                    parfm_analysis::max_rfm_th(flip, 1e-15, config.attackable_banks, &timing)
-                        .ok_or_else(|| format!("PARFM cannot protect FlipTH {flip}"))?;
+            Plan::Parfm { rfm_th } => {
                 mc_cfg.rfm_mode = RfmMode::Standard;
                 mc_cfg.rfm_th = rfm_th;
                 let rows = geometry.rows_per_bank;
@@ -384,36 +441,24 @@ impl<S: EventSink> System<S> {
                     Box::new(Parfm::new(rfm_th, rows, seed.wrapping_add(bank as u64)))
                 })
             }
-            Scheme::Para => {
-                let budget = timing.act_budget_per_trefw();
-                let mut para_cfg =
-                    ParaConfig::for_failure_target(flip, 1e-15, budget, config.attackable_banks);
-                para_cfg.rows_per_bank = geometry.rows_per_bank;
-                mitigation = Box::new(Para::new(para_cfg, seed));
+            Plan::Para(cfg) => {
+                mitigation = Box::new(Para::new(cfg, seed));
                 Box::new(|_| Box::new(mithril_dram::NoMitigation))
             }
-            Scheme::Graphene => {
-                let mut g = GrapheneConfig::for_flip_threshold(flip, &timing);
-                g.rows_per_bank = geometry.rows_per_bank;
-                mitigation = Box::new(Graphene::new(g, banks));
+            Plan::Graphene(cfg) => {
+                mitigation = Box::new(Graphene::new(cfg, banks));
                 Box::new(|_| Box::new(mithril_dram::NoMitigation))
             }
-            Scheme::TwiCe => {
-                let mut t = TwiCeConfig::for_flip_threshold(flip, &timing);
-                t.rows_per_bank = geometry.rows_per_bank;
-                mitigation = Box::new(TwiCe::new(t, banks));
+            Plan::TwiCe(cfg) => {
+                mitigation = Box::new(TwiCe::new(cfg, banks));
                 Box::new(|_| Box::new(mithril_dram::NoMitigation))
             }
-            Scheme::Cbt => {
-                let mut c = CbtConfig::for_flip_threshold(flip, &timing);
-                c.rows_per_bank = geometry.rows_per_bank;
-                mitigation = Box::new(Cbt::new(c, banks));
+            Plan::Cbt(cfg) => {
+                mitigation = Box::new(Cbt::new(cfg, banks));
                 Box::new(|_| Box::new(mithril_dram::NoMitigation))
             }
-            Scheme::BlockHammer { nbl_scale } => {
-                let b =
-                    BlockHammerConfig::for_flip_threshold(flip, &timing).with_nbl_scaled(nbl_scale);
-                mitigation = Box::new(BlockHammer::new(b, banks));
+            Plan::BlockHammer(cfg) => {
+                mitigation = Box::new(BlockHammer::new(cfg, banks));
                 Box::new(|_| Box::new(mithril_dram::NoMitigation))
             }
         };
@@ -440,7 +485,7 @@ impl<S: EventSink> System<S> {
         };
         let mut mc = MemoryController::with_obs(device, mc_cfg, mitigation, scheduler, obs);
         mc.set_qos(config.qos);
-        Ok(mc)
+        mc
     }
 
     /// Runs until every core retires `insts_per_core` instructions or the
