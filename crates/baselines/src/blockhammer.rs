@@ -21,10 +21,10 @@
 //! threshold sinks below benign per-row ACT counts, throttling legitimate
 //! memory-intensive threads (Fig. 10(a)).
 
+use crate::trackers::CountingBloomFilter;
 use mithril_dram::{BankId, Ddr5Timing, RowId, TimePs};
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::{McAction, McMitigation};
-use mithril_trackers::CountingBloomFilter;
 
 /// BlockHammer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +148,6 @@ pub struct BlockHammer {
     /// Epoch half-period boundary bookkeeping: which CBF clears next.
     next_swap: TimePs,
     swap_parity: usize,
-    throttled_rows: u64,
 }
 
 impl BlockHammer {
@@ -174,18 +173,12 @@ impl BlockHammer {
             next_swap: config.t_cbf / 2,
             swap_parity: 0,
             config,
-            throttled_rows: 0,
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &BlockHammerConfig {
         &self.config
-    }
-
-    /// Number of (row, epoch) blacklist events so far.
-    pub fn throttled_rows(&self) -> u64 {
-        self.throttled_rows
     }
 
     /// The rolling-window estimate for a row (max over the two CBFs).
@@ -284,9 +277,6 @@ impl McMitigation for BlockHammer {
             .max()
             .unwrap_or(0);
         if est >= self.config.nbl {
-            if est == self.config.nbl {
-                self.throttled_rows += 1;
-            }
             state.last_act.insert(row, now);
         }
         McAction::None
@@ -365,7 +355,6 @@ mod tests {
         assert!(!bh.is_blacklisted(0, 5));
         bh.on_activate(0, 5, 0, now);
         assert!(bh.is_blacklisted(0, 5));
-        assert_eq!(bh.throttled_rows(), 1);
     }
 
     #[test]

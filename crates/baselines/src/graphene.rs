@@ -201,11 +201,6 @@ impl RfmGraphene {
         }
     }
 
-    /// Rows currently waiting for an RFM window.
-    pub fn pending_rows(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Preventive refreshes executed.
     pub fn refreshes(&self) -> u64 {
         self.refreshes
@@ -328,7 +323,6 @@ mod tests {
                 s.on_activate(row);
             }
         }
-        assert_eq!(s.pending_rows(), 3);
         assert_eq!(s.on_rfm().selected_aggressor, Some(100));
         assert_eq!(s.on_rfm().selected_aggressor, Some(200));
         assert_eq!(s.on_rfm().selected_aggressor, Some(300));
@@ -348,6 +342,10 @@ mod tests {
                 s.on_rfm();
             }
         }
-        assert!(s.pending_rows() > 32, "queue = {}", s.pending_rows());
+        // Each RFM drains one queued row until the queue runs dry.
+        let queued = std::iter::from_fn(|| Some(s.on_rfm()))
+            .take_while(|out| !out.skipped)
+            .count();
+        assert!(queued > 32, "queue = {queued}");
     }
 }

@@ -30,6 +30,7 @@ mod cbt;
 mod graphene;
 mod para;
 mod parfm;
+mod trackers;
 mod twice;
 
 pub use blockhammer::{BlockHammer, BlockHammerConfig};
@@ -41,14 +42,3 @@ pub use twice::{TwiCe, TwiCeConfig};
 
 /// The FlipTH sweep used throughout the paper's evaluation (Section VI).
 pub const FLIP_TH_SWEEP: [u64; 6] = [50_000, 25_000, 12_500, 6_250, 3_125, 1_500];
-
-/// The per-FlipTH `(CBF counters, NBL)` BlockHammer configurations of
-/// Section VI-A.
-pub const BLOCKHAMMER_SWEEP: [(u64, usize, u64); 6] = [
-    (50_000, 1024, 17_100),
-    (25_000, 1024, 8_600),
-    (12_500, 1024, 4_300),
-    (6_250, 2048, 2_100),
-    (3_125, 4096, 1_100),
-    (1_500, 8192, 490),
-];

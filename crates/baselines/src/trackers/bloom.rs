@@ -13,20 +13,8 @@ use mithril_fasthash::MultiplyShiftHasher;
 ///
 /// This is the exact structure BlockHammer instantiates: one array shared by
 /// all hash functions, where a Count-Min Sketch gives each its own row.
-///
-/// # Example
-///
-/// ```
-/// use mithril_trackers::CountingBloomFilter;
-///
-/// let mut f = CountingBloomFilter::new(10, 4, 7);
-/// for _ in 0..100 {
-///     f.record(0xBEEF);
-/// }
-/// assert!(f.estimate(0xBEEF) >= 100);
-/// ```
 #[derive(Debug, Clone)]
-pub struct CountingBloomFilter {
+pub(crate) struct CountingBloomFilter {
     counters: Vec<u64>,
     hashers: Vec<MultiplyShiftHasher>,
 }
@@ -37,7 +25,7 @@ impl CountingBloomFilter {
     /// # Panics
     ///
     /// Panics if `k` is zero or `size_bits` is not in `1..=63`.
-    pub fn new(size_bits: u32, k: usize, seed: u64) -> Self {
+    pub(crate) fn new(size_bits: u32, k: usize, seed: u64) -> Self {
         assert!(k > 0, "k must be non-zero");
         let hashers: Vec<_> = (0..k)
             .map(|i| {
@@ -50,30 +38,14 @@ impl CountingBloomFilter {
         }
     }
 
-    /// Number of counters in the filter.
-    pub fn num_counters(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// Number of hash functions.
-    pub fn num_hashes(&self) -> usize {
-        self.hashers.len()
-    }
-
     /// The counter buckets `item` maps to (exposed so adversarial workload
     /// generators can construct collision sets, paper Section VI-A).
-    pub fn buckets(&self, item: u64) -> Vec<usize> {
+    pub(crate) fn buckets(&self, item: u64) -> Vec<usize> {
         self.hashers.iter().map(|h| h.bucket(item)).collect()
     }
 
-    /// True if `estimate(item) >= threshold` — the BlockHammer blacklist
-    /// test.
-    pub fn is_blacklisted(&self, item: u64, threshold: u64) -> bool {
-        self.estimate(item) >= threshold
-    }
-
     /// Records one occurrence of `item`.
-    pub fn record(&mut self, item: u64) {
+    pub(crate) fn record(&mut self, item: u64) {
         // Conservative-increment variant would only bump the minimum
         // counters; BlockHammer uses plain increments, which we follow.
         for h in &self.hashers {
@@ -82,7 +54,7 @@ impl CountingBloomFilter {
     }
 
     /// The minimum over `item`'s counters: never below its true count.
-    pub fn estimate(&self, item: u64) -> u64 {
+    pub(crate) fn estimate(&self, item: u64) -> u64 {
         self.hashers
             .iter()
             .map(|h| self.counters[h.bucket(item)])
@@ -91,7 +63,7 @@ impl CountingBloomFilter {
     }
 
     /// Zeroes every counter.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.counters.fill(0);
     }
 }
@@ -100,6 +72,15 @@ impl CountingBloomFilter {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    #[test]
+    fn repeated_item_estimate_covers_its_count() {
+        let mut f = CountingBloomFilter::new(10, 4, 7);
+        for _ in 0..100 {
+            f.record(0xBEEF);
+        }
+        assert!(f.estimate(0xBEEF) >= 100);
+    }
 
     #[test]
     fn cbf_never_undercounts() {
@@ -116,14 +97,17 @@ mod tests {
     }
 
     #[test]
-    fn cbf_blacklist_threshold() {
+    fn lone_item_is_counted_exactly() {
+        // With no other item recorded, every one of its counters holds
+        // exactly its count: the estimate crosses a threshold on the
+        // very ACT that reaches it (BlockHammer's blacklist test).
         let mut f = CountingBloomFilter::new(10, 4, 3);
         for _ in 0..99 {
             f.record(5);
         }
-        assert!(!f.is_blacklisted(5, 100));
+        assert_eq!(f.estimate(5), 99);
         f.record(5);
-        assert!(f.is_blacklisted(5, 100));
+        assert_eq!(f.estimate(5), 100);
     }
 
     #[test]
@@ -156,9 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn geometry_accessors() {
+    fn new_sizes_counters_and_hash_family() {
         let f = CountingBloomFilter::new(6, 4, 0);
-        assert_eq!(f.num_counters(), 64);
-        assert_eq!(f.num_hashes(), 4);
+        assert_eq!(f.counters.len(), 64);
+        assert_eq!(f.hashers.len(), 4);
     }
 }

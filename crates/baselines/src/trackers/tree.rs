@@ -35,43 +35,13 @@ impl Node {
     }
 }
 
-/// Aggregate statistics about a [`CounterTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeStats {
-    /// Leaf counters currently in use.
-    pub leaves: usize,
-    /// Splits performed since the last clear.
-    pub splits: u64,
-    /// Depth of the deepest leaf.
-    pub max_depth: u32,
-    /// Width (rows) of the widest leaf.
-    pub widest_leaf: u64,
-}
-
 /// An adaptively splitting tree of grouped activation counters.
-///
-/// # Example
-///
-/// ```
-/// use mithril_trackers::CounterTree;
-///
-/// // 1024 rows, 15 counters, split a group once it has 8 activations.
-/// let mut t = CounterTree::new(1024, 15, 8);
-/// for _ in 0..100 {
-///     t.record(500);
-/// }
-/// // The hot row's group shrank around it:
-/// let group = t.covering_group(500);
-/// assert!(group.end - group.start < 1024);
-/// assert!(t.estimate(500) >= 100);
-/// ```
 #[derive(Debug, Clone)]
-pub struct CounterTree {
+pub(crate) struct CounterTree {
     num_rows: u64,
     max_counters: usize,
     split_threshold: u64,
     nodes: Vec<Node>,
-    splits: u64,
 }
 
 impl CounterTree {
@@ -82,7 +52,7 @@ impl CounterTree {
     ///
     /// Panics if `num_rows` or `max_counters` is zero, or if
     /// `split_threshold` is zero.
-    pub fn new(num_rows: u64, max_counters: usize, split_threshold: u64) -> Self {
+    pub(crate) fn new(num_rows: u64, max_counters: usize, split_threshold: u64) -> Self {
         assert!(num_rows > 0, "num_rows must be non-zero");
         assert!(max_counters > 0, "max_counters must be non-zero");
         assert!(split_threshold > 0, "split_threshold must be non-zero");
@@ -96,13 +66,7 @@ impl CounterTree {
                 count: 0,
                 left_child: None,
             }],
-            splits: 0,
         }
-    }
-
-    /// The number of rows the tree covers.
-    pub fn num_rows(&self) -> u64 {
-        self.num_rows
     }
 
     /// Records one activation of `row`, splitting its leaf once the leaf
@@ -111,7 +75,7 @@ impl CounterTree {
     /// # Panics
     ///
     /// Panics if `row >= num_rows`.
-    pub fn record(&mut self, row: u64) {
+    pub(crate) fn record(&mut self, row: u64) {
         let idx = self.leaf_for(row);
         self.nodes[idx].count += 1;
         self.try_split(idx);
@@ -122,12 +86,12 @@ impl CounterTree {
     /// # Panics
     ///
     /// Panics if `row >= num_rows`.
-    pub fn estimate(&self, row: u64) -> u64 {
+    pub(crate) fn estimate(&self, row: u64) -> u64 {
         self.nodes[self.leaf_for(row)].count
     }
 
     /// Collapses the tree back to the single root counter at zero.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         let n = self.num_rows;
         self.nodes.clear();
         self.nodes.push(Node {
@@ -136,26 +100,19 @@ impl CounterTree {
             count: 0,
             left_child: None,
         });
-        self.splits = 0;
     }
 
-    /// The range of rows sharing a counter with `row`.
+    /// The range of rows sharing a counter with `row`. Test-only: the
+    /// shape tests read the group partition without resetting a counter,
+    /// which [`reset_group`](Self::reset_group), the shipped reader, does.
     ///
     /// # Panics
     ///
     /// Panics if `row >= num_rows`.
-    pub fn covering_group(&self, row: u64) -> Range<u64> {
+    #[cfg(test)]
+    pub(crate) fn covering_group(&self, row: u64) -> Range<u64> {
         let node = &self.nodes[self.leaf_for(row)];
         node.lo..node.hi
-    }
-
-    /// Leaves whose counter is at least `threshold`, as `(rows, count)`.
-    pub fn hot_groups(&self, threshold: u64) -> Vec<(Range<u64>, u64)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.is_leaf() && n.count >= threshold)
-            .map(|n| (n.lo..n.hi, n.count))
-            .collect()
     }
 
     /// Resets the counter of the group covering `row` (after its rows got a
@@ -164,37 +121,10 @@ impl CounterTree {
     /// # Panics
     ///
     /// Panics if `row >= num_rows`.
-    pub fn reset_group(&mut self, row: u64) -> Range<u64> {
+    pub(crate) fn reset_group(&mut self, row: u64) -> Range<u64> {
         let idx = self.leaf_for(row);
         self.nodes[idx].count = 0;
         self.nodes[idx].lo..self.nodes[idx].hi
-    }
-
-    /// Statistics about the current tree shape.
-    pub fn stats(&self) -> TreeStats {
-        let mut leaves = 0;
-        let mut widest = 0;
-        for n in &self.nodes {
-            if n.is_leaf() {
-                leaves += 1;
-                widest = widest.max(n.width());
-            }
-        }
-        TreeStats {
-            leaves,
-            splits: self.splits,
-            max_depth: self.max_depth(0, 0),
-            widest_leaf: widest,
-        }
-    }
-
-    fn max_depth(&self, idx: usize, depth: u32) -> u32 {
-        match self.nodes[idx].left_child {
-            None => depth,
-            Some(l) => self
-                .max_depth(l, depth + 1)
-                .max(self.max_depth(l + 1, depth + 1)),
-        }
     }
 
     fn leaf_for(&self, row: u64) -> usize {
@@ -241,7 +171,6 @@ impl CounterTree {
             left_child: None,
         });
         self.nodes[idx].left_child = Some(left);
-        self.splits += 1;
     }
 }
 
@@ -251,11 +180,23 @@ mod tests {
     use std::collections::HashMap;
 
     #[test]
+    fn hot_row_group_shrinks_around_it() {
+        // 1024 rows, 15 counters, split a group once it has 8 activations.
+        let mut t = CounterTree::new(1024, 15, 8);
+        for _ in 0..100 {
+            t.record(500);
+        }
+        let group = t.covering_group(500);
+        assert!(group.end - group.start < 1024);
+        assert!(t.estimate(500) >= 100);
+    }
+
+    #[test]
     fn starts_as_single_group() {
         let t = CounterTree::new(64, 8, 4);
         assert_eq!(t.covering_group(0), 0..64);
         assert_eq!(t.covering_group(63), 0..64);
-        assert_eq!(t.stats().leaves, 1);
+        assert_eq!(t.leaf_count(), 1);
     }
 
     #[test]
@@ -298,7 +239,7 @@ mod tests {
         for i in 0..10_000u64 {
             t.record(i % (1 << 16));
         }
-        assert!(t.stats().leaves <= 7);
+        assert!(t.leaf_count() <= 7);
     }
 
     #[test]
@@ -310,20 +251,6 @@ mod tests {
         let g = t.reset_group(7);
         assert!(g.contains(&7));
         assert_eq!(t.estimate(7), 0);
-    }
-
-    #[test]
-    fn hot_groups_reports_threshold_crossers() {
-        let mut t = CounterTree::new(128, 15, 4);
-        for _ in 0..50 {
-            t.record(10);
-        }
-        for _ in 0..3 {
-            t.record(100);
-        }
-        let hot = t.hot_groups(25);
-        assert_eq!(hot.len(), 1);
-        assert!(hot[0].0.contains(&10));
     }
 
     #[test]
@@ -353,7 +280,7 @@ mod tests {
             t.record(i);
         }
         t.clear();
-        assert_eq!(t.stats().leaves, 1);
+        assert_eq!(t.leaf_count(), 1);
         assert_eq!(t.estimate(0), 0);
         assert_eq!(t.covering_group(63), 0..64);
     }

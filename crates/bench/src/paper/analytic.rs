@@ -119,7 +119,7 @@ fn arr_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
 /// Fig. 2: the safe FlipTH (worst victim disturbance + 1) of ARR-Graphene
 /// and RFM-Graphene per predefined threshold, under concentration
 /// attacks that drive many rows to the threshold at once.
-pub fn fig2(pool: PoolConfig) -> Json {
+pub(crate) fn fig2(pool: PoolConfig) -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     let thresholds = [250u64, 500, 1_000, 2_000, 4_000, 8_000];
     Json::arr(run_sharded(&thresholds, pool, 0, |&t, _| {
@@ -151,7 +151,7 @@ fn lossy_counting_kib(flip_th: u64, timing: &Ddr5Timing) -> f64 {
 /// Fig. 6: the minimal Mithril (counter-based summary, "cbs") table per
 /// `(FlipTH, RFMTH)` that satisfies `M < FlipTH/2` (Theorem 1), `null`
 /// where no `Nentry` does, then Lossy Counting at 25K and 50K.
-pub fn fig6() -> Json {
+pub(crate) fn fig6() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     let mut rows = Vec::new();
     for flip in [1_562u64, 3_125, 6_250, 12_500, 25_000, 50_000] {
@@ -182,7 +182,7 @@ pub fn fig6() -> Json {
 
 /// The Mithril configurations whose size the paper quotes (the Fig. 6 and
 /// Table IV cross-checks), next to the paper's KB and mm².
-pub fn mithril_paper() -> Json {
+pub(crate) fn mithril_paper() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     let quoted = [
         (6_250u64, 128u64, 0.84, Some(0.024)),
@@ -210,7 +210,7 @@ const FIG8_WINDOW: std::ops::Range<usize> = 200_000..202_000;
 /// to about 200 points; **(b)** the same in a small window (every 10th
 /// access); **(c)** the *activations* of that small window after LLC and
 /// row-buffer filtering. Returns `(panels, window summary)`.
-pub fn fig8() -> (Json, Json) {
+pub(crate) fn fig8() -> (Json, Json) {
     let mapping = AddressMapping::new(mithril_dram::Geometry::table_iii_system());
     let mut sweep = StreamSweep::new(4, 1 << 18, 7);
     let mut llc = Llc::new(LlcConfig {
@@ -274,7 +274,7 @@ pub fn fig8() -> (Json, Json) {
 
 /// Fig. 10(e): per-bank table size of BlockHammer and of Mithril (the
 /// paper's RFMTH for each FlipTH, AdTH 200).
-pub fn fig10e() -> Json {
+pub(crate) fn fig10e() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     Json::arr(FLIP_TH_SWEEP.map(|flip| {
         let bh = BlockHammerConfig::for_flip_threshold(flip, &timing).table_kib();
@@ -302,7 +302,7 @@ const PAPER_TABLE4: [[f64; 6]; 8] = [
 
 /// Table IV: per-bank counter-table size of every scheme at every FlipTH
 /// next to the paper's value (`null` = infeasible pair, a dash).
-pub fn table4() -> Json {
+pub(crate) fn table4() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     let mut rows = Vec::new();
     for ((scheme, cells), paper) in table_area_rows(&timing).into_iter().zip(PAPER_TABLE4) {
@@ -327,7 +327,7 @@ const PARFM_BANKS: u64 = 22;
 /// probability stays below 1e-15 over 22 simultaneously attackable banks
 /// (the values the Fig. 10 PARFM runs use), with the failure probability
 /// there and at twice that RFMTH.
-pub fn appendix_c() -> Json {
+pub(crate) fn appendix_c() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     Json::arr(FLIP_TH_SWEEP.map(|flip| {
         let rfm = max_rfm_th(flip, PARFM_TARGET, PARFM_BANKS, &timing);
@@ -343,7 +343,7 @@ pub fn appendix_c() -> Json {
 
 /// Appendix C's failure curve: single-row and system failure probability
 /// vs RFMTH at FlipTH 6.25K.
-pub fn appendix_c_curve() -> Json {
+pub(crate) fn appendix_c_curve() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     Json::arr([16u64, 32, 48, 64, 80, 96, 128, 192, 256].map(|rfm| {
         json_obj! {
@@ -355,7 +355,7 @@ pub fn appendix_c_curve() -> Json {
 }
 
 /// The ablation's FlipTH.
-pub const ABLATION_FLIP: u64 = 6_250;
+pub(crate) const ABLATION_FLIP: u64 = 6_250;
 const ABLATION_RFM: u64 = 128;
 
 /// A Mithril variant with a pluggable RFM selection policy.

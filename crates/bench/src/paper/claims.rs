@@ -135,7 +135,7 @@ impl<'a> Claims<'a> {
 }
 
 /// Evaluates every claim against `report`'s tables, in figure order.
-pub fn evaluate(report: &Json) -> Json {
+pub(crate) fn evaluate(report: &Json) -> Json {
     let mut c = Claims {
         report,
         figure: "",

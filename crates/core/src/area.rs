@@ -17,7 +17,7 @@
 //! process penalty): ≈ 3.4 µm² per CAM bit.
 
 /// Area constant: µm² per CAM bit after DRAM-process derating.
-pub const UM2_PER_CAM_BIT: f64 = 3.4;
+pub(crate) const UM2_PER_CAM_BIT: f64 = 3.4;
 
 /// Bits required to express values in `0..=max_value`.
 ///
@@ -42,7 +42,7 @@ pub fn counter_bits(m_bound: f64, rfm_th: u64) -> u32 {
 }
 
 /// Address CAM width for a bank of `rows_per_bank` rows.
-pub fn address_bits(rows_per_bank: u64) -> u32 {
+pub(crate) fn address_bits(rows_per_bank: u64) -> u32 {
     bits_for(rows_per_bank.saturating_sub(1))
 }
 

@@ -139,7 +139,7 @@ impl MithrilConfig {
     }
 
     /// The aggregated Row Hammer effect for a blast radius (Section V-C).
-    pub fn aggregated_effect(blast_radius: u64) -> f64 {
+    pub(crate) fn aggregated_effect(blast_radius: u64) -> f64 {
         if blast_radius <= 1 {
             2.0
         } else {
@@ -213,7 +213,7 @@ impl MithrilConfig {
     }
 
     /// Address-CAM width in bits.
-    pub fn address_bits(&self) -> u32 {
+    pub(crate) fn address_bits(&self) -> u32 {
         area::address_bits(self.rows_per_bank)
     }
 
@@ -230,12 +230,6 @@ impl MithrilConfig {
         let timing = Ddr5Timing::ddr5_4800();
         let bits = self.address_bits() + self.counter_bits(&timing);
         area::table_mm2(self.nentry, bits)
-    }
-
-    /// Number of victim rows refreshed per preventive refresh
-    /// (2 for radius 1; 2×radius — e.g. 6 within range 3 — otherwise).
-    pub fn victims_per_refresh(&self) -> u64 {
-        2 * self.blast_radius.max(1)
     }
 }
 
@@ -321,10 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn wider_blast_radius_refreshes_more_victims() {
-        let timing = t();
-        let c = MithrilConfig::solve(6_250, 64, 3, None, &timing).unwrap();
-        assert_eq!(c.victims_per_refresh(), 6);
+    fn range_three_aggregates_to_three_and_a_half() {
         assert_eq!(MithrilConfig::aggregated_effect(3), 3.5);
     }
 

@@ -53,6 +53,7 @@ pub mod area;
 pub mod bounds;
 mod config;
 mod scheme;
+mod streamsummary;
 mod table;
 
 /// Shared fast hashing for hot-path keyed lookups (re-export of

@@ -19,11 +19,8 @@
 //! unbounded `u64` counts: order is maintained structurally, because
 //! slots only ever move by exactly one increment or drop to the minimum.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 /// Sentinel for "no slot / no bucket" in the intrusive lists.
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// One value bucket: position in the bucket list plus its slot sub-list.
 #[derive(Debug, Clone, Copy)]
@@ -60,7 +57,7 @@ impl Link {
 /// explicitly (successor on increment, floor on reset), so wrapping
 /// arithmetic stays the caller's concern.
 #[derive(Debug, Clone)]
-pub struct BucketList<V> {
+pub(crate) struct BucketList<V> {
     /// Per-slot links within the owning bucket's sub-list.
     links: Vec<Link>,
     /// Bucket arena; `free` recycles unlinked nodes, so at most
@@ -75,7 +72,7 @@ pub struct BucketList<V> {
 
 impl<V: Copy + Eq> BucketList<V> {
     /// Creates an empty list with room for `capacity` slots.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             links: Vec::with_capacity(capacity),
             buckets: Vec::with_capacity(capacity + 1),
@@ -89,37 +86,37 @@ impl<V: Copy + Eq> BucketList<V> {
     /// no bucket until [`place_fresh`] or an explicit move.
     ///
     /// [`place_fresh`]: BucketList::place_fresh
-    pub fn push_slot(&mut self) {
+    pub(crate) fn push_slot(&mut self) {
         self.links.push(Link::UNPLACED);
     }
 
     /// The minimum value over all occupied slots, if any.
-    pub fn min_value(&self) -> Option<V> {
+    pub(crate) fn min_value(&self) -> Option<V> {
         (self.head_bucket != NIL).then(|| self.buckets[self.head_bucket as usize].value)
     }
 
     /// The maximum value over all occupied slots, if any.
-    pub fn max_value(&self) -> Option<V> {
+    pub(crate) fn max_value(&self) -> Option<V> {
         (self.tail_bucket != NIL).then(|| self.buckets[self.tail_bucket as usize].value)
     }
 
     /// The slot that has held the minimum value longest (eviction target).
-    pub fn oldest_min_slot(&self) -> Option<u32> {
+    pub(crate) fn oldest_min_slot(&self) -> Option<u32> {
         (self.head_bucket != NIL).then(|| self.buckets[self.head_bucket as usize].head)
     }
 
     /// The slot that reached the maximum value first (greedy selection).
-    pub fn oldest_max_slot(&self) -> Option<u32> {
+    pub(crate) fn oldest_max_slot(&self) -> Option<u32> {
         (self.tail_bucket != NIL).then(|| self.buckets[self.tail_bucket as usize].head)
     }
 
     /// Live buckets (diagnostics; at most the number of occupied slots).
-    pub fn bucket_count(&self) -> usize {
+    pub(crate) fn bucket_count(&self) -> usize {
         self.buckets.len() - self.free.len()
     }
 
     /// Forgets all buckets and slots (allocations are kept).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.links.clear();
         self.buckets.clear();
         self.free.clear();
@@ -225,7 +222,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// value plus one, in the caller's arithmetic), creating that bucket
     /// next to the current one if absent — or, when `slot` is alone in
     /// its bucket, relabelling that bucket to `successor`. O(1).
-    pub fn advance(&mut self, slot: u32, successor: V) {
+    pub(crate) fn advance(&mut self, slot: u32, successor: V) {
         let b = self.links[slot as usize].bucket;
         let bucket = self.buckets[b as usize];
         let nb = bucket.next;
@@ -254,7 +251,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// Moves `slot` to the bucket holding `floor` (the current minimum, or
     /// below every occupied value), creating it at the front if absent.
     /// This is the decrement-to-min of the greedy RFM step. O(1).
-    pub fn drop_to_floor(&mut self, slot: u32, floor: V) {
+    pub(crate) fn drop_to_floor(&mut self, slot: u32, floor: V) {
         let b = self.links[slot as usize].bucket;
         self.detach_entry(slot);
         let head = self.head_bucket;
@@ -271,11 +268,6 @@ impl<V: Copy + Eq> BucketList<V> {
     }
 
     // ------------------------------------------------------ fault recovery
-
-    /// Registered slots (occupied or not yet placed).
-    pub fn slot_count(&self) -> usize {
-        self.links.len()
-    }
 
     /// Verifies every structural invariant of the list against the
     /// caller's slot state: `value_of(slot)` is the caller's stored
@@ -295,7 +287,7 @@ impl<V: Copy + Eq> BucketList<V> {
     ///
     /// Returns the first violation found, as a human-readable description.
     /// O(slots).
-    pub fn self_check(
+    pub(crate) fn self_check(
         &self,
         value_of: impl Fn(u32) -> V,
         key_of: impl Fn(V) -> u64,
@@ -381,7 +373,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// reference must canonicalize its ages the same way. O(slots·log).
     ///
     /// [`self_check`]: BucketList::self_check
-    pub fn rebuild(&mut self, value_of: impl Fn(u32) -> V, key_of: impl Fn(V) -> u64) {
+    pub(crate) fn rebuild(&mut self, value_of: impl Fn(u32) -> V, key_of: impl Fn(V) -> u64) {
         let slots = self.links.len();
         let mut order: Vec<u32> = (0..slots as u32).collect();
         order.sort_unstable_by_key(|&s| (key_of(value_of(s)), s));
@@ -412,7 +404,7 @@ impl<V: Copy + Eq> BucketList<V> {
     /// Callers use this while their table is below capacity, where those
     /// are the only two values at the bottom of the order — so placement
     /// is O(1) despite being an ordered insert.
-    pub fn place_fresh(&mut self, slot: u32, zero: V, one: V) {
+    pub(crate) fn place_fresh(&mut self, slot: u32, zero: V, one: V) {
         let head = self.head_bucket;
         if head == NIL {
             let b = self.alloc_bucket(one);
@@ -578,7 +570,6 @@ mod tests {
         assert_eq!(h.list.max_value(), Some(9));
         assert_eq!(h.list.oldest_min_slot(), Some(c));
         assert_eq!(h.list.oldest_max_slot(), Some(a));
-        assert_eq!(h.list.slot_count(), 3);
     }
 
     #[test]

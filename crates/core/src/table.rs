@@ -37,9 +37,9 @@
 //! any stream whose spread stays under the counter range, the two behave
 //! *identically* (see the property tests in `tests/wrapping.rs`).
 
+use crate::streamsummary::BucketList;
 use mithril_dram::RowId;
 use mithril_fasthash::RowIndex;
-use mithril_streamsummary::BucketList;
 
 /// A fixed-width, wrapping hardware counter.
 ///
@@ -437,11 +437,6 @@ impl<C: Counter> MithrilTable<C> {
             .map(move |(&a, &c)| (a, c.diff(min)))
     }
 
-    /// Number of live value buckets (diagnostics; at most `len()`).
-    pub fn bucket_count(&self) -> usize {
-        self.list.bucket_count()
-    }
-
     // ------------------------------------------------------ fault surface
 
     /// Flips one bit of slot `slot`'s stored counter — a *silent*
@@ -500,7 +495,7 @@ impl<C: Counter> MithrilTable<C> {
     /// entries: the row index maps exactly the valid tags, and the
     /// Stream-Summary list satisfies every structural invariant with
     /// bucket values matching the stored counters (see
-    /// [`BucketList::self_check`]). `Err` describes the first broken
+    /// `BucketList::self_check`). `Err` describes the first broken
     /// invariant. O(capacity).
     pub fn self_check(&self) -> Result<(), String> {
         let mut valid = 0usize;
@@ -981,7 +976,10 @@ mod tests {
             if i % 24 == 23 {
                 t.on_rfm();
             }
-            assert!(t.bucket_count() <= t.len().max(1), "arena leaked buckets");
+            assert!(
+                t.list.bucket_count() <= t.len().max(1),
+                "arena leaked buckets"
+            );
         }
     }
 

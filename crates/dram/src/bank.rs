@@ -97,17 +97,17 @@ impl Bank {
     }
 
     /// True if a PRE may issue at `now`.
-    pub fn can_precharge(&self, now: TimePs) -> bool {
+    pub(crate) fn can_precharge(&self, now: TimePs) -> bool {
         matches!(self.state, BankState::Active(_)) && now >= self.earliest_precharge()
     }
 
     /// True if a column command to `row` may issue at `now`.
-    pub fn can_column(&self, row: RowId, now: TimePs) -> bool {
+    pub(crate) fn can_column(&self, row: RowId, now: TimePs) -> bool {
         self.state == BankState::Active(row) && now >= self.earliest_column()
     }
 
     /// True if the bank is precharged and idle so REF/RFM may start at `now`.
-    pub fn can_refresh(&self, now: TimePs) -> bool {
+    pub(crate) fn can_refresh(&self, now: TimePs) -> bool {
         self.state == BankState::Precharged && now >= self.busy_until && now >= self.next_act
     }
 
@@ -167,7 +167,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics if the bank is not precharged and idle.
-    pub fn issue_refresh(&mut self, now: TimePs) -> TimePs {
+    pub(crate) fn issue_refresh(&mut self, now: TimePs) -> TimePs {
         assert!(self.can_refresh(now), "illegal REF at {now}");
         self.busy_until = now + self.timing.trfc;
         self.busy_until

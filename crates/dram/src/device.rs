@@ -159,14 +159,6 @@ impl DramDevice {
         self.ranks[rank.0].earliest_activate(now)
     }
 
-    /// True if an ACT to `bank` is legal at `now`.
-    pub fn can_activate(&self, bank: BankId, now: TimePs) -> bool {
-        self.banks[bank].can_activate(now) && {
-            let (rank, _) = self.geometry.split_bank(bank);
-            self.ranks[rank.0].can_activate(now)
-        }
-    }
-
     /// Issues an ACT, informing the mitigation engine and the oracle.
     ///
     /// # Panics
@@ -335,7 +327,6 @@ mod tests {
         let mut d = d;
         d.issue_activate(0, 1, 0);
         // Bank 1 is free but the rank imposes tRRD.
-        assert!(!d.can_activate(1, t.trrd - 1));
         assert_eq!(d.earliest_activate(1, 0), t.trrd);
     }
 

@@ -85,7 +85,7 @@ impl AttackHarness {
     /// # Panics
     ///
     /// Panics if `rfm_th` or `rows` is zero.
-    pub fn with_rows(
+    pub(crate) fn with_rows(
         timing: Ddr5Timing,
         engine: Box<dyn DramMitigation>,
         rfm_th: u64,

@@ -59,7 +59,7 @@ impl RfmOutcome {
 }
 
 /// Counters kept by a fault-injection adapter wrapped around an engine
-/// (see the `mithril-faults` crate). Defined here so any
+/// (see `mithril_sim::FaultyEngine`). Defined here so any
 /// [`DramMitigation`] can surface them through
 /// [`DramMitigation::fault_stats`] without the base crate depending on
 /// the injector.
@@ -108,7 +108,7 @@ impl FaultStats {
 ///
 /// Engines whose protection state lives in SRAM/CAM counters (Mithril,
 /// Space-Saving-based trackers) implement this; the fault injector in
-/// `mithril-faults` drives it through
+/// `mithril_sim::FaultyEngine` drives it through
 /// [`DramMitigation::fault_surface`]. Entry indices address hardware
 /// slots (`0..fault_entries()`); slot indices are stable for the life of
 /// the engine, so a stuck-at fault registered on a slot stays meaningful.
@@ -227,8 +227,9 @@ pub trait DramMitigation {
     }
 
     /// Fault-injection counters, for engines wrapped by an injector
-    /// (`mithril-faults`). `None` everywhere else, so reporting can
-    /// distinguish "no faults configured" from "zero faults landed".
+    /// (`mithril_sim::FaultyEngine`). `None` everywhere else, so
+    /// reporting can distinguish "no faults configured" from "zero faults
+    /// landed".
     fn fault_stats(&self) -> Option<FaultStats> {
         None
     }

@@ -112,7 +112,6 @@ pub struct RowHammerOracle {
     /// fit in `u32` ([`RowHammerOracle::new`] asserts it).
     disturbance: RowIndex<u32>,
     max_observed: u64,
-    total_acts: u64,
     flips: Vec<FlipEvent>,
 }
 
@@ -136,14 +135,8 @@ impl RowHammerOracle {
             rows,
             disturbance: RowIndex::new(),
             max_observed: 0,
-            total_acts: 0,
             flips: Vec::new(),
         }
-    }
-
-    /// The configured FlipTH.
-    pub fn flip_threshold(&self) -> u64 {
-        self.flip_threshold
     }
 
     /// Records an activation of `aggressor`, disturbing every row within
@@ -154,7 +147,6 @@ impl RowHammerOracle {
     /// Panics if `aggressor` is out of range.
     pub fn on_activate(&mut self, aggressor: RowId) {
         assert!(aggressor < self.rows, "row {aggressor} out of range");
-        self.total_acts += 1;
         for victim in victims(aggressor, self.blast_radius, self.rows) {
             let d = self.disturbance.increment(victim as u32) as u64;
             if d > self.max_observed {
@@ -181,17 +173,9 @@ impl RowHammerOracle {
 
     /// Convenience: refresh every row in `lo..hi` (an auto-refresh group,
     /// `rows_per_ref` rows long). Rows past the bank are ignored.
-    pub fn on_rows_refreshed(&mut self, lo: RowId, hi: RowId) {
+    pub(crate) fn on_rows_refreshed(&mut self, lo: RowId, hi: RowId) {
         for row in lo..hi.min(self.rows) {
             self.disturbance.remove(row as u32);
-        }
-    }
-
-    /// Convenience for schemes that name an *aggressor*: refreshes all of
-    /// its potential victims (the rows within the blast radius).
-    pub fn on_neighbors_refreshed(&mut self, aggressor: RowId) {
-        for victim in victims(aggressor, self.blast_radius, self.rows) {
-            self.disturbance.remove(victim as u32);
         }
     }
 
@@ -214,11 +198,6 @@ impl RowHammerOracle {
     /// All bit flips detected so far.
     pub fn flips(&self) -> &[FlipEvent] {
         &self.flips
-    }
-
-    /// Total activations observed.
-    pub fn total_acts(&self) -> u64 {
-        self.total_acts
     }
 }
 
@@ -262,27 +241,6 @@ mod tests {
         assert_eq!(o.disturbance(6), 60);
         // Max high-water mark is unaffected by refreshes.
         assert_eq!(o.max_disturbance(), 60);
-    }
-
-    #[test]
-    fn neighbors_refresh_covers_blast_radius() {
-        let mut o = RowHammerOracle::new(1000, 2, 1024);
-        for _ in 0..5 {
-            o.on_activate(10);
-        }
-        assert_eq!(o.disturbance(8), 5);
-        assert_eq!(o.disturbance(12), 5);
-        o.on_neighbors_refreshed(10);
-        for r in [8, 9, 11, 12] {
-            assert_eq!(o.disturbance(r), 0, "row {r}");
-        }
-        // At an edge only the rows inside the bank are refreshed.
-        o.on_activate(1);
-        o.on_activate(1022);
-        o.on_neighbors_refreshed(0);
-        o.on_neighbors_refreshed(1023);
-        let left = [0, 2, 3, 1020, 1021, 1023].map(|r| o.disturbance(r));
-        assert_eq!(left, [1, 0, 1, 1, 0, 1]);
     }
 
     #[test]

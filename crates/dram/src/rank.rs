@@ -34,7 +34,6 @@ pub struct RankTiming {
     /// Times of the most recent ACTs, at most 4 kept.
     recent_acts: VecDeque<TimePs>,
     last_act: Option<TimePs>,
-    total_acts: u64,
 }
 
 impl RankTiming {
@@ -44,7 +43,6 @@ impl RankTiming {
             timing,
             recent_acts: VecDeque::with_capacity(4),
             last_act: None,
-            total_acts: 0,
         }
     }
 
@@ -62,7 +60,7 @@ impl RankTiming {
     }
 
     /// True if an ACT may issue at exactly `now`.
-    pub fn can_activate(&self, now: TimePs) -> bool {
+    pub(crate) fn can_activate(&self, now: TimePs) -> bool {
         self.earliest_activate(now) == now
     }
 
@@ -81,22 +79,6 @@ impl RankTiming {
         }
         self.recent_acts.push_back(now);
         self.last_act = Some(now);
-        self.total_acts += 1;
-    }
-
-    /// Total ACTs recorded on this rank.
-    pub fn total_acts(&self) -> u64 {
-        self.total_acts
-    }
-
-    /// How many banks can be hammered at the per-bank maximum rate (one ACT
-    /// per tRC each) before the rank-level tFAW limit binds — the paper's
-    /// "22 banks" argument (Appendix C).
-    pub fn max_parallel_hammered_banks(timing: &Ddr5Timing) -> usize {
-        // Per-bank hammer rate: 1/tRC. Rank limit: 4/tFAW.
-        let per_bank = 1.0 / timing.trc as f64;
-        let rank_limit = 4.0 / timing.tfaw as f64;
-        (rank_limit / per_bank).floor() as usize
     }
 }
 
@@ -137,26 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn paper_appendix_c_22_banks() {
-        // Per-bank hammering runs at 1/tRC; tFAW allows 4/tFAW rank-wide.
-        // With Table III values: (4/13.333ns) / (1/48.64ns) ≈ 14.6 per
-        // rank, ~22-29 system-wide across 2 channels. We assert the
-        // rank-level figure and that 2 ranks land in the paper's ballpark.
-        let t = Ddr5Timing::ddr5_4800();
-        let per_rank = RankTiming::max_parallel_hammered_banks(&t);
-        assert!((10..=16).contains(&per_rank), "per-rank = {per_rank}");
-        assert!((20..=32).contains(&(2 * per_rank)));
-    }
-
-    #[test]
-    fn total_acts_counts() {
+    fn back_to_back_acts_keep_trrd_and_tfaw() {
+        // Ten ACTs, each at the earliest legal time: every one is
+        // accepted, consecutive ones sit at least tRRD apart and any five
+        // span at least tFAW.
         let t = Ddr5Timing::ddr5_4800();
         let mut r = RankTiming::new(t);
         let mut now = 0;
+        let mut times = Vec::new();
         for _ in 0..10 {
             now = r.earliest_activate(now);
+            assert!(r.can_activate(now));
             r.record_activate(now);
+            times.push(now);
         }
-        assert_eq!(r.total_acts(), 10);
+        assert!(times.windows(2).all(|w| w[1] - w[0] >= t.trrd));
+        assert!(times.windows(5).all(|w| w[4] - w[0] >= t.tfaw));
     }
 }

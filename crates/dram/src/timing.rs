@@ -104,7 +104,7 @@ impl Ddr5Timing {
 
     /// Rows refreshed by each REF command, for `rows` rows per bank
     /// (all rows must be covered every 8192 REFs).
-    pub fn rows_per_ref(&self, rows: u64) -> u64 {
+    pub(crate) fn rows_per_ref(&self, rows: u64) -> u64 {
         let refs_per_window = self.trefw / self.trefi;
         rows.div_ceil(refs_per_window)
     }

@@ -145,36 +145,17 @@ impl Geometry {
         self.row_bytes / self.line_bytes
     }
 
-    /// Bits needed to address a row within a bank.
-    pub fn row_bits(&self) -> u32 {
-        u64::BITS - (self.rows_per_bank - 1).leading_zeros()
-    }
-
     /// Splits a flat bank id into `(rank, bank-within-rank)`.
     ///
     /// # Panics
     ///
     /// Panics if `bank` is out of range for one channel.
-    pub fn split_bank(&self, bank: BankId) -> (RankId, usize) {
+    pub(crate) fn split_bank(&self, bank: BankId) -> (RankId, usize) {
         assert!(bank < self.banks_total(), "bank {bank} out of range");
         (
             RankId(bank / self.banks_per_rank),
             bank % self.banks_per_rank,
         )
-    }
-
-    /// The flat bank id of `(rank, bank-within-rank)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coordinate is out of range.
-    pub fn bank_of(&self, rank: RankId, bank_in_rank: usize) -> BankId {
-        assert!(rank.0 < self.ranks, "rank {rank} out of range");
-        assert!(
-            bank_in_rank < self.banks_per_rank,
-            "bank {bank_in_rank} out of range"
-        );
-        rank.0 * self.banks_per_rank + bank_in_rank
     }
 }
 
@@ -225,20 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn row_bits_for_power_of_two() {
-        let g = Geometry {
-            rows_per_bank: 65_536,
-            ..Geometry::default()
-        };
-        assert_eq!(g.row_bits(), 16);
-        let g = Geometry {
-            rows_per_bank: 131_072,
-            ..Geometry::default()
-        };
-        assert_eq!(g.row_bits(), 17);
-    }
-
-    #[test]
     fn split_bank_round_trips() {
         let g = Geometry {
             ranks: 2,
@@ -251,7 +218,7 @@ mod tests {
         assert_eq!(g.split_bank(31), (RankId(1), 15));
         for bank in 0..g.banks_total() {
             let (rank, within) = g.split_bank(bank);
-            assert_eq!(g.bank_of(rank, within), bank);
+            assert_eq!(rank.0 * g.banks_per_rank + within, bank);
         }
     }
 

@@ -57,7 +57,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// engine, a recorded trace, a workload stream) gets a seed that depends
 /// only on `(base, shard)` — never on which thread computed it or when.
 #[inline]
-pub fn splitmix64_shard(base: u64, shard: u64) -> u64 {
+pub(crate) fn splitmix64_shard(base: u64, shard: u64) -> u64 {
     splitmix64(base ^ splitmix64(shard).rotate_left(17))
 }
 

@@ -277,7 +277,7 @@ impl LatencyHistogram {
     }
 
     /// 95th percentile (bucket lower bound).
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.quantile_lower_bound(95, 100)
     }
 
@@ -287,7 +287,7 @@ impl LatencyHistogram {
     }
 
     /// 99.9th percentile (bucket lower bound).
-    pub fn p999(&self) -> u64 {
+    pub(crate) fn p999(&self) -> u64 {
         self.quantile_lower_bound(999, 1000)
     }
 
@@ -549,7 +549,7 @@ impl Event {
     }
 
     /// Stable name of this event's kind.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
     }
 
@@ -809,14 +809,15 @@ pub struct SampleRow {
 }
 
 /// CSV header matching [`SampleRow::csv_line`].
-pub const SERIES_CSV_HEADER: &str = "cycle,channel,acts,refs,rfms,rfm_elisions,arrs,queue_depth,\
+pub(crate) const SERIES_CSV_HEADER: &str =
+    "cycle,channel,acts,refs,rfms,rfm_elisions,arrs,queue_depth,\
      occupancy,capacity,ctr_min,ctr_max,evictions,invalidations,\
      cand_hits,cand_invalidations,llc_hits,llc_misses,bank_acts";
 
 impl SampleRow {
     /// Renders the row as one CSV line (no trailing newline). The
     /// per-bank ACT vector is `|`-joined inside the final column.
-    pub fn csv_line(&self) -> String {
+    pub(crate) fn csv_line(&self) -> String {
         let banks: Vec<String> = self.bank_acts.iter().map(u64::to_string).collect();
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -960,7 +961,7 @@ impl ObsCapture {
     }
 
     /// Total events emitted across all channels.
-    pub fn total_events(&self) -> u64 {
+    pub(crate) fn total_events(&self) -> u64 {
         self.total_counts().iter().sum()
     }
 

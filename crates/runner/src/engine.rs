@@ -22,7 +22,8 @@ use std::sync::Mutex;
 /// Shard-pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
-    /// Worker threads. Clamped to at least 1.
+    /// Worker threads. Clamped to at least 1 and at most the number of
+    /// shards a run has.
     pub threads: usize,
     /// Items per shard. Clamped to at least 1. Smaller shards balance
     /// load better; larger shards amortize steal overhead.
@@ -156,18 +157,18 @@ where
     R: Send,
     F: Fn(&T, u64) -> R + Sync,
 {
-    let threads = cfg.threads.max(1);
     let shard_size = cfg.shard_size.max(1);
     if items.is_empty() {
         return Vec::new();
     }
     let n_shards = items.len().div_ceil(shard_size);
+    let workers = worker_count(cfg.threads, n_shards);
 
     // Deal shards round-robin onto worker-local deques.
     let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
+        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for shard in 0..n_shards {
-        queues[shard % threads].lock().unwrap().push_back(shard);
+        queues[shard % workers].lock().unwrap().push_back(shard);
     }
 
     let results: Mutex<Vec<Option<ItemOutcome<R>>>> =
@@ -189,7 +190,7 @@ where
     };
 
     std::thread::scope(|scope| {
-        for worker in 0..threads {
+        for worker in 0..workers {
             let f = &f;
             let results = &results;
             let next_shard = &next_shard;
@@ -239,10 +240,26 @@ where
         .collect()
 }
 
+/// The worker threads a pool starts for `n_shards` shards: `threads`,
+/// but at least one and never more than there are shards (a worker
+/// beyond that would only find every queue empty).
+fn worker_count(threads: usize, n_shards: usize) -> usize {
+    threads.clamp(1, n_shards.max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn worker_count_is_clamped_to_the_shards() {
+        assert_eq!(worker_count(8, 3), 3);
+        assert_eq!(worker_count(2, 3), 2);
+        assert_eq!(worker_count(0, 3), 1);
+        assert_eq!(worker_count(usize::MAX, 1), 1);
+        assert_eq!(worker_count(4, 0), 1);
+    }
 
     #[test]
     fn results_preserve_input_order() {

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! The header pins the base seed and a fingerprint of the expanded
-//! scenario list; resuming against a different spec or seed is refused
-//! rather than silently mixed. `<entry>` is the compact rendering of the
+//! scenario list and the shard size; resuming against a different spec,
+//! seed or shard size is refused rather than silently mixed. `<entry>` is
+//! the compact rendering of the
 //! [`result_tree`](crate::report::result_tree) record; recovery parses it
 //! back into that tree, and rendering is a fixed point of parsing, so the
 //! reassembled report is byte-identical. Duplicate indices are legal —
@@ -39,17 +40,20 @@ use mithril_obs::FORMAT_VERSION;
 use crate::scenarios::Scenario;
 
 /// Magic tag of journal format v1.
-pub const JOURNAL_MAGIC: &str = "MTRJ1";
+pub(crate) const JOURNAL_MAGIC: &str = "MTRJ1";
 
 /// Fingerprint of a sweep's identity: the report [`FORMAT_VERSION`], the
-/// base seed and every expanded scenario's name and size knobs. Two
-/// sweeps with the same fingerprint produce the same entry at every
-/// index, which is exactly what resuming requires; a journal written
-/// under another report format never splices its entries into this one.
-pub fn fingerprint(base_seed: u64, scenarios: &[Scenario]) -> u64 {
+/// base seed, the shard size (each position's seed depends on it, see
+/// [`position_seed`](crate::engine::position_seed)) and every expanded
+/// scenario's name and size knobs. Two sweeps with the same fingerprint
+/// produce the same entry at every index, which is exactly what resuming
+/// requires; a journal written under another report format or shard size
+/// never splices its entries into this one.
+pub fn fingerprint(base_seed: u64, shard_size: usize, scenarios: &[Scenario]) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&base_seed.to_le_bytes());
+    bytes.extend_from_slice(&(shard_size as u64).to_le_bytes());
     for s in scenarios {
         bytes.extend_from_slice(s.name.as_bytes());
         bytes.push(0);
@@ -67,13 +71,6 @@ pub struct LoadedJournal {
     pub entries: Vec<Option<Json>>,
     /// Lines dropped as corrupt, torn, or out of range.
     pub dropped_lines: usize,
-}
-
-impl LoadedJournal {
-    /// How many entries were recovered intact.
-    pub fn recovered(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
 }
 
 /// Re-reads a journal tolerantly, validating its header strictly.
@@ -121,7 +118,7 @@ pub fn load(
     }
     if h_fp != fingerprint {
         return Err(format!(
-            "journal {} belongs to a different sweep spec or report format (fingerprint {h_fp:016x} != {fingerprint:016x})",
+            "journal {} belongs to a different sweep spec, shard size or report format (fingerprint {h_fp:016x} != {fingerprint:016x})",
             path.display()
         ));
     }
@@ -161,7 +158,7 @@ pub fn load(
 /// Concurrent append-side of the journal: workers record completions
 /// through a shared mutex, one flushed line per completed scenario.
 #[derive(Debug)]
-pub struct JournalWriter {
+pub(crate) struct JournalWriter {
     file: Mutex<File>,
 }
 
@@ -243,12 +240,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.mtrj");
         let scenarios = vec![scenario("a"), scenario("b"), scenario("c")];
-        let fp = fingerprint(7, &scenarios);
+        let fp = fingerprint(7, 1, &scenarios);
         let w = JournalWriter::create(&path, 7, fp).unwrap();
         w.record(2, "{\"name\":\"c\"}");
         w.record(0, "{\"name\":\"a\"}");
         let loaded = load(&path, 7, fp, 3).unwrap();
-        assert_eq!(loaded.recovered(), 2);
+        assert_eq!(loaded.entries.iter().flatten().count(), 2);
         assert_eq!(loaded.dropped_lines, 0);
         let name = |i: usize| {
             loaded.entries[i]
@@ -267,7 +264,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("j.mtrj");
         let scenarios = vec![scenario("a"), scenario("b")];
-        let fp = fingerprint(1, &scenarios);
+        let fp = fingerprint(1, 1, &scenarios);
         let w = JournalWriter::create(&path, 1, fp).unwrap();
         w.record(0, "\"entry-zero\"");
         w.record(1, "\"entry-one\"");
@@ -292,10 +289,10 @@ mod tests {
         let path = dir.join("j.mtrj");
         let a = vec![scenario("a")];
         let b = vec![scenario("b")];
-        let fp_a = fingerprint(1, &a);
+        let fp_a = fingerprint(1, 1, &a);
         JournalWriter::create(&path, 1, fp_a).unwrap();
         assert!(load(&path, 2, fp_a, 1).unwrap_err().contains("base seed"));
-        assert!(load(&path, 1, fingerprint(1, &b), 1)
+        assert!(load(&path, 1, fingerprint(1, 1, &b), 1)
             .unwrap_err()
             .contains("fingerprint"));
         assert!(load(&path, 1, fp_a, 1).is_ok());
@@ -314,7 +311,7 @@ mod tests {
         let path = dir.join("j.mtrj");
         let scenarios = crate::scenarios::SweepSpec::smoke().scenarios();
         JournalWriter::create(&path, 1, FORMAT_2_SMOKE_SEED_1).unwrap();
-        let err = load(&path, 1, fingerprint(1, &scenarios), scenarios.len()).unwrap_err();
+        let err = load(&path, 1, fingerprint(1, 1, &scenarios), scenarios.len()).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -324,8 +321,9 @@ mod tests {
         let a = vec![scenario("a")];
         let mut bigger = a.clone();
         bigger[0].insts_per_core = 200;
-        assert_ne!(fingerprint(1, &a), fingerprint(2, &a));
-        assert_ne!(fingerprint(1, &a), fingerprint(1, &bigger));
-        assert_eq!(fingerprint(1, &a), fingerprint(1, &a.clone()));
+        assert_ne!(fingerprint(1, 1, &a), fingerprint(2, 1, &a));
+        assert_ne!(fingerprint(1, 1, &a), fingerprint(1, 1, &bigger));
+        assert_ne!(fingerprint(1, 1, &a), fingerprint(1, 4, &a));
+        assert_eq!(fingerprint(1, 1, &a), fingerprint(1, 1, &a.clone()));
     }
 }

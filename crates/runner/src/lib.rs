@@ -41,7 +41,7 @@
 
 pub mod analytics;
 pub mod engine;
-pub mod journal;
+mod journal;
 pub mod report;
 pub mod scenarios;
 
@@ -350,7 +350,8 @@ pub struct JournaledSweep {
 /// # Errors
 ///
 /// Journal I/O failure, or a journal that belongs to a different sweep
-/// (seed or spec fingerprint mismatch).
+/// (seed mismatch, or a fingerprint mismatch from another spec or shard
+/// size).
 pub fn run_sweep_journaled(
     spec: &SweepSpec,
     pool: PoolConfig,
@@ -360,7 +361,7 @@ pub fn run_sweep_journaled(
     progress: Option<&Progress>,
 ) -> Result<JournaledSweep, String> {
     let scenarios = spec.scenarios();
-    let fp = journal::fingerprint(base_seed, &scenarios);
+    let fp = journal::fingerprint(base_seed, pool.shard_size, &scenarios);
     let (journaled, dropped_lines, writer) = if resume && path.exists() {
         let loaded = journal::load(path, base_seed, fp, scenarios.len())?;
         let writer = journal::JournalWriter::append(path)?;

@@ -273,7 +273,7 @@ pub fn table_area_rows(timing: &Ddr5Timing) -> Vec<(String, Vec<Option<f64>>)> {
 
 /// A compact tag identifying a geometry in scenario names and reports,
 /// e.g. `2ch2rk32b`.
-pub fn geometry_tag(g: &Geometry) -> String {
+pub(crate) fn geometry_tag(g: &Geometry) -> String {
     format!("{}ch{}rk{}b", g.channels, g.ranks, g.banks_per_rank)
 }
 
@@ -343,7 +343,11 @@ impl Scenario {
     /// # Errors
     ///
     /// As [`Scenario::run`].
-    pub fn run_observed(&self, seed: u64, obs: ObsConfig) -> Result<(Metrics, ObsCapture), String> {
+    pub(crate) fn run_observed(
+        &self,
+        seed: u64,
+        obs: ObsConfig,
+    ) -> Result<(Metrics, ObsCapture), String> {
         let cfg = self.system_config(seed);
         let threads = workload(&self.workload, self.cores, &cfg, seed);
         let mut sys = System::with_obs(cfg, threads, obs)?;

@@ -194,6 +194,15 @@ fn resumed_journal_reproduces_the_uninterrupted_report() {
         );
         assert_eq!(resumed.recovered, 7);
         assert_eq!(resumed.dropped_lines, 1, "torn record must be dropped");
+
+        // Each position's seed depends on the shard size, so resuming at
+        // another one would splice two seedings into one report: refused.
+        let other = PoolConfig {
+            shard_size: shard_size + 1,
+            ..pool
+        };
+        let err = run_sweep_journaled(&spec, other, 42, &path, true, None).unwrap_err();
+        assert!(err.contains("shard size"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -36,7 +36,7 @@ impl Default for CoreParams {
 
 /// Execution state of one core.
 #[derive(Debug)]
-pub struct CoreState {
+pub(crate) struct CoreState {
     params: CoreParams,
     /// Core-local time.
     pub clock: TimePs,
@@ -70,26 +70,26 @@ impl CoreState {
 
     /// Advances local time for a batch of non-memory instructions plus the
     /// issue of one memory access.
-    pub fn retire_batch(&mut self, non_mem_insts: u32) {
+    pub(crate) fn retire_batch(&mut self, non_mem_insts: u32) {
         let cycles = (non_mem_insts / self.params.width).max(1) as TimePs;
         self.clock += cycles * self.params.period_ps;
         self.insts += non_mem_insts as u64 + 1;
     }
 
     /// Accounts an LLC hit.
-    pub fn account_hit(&mut self) {
+    pub(crate) fn account_hit(&mut self) {
         self.clock += self.params.llc_hit_ps;
     }
 
     /// Registers a demand miss; returns `true` if the core is now blocked.
-    pub fn register_miss(&mut self) -> bool {
+    pub(crate) fn register_miss(&mut self) -> bool {
         self.outstanding += 1;
         self.blocked = self.outstanding >= self.params.mlp;
         self.blocked
     }
 
     /// Delivers a fill completion at absolute time `at`.
-    pub fn deliver(&mut self, at: TimePs) {
+    pub(crate) fn deliver(&mut self, at: TimePs) {
         debug_assert!(self.outstanding > 0, "completion without outstanding miss");
         self.outstanding -= 1;
         if self.blocked {

@@ -1,7 +1,7 @@
 //! Deterministic soft-error injection for Row Hammer tracker state.
 //!
 //! Mithril's safety argument rests on the per-bank counter table staying
-//! intact, but real SRAM/CAM state takes soft errors. This crate makes
+//! intact, but real SRAM/CAM state takes soft errors. This module makes
 //! that failure mode *measurable*: a [`FaultyEngine`] wraps any
 //! [`DramMitigation`] and, driven by a seeded [`FaultPlan`], injects the
 //! three fault classes of the taxonomy in `ARCHITECTURE.md` into the
@@ -25,17 +25,14 @@
 //!
 //! A plan's entire fault stream is a pure function of its seed, and the
 //! seed is derived from the sweep position through
-//! [`mithril_fasthash::splitmix64_seed`] — the workspace-wide seed
+//! [`mithril::fasthash::splitmix64_seed`] — the workspace-wide seed
 //! contract — so fault campaigns are bit-identical at any `--threads`
 //! count. One plan draw is consumed per observed ACT; draws and
 //! injections depend only on the engine's own command stream, never on
 //! scheduling.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
+use mithril::fasthash::{splitmix64, splitmix64_seed};
 use mithril_dram::{DramMitigation, FaultStats, FaultSurface, RfmOutcome, RowId};
-use mithril_fasthash::{splitmix64, splitmix64_seed};
 
 /// The three injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +154,7 @@ struct StuckBit {
 ///
 /// ```
 /// use mithril_dram::{DramMitigation, NoMitigation};
-/// use mithril_faults::{FaultConfig, FaultPlan, FaultyEngine};
+/// use mithril_sim::{FaultConfig, FaultPlan, FaultyEngine};
 ///
 /// // NoMitigation has no fault surface: every landed fault is dropped.
 /// let mut e = FaultyEngine::new(

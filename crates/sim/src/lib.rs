@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod core_model;
+mod faults;
 mod llc;
 mod metrics;
 mod system;
@@ -49,7 +50,7 @@ pub use mithril_memctrl::{CoreStats, QosConfig, QosPolicy, QosStats, QosThreadSt
 /// histogram / per-core attribution types without a direct obs dependency.
 pub use mithril_obs::{LatencyHistogram, PerCore};
 
-// Re-exported so scenario plumbing (the runner) can configure fault
-// campaigns and read their counters without a direct dependency.
+// Fault campaigns: the injector (the private `faults` module) and the
+// counters it fills, for the runner to configure and report.
+pub use faults::{FaultConfig, FaultKind, FaultPlan, FaultyEngine};
 pub use mithril_dram::FaultStats;
-pub use mithril_faults::{FaultConfig, FaultKind, FaultPlan, FaultyEngine};

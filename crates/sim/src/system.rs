@@ -1,5 +1,6 @@
 //! Full-system composition and the simulation loop.
 
+use crate::faults::{FaultConfig, FaultPlan, FaultyEngine};
 use mithril::fasthash::FastHashMap;
 use mithril::{MithrilConfig, MithrilScheme};
 use mithril_baselines::{
@@ -9,7 +10,6 @@ use mithril_baselines::{
 use mithril_dram::{
     Ddr5Timing, DramDevice, DramMitigation, EnergyModel, FaultStats, Geometry, TimePs,
 };
-use mithril_faults::{FaultConfig, FaultPlan, FaultyEngine};
 use mithril_memctrl::{
     AddressMapping, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
     QosPolicy, RfmMode, SchedulerKind,
@@ -873,7 +873,7 @@ mod tests {
                 ad_th: None,
                 plus: false,
             });
-            cfg.faults = Some(mithril_faults::FaultConfig::mixed(50_000));
+            cfg.faults = Some(FaultConfig::mixed(50_000));
             let mut sys = System::new(cfg, mix_high(4, 11)).unwrap();
             let m = sys.run(20_000, u64::MAX);
             let faults = m.faults.unwrap();

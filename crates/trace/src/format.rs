@@ -61,16 +61,16 @@ use mithril_workloads::TraceOp;
 use crate::error::{Result, TraceError};
 
 /// Format magic, first four bytes of every trace file.
-pub const MAGIC: [u8; 4] = *b"MTRC";
+pub(crate) const MAGIC: [u8; 4] = *b"MTRC";
 
 /// The format version this module reads and writes.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Core-id sentinel introducing the end marker.
 pub(crate) const CORE_END: u64 = u64::MAX;
 
 /// Default ops buffered per core before a chunk is flushed.
-pub const DEFAULT_CHUNK_OPS: usize = 4096;
+pub(crate) const DEFAULT_CHUNK_OPS: usize = 4096;
 
 /// Longest source name a header may carry — enforced symmetrically by
 /// writer and reader, so a writer can never produce a file its own

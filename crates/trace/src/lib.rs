@@ -73,16 +73,11 @@ pub mod stat;
 pub mod text;
 
 pub use error::{Result, TraceError};
-pub use format::{
-    read_all, read_all_path, read_header_path, MtrcReader, MtrcWriter, TraceHeader,
-    DEFAULT_CHUNK_OPS, MAGIC, VERSION,
-};
-pub use recorder::{record_thread_set, tee_thread_set, SharedWriter, TraceRecorder};
+pub use format::{read_all, read_all_path, read_header_path, MtrcReader, MtrcWriter, TraceHeader};
+pub use recorder::record_thread_set;
 pub use replay::{replay_thread_set, replay_thread_set_resilient, ReplayEnd, TraceReplay};
 pub use resilient::{
     read_all_resilient, read_all_resilient_path, ResilienceReport, ResilientMtrcReader,
 };
-pub use stat::{
-    stats_from_reader, stats_from_resilient_reader, HotRow, StatsCollector, TraceStats,
-};
-pub use text::{parse_line, read_text, write_text, TextFormat, TextReader};
+pub use stat::{stats_from_reader, stats_from_resilient_reader, HotRow, TraceStats};
+pub use text::{write_text, TextFormat, TextReader};

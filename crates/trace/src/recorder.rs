@@ -1,29 +1,19 @@
 //! Capturing workloads to MTRC files.
 //!
-//! Two capture modes:
-//!
-//! * [`record_thread_set`] — *render* a workload offline: pull each core's
-//!   generator until it has produced enough instructions, writing as it
-//!   goes. This is what `trace record` uses; the recorded stream covers at
-//!   least `insts_per_core` instructions per core, which is exactly the
-//!   upper bound on what a [`System`](../mithril_sim) run with the same
-//!   budget can consume (every op retires at least one instruction), so a
-//!   replay never runs dry before the live run would have finished.
-//! * [`TraceRecorder`] / [`tee_thread_set`] — *tee* a live workload: wrap
-//!   each thread so every op the simulator consumes is also appended to a
-//!   shared writer. The capture then contains precisely the consumed
-//!   prefix of each stream.
+//! [`record_thread_set`] *renders* a workload offline: it pulls each
+//! core's generator until it has produced enough instructions, writing as
+//! it goes. This is what `trace record` uses; the recorded stream covers
+//! at least `insts_per_core` instructions per core, which is exactly the
+//! upper bound on what a [`System`](../mithril_sim) run with the same
+//! budget can consume (every op retires at least one instruction), so a
+//! replay never runs dry before the live run would have finished.
 
 use std::io::Write;
-use std::sync::{Arc, Mutex};
 
-use mithril_workloads::{Thread, ThreadSet, TraceOp, TraceSource};
+use mithril_workloads::ThreadSet;
 
 use crate::error::Result;
 use crate::format::MtrcWriter;
-
-/// A shared, locked MTRC writer for multi-core tees.
-pub type SharedWriter<W> = Arc<Mutex<MtrcWriter<W>>>;
 
 /// Renders `set` to `writer`: each core's stream is captured until its
 /// cumulative instruction count reaches `insts_per_core`. Returns the
@@ -46,76 +36,10 @@ pub fn record_thread_set<W: Write>(
     Ok(total)
 }
 
-/// A [`TraceSource`] that tees every op it yields into a shared writer.
-///
-/// # Panics
-///
-/// `next_op` panics if the underlying writer fails — the `TraceSource`
-/// trait is infallible, and losing capture bytes silently would defeat
-/// the point of recording. (Sealing the file requires unwrapping the
-/// shared writer, so it cannot happen while recorders still hold it.)
-pub struct TraceRecorder<W: Write> {
-    inner: Box<dyn TraceSource + Send>,
-    core: usize,
-    sink: SharedWriter<W>,
-}
-
-impl<W: Write> TraceRecorder<W> {
-    /// Wraps `inner` as core `core` of the capture behind `sink`.
-    pub fn new(inner: Box<dyn TraceSource + Send>, core: usize, sink: SharedWriter<W>) -> Self {
-        Self { inner, core, sink }
-    }
-}
-
-impl<W: Write> TraceSource for TraceRecorder<W> {
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.inner.next_op();
-        self.sink
-            .lock()
-            .expect("recorder writer poisoned")
-            .push(self.core, op)
-            .expect("trace capture write failed");
-        op
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-}
-
-/// Wraps every thread of `set` in a [`TraceRecorder`] over `writer`.
-///
-/// Returns the wrapped set plus the shared writer handle; after the
-/// simulation, unwrap it (`Arc::try_unwrap`) and call
-/// [`MtrcWriter::finish`] to seal the file.
-pub fn tee_thread_set<W: Write + Send + 'static>(
-    set: ThreadSet,
-    writer: MtrcWriter<W>,
-) -> (ThreadSet, SharedWriter<W>) {
-    let sink: SharedWriter<W> = Arc::new(Mutex::new(writer));
-    let threads = set
-        .threads
-        .into_iter()
-        .enumerate()
-        .map(|(core, thread)| {
-            let name = thread.name().to_string();
-            let recorder = TraceRecorder::new(thread.into_source(), core, Arc::clone(&sink));
-            Thread::new(name, Box::new(recorder))
-        })
-        .collect();
-    (
-        ThreadSet {
-            name: set.name,
-            threads,
-        },
-        sink,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{read_all, MtrcWriter, TraceHeader};
+    use crate::format::{read_all, TraceHeader};
     use mithril_dram::Geometry;
     use mithril_workloads::mix_high;
 
@@ -156,35 +80,5 @@ mod tests {
             w.finish().unwrap()
         };
         assert_eq!(render(), render());
-    }
-
-    #[test]
-    fn tee_captures_exactly_what_was_consumed() {
-        let set = mix_high(2, 5);
-        let mut reference = mix_high(2, 5);
-        let w = MtrcWriter::new(Vec::new(), &header(2, 0)).unwrap();
-        let (mut teed, sink) = tee_thread_set(set, w);
-        // Consume an uneven number of ops per core through the tee.
-        let mut consumed = vec![Vec::new(), Vec::new()];
-        for _ in 0..10 {
-            consumed[0].push(teed.threads[0].next_op());
-        }
-        for _ in 0..3 {
-            consumed[1].push(teed.threads[1].next_op());
-        }
-        drop(teed); // release the recorders' Arc clones
-        let writer = Arc::try_unwrap(sink)
-            .unwrap_or_else(|_| panic!("writer still shared"))
-            .into_inner()
-            .unwrap();
-        let bytes = writer.finish().unwrap();
-        let (_, per_core) = read_all(&bytes[..]).unwrap();
-        assert_eq!(per_core, consumed);
-        // The tee is transparent: consumers saw the unmodified stream.
-        for (core, ops) in consumed.iter().enumerate() {
-            for (i, op) in ops.iter().enumerate() {
-                assert_eq!(*op, reference.threads[core].next_op(), "core {core} op {i}");
-            }
-        }
     }
 }

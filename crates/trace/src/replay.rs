@@ -61,7 +61,6 @@ pub struct TraceReplay {
     ops: Arc<[TraceOp]>,
     pos: usize,
     end: ReplayEnd,
-    laps: u64,
 }
 
 impl TraceReplay {
@@ -87,15 +86,7 @@ impl TraceReplay {
             ops,
             pos: 0,
             end,
-            laps: 0,
         }
-    }
-
-    /// Completed passes over the recorded stream (0 while the first pass
-    /// is still in progress; stays 0 forever under `HoldLast`… it counts
-    /// wraps, and `HoldLast` never wraps).
-    pub fn laps(&self) -> u64 {
-        self.laps
     }
 
     /// Ops in one pass of the recorded stream.
@@ -116,10 +107,7 @@ impl TraceSource for TraceReplay {
             self.pos += 1;
         } else {
             match self.end {
-                ReplayEnd::Loop => {
-                    self.pos = 0;
-                    self.laps += 1;
-                }
+                ReplayEnd::Loop => self.pos = 0,
                 ReplayEnd::HoldLast => {}
             }
         }
@@ -271,7 +259,6 @@ mod tests {
         let mut r = TraceReplay::new("t", ops(3), ReplayEnd::Loop);
         let seen: Vec<u64> = (0..7).map(|_| r.next_op().line_addr).collect();
         assert_eq!(seen, vec![0, 7, 14, 0, 7, 14, 0]);
-        assert_eq!(r.laps(), 2);
     }
 
     #[test]
@@ -279,7 +266,6 @@ mod tests {
         let mut r = TraceReplay::new("t", ops(2), ReplayEnd::HoldLast);
         let seen: Vec<u64> = (0..5).map(|_| r.next_op().line_addr).collect();
         assert_eq!(seen, vec![0, 7, 7, 7, 7]);
-        assert_eq!(r.laps(), 0);
     }
 
     #[test]

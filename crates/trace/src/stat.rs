@@ -70,7 +70,7 @@ pub struct TraceStats {
 /// fixed-size Counter-based Summary table — not O(ops).
 ///
 /// [`finish`]: StatsCollector::finish
-pub struct StatsCollector {
+pub(crate) struct StatsCollector {
     header: TraceHeader,
     mapping: AddressMapping,
     top: usize,
@@ -227,15 +227,10 @@ pub fn stats_from_resilient_reader<R: std::io::Read + std::io::Seek>(
 impl TraceStats {
     /// Renders the stats as deterministic JSON (fixed field order, no
     /// host- or time-dependent content), in the spirit of
-    /// `BENCH_sweep.json`.
-    pub fn render_json(&self) -> String {
-        self.render_json_with(None)
-    }
-
-    /// [`render_json`](TraceStats::render_json) with an optional
-    /// [`ResilienceReport`] embedded as a `resilience` object — the shape
-    /// `trace stat --resilient` emits, so a damaged capture's statistics
-    /// carry what was skipped to produce them.
+    /// `BENCH_sweep.json`, with an optional [`ResilienceReport`] embedded
+    /// as a `resilience` object — the shape `trace stat --resilient`
+    /// emits, so a damaged capture's statistics carry what was skipped to
+    /// produce them.
     pub fn render_json_with(&self, resilience: Option<&ResilienceReport>) -> String {
         self.tree(resilience).render_report()
     }
@@ -388,7 +383,7 @@ mod tests {
         h.source = "we\"ird\\name".into();
         let mut c = StatsCollector::new(h, 1);
         c.push(0, &TraceOp::read(0, 1));
-        let json = c.finish().render_json();
+        let json = c.finish().render_json_with(None);
         assert!(json.contains(r#""source": "we\"ird\\name""#), "{json}");
     }
 
@@ -397,7 +392,7 @@ mod tests {
         let mut c = StatsCollector::new(header(), 1);
         c.push(0, &TraceOp::read(0, 1));
         let s = c.finish();
-        let plain = s.render_json();
+        let plain = s.render_json_with(None);
         let version_line = format!("\"format_version\": {}", mithril_obs::FORMAT_VERSION);
         assert!(plain.contains(&version_line), "{plain}");
         assert!(!plain.contains("\"resilience\""), "{plain}");
@@ -425,8 +420,8 @@ mod tests {
             c.push((i % 2) as usize, &TraceOp::read(2, i * 97));
         }
         let s = c.finish();
-        let a = s.render_json();
-        let b = s.render_json();
+        let a = s.render_json_with(None);
+        let b = s.render_json_with(None);
         assert_eq!(a, b);
         assert_eq!(a.matches('{').count(), a.matches('}').count());
         assert_eq!(a.matches('[').count(), a.matches(']').count());

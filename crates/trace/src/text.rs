@@ -22,7 +22,7 @@ use mithril_workloads::TraceOp;
 use crate::error::{Result, TraceError};
 
 /// Bytes per cache line assumed when converting byte addresses.
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// The supported text trace dialects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +62,7 @@ fn parse_addr(token: &str, line: usize) -> Result<u64> {
 /// Parses one non-blank, non-comment line of `fmt`.
 ///
 /// `line` is the 1-based line number used in errors.
-pub fn parse_line(fmt: TextFormat, text: &str, line: usize) -> Result<TraceOp> {
+pub(crate) fn parse_line(fmt: TextFormat, text: &str, line: usize) -> Result<TraceOp> {
     let mut tokens = text.split_whitespace();
     match fmt {
         TextFormat::AddrStream => {
@@ -161,11 +161,6 @@ impl<R: BufRead> Iterator for TextReader<R> {
     }
 }
 
-/// Reads a whole text trace into memory.
-pub fn read_text<R: BufRead>(source: R, fmt: TextFormat) -> Result<Vec<TraceOp>> {
-    TextReader::new(source, fmt).collect()
-}
-
 /// Writes `ops` in `fmt`. Information the dialect cannot express is
 /// dropped: `AddrStream` loses instruction counts and write flags, and
 /// neither dialect carries the `uncacheable` flag.
@@ -202,10 +197,15 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Reads a whole text trace into memory.
+    fn read_text(text: impl AsRef<[u8]>, fmt: TextFormat) -> Result<Vec<TraceOp>> {
+        TextReader::new(Cursor::new(text), fmt).collect()
+    }
+
     #[test]
     fn ramulator_lines_parse() {
         let text = "# a comment\n10 R 0x1000\n\n3 W 640\n";
-        let ops = read_text(Cursor::new(text), TextFormat::Ramulator).unwrap();
+        let ops = read_text(text, TextFormat::Ramulator).unwrap();
         assert_eq!(
             ops,
             vec![TraceOp::read(10, 0x1000 / 64), TraceOp::write(3, 10)]
@@ -214,14 +214,14 @@ mod tests {
 
     #[test]
     fn addr_stream_lines_parse() {
-        let ops = read_text(Cursor::new("0x40\n128\n"), TextFormat::AddrStream).unwrap();
+        let ops = read_text("0x40\n128\n", TextFormat::AddrStream).unwrap();
         assert_eq!(ops, vec![TraceOp::read(0, 1), TraceOp::read(0, 2)]);
     }
 
     #[test]
     fn errors_carry_line_numbers() {
         let text = "10 R 0x1000\n11 X 0x2000\n";
-        let err = read_text(Cursor::new(text), TextFormat::Ramulator).unwrap_err();
+        let err = read_text(text, TextFormat::Ramulator).unwrap_err();
         match err {
             TraceError::Text { line, msg } => {
                 assert_eq!(line, 2);
@@ -229,13 +229,13 @@ mod tests {
             }
             other => panic!("unexpected error {other}"),
         }
-        let err = read_text(Cursor::new("# c\n\nzz\n"), TextFormat::AddrStream).unwrap_err();
+        let err = read_text("# c\n\nzz\n", TextFormat::AddrStream).unwrap_err();
         assert!(matches!(err, TraceError::Text { line: 3, .. }), "{err}");
     }
 
     #[test]
     fn trailing_tokens_are_rejected() {
-        let err = read_text(Cursor::new("1 R 0x40 junk\n"), TextFormat::Ramulator).unwrap_err();
+        let err = read_text("1 R 0x40 junk\n", TextFormat::Ramulator).unwrap_err();
         assert!(err.to_string().contains("junk"), "{err}");
     }
 
@@ -248,7 +248,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_text(&mut buf, TextFormat::Ramulator, &ops).unwrap();
-        let back = read_text(Cursor::new(buf), TextFormat::Ramulator).unwrap();
+        let back = read_text(buf, TextFormat::Ramulator).unwrap();
         assert_eq!(back, ops);
     }
 }

@@ -23,8 +23,7 @@ use mithril_memctrl::{AddressMapping, MappedAddr};
 /// line at column `c` is its column-0 line plus `c` column steps; both
 /// are precomputed and `next_op` does no division.
 #[derive(Debug, Clone)]
-pub struct RowAttack {
-    targets: Vec<(usize, RowId)>,
+pub(crate) struct RowAttack {
     /// Each target's column-0 line.
     lines: Vec<u64>,
     /// The line distance between adjacent columns of a row.
@@ -66,7 +65,6 @@ impl RowAttack {
             0
         };
         Self {
-            targets,
             lines,
             col_step,
             lines_per_row,
@@ -74,11 +72,6 @@ impl RowAttack {
             col: 0,
             name,
         }
-    }
-
-    /// The attack's target list.
-    pub fn targets(&self) -> impl Iterator<Item = (usize, RowId)> + '_ {
-        self.targets.iter().copied()
     }
 }
 
@@ -109,7 +102,7 @@ impl TraceSource for RowAttack {
 
 /// The classic double-sided attack: two aggressors sandwiching one victim.
 #[derive(Debug, Clone)]
-pub struct DoubleSided(RowAttack);
+pub(crate) struct DoubleSided(RowAttack);
 
 impl DoubleSided {
     /// Hammers rows `victim−1` and `victim+1` of `bank` on `channel`.
@@ -142,7 +135,7 @@ impl TraceSource for DoubleSided {
 /// `sides` aggressor rows side by side, sandwiching `sides − 1` victims
 /// (the paper uses 32 victims in total).
 #[derive(Debug, Clone)]
-pub struct MultiSided(RowAttack);
+pub(crate) struct MultiSided(RowAttack);
 
 impl MultiSided {
     /// Hammers `sides` aggressors at rows `base, base+2, base+4, …` of
@@ -181,7 +174,7 @@ impl TraceSource for MultiSided {
 /// hash into. Benign memory-intensive threads then cross `NBL` through no
 /// fault of their own and get throttled.
 #[derive(Debug, Clone)]
-pub struct BlockHammerAdversarial {
+pub(crate) struct BlockHammerAdversarial {
     mapping: AddressMapping,
     banks: usize,
     rows_per_bank: u64,
@@ -454,14 +447,18 @@ mod tests {
                     .map(|b| (b, (b as u64 * 977) % top_row))
                     .collect();
                 let attacks: Vec<(&str, Vec<_>, Box<dyn TraceSource>)> = vec![
-                    ("double", double.0.targets().collect(), Box::new(double)),
+                    ("double", vec![(3, 999), (3, 1001)], Box::new(double)),
                     (
                         "double-top",
-                        double_top.0.targets().collect(),
+                        vec![(last_bank, top_row - 2), (last_bank, top_row)],
                         Box::new(double_top),
                     ),
-                    ("multi", multi.0.targets().collect(), Box::new(multi)),
-                    ("single", single.0.targets().collect(), Box::new(single)),
+                    (
+                        "multi",
+                        (0..32).map(|i| (0, 5000 + 2 * i)).collect(),
+                        Box::new(multi),
+                    ),
+                    ("single", vec![(last_bank, top_row)], Box::new(single)),
                     (
                         "row-list",
                         row_list.clone(),
@@ -479,13 +476,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn row_attack_targets_accessor() {
-        let a = RowAttack::new(mapping(), ChannelId(0), vec![(0, 1), (1, 2)], "t");
-        let t: Vec<_> = a.targets().collect();
-        assert_eq!(t, vec![(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl TraceSource for StreamSweep {
 
 /// Uniform random accesses over a large footprint (GUPS-like, high MPKI).
 #[derive(Debug, Clone)]
-pub struct RandomAccess {
+pub(crate) struct RandomAccess {
     base: u64,
     footprint_lines: u64,
     write_fraction: f64,
@@ -122,7 +122,7 @@ impl TraceSource for RandomAccess {
 /// (modelled as high per-access instruction counts so a single miss stalls
 /// the window).
 #[derive(Debug, Clone)]
-pub struct PointerChase {
+pub(crate) struct PointerChase {
     base: u64,
     footprint_lines: u64,
     state: u64,
@@ -165,7 +165,7 @@ impl TraceSource for PointerChase {
 
 /// Blocked FFT butterfly passes: per stage, pairs at power-of-two strides.
 #[derive(Debug, Clone)]
-pub struct BlockedFft {
+pub(crate) struct BlockedFft {
     base: u64,
     n_lines: u64,
     stage: u32,
@@ -231,7 +231,7 @@ impl TraceSource for BlockedFft {
 
 /// Radix-sort partitioning: sequential source reads scattered into buckets.
 #[derive(Debug, Clone)]
-pub struct RadixPartition {
+pub(crate) struct RadixPartition {
     src_base: u64,
     bucket_base: u64,
     n_lines: u64,
@@ -299,7 +299,7 @@ impl TraceSource for RadixPartition {
 /// PageRank-style graph traversal: power-law (Zipf-ish) vertex reads plus
 /// sequential edge-list streaming.
 #[derive(Debug, Clone)]
-pub struct PageRankLike {
+pub(crate) struct PageRankLike {
     vertex_base: u64,
     edge_base: u64,
     vertices: u64,
@@ -370,7 +370,7 @@ impl TraceSource for PageRankLike {
 /// count per access (the "randomly selected" non-intensive SPEC traces of
 /// mix-blend).
 #[derive(Debug, Clone)]
-pub struct CacheResident {
+pub(crate) struct CacheResident {
     base: u64,
     hot_lines: u64,
     cold_lines: u64,

@@ -37,11 +37,8 @@ mod kernels;
 mod mixes;
 mod op;
 
-pub use attacks::{BlockHammerAdversarial, ChannelPinned, DoubleSided, MultiSided, RowAttack};
-pub use kernels::{
-    BlockedFft, CacheResident, PageRankLike, PointerChase, RadixPartition, RandomAccess,
-    StreamSweep,
-};
+pub use attacks::ChannelPinned;
+pub use kernels::StreamSweep;
 pub use mixes::{
     attack_mix, bh_cover_attack_mix, channel_interference_mix, mix_blend, mix_high, multithreaded,
     noisy_neighbor_mix, Thread, ThreadSet,

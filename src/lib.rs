@@ -4,8 +4,6 @@
 //! *Mithril: Cooperative Row Hammer Protection on Commodity DRAM Leveraging
 //! Managed Refresh* (Kim et al., HPCA 2022):
 //!
-//! * [`trackers`] — the one-sided frequency estimators of BlockHammer and
-//!   CBT (counting Bloom filter, counter tree).
 //! * [`dram`] — DDR5-class DRAM device and timing model, the RFM interface,
 //!   a Row Hammer disturbance oracle and an energy model.
 //! * [`core`] — the Mithril and Mithril+ schemes: table (the one
@@ -13,7 +11,8 @@
 //!   counters, adaptive refresh, protection bounds (Theorems 1–2),
 //!   configuration solver and area model.
 //! * [`baselines`] — PARA, PARFM, Graphene, RFM-Graphene, TWiCe,
-//!   BlockHammer and CBT.
+//!   BlockHammer and CBT, each with its tracker (BlockHammer's counting
+//!   Bloom filter and CBT's counter tree among them).
 //! * [`memctrl`] — memory-controller model (FR-FCFS + BLISS, Minimalist-open
 //!   paging, RAA counters / RFM issue logic, ARR, throttling).
 //! * [`workloads`] — deterministic synthetic workload and attack traces.
@@ -58,5 +57,4 @@ pub use mithril_memctrl as memctrl;
 pub use mithril_runner as runner;
 pub use mithril_sim as sim;
 pub use mithril_trace as trace;
-pub use mithril_trackers as trackers;
 pub use mithril_workloads as workloads;
