@@ -40,5 +40,12 @@ pub use para::{Para, ParaConfig};
 pub use parfm::{parfm_analysis, Parfm};
 pub use twice::{TwiCe, TwiCeConfig};
 
+/// Appendix C's provisioning of the probabilistic schemes (PARFM's
+/// `RFMTH`, PARA's refresh probability): the system failure probability
+/// per tREFW window they are sized to stay below ...
+pub const FAILURE_TARGET: f64 = 1e-15;
+/// ... over this many simultaneously attackable banks.
+pub const ATTACKABLE_BANKS: u64 = 22;
+
 /// The FlipTH sweep used throughout the paper's evaluation (Section VI).
 pub const FLIP_TH_SWEEP: [u64; 6] = [50_000, 25_000, 12_500, 6_250, 3_125, 1_500];

@@ -7,7 +7,10 @@ use std::collections::{HashMap, HashSet};
 
 use mithril::{MithrilConfig, MithrilScheme, MithrilTable};
 use mithril_baselines::parfm_analysis::{max_rfm_th, single_row_failure, system_failure};
-use mithril_baselines::{BlockHammerConfig, Graphene, GrapheneConfig, RfmGraphene, FLIP_TH_SWEEP};
+use mithril_baselines::{
+    BlockHammerConfig, Graphene, GrapheneConfig, RfmGraphene, ATTACKABLE_BANKS, FAILURE_TARGET,
+    FLIP_TH_SWEEP,
+};
 use mithril_dram::{
     victims, AttackHarness, ChannelId, Ddr5Timing, DramMitigation, RfmOutcome, RowHammerOracle,
     RowId,
@@ -318,11 +321,6 @@ pub(crate) fn table4() -> Json {
     Json::Arr(rows)
 }
 
-/// Appendix C's system failure target per tREFW window.
-const PARFM_TARGET: f64 = 1e-15;
-/// Appendix C's simultaneously attackable banks.
-const PARFM_BANKS: u64 = 22;
-
 /// Appendix C: per FlipTH, the largest PARFM RFMTH whose system failure
 /// probability stays below 1e-15 over 22 simultaneously attackable banks
 /// (the values the Fig. 10 PARFM runs use), with the failure probability
@@ -330,8 +328,8 @@ const PARFM_BANKS: u64 = 22;
 pub(crate) fn appendix_c() -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     Json::arr(FLIP_TH_SWEEP.map(|flip| {
-        let rfm = max_rfm_th(flip, PARFM_TARGET, PARFM_BANKS, &timing);
-        let failure = |r: u64| sci(system_failure(flip, r, PARFM_BANKS, &timing), 3);
+        let rfm = max_rfm_th(flip, FAILURE_TARGET, ATTACKABLE_BANKS, &timing);
+        let failure = |r: u64| sci(system_failure(flip, r, ATTACKABLE_BANKS, &timing), 3);
         json_obj! {
             "flip_th": flip,
             "solved_rfm_th": rfm,
@@ -349,7 +347,7 @@ pub(crate) fn appendix_c_curve() -> Json {
         json_obj! {
             "rfm_th": rfm,
             "single_row_failure": sci(single_row_failure(6_250, rfm, &timing), 3),
-            "system_failure": sci(system_failure(6_250, rfm, PARFM_BANKS, &timing), 3),
+            "system_failure": sci(system_failure(6_250, rfm, ATTACKABLE_BANKS, &timing), 3),
         }
     }))
 }

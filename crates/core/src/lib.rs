@@ -56,15 +56,6 @@ mod scheme;
 mod streamsummary;
 mod table;
 
-/// Shared fast hashing for hot-path keyed lookups (re-export of
-/// [`mithril_fasthash`]): the open-addressed [`fasthash::RowIndex`]
-/// behind the table's row index, the multiply-fold
-/// [`fasthash::FastHashMap`] for keyed state off the per-ACT path, and
-/// the multiply-shift sketch hash family.
-pub mod fasthash {
-    pub use mithril_fasthash::*;
-}
-
 pub use config::{ConfigError, MithrilConfig};
 pub use scheme::MithrilScheme;
 pub use table::{Counter, MithrilTable, NaiveTable, Selection, INVALID_ROW};

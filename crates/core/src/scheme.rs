@@ -118,7 +118,7 @@ impl DramMitigation for MithrilScheme {
     }
 
     fn observe_tracker(&self) -> Option<mithril_obs::TrackerObservation> {
-        Some(mithril_obs::Observe::observe(&self.table))
+        Some(self.table.observe())
     }
 }
 

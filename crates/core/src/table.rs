@@ -138,30 +138,6 @@ impl Counter for u16 {
     }
 }
 
-impl Counter for u32 {
-    const BITS: u32 = 32;
-
-    fn zero() -> Self {
-        0
-    }
-
-    fn incremented(self) -> Self {
-        self.wrapping_add(1)
-    }
-
-    fn diff(self, other: Self) -> u64 {
-        self.wrapping_sub(other) as u64
-    }
-
-    fn raw(self) -> u64 {
-        self as u64
-    }
-
-    fn from_raw(raw: u64) -> Self {
-        raw as u32
-    }
-}
-
 impl Counter for u64 {
     const BITS: u32 = 64;
 
@@ -586,12 +562,13 @@ impl MithrilTable<u64> {
     }
 }
 
-impl<C: Counter> mithril_obs::Observe for MithrilTable<C> {
-    /// O(1) snapshot for the cycle-domain sampler. The wrapping hardware
-    /// counters have no absolute value, so min/max are reported *relative
-    /// to the table floor*: `min` is always `0` and `max` is the spread —
-    /// exactly the quantity the adaptive-refresh decision reads.
-    fn observe(&self) -> mithril_obs::TrackerObservation {
+impl<C: Counter> MithrilTable<C> {
+    /// O(1), side-effect-free snapshot for the cycle-domain sampler. The
+    /// wrapping hardware counters have no absolute value, so min/max are
+    /// reported *relative to the table floor*: `min` is always `0` and
+    /// `max` is the spread — exactly the quantity the adaptive-refresh
+    /// decision reads.
+    pub fn observe(&self) -> mithril_obs::TrackerObservation {
         mithril_obs::TrackerObservation {
             len: self.len() as u64,
             capacity: self.capacity as u64,
@@ -958,7 +935,7 @@ mod tests {
 
     #[test]
     fn estimates_relative_to_min_are_consistent() {
-        let mut t: MithrilTable<u32> = MithrilTable::new(8);
+        let mut t: MithrilTable<u64> = MithrilTable::new(8);
         for i in 0..1000u64 {
             t.on_activate(i % 12);
         }

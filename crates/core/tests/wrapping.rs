@@ -80,7 +80,7 @@ proptest! {
         cap in 2usize..16,
         rfm_every in 8u64..128,
     ) {
-        let mut t: MithrilTable<u32> = MithrilTable::new(cap);
+        let mut t: MithrilTable<u64> = MithrilTable::new(cap);
         let mut worst = 0u64;
         for i in 0..50_000u64 {
             t.on_activate(i % rows);

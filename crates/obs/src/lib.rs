@@ -22,7 +22,7 @@
 //!
 //! * **Samples** ([`Sampler`] + [`SampleRow`]): a time series on a fixed
 //!   cycle grid. Every `interval_cycles` memory cycles the probe snapshots
-//!   tracker occupancy and counter span (via the [`Observe`] hook),
+//!   tracker occupancy and counter span (via `MithrilTable::observe`),
 //!   RFM/ACT/REF totals, per-bank ACT pressure, queue depth, LLC hit
 //!   counters and the event core's candidate-cache counters. Rows are
 //!   stamped with the *scheduled* grid cycle (`k * interval_cycles`), and
@@ -727,7 +727,7 @@ impl EventSink for RingSink {
 // ----------------------------------------------------------- observation
 
 /// A point-in-time snapshot of a frequency-tracker structure, produced by
-/// the [`Observe`] hook. All O(1) reads: min/max come from the
+/// `MithrilTable::observe`. All O(1) reads: min/max come from the
 /// Stream-Summary bucket-list pointers, the rest are stored counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackerObservation {
@@ -758,14 +758,6 @@ impl TrackerObservation {
         self.evictions += other.evictions;
         self.invalidations += other.invalidations;
     }
-}
-
-/// Pull-based probe hook for tracker structures (`MithrilTable`). Must
-/// be O(1) and side-effect free so sampling never perturbs the
-/// simulation.
-pub trait Observe {
-    /// Snapshots the structure.
-    fn observe(&self) -> TrackerObservation;
 }
 
 // -------------------------------------------------------------- sampling

@@ -55,6 +55,7 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use mithril_fasthash::splitmix64_seed;
 use mithril_runner::engine::{default_threads, PoolConfig};
@@ -63,8 +64,8 @@ use mithril_runner::scenarios::{all_schemes, default_rfm_th, workload, SweepSpec
 use mithril_runner::{run_sweep, run_sweep_observed, write_obs_outputs};
 use mithril_sim::{ObsConfig, Scheme, SystemConfig};
 use mithril_trace::{
-    read_header_path, record_thread_set, stats_from_reader, stats_from_resilient_reader,
-    write_text, MtrcReader, MtrcWriter, ResilientMtrcReader, TextFormat, TextReader, TraceHeader,
+    load_capture, record_thread_set, replay_thread_set, stats_from_reader, write_text,
+    DamagePolicy, MtrcReader, MtrcWriter, TextFormat, TextReader, TraceHeader,
 };
 
 fn die(msg: &str) -> ! {
@@ -126,6 +127,16 @@ impl Args {
         if let Some((k, _)) = self.0.into_iter().next() {
             die(&format!("unknown option --{k}"));
         }
+    }
+}
+
+/// `--resilient` skips damaged chunks of an MTRC input; reads are strict
+/// otherwise.
+fn damage_policy(flags: &[String]) -> DamagePolicy {
+    if flags.iter().any(|f| f == "resilient") {
+        DamagePolicy::Skip
+    } else {
+        DamagePolicy::Strict
     }
 }
 
@@ -222,38 +233,24 @@ fn cmd_record(mut args: Args) {
 // ------------------------------------------------------------------ replay
 
 fn cmd_replay(flags: Vec<String>, mut args: Args) {
-    let resilient = flags.iter().any(|f| f == "resilient");
+    let policy = damage_policy(&flags);
     let trace_path = args.take("trace");
     let live_workload = args.take("workload");
     let (workload_name, header) = match (&trace_path, &live_workload) {
         (Some(p), None) => {
-            let header =
-                read_header_path(Path::new(p)).unwrap_or_else(|e| die(&format!("{p}: {e}")));
-            // `trace+skip:` loads through the resilient reader, which
-            // tolerates damaged chunks and reports what it skipped;
-            // `trace:` keeps the strict fail-fast reader. Validate the
-            // whole capture up front either way, so an unreplayable file
-            // dies here with a clear message rather than surfacing as a
-            // panic inside a sweep worker.
-            if resilient {
-                let (_, per_core, report) = mithril_trace::read_all_resilient_path(Path::new(p))
-                    .unwrap_or_else(|e| die(&format!("{p}: {e}")));
-                if let Some(c) = per_core.iter().position(|ops| ops.is_empty()) {
-                    die(&format!(
-                        "{p}: core {c} has no surviving ops ({} damaged chunk(s) skipped); \
-                         nothing left to replay for that stream",
-                        report.skipped_chunks
-                    ));
-                }
-            } else {
-                mithril_trace::read_all_path(Path::new(p))
-                    .unwrap_or_else(|e| die(&format!("{p}: {e}")));
-            }
-            let prefix = if resilient { "trace+skip" } else { "trace" };
-            (format!("{prefix}:{p}"), Some(header))
+            // Load the whole capture up front through the registry's own
+            // loader, so an unreplayable file dies here with a clear
+            // message rather than as a panic inside a sweep worker; the
+            // sweep's scenarios then reuse this decode from the cache.
+            let (capture, _) = replay_thread_set(Path::new(p), policy)
+                .unwrap_or_else(|e| die(&format!("{p}: {e}")));
+            (
+                format!("{}:{p}", policy.prefix()),
+                Some(capture.header.clone()),
+            )
         }
         (None, Some(w)) => {
-            if resilient {
+            if policy == DamagePolicy::Skip {
                 die("--resilient applies to --trace replays; a live --workload has no capture to repair");
             }
             (w.clone(), None)
@@ -354,38 +351,18 @@ fn cmd_stat(flags: Vec<String>, mut args: Args) {
     let out = args.take("out");
     args.finish();
 
+    let policy = damage_policy(&flags);
     let file = std::fs::File::open(&path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let (stats, resilience) = if flags.iter().any(|f| f == "resilient") {
-        let reader = ResilientMtrcReader::new(BufReader::new(file))
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let (stats, report) = stats_from_resilient_reader(reader, top)
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        print_skip_report(&path, report);
-        (stats, Some(report))
-    } else {
-        let reader =
-            MtrcReader::new(BufReader::new(file)).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        let stats = stats_from_reader(reader, top).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        (stats, None)
-    };
-    write_output(out, &stats.render_json_with(resilience.as_ref()));
-}
-
-/// What a `--resilient` read had to step over, on stderr so it never
-/// contaminates a piped JSON report.
-fn print_skip_report(path: &str, report: mithril_trace::ResilienceReport) {
-    if report.is_clean() {
-        return;
+    let reader =
+        MtrcReader::new(BufReader::new(file)).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let (stats, report) =
+        stats_from_reader(reader, top, policy).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    if let Some(line) = report.skip_line(&path) {
+        eprintln!("{line}");
     }
-    let torn = if report.missing_end_marker {
-        "; capture is torn (no end marker)"
-    } else {
-        ""
-    };
-    eprintln!(
-        "# {path}: skipped {} damaged chunk(s) ({} bytes){torn}",
-        report.skipped_chunks, report.skipped_bytes
-    );
+    // A skipping read's statistics carry what was skipped to produce them.
+    let resilience = (policy == DamagePolicy::Skip).then_some(&report);
+    write_output(out, &stats.render_json_with(resilience));
 }
 
 // ----------------------------------------------------------------- convert
@@ -408,7 +385,7 @@ fn dialect_of(path: &str, flag: Option<String>) -> Dialect {
 }
 
 fn cmd_convert(flags: Vec<String>, mut args: Args) {
-    let resilient = flags.iter().any(|f| f == "resilient");
+    let policy = damage_policy(&flags);
     let input = args
         .take("in")
         .unwrap_or_else(|| die("convert needs --in PATH"));
@@ -432,19 +409,15 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
                     ));
                 }
             }
-            if resilient {
-                let (header, per_core, report) =
-                    mithril_trace::read_all_resilient_path(Path::new(&input))
-                        .unwrap_or_else(|e| die(&format!("{input}: {e}")));
-                print_skip_report(&input, report);
-                (header, per_core)
-            } else {
-                mithril_trace::read_all_path(Path::new(&input))
-                    .unwrap_or_else(|e| die(&format!("{input}: {e}")))
+            let capture = load_capture(Path::new(&input), policy)
+                .unwrap_or_else(|e| die(&format!("{input}: {e}")));
+            if let Some(line) = capture.report.skip_line(&input) {
+                eprintln!("{line}");
             }
+            (capture.header.clone(), capture.per_core.clone())
         }
         Dialect::Text(fmt) => {
-            if resilient {
+            if policy == DamagePolicy::Skip {
                 die("--resilient only applies to mtrc input (text ingest already reports bad lines)");
             }
             let source = args.take("source");
@@ -466,7 +439,7 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
                         .unwrap_or_else(|| input.clone())
                 }),
             };
-            (header, vec![ops])
+            (header, vec![Arc::from(ops)])
         }
     };
     args.finish();
@@ -492,7 +465,7 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
             let mut w = MtrcWriter::new(BufWriter::new(file), &header)
                 .unwrap_or_else(|e| die(&format!("{output}: {e}")));
             for (c, ops) in per_core.iter().enumerate() {
-                for &op in ops {
+                for &op in ops.iter() {
                     w.push(c, op)
                         .unwrap_or_else(|e| die(&format!("{output}: {e}")));
                 }
@@ -510,12 +483,12 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
             let file =
                 std::fs::File::create(&output).unwrap_or_else(|e| die(&format!("{output}: {e}")));
             let mut w = BufWriter::new(file);
-            write_text(&mut w, fmt, &per_core[0])
+            write_text(&mut w, fmt, per_core[0].iter())
                 .unwrap_or_else(|e| die(&format!("{output}: {e}")));
             w.flush().unwrap_or_else(|e| die(&format!("{output}: {e}")));
         }
     }
-    let ops: usize = per_core.iter().map(Vec::len).sum();
+    let ops: usize = per_core.iter().map(|ops| ops.len()).sum();
     println!(
         "# converted {input} -> {output} ({ops} ops, {} cores)",
         per_core.len()

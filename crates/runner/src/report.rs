@@ -12,11 +12,9 @@ use mithril_dram::EnergyCounters;
 use mithril_sim::{ChannelMetrics, CoreStats, FaultStats, Metrics, PerCore, QosStats};
 
 use mithril_obs::json::Json;
-use mithril_obs::{json_obj, kind_counts_tree, LatencyHistogram, KINDS};
+use mithril_obs::{json_obj, kind_counts_tree, LatencyHistogram, FORMAT_VERSION, KINDS};
 
 use crate::scenarios::{geometry_tag, Scenario};
-
-pub use mithril_obs::{validate_format_version, FORMAT_VERSION};
 
 /// One executed scenario with its seed and results.
 #[derive(Debug, Clone)]

@@ -13,7 +13,7 @@ use mithril_obs::ObsCapture;
 use mithril_sim::{
     FaultConfig, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
 };
-use mithril_trace::ReplayEnd;
+use mithril_trace::DamagePolicy;
 use mithril_workloads::{
     attack_mix, bh_cover_attack_mix, channel_interference_mix, mix_blend, mix_high, multithreaded,
     noisy_neighbor_mix, ThreadSet,
@@ -138,7 +138,10 @@ pub fn all_schemes(rfm_th: u64, nbl_scale: u64) -> Vec<(&'static str, Scheme)> {
 /// `cfg` has (see [`workload_compatible`]), or when a `trace:` capture is
 /// unreadable or disagrees with `cfg`'s geometry or `cores`.
 pub fn workload(name: &str, cores: usize, cfg: &SystemConfig, seed: u64) -> ThreadSet {
-    let check_header = |path: &str, header: &mithril_trace::TraceHeader| {
+    if let Some((path, policy)) = capture_name(name) {
+        let (capture, set) = mithril_trace::replay_thread_set(std::path::Path::new(path), policy)
+            .unwrap_or_else(|e| panic!("cannot replay {path}: {e}"));
+        let header = &capture.header;
         assert_eq!(
             header.cores, cores,
             "{path} records {} cores, scenario asks for {cores}",
@@ -151,30 +154,8 @@ pub fn workload(name: &str, cores: usize, cfg: &SystemConfig, seed: u64) -> Thre
             geometry_tag(&header.geometry),
             geometry_tag(&cfg.geometry)
         );
-    };
-    if let Some(path) = name.strip_prefix("trace:") {
-        let (header, set) =
-            mithril_trace::replay_thread_set(std::path::Path::new(path), ReplayEnd::Loop)
-                .unwrap_or_else(|e| panic!("cannot replay {path}: {e}"));
-        check_header(path, &header);
-        return set;
-    }
-    if let Some(path) = name.strip_prefix("trace+skip:") {
-        let (header, set, report) =
-            mithril_trace::replay_thread_set_resilient(std::path::Path::new(path), ReplayEnd::Loop)
-                .unwrap_or_else(|e| panic!("cannot replay {path}: {e}"));
-        check_header(path, &header);
-        if !report.is_clean() {
-            eprintln!(
-                "# trace+skip:{path}: skipped {} damaged chunk(s) ({} bytes){}",
-                report.skipped_chunks,
-                report.skipped_bytes,
-                if report.missing_end_marker {
-                    "; capture is torn (no end marker)"
-                } else {
-                    ""
-                }
-            );
+        if let Some(line) = capture.report.skip_line(name) {
+            eprintln!("{line}");
         }
         return set;
     }
@@ -212,16 +193,23 @@ pub fn workload(name: &str, cores: usize, cfg: &SystemConfig, seed: u64) -> Thre
 /// An unreadable capture counts as compatible here so sweeps don't
 /// silently skip it — [`workload`] then fails loudly with the I/O error.
 pub fn workload_compatible(name: &str, geometry: &Geometry) -> bool {
-    let capture = name
-        .strip_prefix("trace:")
-        .or_else(|| name.strip_prefix("trace+skip:"));
-    if let Some(path) = capture {
+    if let Some((path, _)) = capture_name(name) {
         return match mithril_trace::read_header_path(std::path::Path::new(path)) {
             Ok(header) => header.geometry == *geometry,
             Err(_) => true,
         };
     }
     name != "channel-interference" || geometry.channels >= 2
+}
+
+/// The capture path and damage policy of a `trace:<path>` /
+/// `trace+skip:<path>` registry name.
+fn capture_name(name: &str) -> Option<(&str, DamagePolicy)> {
+    let (prefix, path) = name.split_once(':')?;
+    let policy = [DamagePolicy::Strict, DamagePolicy::Skip]
+        .into_iter()
+        .find(|policy| policy.prefix() == prefix)?;
+    Some((path, policy))
 }
 
 /// Simulated-time cap per requested instruction: several times the benign

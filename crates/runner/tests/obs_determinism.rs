@@ -2,8 +2,9 @@
 //! instrumentation must not change what is simulated, and everything it
 //! records must be bit-identical at any worker thread count.
 
+use mithril_obs::validate_format_version;
 use mithril_runner::engine::PoolConfig;
-use mithril_runner::report::{obs_counts_json, sweep_json, validate_format_version};
+use mithril_runner::report::{obs_counts_json, sweep_json};
 use mithril_runner::scenarios::SweepSpec;
 use mithril_runner::{run_sweep, run_sweep_observed, write_obs_outputs};
 use mithril_sim::ObsConfig;
@@ -138,10 +139,7 @@ fn obs_counts_reject_foreign_format_versions() {
     let json = obs_counts_json(1, &[]);
     validate_format_version(&json).unwrap();
     let forged = json.replace(
-        &format!(
-            "\"format_version\": {}",
-            mithril_runner::report::FORMAT_VERSION
-        ),
+        &format!("\"format_version\": {}", mithril_obs::FORMAT_VERSION),
         "\"format_version\": 999",
     );
     assert!(validate_format_version(&forged).is_err());

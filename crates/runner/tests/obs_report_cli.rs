@@ -145,10 +145,7 @@ fn per_tenant_p99_blowup_trips_the_gate() {
 fn forged_format_version_is_refused() {
     let json = sweep_json(7, &tiny_sweep(7));
     let forged = json.replace(
-        &format!(
-            "\"format_version\": {}",
-            mithril_runner::report::FORMAT_VERSION
-        ),
+        &format!("\"format_version\": {}", mithril_obs::FORMAT_VERSION),
         "\"format_version\": 999",
     );
     let a = write_temp("forged-a.json", &json);

@@ -1,11 +1,20 @@
 //! End-to-end pins for `trace convert`: one stream of a multi-core
 //! capture survives the trip MTRC → `addr` text → MTRC with its op count
-//! intact, and misuse exits 2 like every other `trace` error.
+//! intact, and misuse exits 2 like every other `trace` error. Also pins
+//! `--resilient` on a damaged capture: strict reads refuse it, while
+//! `stat`, `convert` and `replay` skip exactly the damaged chunk.
+
+mod damaged_capture;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use mithril_obs::json::Json;
+use mithril_runner::engine::PoolConfig;
+use mithril_runner::report::metrics_only_json;
+use mithril_runner::run_sweep;
+use mithril_runner::scenarios::{all_schemes, default_rfm_th, SweepSpec};
+use mithril_trace::read_all;
 
 fn trace(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_trace"))
@@ -139,5 +148,120 @@ fn convert_misuse_exits_2() {
     ]);
     assert_eq!(out.status.code(), Some(2), "unknown option");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --bogus"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn u64s_at(j: &Json, key: &str) -> Vec<u64> {
+    j.get(key)
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("{key} missing"))
+        .iter()
+        .map(|v| v.as_u64().expect("u64 entry"))
+        .collect()
+}
+
+#[test]
+fn resilient_stat_and_convert_skip_exactly_the_damaged_chunk() {
+    let dir = scratch("resilient");
+    let capture = damaged_capture::damaged_capture();
+    let (clean, damaged, repaired) = (
+        dir.join("clean.mtrc"),
+        dir.join("damaged.mtrc"),
+        dir.join("repaired.mtrc"),
+    );
+    std::fs::write(&clean, &capture.clean).unwrap();
+    std::fs::write(&damaged, &capture.damaged).unwrap();
+    let survivors: Vec<u64> = capture.survivors.iter().map(|o| o.len() as u64).collect();
+
+    let out = trace(&["stat", "--trace", path(&damaged)]);
+    assert!(
+        !out.status.success(),
+        "strict stat accepted a damaged capture"
+    );
+
+    let full = stat(&clean);
+    let args = [
+        "stat",
+        "--trace",
+        path(&damaged),
+        "--top",
+        "3",
+        "--resilient",
+    ];
+    let skipped = Json::parse(&ok(&args)).expect("stat prints JSON");
+    let resilience = skipped.get("resilience").expect("resilience report");
+    assert_eq!(u64_at(resilience, "skipped_chunks"), 1);
+    assert_eq!(u64s_at(&skipped, "per_core_ops"), survivors);
+    let lost: Vec<u64> = u64s_at(&full, "per_core_ops")
+        .iter()
+        .zip(&survivors)
+        .map(|(all, kept)| all - kept)
+        .collect();
+    assert_eq!(lost.iter().filter(|&&n| n > 0).count(), 1, "one chunk lost");
+    assert_eq!(
+        u64_at(&skipped, "total_ops"),
+        u64_at(&full, "total_ops") - lost.iter().sum::<u64>()
+    );
+
+    ok(&[
+        "convert",
+        "--in",
+        path(&damaged),
+        "--out",
+        path(&repaired),
+        "--resilient",
+    ]);
+    ok(&["stat", "--trace", path(&repaired)]);
+    let (header, per_core) = read_all(&std::fs::read(&repaired).unwrap()[..]).unwrap();
+    assert_eq!(header, capture.header);
+    assert_eq!(per_core, capture.survivors, "exactly the surviving ops");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resilient_replay_matches_a_skip_registry_sweep() {
+    let dir = scratch("resilient-replay");
+    let capture = damaged_capture::damaged_capture();
+    let (damaged, report) = (dir.join("damaged.mtrc"), dir.join("replay.json"));
+    std::fs::write(&damaged, &capture.damaged).unwrap();
+    ok(&[
+        "replay",
+        "--trace",
+        path(&damaged),
+        "--resilient",
+        "--scheme",
+        "mithril",
+        "--threads",
+        "1",
+        "--metrics-only",
+        "--out",
+        path(&report),
+    ]);
+
+    // The sweep `replay` runs, with every default taken from the header.
+    let h = &capture.header;
+    let flip_th = 6_250;
+    let spec = SweepSpec {
+        geometries: vec![h.geometry],
+        schemes: all_schemes(default_rfm_th(flip_th), 6)
+            .into_iter()
+            .filter(|&(label, _)| label == "mithril")
+            .map(|(label, s)| (label.to_string(), s))
+            .collect(),
+        workloads: vec![format!("trace+skip:{}", path(&damaged))],
+        flip_th,
+        cores: h.cores,
+        insts_per_core: h.insts_per_core,
+    };
+    let pool = PoolConfig {
+        threads: 1,
+        shard_size: 1,
+    };
+    let results = run_sweep(&spec, pool, h.base_seed);
+    assert!(results.iter().all(|r| r.outcome.is_ok()));
+    assert_eq!(
+        std::fs::read_to_string(&report).unwrap(),
+        metrics_only_json(h.base_seed, &results)
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,6 +4,8 @@
 //! count. This is the contract that makes captures interchangeable with
 //! generators in every experiment.
 
+mod damaged_capture;
+
 use std::io::BufWriter;
 use std::path::PathBuf;
 
@@ -122,6 +124,46 @@ fn replayed_capture_matches_live_generation_at_any_thread_count() {
             );
             assert!(live.contains("\"total_insts\""));
         }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn skip_replay_runs_exactly_the_surviving_chunks() {
+    // `trace+skip:` over a damaged capture replays what a strict `trace:`
+    // replays over a capture holding only the surviving ops; over a clean
+    // capture the two policies replay the same.
+    let capture = damaged_capture::damaged_capture();
+    let file = |tag: &str, bytes: &[u8]| {
+        let path = std::env::temp_dir().join(format!(
+            "mithril_replay_test_{}_skip_{tag}.mtrc",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("write capture");
+        path
+    };
+    let mut w = MtrcWriter::new(Vec::new(), &capture.header).unwrap();
+    for (core, ops) in capture.survivors.iter().enumerate() {
+        for &op in ops {
+            w.push(core, op).unwrap();
+        }
+    }
+    let survivors = file("survivors", &w.finish().unwrap());
+    let damaged = file("damaged", &capture.damaged);
+    let clean = file("clean", &capture.clean);
+    let report = |prefix: &str, path: &PathBuf| {
+        metrics_report(
+            &spec_for(format!("{prefix}:{}", path.display()), schemes()),
+            2,
+        )
+    };
+    assert_eq!(
+        report("trace+skip", &damaged),
+        report("trace", &survivors),
+        "skip replay diverged from the surviving ops"
+    );
+    assert_eq!(report("trace+skip", &clean), report("trace", &clean));
+    for path in [survivors, damaged, clean] {
         std::fs::remove_file(&path).ok();
     }
 }

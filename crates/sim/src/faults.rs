@@ -25,14 +25,14 @@
 //!
 //! A plan's entire fault stream is a pure function of its seed, and the
 //! seed is derived from the sweep position through
-//! [`mithril::fasthash::splitmix64_seed`] — the workspace-wide seed
+//! [`mithril_fasthash::splitmix64_seed`] — the workspace-wide seed
 //! contract — so fault campaigns are bit-identical at any `--threads`
 //! count. One plan draw is consumed per observed ACT; draws and
 //! injections depend only on the engine's own command stream, never on
 //! scheduling.
 
-use mithril::fasthash::{splitmix64, splitmix64_seed};
 use mithril_dram::{DramMitigation, FaultStats, FaultSurface, RfmOutcome, RowId};
+use mithril_fasthash::{splitmix64, splitmix64_seed};
 
 /// The three injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

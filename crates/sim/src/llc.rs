@@ -2,7 +2,7 @@
 //! with MSHR merging. Each set is a most-recently-used-first list of tag
 //! words; see "LLC set layout" in ARCHITECTURE.md.
 
-use mithril::fasthash::FastHashMap;
+use mithril_fasthash::FastHashMap;
 
 /// LLC geometry and latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,15 +1,15 @@
 //! Full-system composition and the simulation loop.
 
 use crate::faults::{FaultConfig, FaultPlan, FaultyEngine};
-use mithril::fasthash::FastHashMap;
 use mithril::{MithrilConfig, MithrilScheme};
 use mithril_baselines::{
     parfm_analysis, BlockHammer, BlockHammerConfig, Cbt, CbtConfig, Graphene, GrapheneConfig, Para,
-    ParaConfig, Parfm, TwiCe, TwiCeConfig,
+    ParaConfig, Parfm, TwiCe, TwiCeConfig, ATTACKABLE_BANKS, FAILURE_TARGET,
 };
 use mithril_dram::{
     Ddr5Timing, DramDevice, DramMitigation, EnergyModel, FaultStats, Geometry, TimePs,
 };
+use mithril_fasthash::FastHashMap;
 use mithril_memctrl::{
     AddressMapping, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
     QosPolicy, RfmMode, SchedulerKind,
@@ -99,8 +99,6 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Simulation epoch length (core/MC synchronization quantum).
     pub epoch_ps: TimePs,
-    /// Attackable banks assumed by probabilistic analyses (Appendix C).
-    pub attackable_banks: u64,
     /// Soft-error injection into tracker state (`None` = fault-free; the
     /// fault-free path constructs no injection wrapper at all, so it
     /// stays zero-cost and byte-identical to pre-fault builds).
@@ -127,7 +125,6 @@ impl SystemConfig {
             scheme: Scheme::None,
             seed: 1,
             epoch_ps: 500_000,
-            attackable_banks: 22,
             faults: None,
             qos: QosPolicy::Off,
         }
@@ -217,13 +214,13 @@ impl Plan {
                 plus,
             },
             Scheme::Parfm => Plan::Parfm {
-                rfm_th: parfm_analysis::max_rfm_th(flip, 1e-15, config.attackable_banks, timing)
+                rfm_th: parfm_analysis::max_rfm_th(flip, FAILURE_TARGET, ATTACKABLE_BANKS, timing)
                     .ok_or_else(|| format!("PARFM cannot protect FlipTH {flip}"))?,
             },
             Scheme::Para => {
                 let budget = timing.act_budget_per_trefw();
                 let mut cfg =
-                    ParaConfig::for_failure_target(flip, 1e-15, budget, config.attackable_banks);
+                    ParaConfig::for_failure_target(flip, FAILURE_TARGET, budget, ATTACKABLE_BANKS);
                 cfg.rows_per_bank = rows;
                 Plan::Para(cfg)
             }

@@ -59,6 +59,7 @@ use mithril_fasthash::{fnv1a64, Fnv64};
 use mithril_workloads::TraceOp;
 
 use crate::error::{Result, TraceError};
+use crate::resilient::SkipState;
 
 /// Format magic, first four bytes of every trace file.
 pub(crate) const MAGIC: [u8; 4] = *b"MTRC";
@@ -75,7 +76,7 @@ pub(crate) const DEFAULT_CHUNK_OPS: usize = 4096;
 /// Longest source name a header may carry — enforced symmetrically by
 /// writer and reader, so a writer can never produce a file its own
 /// reader refuses.
-pub const MAX_SOURCE_LEN: usize = 4096;
+pub(crate) const MAX_SOURCE_LEN: usize = 4096;
 
 // --------------------------------------------------------------- primitives
 
@@ -397,8 +398,8 @@ impl<W: Write> MtrcWriter<W> {
     ///
     /// I/O failures, plus [`TraceError::Corrupt`] for any header the
     /// reader side would reject (unmappable geometry, zero cores, source
-    /// name over [`MAX_SOURCE_LEN`]) — refused up front rather than after
-    /// a long capture.
+    /// name over 4096 bytes) — refused up front rather than after a long
+    /// capture.
     pub fn new(sink: W, header: &TraceHeader) -> Result<Self> {
         Self::with_chunk_ops(sink, header, DEFAULT_CHUNK_OPS)
     }
@@ -500,13 +501,20 @@ impl<W: Write> MtrcWriter<W> {
 
 /// Streaming MTRC reader: decodes one chunk at a time into a caller
 /// buffer, verifying checksums as it goes.
+///
+/// [`MtrcReader::next_chunk`] reads strictly: any damage is an error. On
+/// a seekable source, [`MtrcReader::next_chunk_skipping`] instead skips
+/// damaged records and tallies them (see [`DamagePolicy`]).
+///
+/// [`DamagePolicy`]: crate::DamagePolicy
 pub struct MtrcReader<R: Read> {
-    source: R,
-    header: TraceHeader,
-    payload: Vec<u8>,
-    ops_seen: u64,
-    chunk_index: u64,
-    done: bool,
+    pub(crate) source: R,
+    pub(crate) header: TraceHeader,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) ops_seen: u64,
+    pub(crate) chunk_index: u64,
+    pub(crate) done: bool,
+    pub(crate) skip: SkipState,
 }
 
 impl<R: Read> MtrcReader<R> {
@@ -521,6 +529,7 @@ impl<R: Read> MtrcReader<R> {
             ops_seen: 0,
             chunk_index: 0,
             done: false,
+            skip: SkipState::default(),
         })
     }
 
@@ -618,8 +627,8 @@ pub(crate) enum RawChunk {
 }
 
 /// Decodes exactly one record at the stream's current position — the
-/// single strict-decode path shared by [`MtrcReader`] and the resilient
-/// reader, so both accept byte-for-byte the same records: [`read_frame`],
+/// single strict-decode path shared by strict and skipping reads, so both
+/// accept byte-for-byte the same records: [`read_frame`],
 /// then [`decode_chunk`] into `sink`'s vector for the chunk's core.
 /// `chunk_index` only labels [`TraceError::BadChecksum`].
 pub(crate) fn read_raw_chunk<R: Read, S: OpSink + ?Sized>(
@@ -845,22 +854,18 @@ pub fn read_header_path(path: &std::path::Path) -> Result<TraceHeader> {
     TraceHeader::decode(&mut r)
 }
 
-/// Reads a whole trace, demultiplexed into one op vector per core.
+/// Reads a whole trace strictly, demultiplexed into one op vector per
+/// core.
 ///
-/// This is the loader replay uses; memory is proportional to the trace, so
-/// for statistics over arbitrarily large files prefer streaming over
-/// [`MtrcReader::next_chunk`].
+/// Memory is proportional to the trace, so for statistics over
+/// arbitrarily large files prefer streaming over
+/// [`MtrcReader::next_chunk`]. Seekable sources can also be read under a
+/// skip policy with [`read_all_with`](crate::read_all_with).
 pub fn read_all<R: Read>(source: R) -> Result<(TraceHeader, Vec<Vec<TraceOp>>)> {
     let mut reader = MtrcReader::new(source)?;
     let mut per_core: Vec<Vec<TraceOp>> = (0..reader.header().cores).map(|_| Vec::new()).collect();
     while reader.read_into(&mut per_core[..])?.is_some() {}
     Ok((reader.header, per_core))
-}
-
-/// [`read_all`] over a buffered file.
-pub fn read_all_path(path: &std::path::Path) -> Result<(TraceHeader, Vec<Vec<TraceOp>>)> {
-    let f = std::fs::File::open(path)?;
-    read_all(std::io::BufReader::new(f))
 }
 
 #[cfg(test)]

@@ -8,25 +8,29 @@
 //! external text trace — and replay it through any protection scheme and
 //! sweep configuration, bit-for-bit reproducibly.
 //!
-//! * [`format`](mod@format) — the **MTRC v1** chunked binary container
-//!   ([`MtrcWriter`] / [`MtrcReader`]): varint + delta encoding,
-//!   per-chunk checksums, O(1) memory in both directions.
-//! * [`text`] — line-oriented ingest of Ramulator-style
-//!   (`<non_mem_insts> <R|W> <addr>`) and raw address-stream traces, with
-//!   line-numbered errors.
-//! * [`recorder`] — capture: render a workload to disk, or tee a live
-//!   [`ThreadSet`](mithril_workloads::ThreadSet) so a simulation records
-//!   exactly what it consumed.
-//! * [`replay`] — the [`TraceReplay`] adapter implementing the
-//!   `TraceSource` trait from a capture, and
-//!   [`replay_thread_set`] for whole-file multi-core loads (what the
-//!   runner's `trace:<path>` registry names use).
-//! * [`resilient`] — [`ResilientMtrcReader`], a skip-and-tally variant of
-//!   the strict reader: corrupt or torn chunks are resynchronized past and
-//!   counted in a [`ResilienceReport`] instead of aborting the read (what
-//!   the runner's `trace+skip:<path>` registry names use).
-//! * [`stat`] — streaming capture statistics (access mix, per-channel /
-//!   per-bank pressure, row-touch histogram, Space-Saving hot rows).
+//! * **MTRC v1**, the chunked binary container ([`MtrcWriter`] /
+//!   [`MtrcReader`]): varint + delta encoding, per-chunk checksums, O(1)
+//!   memory in both directions.
+//! * **One reader, two damage policies** ([`DamagePolicy`]). A strict
+//!   read ([`MtrcReader::next_chunk`], [`read_all`]) fails on any damage.
+//!   On a seekable source, a skipping read
+//!   ([`MtrcReader::next_chunk_skipping`]) resynchronizes past corrupt or
+//!   torn chunks and counts them in a [`ResilienceReport`] instead. The
+//!   loaders take the policy: [`read_all_with`] for a seekable source,
+//!   [`load_capture`] for a file (decoded once per process and policy),
+//!   [`replay_thread_set`] for replay, [`stats_from_reader`] for
+//!   statistics. The runner's `trace:<path>` registry names read
+//!   strictly, `trace+skip:<path>` names skip.
+//! * **Text ingest** ([`TextReader`], [`write_text`]): line-oriented
+//!   Ramulator-style (`<non_mem_insts> <R|W> <addr>`) and raw
+//!   address-stream traces, with line-numbered errors.
+//! * **Capture** ([`record_thread_set`]): render a workload to disk, or
+//!   tee a live [`ThreadSet`](mithril_workloads::ThreadSet) so a
+//!   simulation records exactly what it consumed.
+//! * **Replay** ([`TraceReplay`]): the adapter implementing the
+//!   `TraceSource` trait from a decoded capture.
+//! * **Statistics** ([`TraceStats`]): access mix, per-channel / per-bank
+//!   pressure, row-touch histogram, Space-Saving hot rows.
 //!
 //! The `trace` CLI in `mithril-runner` fronts all of this:
 //!
@@ -65,19 +69,17 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod format;
-pub mod recorder;
-pub mod replay;
-pub mod resilient;
-pub mod stat;
-pub mod text;
+mod format;
+mod recorder;
+mod replay;
+mod resilient;
+mod stat;
+mod text;
 
 pub use error::{Result, TraceError};
-pub use format::{read_all, read_all_path, read_header_path, MtrcReader, MtrcWriter, TraceHeader};
+pub use format::{read_all, read_header_path, MtrcReader, MtrcWriter, TraceHeader};
 pub use recorder::record_thread_set;
-pub use replay::{replay_thread_set, replay_thread_set_resilient, ReplayEnd, TraceReplay};
-pub use resilient::{
-    read_all_resilient, read_all_resilient_path, ResilienceReport, ResilientMtrcReader,
-};
-pub use stat::{stats_from_reader, stats_from_resilient_reader, HotRow, TraceStats};
+pub use replay::{load_capture, replay_thread_set, Capture, ReplayEnd, TraceReplay};
+pub use resilient::{read_all_with, DamagePolicy, ResilienceReport};
+pub use stat::{stats_from_reader, HotRow, TraceStats};
 pub use text::{write_text, TextFormat, TextReader};

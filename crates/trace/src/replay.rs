@@ -1,9 +1,10 @@
 //! Replaying captured traces through the simulator.
 //!
 //! [`TraceReplay`] adapts a recorded op vector back into the
-//! [`TraceSource`] trait the system simulator consumes; [`replay_thread_set`]
-//! loads a multi-core MTRC file into one replay thread per core, ready to
-//! hand to `System::new` or the runner's scenario registry
+//! [`TraceSource`] trait the system simulator consumes; [`load_capture`]
+//! decodes an MTRC file once per process and damage policy, and
+//! [`replay_thread_set`] turns a loaded capture into one replay thread per
+//! core, ready to hand to `System::new` or the runner's scenario registry
 //! (`workload("trace:<path>", ...)`).
 //!
 //! # Determinism
@@ -25,31 +26,16 @@ use std::time::SystemTime;
 use mithril_workloads::{Thread, ThreadSet, TraceOp, TraceSource};
 
 use crate::error::{Result, TraceError};
-use crate::format::{read_all_path, TraceHeader};
-use crate::resilient::{read_all_resilient_path, ResilienceReport};
+use crate::format::TraceHeader;
+use crate::resilient::{read_all_with, DamagePolicy, ResilienceReport};
 
 /// What a replay source does when the recorded stream runs out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplayEnd {
-    /// Restart from the first op (default: an infinite periodic source,
-    /// matching the generators' infinite-stream contract).
+    /// Restart from the first op: an infinite periodic source, matching
+    /// the generators' infinite-stream contract.
     #[default]
     Loop,
-    /// Keep yielding the final op. Turns the stream into a single-line
-    /// hammer after exhaustion; useful to pad a short capture without
-    /// re-introducing its earlier traffic.
-    HoldLast,
-}
-
-impl ReplayEnd {
-    /// Parses a policy name (`loop` / `hold-last`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "loop" => Some(ReplayEnd::Loop),
-            "hold-last" | "hold" => Some(ReplayEnd::HoldLast),
-            _ => None,
-        }
-    }
 }
 
 /// An in-memory replay of one core's recorded stream.
@@ -60,56 +46,33 @@ pub struct TraceReplay {
     name: String,
     ops: Arc<[TraceOp]>,
     pos: usize,
-    end: ReplayEnd,
 }
 
 impl TraceReplay {
-    /// Wraps `ops` as a replay source named `name`.
+    /// Wraps the shared, already-decoded stream `ops` as a replay source
+    /// named `name`, ending as `end` says.
     ///
     /// # Panics
     ///
     /// Panics if `ops` is empty — an empty stream cannot satisfy the
-    /// infinite [`TraceSource`] contract under either end policy.
-    pub fn new(name: impl Into<String>, ops: Vec<TraceOp>, end: ReplayEnd) -> Self {
-        Self::from_shared(name, ops.into(), end)
-    }
-
-    /// As [`TraceReplay::new`], sharing an already-decoded stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
+    /// infinite [`TraceSource`] contract.
     pub fn from_shared(name: impl Into<String>, ops: Arc<[TraceOp]>, end: ReplayEnd) -> Self {
+        let ReplayEnd::Loop = end;
         assert!(!ops.is_empty(), "cannot replay an empty op stream");
         Self {
             name: name.into(),
             ops,
             pos: 0,
-            end,
         }
-    }
-
-    /// Ops in one pass of the recorded stream.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Always false — construction rejects empty streams.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 }
 
 impl TraceSource for TraceReplay {
     fn next_op(&mut self) -> TraceOp {
         let op = self.ops[self.pos];
-        if self.pos + 1 < self.ops.len() {
-            self.pos += 1;
-        } else {
-            match self.end {
-                ReplayEnd::Loop => self.pos = 0,
-                ReplayEnd::HoldLast => {}
-            }
+        self.pos += 1;
+        if self.pos == self.ops.len() {
+            self.pos = 0;
         }
         op
     }
@@ -119,28 +82,46 @@ impl TraceSource for TraceReplay {
     }
 }
 
-/// One decoded capture shared across scenarios, with the file identity
-/// (size + mtime) it was decoded from for staleness checks.
-struct CachedCapture {
+/// One decoded capture, shared by every scenario that replays it.
+pub struct Capture {
+    /// The capture's header.
+    pub header: TraceHeader,
+    /// Each core's decoded stream, in recorded order.
+    pub per_core: Vec<Arc<[TraceOp]>>,
+    /// What the read skipped (always clean under
+    /// [`DamagePolicy::Strict`]).
+    pub report: ResilienceReport,
+    /// The file identity (size + mtime) it was decoded from, for
+    /// staleness checks.
     len: u64,
     modified: Option<SystemTime>,
-    header: TraceHeader,
-    per_core: Vec<Arc<[TraceOp]>>,
 }
+
+type CaptureCache = Mutex<HashMap<(PathBuf, DamagePolicy), Arc<Capture>>>;
 
 /// Process-wide decoded-capture cache: a sweep instantiates the workload
 /// once per scenario (scheme × geometry), and without this every
 /// instantiation would re-read and re-decode the whole file from disk.
-/// Keyed by path; entries are re-decoded when the file's size or mtime
-/// changes. Memory is bounded by the set of distinct captures a process
-/// replays — the same bound as replaying them at all.
-static CAPTURE_CACHE: OnceLock<Mutex<HashMap<PathBuf, Arc<CachedCapture>>>> = OnceLock::new();
+/// Keyed by path and damage policy; entries are re-decoded when the
+/// file's size or mtime changes. Memory is bounded by the set of distinct
+/// captures a process replays — the same bound as replaying them at all.
+static CAPTURE_CACHE: OnceLock<CaptureCache> = OnceLock::new();
 
-fn load_capture(path: &Path) -> Result<Arc<CachedCapture>> {
+/// Loads the MTRC file at `path` under `policy`, decoding it once per
+/// process: later loads of the same unchanged file under the same policy
+/// return the cached capture, with the [`ResilienceReport`] of the read
+/// that decoded it.
+///
+/// # Errors
+///
+/// I/O failure, plus any codec error under [`DamagePolicy::Strict`] or a
+/// damaged header under [`DamagePolicy::Skip`].
+pub fn load_capture(path: &Path, policy: DamagePolicy) -> Result<Arc<Capture>> {
     let meta = std::fs::metadata(path)?;
     let (len, modified) = (meta.len(), meta.modified().ok());
-    let cache = CAPTURE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("capture cache poisoned").get(path) {
+    let key = (path.to_path_buf(), policy);
+    let cache = CAPTURE_CACHE.get_or_init(Default::default);
+    if let Some(hit) = cache.lock().expect("capture cache poisoned").get(&key) {
         if hit.len == len && hit.modified == modified {
             return Ok(Arc::clone(hit));
         }
@@ -148,107 +129,63 @@ fn load_capture(path: &Path) -> Result<Arc<CachedCapture>> {
     // Decode outside the lock so parallel workers loading *different*
     // captures don't serialize; racing loads of the same file are
     // idempotent (last insert wins).
-    let (header, per_core) = read_all_path(path)?;
-    for (core, ops) in per_core.iter().enumerate() {
-        if ops.is_empty() {
-            return Err(TraceError::Corrupt(format!(
-                "core {core} of {} has no recorded ops",
-                path.display()
-            )));
-        }
-    }
-    let entry = Arc::new(CachedCapture {
-        len,
-        modified,
+    let file = std::io::BufReader::new(std::fs::File::open(path)?);
+    let (header, per_core, report) = read_all_with(file, policy)?;
+    let entry = Arc::new(Capture {
         header,
         per_core: per_core.into_iter().map(Arc::from).collect(),
+        report,
+        len,
+        modified,
     });
     cache
         .lock()
         .expect("capture cache poisoned")
-        .insert(path.to_path_buf(), Arc::clone(&entry));
+        .insert(key, Arc::clone(&entry));
     Ok(entry)
 }
 
-/// Loads the MTRC file at `path` into a [`ThreadSet`] of per-core replay
-/// threads (set name `trace:<source>`), returning the header alongside.
-///
-/// Decoded captures are cached process-wide (invalidated on file size or
-/// mtime change), so sweeping many schemes over one capture decodes it
-/// once; each call still returns fresh replay threads positioned at op 0.
+/// Loads the MTRC file at `path` under `policy` (through
+/// [`load_capture`]'s cache) into a [`ThreadSet`] of per-core looping
+/// replay threads, named `<prefix>:<source>` after the policy's registry
+/// prefix, returned alongside the capture it replays. Each call returns
+/// fresh replay threads positioned at op 0.
 ///
 /// # Errors
 ///
-/// Any codec error, plus [`TraceError::Corrupt`] if a recorded core has
-/// no ops (it could never satisfy the infinite-source contract).
-pub fn replay_thread_set(path: &Path, end: ReplayEnd) -> Result<(TraceHeader, ThreadSet)> {
-    let capture = load_capture(path)?;
-    let header = capture.header.clone();
+/// Any [`load_capture`] error, plus [`TraceError::Corrupt`] if a core has
+/// no ops to replay — none recorded, or all lost to skipped damage (it
+/// could never satisfy the infinite-source contract).
+pub fn replay_thread_set(path: &Path, policy: DamagePolicy) -> Result<(Arc<Capture>, ThreadSet)> {
+    let capture = load_capture(path, policy)?;
+    if let Some(core) = capture.per_core.iter().position(|ops| ops.is_empty()) {
+        return Err(TraceError::Corrupt(format!(
+            "core {core} has no ops to replay ({} damaged chunk(s) skipped)",
+            capture.report.skipped_chunks
+        )));
+    }
+    let source = &capture.header.source;
     let threads = capture
         .per_core
         .iter()
         .enumerate()
         .map(|(core, ops)| {
-            let name = format!("replay:{}/{core}", header.source);
-            Thread::new(
-                name.clone(),
-                Box::new(TraceReplay::from_shared(name, Arc::clone(ops), end)),
-            )
+            let name = format!("replay:{source}/{core}");
+            let replay = TraceReplay::from_shared(name.clone(), Arc::clone(ops), ReplayEnd::Loop);
+            Thread::new(name, Box::new(replay))
         })
         .collect();
     let set = ThreadSet {
-        name: format!("trace:{}", header.source),
+        name: format!("{}:{source}", policy.prefix()),
         threads,
     };
-    Ok((header, set))
-}
-
-/// As [`replay_thread_set`], but through the corruption-tolerant reader:
-/// damaged chunks are skipped (tallied in the returned
-/// [`ResilienceReport`]) and the surviving ops replay in recorded order.
-/// The runner's `trace+skip:<path>` registry names use this loader.
-///
-/// Not cached: a damaged capture is an incident being inspected, not a
-/// fixture swept over thousands of scenarios — and caching would hide
-/// the report.
-///
-/// # Errors
-///
-/// I/O failure, a damaged header, or a capture where some core's stream
-/// lost *all* its ops to corruption (it could never satisfy the
-/// infinite-source contract).
-pub fn replay_thread_set_resilient(
-    path: &Path,
-    end: ReplayEnd,
-) -> Result<(TraceHeader, ThreadSet, ResilienceReport)> {
-    let (header, per_core, report) = read_all_resilient_path(path)?;
-    for (core, ops) in per_core.iter().enumerate() {
-        if ops.is_empty() {
-            return Err(TraceError::Corrupt(format!(
-                "core {core} of {} has no surviving ops ({} chunk(s) skipped)",
-                path.display(),
-                report.skipped_chunks
-            )));
-        }
-    }
-    let threads = per_core
-        .into_iter()
-        .enumerate()
-        .map(|(core, ops)| {
-            let name = format!("replay:{}/{core}", header.source);
-            Thread::new(name.clone(), Box::new(TraceReplay::new(name, ops, end)))
-        })
-        .collect();
-    let set = ThreadSet {
-        name: format!("trace+skip:{}", header.source),
-        threads,
-    };
-    Ok((header, set, report))
+    Ok((capture, set))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::MtrcWriter;
 
     fn ops(n: u64) -> Vec<TraceOp> {
         (0..n).map(|i| TraceOp::read(i as u32, i * 7)).collect()
@@ -256,21 +193,49 @@ mod tests {
 
     #[test]
     fn looping_replay_is_periodic() {
-        let mut r = TraceReplay::new("t", ops(3), ReplayEnd::Loop);
+        let mut r = TraceReplay::from_shared("t", ops(3).into(), ReplayEnd::Loop);
         let seen: Vec<u64> = (0..7).map(|_| r.next_op().line_addr).collect();
         assert_eq!(seen, vec![0, 7, 14, 0, 7, 14, 0]);
     }
 
     #[test]
-    fn hold_last_repeats_final_op() {
-        let mut r = TraceReplay::new("t", ops(2), ReplayEnd::HoldLast);
-        let seen: Vec<u64> = (0..5).map(|_| r.next_op().line_addr).collect();
-        assert_eq!(seen, vec![0, 7, 7, 7, 7]);
+    #[should_panic(expected = "empty")]
+    fn empty_stream_is_rejected() {
+        let _ = TraceReplay::from_shared("t", Vec::new().into(), ReplayEnd::Loop);
     }
 
     #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_stream_is_rejected() {
-        let _ = TraceReplay::new("t", Vec::new(), ReplayEnd::Loop);
+    fn each_policy_decodes_a_capture_once() {
+        let header = TraceHeader {
+            geometry: mithril_dram::Geometry::default(),
+            cores: 2,
+            base_seed: 1,
+            insts_per_core: 0,
+            source: "cache".into(),
+        };
+        let mut w = MtrcWriter::new(Vec::new(), &header).unwrap();
+        for (i, op) in ops(10).into_iter().enumerate() {
+            w.push(i % 2, op).unwrap();
+        }
+        let path = std::env::temp_dir().join(format!(
+            "mithril_trace_cache_test_{}.mtrc",
+            std::process::id()
+        ));
+        std::fs::write(&path, w.finish().unwrap()).unwrap();
+        let mut loads = Vec::new();
+        for policy in [DamagePolicy::Strict, DamagePolicy::Skip] {
+            let first = load_capture(&path, policy).unwrap();
+            let (again, set) = replay_thread_set(&path, policy).unwrap();
+            assert_eq!(set.name, format!("{}:cache", policy.prefix()));
+            assert!(first.report.is_clean());
+            for (a, b) in first.per_core.iter().zip(&again.per_core) {
+                assert!(Arc::ptr_eq(a, b), "{policy:?} decoded the capture twice");
+            }
+            loads.push(first);
+        }
+        // The policies keep separate entries over equal ops.
+        assert!(!Arc::ptr_eq(&loads[0].per_core[0], &loads[1].per_core[0]));
+        assert_eq!(loads[0].per_core, loads[1].per_core);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,11 +1,14 @@
-//! Corruption-tolerant MTRC reading: skip damaged chunks, keep the rest.
+//! The skip policy of the MTRC reader: skip damaged chunks, keep the
+//! rest.
 //!
-//! The strict [`MtrcReader`](crate::MtrcReader) treats any damage as
-//! fatal — correct for integrity checking, but it makes one flipped byte
-//! discard a multi-gigabyte capture. [`ResilientMtrcReader`] instead
-//! *skips* records that fail their checksum and resynchronizes on the
-//! next decodable record, counting what it dropped in a
-//! [`ResilienceReport`] so the loss is visible, never silent.
+//! A strict read ([`MtrcReader::next_chunk`], [`read_all`]) treats any
+//! damage as fatal — correct for integrity checking, but it makes one
+//! flipped byte discard a multi-gigabyte capture. On a seekable source
+//! the same reader can instead *skip* records that fail their checksum
+//! ([`MtrcReader::next_chunk_skipping`]) and resynchronize on the next
+//! decodable record, counting what it dropped in a [`ResilienceReport`]
+//! so the loss is visible, never silent. [`DamagePolicy`] names the
+//! choice for the loaders above the reader.
 //!
 //! # Resynchronization
 //!
@@ -21,8 +24,8 @@
 //!
 //! Payload-only damage therefore skips exactly the damaged chunks, one
 //! count each; frame damage may merge adjacent losses into one skip
-//! region. Acceptance is always checksum-gated: the resilient reader
-//! never yields ops the strict reader would reject.
+//! region. Acceptance is always checksum-gated: a skipping read never
+//! yields ops a strict read would reject.
 //!
 //! # What stays strict
 //!
@@ -36,10 +39,33 @@ use mithril_workloads::TraceOp;
 
 use crate::error::{Result, TraceError};
 use crate::format::{
-    read_raw_chunk, read_varint, CountingReader, OpSink, RawChunk, TraceHeader, CORE_END,
+    read_all, read_raw_chunk, read_varint, CountingReader, MtrcReader, OpSink, RawChunk,
+    TraceHeader, CORE_END,
 };
 
-/// What a resilient read skipped, for reporting and tests.
+/// How a read treats a damaged record: the choice between the `trace:`
+/// and `trace+skip:` registry names, and the `trace` CLI's `--resilient`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum DamagePolicy {
+    /// Any damage fails the read.
+    #[default]
+    Strict,
+    /// Damaged records are skipped and tallied in a [`ResilienceReport`].
+    Skip,
+}
+
+impl DamagePolicy {
+    /// The registry-name prefix that selects this policy (`trace`,
+    /// `trace+skip`), before the `:<path>` of the capture.
+    pub fn prefix(self) -> &'static str {
+        match self {
+            DamagePolicy::Strict => "trace",
+            DamagePolicy::Skip => "trace+skip",
+        }
+    }
+}
+
+/// What a skipping read skipped, for reporting and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
     /// Damaged records skipped (exact for payload-only damage; frame
@@ -59,6 +85,24 @@ impl ResilienceReport {
     pub fn is_clean(&self) -> bool {
         *self == Self::default()
     }
+
+    /// The `# <label>: skipped N damaged chunk(s) (B bytes)` line the
+    /// runner prints on stderr (so it never contaminates a piped JSON
+    /// report), or `None` for a clean read.
+    pub fn skip_line(&self, label: &str) -> Option<String> {
+        if self.is_clean() {
+            return None;
+        }
+        let torn = if self.missing_end_marker {
+            "; capture is torn (no end marker)"
+        } else {
+            ""
+        };
+        Some(format!(
+            "# {label}: skipped {} damaged chunk(s) ({} bytes){torn}",
+            self.skipped_chunks, self.skipped_bytes
+        ))
+    }
 }
 
 /// Cap on chain-walk validation steps when vetting a claimed extent; a
@@ -66,87 +110,47 @@ impl ResilienceReport {
 /// bounds work on pathological garbage.
 const MAX_CHAIN_STEPS: u32 = 1024;
 
-/// A streaming MTRC reader that skips corrupt or torn records instead of
-/// aborting, tallying the damage in a [`ResilienceReport`].
-pub struct ResilientMtrcReader<R: Read + Seek> {
-    source: R,
-    header: TraceHeader,
-    file_len: u64,
-    payload: Vec<u8>,
-    scratch_payload: Vec<u8>,
-    scratch_ops: Vec<TraceOp>,
-    ops_seen: u64,
-    chunk_index: u64,
-    done: bool,
-    report: ResilienceReport,
-}
-
-impl<R: Read + Seek> ResilientMtrcReader<R> {
-    /// Parses the header strictly and positions the reader at the first
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure or a damaged header — header corruption is fatal (see
-    /// module docs); body corruption is not.
-    pub fn new(mut source: R) -> Result<Self> {
-        let file_len = source.seek(SeekFrom::End(0))?;
-        source.seek(SeekFrom::Start(0))?;
-        let header = TraceHeader::decode(&mut source)?;
-        Ok(Self {
-            source,
-            header,
-            file_len,
-            payload: Vec::new(),
-            scratch_payload: Vec::new(),
-            scratch_ops: Vec::new(),
-            ops_seen: 0,
-            chunk_index: 0,
-            done: false,
-            report: ResilienceReport::default(),
-        })
-    }
-
-    /// The file header.
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
-
-    /// Ops decoded (from valid chunks) so far.
-    pub fn ops_read(&self) -> u64 {
-        self.ops_seen
-    }
-
-    /// The damage tally so far; complete once `next_chunk` returns
-    /// `Ok(None)`.
-    pub fn report(&self) -> ResilienceReport {
-        self.report
-    }
-
+impl<R: Read + Seek> MtrcReader<R> {
     /// Decodes the next *valid* chunk into `ops` (cleared first) and
     /// returns its core id, or `None` at end of stream. Damaged records
-    /// in between are skipped and tallied, not returned as errors.
+    /// in between are skipped and tallied in [`MtrcReader::report`], not
+    /// returned as errors.
     ///
     /// # Errors
     ///
     /// Only genuine I/O failure (device errors, not EOF/corruption).
-    pub fn next_chunk(&mut self, ops: &mut Vec<TraceOp>) -> Result<Option<usize>> {
+    pub fn next_chunk_skipping(&mut self, ops: &mut Vec<TraceOp>) -> Result<Option<usize>> {
         ops.clear();
-        self.read_into(ops)
+        self.read_into_skipping(ops)
+    }
+
+    /// What skipping reads have stepped over so far; complete once
+    /// [`MtrcReader::next_chunk_skipping`] returns `Ok(None)`.
+    pub fn report(&self) -> ResilienceReport {
+        self.skip.report
     }
 
     /// Decodes the next valid chunk, appending its ops to `sink`'s vector
     /// for the chunk's core, and returns the core id (`None` at end of
     /// stream). Skipped records append nothing.
-    fn read_into<S: OpSink + ?Sized>(&mut self, sink: &mut S) -> Result<Option<usize>> {
+    fn read_into_skipping<S: OpSink + ?Sized>(&mut self, sink: &mut S) -> Result<Option<usize>> {
         if self.done {
             return Ok(None);
         }
+        let file_len = match self.skip.file_len {
+            Some(len) => len,
+            None => {
+                let here = self.source.stream_position()?;
+                let len = self.source.seek(SeekFrom::End(0))?;
+                self.source.seek(SeekFrom::Start(here))?;
+                *self.skip.file_len.insert(len)
+            }
+        };
         loop {
             let start = self.source.stream_position()?;
-            if start >= self.file_len {
+            if start >= file_len {
                 self.done = true;
-                self.report.missing_end_marker = true;
+                self.skip.report.missing_end_marker = true;
                 return Ok(None);
             }
             match read_raw_chunk(
@@ -159,7 +163,7 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
                 Ok(RawChunk::End { total }) => {
                     self.done = true;
                     if total != self.ops_seen {
-                        self.report.end_count_mismatch = true;
+                        self.skip.report.end_count_mismatch = true;
                     }
                     return Ok(None);
                 }
@@ -170,9 +174,9 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
                 }
                 Err(TraceError::Io(e)) => return Err(TraceError::Io(e)),
                 Err(_) => {
-                    let resumed_at = self.resync(start)?;
-                    self.report.skipped_chunks += 1;
-                    self.report.skipped_bytes += resumed_at - start;
+                    let resumed_at = self.resync(start, file_len)?;
+                    self.skip.report.skipped_chunks += 1;
+                    self.skip.report.skipped_bytes += resumed_at - start;
                     self.source.seek(SeekFrom::Start(resumed_at))?;
                 }
             }
@@ -183,21 +187,21 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     /// `start`: the damaged record's claimed extent when the chain from
     /// there validates, else the first byte offset where a record decodes
     /// cleanly, else EOF.
-    fn resync(&mut self, start: u64) -> Result<u64> {
+    fn resync(&mut self, start: u64, file_len: u64) -> Result<u64> {
         if let Some(extent) = self.claimed_extent_at(start)? {
             let candidate = start + extent;
-            if candidate <= self.file_len && self.chain_validates(candidate)? {
+            if candidate <= file_len && self.chain_validates(candidate, file_len)? {
                 return Ok(candidate);
             }
         }
         let mut offset = start + 1;
-        while offset < self.file_len {
+        while offset < file_len {
             if self.probe(offset)? {
                 return Ok(offset);
             }
             offset += 1;
         }
-        Ok(self.file_len)
+        Ok(file_len)
     }
 
     /// The byte extent the record at `offset` claims for itself, when its
@@ -238,13 +242,13 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     /// True when a record decodes and checksums cleanly at `offset`.
     fn probe(&mut self, offset: u64) -> Result<bool> {
         self.source.seek(SeekFrom::Start(offset))?;
-        self.scratch_ops.clear();
+        self.skip.scratch_ops.clear();
         match read_raw_chunk(
             &mut self.source,
             self.header.cores,
             self.chunk_index,
-            &mut self.scratch_payload,
-            &mut self.scratch_ops,
+            &mut self.skip.scratch_payload,
+            &mut self.skip.scratch_ops,
         ) {
             Ok(_) => Ok(true),
             Err(TraceError::Io(e)) => Err(TraceError::Io(e)),
@@ -255,16 +259,16 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     /// True when following claimed extents from `offset` reaches a
     /// checksum-valid record or exact EOF — the vetting that lets
     /// adjacent payload-damaged chunks each count as their own skip.
-    fn chain_validates(&mut self, mut offset: u64) -> Result<bool> {
+    fn chain_validates(&mut self, mut offset: u64, file_len: u64) -> Result<bool> {
         for _ in 0..MAX_CHAIN_STEPS {
-            if offset == self.file_len {
+            if offset == file_len {
                 return Ok(true);
             }
             if self.probe(offset)? {
                 return Ok(true);
             }
             match self.claimed_extent_at(offset)? {
-                Some(extent) if offset + extent <= self.file_len => offset += extent,
+                Some(extent) if offset + extent <= file_len => offset += extent,
                 _ => return Ok(false),
             }
         }
@@ -272,34 +276,44 @@ impl<R: Read + Seek> ResilientMtrcReader<R> {
     }
 }
 
-/// Reads a whole trace tolerantly, demultiplexed per core, with the
-/// damage tally. The ops returned are exactly those of the surviving
-/// valid chunks, in file order.
+/// The skip path's state inside an [`MtrcReader`]: untouched by strict
+/// reads.
+#[derive(Default)]
+pub(crate) struct SkipState {
+    /// The source's length, measured by the first skipping read.
+    file_len: Option<u64>,
+    scratch_payload: Vec<u8>,
+    scratch_ops: Vec<TraceOp>,
+    report: ResilienceReport,
+}
+
+/// Reads a whole seekable trace under `policy`, demultiplexed per core,
+/// with the damage tally (always clean under [`DamagePolicy::Strict`],
+/// which is exactly [`read_all`]). Under [`DamagePolicy::Skip`] the ops
+/// returned are exactly those of the surviving valid chunks, in file
+/// order.
 ///
 /// # Errors
 ///
-/// I/O failure or a damaged header only.
-pub fn read_all_resilient<R: Read + Seek>(
+/// Strict: any codec error. Skip: I/O failure or a damaged header only.
+pub fn read_all_with<R: Read + Seek>(
     source: R,
+    policy: DamagePolicy,
 ) -> Result<(TraceHeader, Vec<Vec<TraceOp>>, ResilienceReport)> {
-    let mut reader = ResilientMtrcReader::new(source)?;
+    if policy == DamagePolicy::Strict {
+        let (header, per_core) = read_all(source)?;
+        return Ok((header, per_core, ResilienceReport::default()));
+    }
+    let mut reader = MtrcReader::new(source)?;
     let mut per_core: Vec<Vec<TraceOp>> = (0..reader.header().cores).map(|_| Vec::new()).collect();
-    while reader.read_into(&mut per_core[..])?.is_some() {}
-    Ok((reader.header, per_core, reader.report))
-}
-
-/// [`read_all_resilient`] over a buffered file.
-pub fn read_all_resilient_path(
-    path: &std::path::Path,
-) -> Result<(TraceHeader, Vec<Vec<TraceOp>>, ResilienceReport)> {
-    let f = std::fs::File::open(path)?;
-    read_all_resilient(std::io::BufReader::new(f))
+    while reader.read_into_skipping(&mut per_core[..])?.is_some() {}
+    Ok((reader.header, per_core, reader.skip.report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{read_all, MtrcWriter};
+    use crate::format::MtrcWriter;
     use mithril_dram::Geometry;
     use std::io::Cursor;
 
@@ -430,7 +444,7 @@ mod tests {
     #[test]
     fn clean_file_reads_clean() {
         let (bytes, _) = capture(2, &[(0, ops(1, 4)), (1, ops(2, 4))]);
-        let (h, per_core, report) = read_all_resilient(Cursor::new(bytes)).unwrap();
+        let (h, per_core, report) = read_all_with(Cursor::new(bytes), DamagePolicy::Skip).unwrap();
         assert_eq!(h.cores, 2);
         assert_eq!(per_core[0].len(), 4);
         assert!(report.is_clean(), "report: {report:?}");
@@ -443,7 +457,8 @@ mod tests {
         let (start, frame_len, _) = layout[1];
         let mut corrupted = bytes.clone();
         corrupted[(start + frame_len) as usize] ^= 0x40;
-        let (_, per_core, report) = read_all_resilient(Cursor::new(corrupted)).unwrap();
+        let (_, per_core, report) =
+            read_all_with(Cursor::new(corrupted), DamagePolicy::Skip).unwrap();
         let mut expect = ops(1, 5);
         expect.extend(ops(3, 7));
         assert_eq!(per_core[0], expect, "surviving chunks, in order");
@@ -465,7 +480,8 @@ mod tests {
         for &(start, frame_len, _) in &layout[1..3] {
             corrupted[(start + frame_len) as usize] ^= 0x40;
         }
-        let (_, per_core, report) = read_all_resilient(Cursor::new(corrupted)).unwrap();
+        let (_, per_core, report) =
+            read_all_with(Cursor::new(corrupted), DamagePolicy::Skip).unwrap();
         let mut expect = ops(1, 5);
         expect.extend(ops(4, 8));
         assert_eq!(per_core[0], expect);
@@ -481,7 +497,8 @@ mod tests {
         // Smash the frame varints themselves.
         corrupted[start as usize] = 0xff;
         corrupted[start as usize + 1] = 0xff;
-        let (_, per_core, report) = read_all_resilient(Cursor::new(corrupted)).unwrap();
+        let (_, per_core, report) =
+            read_all_with(Cursor::new(corrupted), DamagePolicy::Skip).unwrap();
         let mut expect = ops(1, 5);
         expect.extend(ops(3, 7));
         assert_eq!(per_core[0], expect);
@@ -496,7 +513,8 @@ mod tests {
         let (start, frame_len, _) = layout[1];
         // Cut mid-payload of the second chunk.
         let cut = (start + frame_len + 10) as usize;
-        let (_, per_core, report) = read_all_resilient(Cursor::new(bytes[..cut].to_vec())).unwrap();
+        let (_, per_core, report) =
+            read_all_with(Cursor::new(bytes[..cut].to_vec()), DamagePolicy::Skip).unwrap();
         assert_eq!(per_core[0], ops(1, 5));
         assert_eq!(report.skipped_chunks, 1);
         assert!(report.missing_end_marker);
@@ -506,7 +524,7 @@ mod tests {
     fn header_damage_stays_fatal() {
         let (mut bytes, _) = capture(1, &[(0, ops(1, 3))]);
         bytes[10] ^= 0x01;
-        assert!(read_all_resilient(Cursor::new(bytes)).is_err());
+        assert!(read_all_with(Cursor::new(bytes), DamagePolicy::Skip).is_err());
     }
 
     use proptest::prelude::*;
@@ -552,7 +570,7 @@ mod tests {
             }
 
             let (h, per_core, report) =
-                read_all_resilient(Cursor::new(bytes)).unwrap();
+                read_all_with(Cursor::new(bytes), DamagePolicy::Skip).unwrap();
             prop_assert_eq!(h, header(cores));
             prop_assert_eq!(report.skipped_chunks, damaged.len() as u64);
             prop_assert!(!report.missing_end_marker);

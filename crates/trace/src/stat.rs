@@ -7,6 +7,8 @@
 //! tracker see" probe: the rows it surfaces are the rows a
 //! Mithril/Graphene table would be defending.
 
+use std::io::{Read, Seek};
+
 use mithril::MithrilTable;
 use mithril_fasthash::FastHashMap;
 use mithril_memctrl::AddressMapping;
@@ -16,7 +18,7 @@ use mithril_workloads::TraceOp;
 
 use crate::error::Result;
 use crate::format::{MtrcReader, TraceHeader};
-use crate::resilient::{ResilienceReport, ResilientMtrcReader};
+use crate::resilient::{DamagePolicy, ResilienceReport};
 
 /// One hot row with its DRAM coordinates and access counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,31 +194,23 @@ impl StatsCollector {
     }
 }
 
-/// Streams a whole MTRC reader through a collector.
-pub fn stats_from_reader<R: std::io::Read>(
+/// Streams a whole MTRC reader through a collector, reading under
+/// `policy`: statistics cover exactly the ops read, and the returned
+/// [`ResilienceReport`] says what a skipping read stepped over (clean
+/// under [`DamagePolicy::Strict`]).
+pub fn stats_from_reader<R: Read + Seek>(
     mut reader: MtrcReader<R>,
     top: usize,
-) -> Result<TraceStats> {
-    let mut collector = StatsCollector::new(reader.header().clone(), top);
-    let mut chunk = Vec::new();
-    while let Some(core) = reader.next_chunk(&mut chunk)? {
-        for op in &chunk {
-            collector.push(core, op);
-        }
-    }
-    Ok(collector.finish())
-}
-
-/// Streams a damaged capture through a collector via the resilient
-/// reader: statistics cover exactly the ops of surviving chunks, and the
-/// accompanying [`ResilienceReport`] says what was skipped.
-pub fn stats_from_resilient_reader<R: std::io::Read + std::io::Seek>(
-    mut reader: ResilientMtrcReader<R>,
-    top: usize,
+    policy: DamagePolicy,
 ) -> Result<(TraceStats, ResilienceReport)> {
     let mut collector = StatsCollector::new(reader.header().clone(), top);
     let mut chunk = Vec::new();
-    while let Some(core) = reader.next_chunk(&mut chunk)? {
+    loop {
+        let core = match policy {
+            DamagePolicy::Strict => reader.next_chunk(&mut chunk)?,
+            DamagePolicy::Skip => reader.next_chunk_skipping(&mut chunk)?,
+        };
+        let Some(core) = core else { break };
         for op in &chunk {
             collector.push(core, op);
         }

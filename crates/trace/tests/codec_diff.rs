@@ -7,9 +7,10 @@
 //! record's checksum re-sealed over the inflated extent), or a payload
 //! byte overwritten under a re-sealed checksum so the decode errors
 //! themselves surface. For every damaged file, `read_all`, a streaming
-//! `MtrcReader` and `read_all_resilient` must return what the reference
-//! returns: the same ops, or the same error (variant, chunk index and
-//! message); and for the resilient reader the same damage report.
+//! `MtrcReader` and both under the skip policy (`read_all_with(Skip)`,
+//! `next_chunk_skipping`) must return what the reference returns: the
+//! same ops, or the same error (variant, chunk index and message); and
+//! for skipping reads the same damage report.
 
 mod reference;
 
@@ -17,8 +18,7 @@ use std::io::Cursor;
 
 use mithril_dram::Geometry;
 use mithril_trace::{
-    read_all, read_all_resilient, MtrcReader, MtrcWriter, ResilientMtrcReader, TraceError,
-    TraceHeader,
+    read_all, read_all_with, DamagePolicy, MtrcReader, MtrcWriter, TraceError, TraceHeader,
 };
 use mithril_workloads::TraceOp;
 use rand::rngs::SmallRng;
@@ -221,19 +221,22 @@ fn assert_readers_agree(label: &str, bytes: &[u8]) {
     assert_eq!(streamed, want, "MtrcReader after {label}");
 
     let want = outcome(reference::read_all_resilient(bytes));
-    let got = outcome(read_all_resilient(Cursor::new(bytes)));
-    assert_eq!(got, want, "read_all_resilient after {label}");
+    let got = outcome(read_all_with(Cursor::new(bytes), DamagePolicy::Skip));
+    assert_eq!(got, want, "read_all_with(Skip) after {label}");
 
     let streamed = outcome((|| {
-        let mut reader = ResilientMtrcReader::new(Cursor::new(bytes))?;
+        let mut reader = MtrcReader::new(Cursor::new(bytes))?;
         let mut per_core = vec![Vec::new(); reader.header().cores];
         let mut chunk = Vec::new();
-        while let Some(core) = reader.next_chunk(&mut chunk)? {
+        while let Some(core) = reader.next_chunk_skipping(&mut chunk)? {
             per_core[core].extend_from_slice(&chunk);
         }
         Ok((reader.header().clone(), per_core, reader.report()))
     })());
-    assert_eq!(streamed, want, "ResilientMtrcReader after {label}");
+    assert_eq!(
+        streamed, want,
+        "MtrcReader::next_chunk_skipping after {label}"
+    );
 }
 
 #[test]

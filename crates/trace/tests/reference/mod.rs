@@ -1,12 +1,12 @@
 //! The two-pass MTRC v1 chunk decoder, kept as a test-only reference for
-//! the shipped one-pass decoder in `mithril_trace::format`.
+//! the shipped one-pass decoder in `mithril_trace`'s `format` module.
 //!
 //! It reads a record's frame (through a tee), then its whole payload and
 //! stored checksum, verifies the checksum over frame ++ payload, and only
 //! then decodes the ops from the verified buffer with [`get_varint`].
 //! [`read_all`] is the strict reader built on it and [`read_all_resilient`]
 //! the skip-and-tally reader, with the same resynchronization as
-//! `ResilientMtrcReader` but every record decoded here. Header parsing is
+//! `MtrcReader::next_chunk_skipping` but every record decoded here. Header parsing is
 //! not duplicated: both sides share the shipped header decoder.
 
 use std::io::{Cursor, Read, Seek, SeekFrom};

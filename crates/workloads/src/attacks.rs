@@ -73,6 +73,47 @@ impl RowAttack {
             name,
         }
     }
+
+    /// The classic double-sided attack: hammers rows `victim−1` and
+    /// `victim+1` of `bank` on `channel`, sandwiching one victim.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `victim` is 0 or `channel` is out of range.
+    pub fn double_sided(
+        mapping: AddressMapping,
+        channel: ChannelId,
+        bank: usize,
+        victim: RowId,
+    ) -> Self {
+        assert!(victim > 0, "victim must have two neighbours");
+        Self::new(
+            mapping,
+            channel,
+            vec![(bank, victim - 1), (bank, victim + 1)],
+            "double-sided",
+        )
+    }
+
+    /// The many-sided (TRRespass/Half-Double style) attack of Section
+    /// VI-A: hammers `sides` aggressors at rows `base, base+2, base+4, …`
+    /// of `bank` on `channel`, sandwiching `sides − 1` victims (the paper
+    /// uses 32 victims in total).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sides` is zero or `channel` is out of range.
+    pub fn multi_sided(
+        mapping: AddressMapping,
+        channel: ChannelId,
+        bank: usize,
+        base: RowId,
+        sides: usize,
+    ) -> Self {
+        assert!(sides > 0, "sides must be non-zero");
+        let targets = (0..sides as u64).map(|i| (bank, base + 2 * i)).collect();
+        Self::new(mapping, channel, targets, "multi-sided")
+    }
 }
 
 impl TraceSource for RowAttack {
@@ -97,73 +138,6 @@ impl TraceSource for RowAttack {
 
     fn name(&self) -> &str {
         self.name
-    }
-}
-
-/// The classic double-sided attack: two aggressors sandwiching one victim.
-#[derive(Debug, Clone)]
-pub(crate) struct DoubleSided(RowAttack);
-
-impl DoubleSided {
-    /// Hammers rows `victim−1` and `victim+1` of `bank` on `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `victim` is 0 or `channel` is out of range.
-    pub fn new(mapping: AddressMapping, channel: ChannelId, bank: usize, victim: RowId) -> Self {
-        assert!(victim > 0, "victim must have two neighbours");
-        Self(RowAttack::new(
-            mapping,
-            channel,
-            vec![(bank, victim - 1), (bank, victim + 1)],
-            "double-sided",
-        ))
-    }
-}
-
-impl TraceSource for DoubleSided {
-    fn next_op(&mut self) -> TraceOp {
-        self.0.next_op()
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
-/// The many-sided (TRRespass/Half-Double style) attack of Section VI-A:
-/// `sides` aggressor rows side by side, sandwiching `sides − 1` victims
-/// (the paper uses 32 victims in total).
-#[derive(Debug, Clone)]
-pub(crate) struct MultiSided(RowAttack);
-
-impl MultiSided {
-    /// Hammers `sides` aggressors at rows `base, base+2, base+4, …` of
-    /// `bank` on `channel`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sides` is zero or `channel` is out of range.
-    pub fn new(
-        mapping: AddressMapping,
-        channel: ChannelId,
-        bank: usize,
-        base: RowId,
-        sides: usize,
-    ) -> Self {
-        assert!(sides > 0, "sides must be non-zero");
-        let targets = (0..sides as u64).map(|i| (bank, base + 2 * i)).collect();
-        Self(RowAttack::new(mapping, channel, targets, "multi-sided"))
-    }
-}
-
-impl TraceSource for MultiSided {
-    fn next_op(&mut self) -> TraceOp {
-        self.0.next_op()
-    }
-
-    fn name(&self) -> &str {
-        self.0.name()
     }
 }
 
@@ -312,7 +286,7 @@ mod tests {
 
     #[test]
     fn double_sided_alternates_aggressors() {
-        let mut a = DoubleSided::new(mapping(), ChannelId(0), 3, 1000);
+        let mut a = RowAttack::double_sided(mapping(), ChannelId(0), 3, 1000);
         let m = mapping();
         let r1 = m.map_line(a.next_op().line_addr);
         let r2 = m.map_line(a.next_op().line_addr);
@@ -325,7 +299,7 @@ mod tests {
 
     #[test]
     fn attack_ops_are_uncacheable_reads() {
-        let mut a = DoubleSided::new(mapping(), ChannelId(0), 0, 10);
+        let mut a = RowAttack::double_sided(mapping(), ChannelId(0), 0, 10);
         let op = a.next_op();
         assert!(op.uncacheable);
         assert!(!op.is_write);
@@ -334,7 +308,7 @@ mod tests {
 
     #[test]
     fn multi_sided_covers_32_aggressors() {
-        let mut a = MultiSided::new(mapping(), ChannelId(0), 1, 5000, 32);
+        let mut a = RowAttack::multi_sided(mapping(), ChannelId(0), 1, 5000, 32);
         let m = mapping();
         let rows: Vec<u64> = (0..32)
             .map(|_| m.map_line(a.next_op().line_addr).row)
@@ -346,7 +320,7 @@ mod tests {
 
     #[test]
     fn columns_vary_to_defeat_merging() {
-        let mut a = DoubleSided::new(mapping(), ChannelId(0), 0, 10);
+        let mut a = RowAttack::double_sided(mapping(), ChannelId(0), 0, 10);
         let m = mapping();
         let c1 = m.map_line(a.next_op().line_addr).col;
         let c2 = m.map_line(a.next_op().line_addr).col;
@@ -376,7 +350,7 @@ mod tests {
     fn attacks_stay_on_their_channel() {
         let m = mapping2ch();
         for channel in [ChannelId(0), ChannelId(1)] {
-            let mut a = DoubleSided::new(m, channel, 3, 1000);
+            let mut a = RowAttack::double_sided(m, channel, 3, 1000);
             for _ in 0..64 {
                 let addr = m.map_line(a.next_op().line_addr);
                 assert_eq!(addr.channel, channel, "attack strayed off {channel}");
@@ -439,10 +413,10 @@ mod tests {
             let last_bank = g.banks_total() - 1;
             let top_row = g.rows_per_bank - 1;
             for channel in g.channel_ids() {
-                let double = DoubleSided::new(m, channel, 3, 1000);
-                let double_top = DoubleSided::new(m, channel, last_bank, top_row - 1);
-                let multi = MultiSided::new(m, channel, 0, 5000, 32);
-                let single = MultiSided::new(m, channel, last_bank, top_row, 1);
+                let double = RowAttack::double_sided(m, channel, 3, 1000);
+                let double_top = RowAttack::double_sided(m, channel, last_bank, top_row - 1);
+                let multi = RowAttack::multi_sided(m, channel, 0, 5000, 32);
+                let single = RowAttack::multi_sided(m, channel, last_bank, top_row, 1);
                 let row_list: Vec<_> = (0..=last_bank)
                     .map(|b| (b, (b as u64 * 977) % top_row))
                     .collect();
@@ -481,6 +455,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "channel out of range")]
     fn out_of_range_channel_panics() {
-        let _ = DoubleSided::new(mapping(), ChannelId(1), 0, 10);
+        let _ = RowAttack::double_sided(mapping(), ChannelId(1), 0, 10);
     }
 }

@@ -1,7 +1,7 @@
 //! The paper's workload mixes (Section VI-A): 16-thread multi-programmed
 //! mixes and multi-threaded kernels.
 
-use crate::attacks::{BlockHammerAdversarial, ChannelPinned, DoubleSided, MultiSided, RowAttack};
+use crate::attacks::{BlockHammerAdversarial, ChannelPinned, RowAttack};
 use crate::kernels::{
     BlockedFft, CacheResident, PageRankLike, PointerChase, RadixPartition, RandomAccess,
     StreamSweep,
@@ -153,11 +153,11 @@ pub fn attack_mix(attack: &str, cores: usize, mapping: AddressMapping, seed: u64
     let ch0 = ChannelId(0);
     let attacker: (Box<dyn TraceSource + Send>, &'static str) = match attack {
         "double" => (
-            Box::new(DoubleSided::new(mapping, ch0, 0, 1000)),
+            Box::new(RowAttack::double_sided(mapping, ch0, 0, 1000)),
             "attack-double",
         ),
         "multi" => (
-            Box::new(MultiSided::new(mapping, ch0, 0, 5000, 32)),
+            Box::new(RowAttack::multi_sided(mapping, ch0, 0, 5000, 32)),
             "attack-multi",
         ),
         "bh-adversarial" => (
@@ -276,7 +276,7 @@ pub fn channel_interference_mix(cores: usize, mapping: AddressMapping, seed: u64
     }
     threads.push(Thread::new(
         "attack-multi@ch0",
-        Box::new(MultiSided::new(mapping, ChannelId(0), 0, 5000, 32)),
+        Box::new(RowAttack::multi_sided(mapping, ChannelId(0), 0, 5000, 32)),
     ));
     ThreadSet {
         name: "channel-interference".into(),
@@ -321,7 +321,7 @@ pub fn noisy_neighbor_mix(cores: usize, mapping: AddressMapping, seed: u64) -> T
     }
     threads.push(Thread::new(
         "tenant-hammer",
-        Box::new(MultiSided::new(mapping, ChannelId(0), 0, 5000, 32)),
+        Box::new(RowAttack::multi_sided(mapping, ChannelId(0), 0, 5000, 32)),
     ));
     ThreadSet {
         name: "noisy-neighbor".into(),

@@ -10,7 +10,7 @@
 //! cargo run --release --example config_explorer -- 3125
 //! ```
 
-use mithril_repro::baselines::{parfm_analysis, ParaConfig};
+use mithril_repro::baselines::{parfm_analysis, ParaConfig, ATTACKABLE_BANKS, FAILURE_TARGET};
 use mithril_repro::core::MithrilConfig;
 use mithril_repro::dram::Ddr5Timing;
 
@@ -48,13 +48,18 @@ fn main() {
     }
 
     println!("\nProbabilistic alternatives at the same FlipTH (10^-15 target):");
-    match parfm_analysis::max_rfm_th(flip_th, 1e-15, 22, &timing) {
+    match parfm_analysis::max_rfm_th(flip_th, FAILURE_TARGET, ATTACKABLE_BANKS, &timing) {
         Some(r) => {
             println!("  PARFM: RFMTH = {r} (refreshes on every RFM, no table at all)")
         }
         None => println!("  PARFM: cannot meet the target at any RFMTH"),
     }
-    let para = ParaConfig::for_failure_target(flip_th, 1e-15, timing.act_budget_per_trefw(), 22);
+    let para = ParaConfig::for_failure_target(
+        flip_th,
+        FAILURE_TARGET,
+        timing.act_budget_per_trefw(),
+        ATTACKABLE_BANKS,
+    );
     println!(
         "  PARA:  refresh probability p = {:.5} (one ARR per ~{:.0} ACTs)",
         para.probability,

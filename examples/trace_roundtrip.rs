@@ -22,7 +22,7 @@ use mithril_repro::runner::scenarios::{workload, SweepSpec};
 use mithril_repro::runner::{engine, run_sweep};
 use mithril_repro::sim::{Scheme, SystemConfig};
 use mithril_repro::trace::{
-    record_thread_set, stats_from_reader, MtrcReader, MtrcWriter, TraceHeader,
+    record_thread_set, stats_from_reader, DamagePolicy, MtrcReader, MtrcWriter, TraceHeader,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Inspect: stream the capture back through the stat collector.
     let reader = MtrcReader::new(std::io::BufReader::new(std::fs::File::open(&path)?))?;
-    let stats = stats_from_reader(reader, 3)?;
+    let (stats, _) = stats_from_reader(reader, 3, DamagePolicy::Strict)?;
     println!(
         "capture touches {} distinct rows; busiest channel serves {} of {} accesses",
         stats.distinct_rows,
