@@ -222,17 +222,18 @@ pub struct CommandRecord {
 }
 
 /// Flat per-bank scheduling lane: request queue, page-policy and RFM state,
-/// and the cached next-candidate payload. The candidate's selection key
-/// (base time, priority) lives in the controller's dense `cand_at` /
-/// `cand_prio` arrays, which the selection scan reads instead of lanes.
+/// and the cached next command. The command's selection key (base time,
+/// priority) lives in the controller's dense `cand_at` / `cand_prio`
+/// arrays, which the selection scan reads instead of lanes.
 #[derive(Debug, Clone, Default)]
 struct BankLane {
-    /// Smallest queued release above the ACT base the candidate was
+    /// Smallest queued release above the ACT base the command was
     /// computed with (`TimePs::MAX` if none or not an ACT): the lane is
     /// recomputed once its ACT base reaches it.
     stale_at: TimePs,
-    /// Cached candidate kind; `Idle` keeps the bank out of the active set.
-    cand: Cand,
+    /// Cached next command; `None` (no serviceable work) keeps the bank
+    /// out of the active set.
+    cmd: Option<Cmd>,
     hits_served: u32,
     rfm_pending: bool,
     raa: u64,
@@ -240,97 +241,62 @@ struct BankLane {
     arr_queue: VecDeque<Vec<RowId>>,
 }
 
-/// A cached per-bank candidate (the event payload of the event core).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Cand {
-    /// No serviceable work: bank not in the active set.
-    #[default]
-    Idle,
+/// A per-bank DRAM command: the event core's cached lane payload and the
+/// bank half of every [`Action`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    /// Precharge that clears the way for maintenance (REF/RFM/ARR).
     MaintPre,
+    /// RFM, preceded under Mithril+ by the MRR poll that may elide it.
     Rfm,
+    /// ARR of the bank's oldest queued MC-side mitigation request.
     Arr,
-    Column {
-        pos: u32,
-    },
+    /// Column command for the request at queue position `pos`.
+    Column { pos: u32 },
+    /// Minimalist-open page-policy precharge.
     Pre,
+    /// Activation for the request at queue position `pos`.
     Act {
         pos: u32,
         throttled: bool,
         /// The throttle release came specifically from the QoS token
         /// bucket (a dry suspect deferred to the window boundary). Carried
-        /// in the candidate because it cannot be recomputed at execute
+        /// in the command because it cannot be recomputed at execute
         /// time: by then the window may have rotated and refilled tokens.
         qos_throttled: bool,
     },
 }
 
-impl Cand {
-    /// The action this candidate stands for on `bank`.
-    fn action(self, bank: BankId) -> Action {
-        match self {
-            Cand::Idle => unreachable!("active bank with idle candidate"),
-            Cand::MaintPre => Action::MaintPre { bank },
-            Cand::Rfm => Action::Rfm { bank },
-            Cand::Arr => Action::Arr { bank },
-            Cand::Column { pos } => Action::Column {
-                bank,
-                pos: pos as usize,
-            },
-            Cand::Pre => Action::Pre { bank },
-            Cand::Act {
-                pos,
-                throttled,
-                qos_throttled,
-            } => Action::Act {
-                bank,
-                pos: pos as usize,
-                throttled,
-                qos_throttled,
-            },
-        }
-    }
-
-    /// `self.action(bank).priority()`, without building the action.
+impl Cmd {
+    /// Tie-break rank among commands due at the same time: the one
+    /// priority map of per-bank commands (REF sits below all of them).
     const fn priority(self) -> u8 {
         match self {
-            Cand::Idle => panic!("idle candidate has no priority"),
-            Cand::MaintPre => PRIO_MAINT_PRE,
-            Cand::Rfm => PRIO_RFM,
-            Cand::Arr => PRIO_ARR,
-            Cand::Column { .. } => PRIO_COLUMN,
-            Cand::Pre => PRIO_PRE,
-            Cand::Act { .. } => PRIO_ACT,
+            Cmd::MaintPre => PRIO_MAINT_PRE,
+            Cmd::Rfm => PRIO_RFM,
+            Cmd::Arr => PRIO_ARR,
+            Cmd::Column { .. } => PRIO_COLUMN,
+            Cmd::Pre => PRIO_PRE,
+            Cmd::Act { .. } => PRIO_ACT,
         }
     }
 }
 
+/// The command a scheduler core picked: a rank refresh or a per-bank
+/// command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
-    Ref {
-        rank: RankId,
-    },
-    MaintPre {
-        bank: BankId,
-    },
-    Rfm {
-        bank: BankId,
-    },
-    Arr {
-        bank: BankId,
-    },
-    Column {
-        bank: BankId,
-        pos: usize,
-    },
-    Pre {
-        bank: BankId,
-    },
-    Act {
-        bank: BankId,
-        pos: usize,
-        throttled: bool,
-        qos_throttled: bool,
-    },
+    Ref { rank: RankId },
+    Bank { bank: BankId, cmd: Cmd },
+}
+
+impl Action {
+    const fn priority(self) -> u8 {
+        match self {
+            Action::Ref { .. } => PRIO_REF,
+            Action::Bank { cmd, .. } => cmd.priority(),
+        }
+    }
 }
 
 const PRIO_REF: u8 = 0;
@@ -340,32 +306,6 @@ const PRIO_ARR: u8 = 3;
 const PRIO_COLUMN: u8 = 4;
 const PRIO_PRE: u8 = 5;
 const PRIO_ACT: u8 = 6;
-
-impl Action {
-    fn priority(&self) -> u8 {
-        match self {
-            Action::Ref { .. } => PRIO_REF,
-            Action::MaintPre { .. } => PRIO_MAINT_PRE,
-            Action::Rfm { .. } => PRIO_RFM,
-            Action::Arr { .. } => PRIO_ARR,
-            Action::Column { .. } => PRIO_COLUMN,
-            Action::Pre { .. } => PRIO_PRE,
-            Action::Act { .. } => PRIO_ACT,
-        }
-    }
-}
-
-/// What the event-core selection scan picked, resolved to an [`Action`]
-/// only once at the end.
-#[derive(Debug, Clone, Copy)]
-enum Pick {
-    Ref(RankId),
-    /// Maintenance precharge found by the overdue-refresh rank scan (the
-    /// bank's cached candidate is suppressed while its rank is overdue).
-    OverduePre(BankId),
-    /// The bank's cached candidate.
-    Lane(BankId),
-}
 
 /// One memory channel's controller, owning its [`DramDevice`].
 ///
@@ -797,7 +737,7 @@ impl<S: EventSink> MemoryController<S> {
         }
     }
 
-    /// Recomputes bank `b`'s cached candidate. Mirrors the decision logic
+    /// Recomputes bank `b`'s cached command. Mirrors the decision logic
     /// of `bank_candidates` exactly, but stores *base* times: constraints
     /// that slide with the clock (clock itself, the data bus, rank
     /// tRRD/tFAW) are left to selection-time clamps. An ACT folds in its
@@ -807,25 +747,21 @@ impl<S: EventSink> MemoryController<S> {
         let open = bank.open_row();
         let lane = &self.lanes[b];
         let mut stale_at = TimePs::MAX;
-        let (cand, time) = if lane.rfm_pending || !lane.arr_queue.is_empty() {
-            match open {
+        let next = if lane.rfm_pending || !lane.arr_queue.is_empty() {
+            Some(match open {
                 Some(row) => match self.best_hit(lane, row) {
                     // Row hits may drain first (RAAMMT slack), but if none
                     // are serviceable we close the row for maintenance.
                     Some(pos) if lane.hits_served < self.config.max_row_hits => {
-                        (Cand::Column { pos: pos as u32 }, bank.earliest_column())
+                        (Cmd::Column { pos: pos as u32 }, bank.earliest_column())
                     }
-                    _ => (Cand::MaintPre, bank.earliest_precharge()),
+                    _ => (Cmd::MaintPre, bank.earliest_precharge()),
                 },
                 None => {
-                    let t = bank.earliest_activate();
-                    if lane.rfm_pending {
-                        (Cand::Rfm, t)
-                    } else {
-                        (Cand::Arr, t)
-                    }
+                    let cmd = if lane.rfm_pending { Cmd::Rfm } else { Cmd::Arr };
+                    (cmd, bank.earliest_activate())
                 }
-            }
+            })
         } else {
             match open {
                 Some(row) => {
@@ -834,33 +770,31 @@ impl<S: EventSink> MemoryController<S> {
                     } else {
                         None
                     };
-                    match hit {
-                        Some(pos) => (Cand::Column { pos: pos as u32 }, bank.earliest_column()),
+                    Some(match hit {
+                        Some(pos) => (Cmd::Column { pos: pos as u32 }, bank.earliest_column()),
                         // Minimalist-open: no serviceable hit (or hit
                         // budget spent): close the row.
-                        None => (Cand::Pre, bank.earliest_precharge()),
-                    }
+                        None => (Cmd::Pre, bank.earliest_precharge()),
+                    })
                 }
-                None => {
-                    let (act, time, stale) =
-                        self.best_activation(b, lane)
-                            .unwrap_or((Cand::Idle, 0, TimePs::MAX));
+                None => self.best_activation(b, lane).map(|(act, time, stale)| {
                     stale_at = stale;
                     (act, time)
-                }
+                }),
             }
         };
         let word = b >> 6;
         let bit = 1u64 << (b & 63);
         let lane = &mut self.lanes[b];
-        lane.cand = cand;
+        lane.cmd = next.map(|(cmd, _)| cmd);
         lane.stale_at = stale_at;
-        self.cand_at[b] = time;
-        if cand == Cand::Idle {
-            self.active[word] &= !bit;
-        } else {
-            self.active[word] |= bit;
-            self.cand_prio[b] = cand.priority();
+        match next {
+            Some((cmd, time)) => {
+                self.active[word] |= bit;
+                self.cand_at[b] = time;
+                self.cand_prio[b] = cmd.priority();
+            }
+            None => self.active[word] &= !bit,
         }
         if stale_at == TimePs::MAX {
             self.held[word] &= !bit;
@@ -883,17 +817,13 @@ impl<S: EventSink> MemoryController<S> {
         let clock = self.clock;
         let bus_ready = self.bus_free.saturating_sub(timing.tcl);
 
-        let mut best: Option<(TimePs, u8, usize)> = None;
-        let mut pick = Pick::Lane(0);
-        macro_rules! consider {
-            ($t:expr, $prio:expr, $idx:expr, $pick:expr) => {
-                let key = ($t, $prio, $idx);
-                if best.is_none_or(|bk| key < bk) {
-                    best = Some(key);
-                    pick = $pick;
-                }
-            };
-        }
+        let mut best: Option<((TimePs, u8, usize), Action)> = None;
+        let mut consider = |t: TimePs, idx: usize, action: Action| {
+            let key = (t, action.priority(), idx);
+            if best.is_none_or(|(bk, _)| key < bk) {
+                best = Some((key, action));
+            }
+        };
 
         for rank in geometry.rank_ids() {
             let lo = rank.0 * geometry.banks_per_rank;
@@ -910,20 +840,20 @@ impl<S: EventSink> MemoryController<S> {
                     let bank = self.device.bank(b);
                     if bank.open_row().is_some() {
                         all_ready = false;
-                        let t = clock.max(bank.earliest_precharge());
-                        consider!(t, PRIO_MAINT_PRE, b, Pick::OverduePre(b));
+                        let (t, cmd) = (clock.max(bank.earliest_precharge()), Cmd::MaintPre);
+                        consider(t, b, Action::Bank { bank: b, cmd });
                     } else {
                         ready_at = ready_at.max(bank.earliest_activate());
                     }
                 }
                 if all_ready {
-                    consider!(ready_at, PRIO_REF, lo, Pick::Ref(rank));
+                    consider(ready_at, lo, Action::Ref { rank });
                 }
                 continue;
             }
             // Upcoming refresh also schedules itself (so we don't stall
             // waiting for external events when queues are empty).
-            consider!(due, PRIO_REF, lo, Pick::Ref(rank));
+            consider(due, lo, Action::Ref { rank });
 
             // One clamp per priority: the clock for maintenance and PRE,
             // the data bus for columns, and the rank-wide ACT floor
@@ -963,22 +893,11 @@ impl<S: EventSink> MemoryController<S> {
             }
             if lane_min != u128::MAX {
                 let b = lane_min as u32 as usize;
-                consider!(
-                    (lane_min >> 64) as TimePs,
-                    (lane_min >> 32) as u8,
-                    b,
-                    Pick::Lane(b)
-                );
+                let cmd = self.lanes[b].cmd.expect("active lane caches a command");
+                consider((lane_min >> 64) as TimePs, b, Action::Bank { bank: b, cmd });
             }
         }
-
-        let (t, _, _) = best?;
-        let action = match pick {
-            Pick::Ref(rank) => Action::Ref { rank },
-            Pick::OverduePre(bank) => Action::MaintPre { bank },
-            Pick::Lane(bank) => self.lanes[bank].cand.action(bank),
-        };
-        Some((t, action))
+        best.map(|((t, _, _), action)| (t, action))
     }
 
     // ------------------------------------------------ naive-core candidates
@@ -1010,10 +929,8 @@ impl<S: EventSink> MemoryController<S> {
                     let bank = self.device.bank(b);
                     if bank.open_row().is_some() {
                         all_ready = false;
-                        consider(
-                            self.clock.max(bank.earliest_precharge()),
-                            Action::MaintPre { bank: b },
-                        );
+                        let (t, cmd) = (self.clock.max(bank.earliest_precharge()), Cmd::MaintPre);
+                        consider(t, Action::Bank { bank: b, cmd });
                     } else {
                         ready_at = ready_at.max(bank.earliest_activate());
                     }
@@ -1039,8 +956,9 @@ impl<S: EventSink> MemoryController<S> {
         &self,
         b: BankId,
         timing: &mithril_dram::Ddr5Timing,
-        consider: &mut impl FnMut(TimePs, Action),
+        emit: &mut impl FnMut(TimePs, Action),
     ) {
+        let mut consider = |t: TimePs, cmd: Cmd| emit(t, Action::Bank { bank: b, cmd });
         let bq = &self.lanes[b];
         let bank = self.device.bank(b);
         let open = bank.open_row();
@@ -1053,25 +971,20 @@ impl<S: EventSink> MemoryController<S> {
                     // are serviceable we close the row.
                     if let Some(pos) = self.best_hit(bq, open.unwrap()) {
                         if bq.hits_served < self.config.max_row_hits {
-                            consider(
-                                self.column_time(bank, timing),
-                                Action::Column { bank: b, pos },
-                            );
+                            let cmd = Cmd::Column { pos: pos as u32 };
+                            consider(self.column_time(bank, timing), cmd);
                             return;
                         }
                         let _ = pos;
                     }
-                    consider(
-                        self.clock.max(bank.earliest_precharge()),
-                        Action::MaintPre { bank: b },
-                    );
+                    consider(self.clock.max(bank.earliest_precharge()), Cmd::MaintPre);
                 }
                 None => {
                     let t = self.clock.max(bank.earliest_activate());
                     if bq.rfm_pending {
-                        consider(t, Action::Rfm { bank: b });
+                        consider(t, Cmd::Rfm);
                     } else {
-                        consider(t, Action::Arr { bank: b });
+                        consider(t, Cmd::Arr);
                     }
                 }
             }
@@ -1082,23 +995,18 @@ impl<S: EventSink> MemoryController<S> {
             Some(row) => {
                 if bq.hits_served < self.config.max_row_hits {
                     if let Some(pos) = self.best_hit(bq, row) {
-                        consider(
-                            self.column_time(bank, timing),
-                            Action::Column { bank: b, pos },
-                        );
+                        let cmd = Cmd::Column { pos: pos as u32 };
+                        consider(self.column_time(bank, timing), cmd);
                         return;
                     }
                 }
                 // Minimalist-open: no serviceable hit (or hit budget spent):
                 // close the row.
-                consider(
-                    self.clock.max(bank.earliest_precharge()),
-                    Action::Pre { bank: b },
-                );
+                consider(self.clock.max(bank.earliest_precharge()), Cmd::Pre);
             }
             None => {
                 if let Some((act, t, _)) = self.best_activation(b, bq) {
-                    consider(t, act.action(b));
+                    consider(t, act);
                 }
             }
         }
@@ -1124,9 +1032,9 @@ impl<S: EventSink> MemoryController<S> {
     /// position), where a request issues at `max(base, release)`, `base`
     /// is the bank's earliest legal ACT and `release` the later of its
     /// mitigation and QoS throttle releases (both absolute). Returns the
-    /// `Cand::Act`, its issue time, and the smallest queued release above
+    /// `Cmd::Act`, its issue time, and the smallest queued release above
     /// `base` (`TimePs::MAX` if none).
-    fn best_activation(&self, b: BankId, bq: &BankLane) -> Option<(Cand, TimePs, TimePs)> {
+    fn best_activation(&self, b: BankId, bq: &BankLane) -> Option<(Cmd, TimePs, TimePs)> {
         if bq.queue.is_empty() {
             return None;
         }
@@ -1158,7 +1066,7 @@ impl<S: EventSink> MemoryController<S> {
             }
         }
         best.map(|(time, _, _, pos)| {
-            let act = Cand::Act {
+            let act = Cmd::Act {
                 pos: pos as u32,
                 throttled: time > base,
                 qos_throttled: best_qos > base.max(best_mit),
@@ -1231,18 +1139,24 @@ impl<S: EventSink> MemoryController<S> {
                 }
                 self.log_cmd(now, CommandKind::Ref, lo, 0);
             }
-            Action::MaintPre { bank } | Action::Pre { bank } => {
+            Action::Bank { bank, cmd } => self.execute_bank(bank, cmd, now),
+        }
+    }
+
+    fn execute_bank(&mut self, bank: BankId, cmd: Cmd, now: TimePs) {
+        match cmd {
+            Cmd::MaintPre | Cmd::Pre => {
                 self.device.issue_precharge(bank, now);
                 self.mark_dirty(bank);
                 self.obs_lane(now, bank, LaneCause::Execute);
-                let kind = if matches!(action, Action::MaintPre { .. }) {
-                    CommandKind::MaintPre
-                } else {
+                let kind = if cmd == Cmd::Pre {
                     CommandKind::Pre
+                } else {
+                    CommandKind::MaintPre
                 };
                 self.log_cmd(now, kind, bank, 0);
             }
-            Action::Rfm { bank } => {
+            Cmd::Rfm => {
                 if self.config.rfm_mode == RfmMode::MrrElision {
                     let pending = self.device.issue_mrr(bank);
                     if !pending {
@@ -1289,7 +1203,7 @@ impl<S: EventSink> MemoryController<S> {
                 }
                 self.log_cmd(now, CommandKind::Rfm, bank, 0);
             }
-            Action::Arr { bank } => {
+            Cmd::Arr => {
                 let victims = self.lanes[bank]
                     .arr_queue
                     .pop_front()
@@ -1309,10 +1223,10 @@ impl<S: EventSink> MemoryController<S> {
                 }
                 self.log_cmd(now, CommandKind::Arr, bank, victims.len() as RowId);
             }
-            Action::Column { bank, pos } => {
+            Cmd::Column { pos } => {
                 let req = self.lanes[bank]
                     .queue
-                    .remove(pos)
+                    .remove(pos as usize)
                     .expect("valid queue position");
                 let done = if req.is_write {
                     self.device.issue_write(bank, req.addr.row, now)
@@ -1365,13 +1279,12 @@ impl<S: EventSink> MemoryController<S> {
                     is_write: req.is_write,
                 });
             }
-            Action::Act {
-                bank,
+            Cmd::Act {
                 pos,
                 throttled,
                 qos_throttled,
             } => {
-                let req = self.lanes[bank].queue[pos];
+                let req = self.lanes[bank].queue[pos as usize];
                 let (pre_obs, pre_faults) = if S::ENABLED {
                     (self.tracker_obs(bank), self.bank_fault_stats(bank))
                 } else {
@@ -1592,43 +1505,34 @@ mod tests {
     }
 
     #[test]
-    fn event_priority_consts_match_action_priorities() {
-        assert_eq!(Action::Ref { rank: RankId(0) }.priority(), PRIO_REF);
-        assert_eq!(Action::MaintPre { bank: 0 }.priority(), PRIO_MAINT_PRE);
-        assert_eq!(Action::Rfm { bank: 0 }.priority(), PRIO_RFM);
-        assert_eq!(Action::Arr { bank: 0 }.priority(), PRIO_ARR);
-        assert_eq!(Action::Column { bank: 0, pos: 0 }.priority(), PRIO_COLUMN);
-        assert_eq!(Action::Pre { bank: 0 }.priority(), PRIO_PRE);
-        assert_eq!(
-            Action::Act {
-                bank: 0,
-                pos: 0,
-                throttled: false,
-                qos_throttled: false
-            }
-            .priority(),
-            PRIO_ACT
-        );
-        let cands = [
-            Cand::MaintPre,
-            Cand::Rfm,
-            Cand::Arr,
-            Cand::Column { pos: 3 },
-            Cand::Pre,
-            Cand::Act {
+    fn priorities_follow_maintenance_first_order() {
+        // The order the decision-identity argument (ARCHITECTURE.md)
+        // relies on, one distinct value per command kind.
+        let bank = |cmd| Action::Bank { bank: 7, cmd };
+        let order = [
+            Action::Ref { rank: RankId(0) },
+            bank(Cmd::MaintPre),
+            bank(Cmd::Rfm),
+            bank(Cmd::Arr),
+            bank(Cmd::Column { pos: 3 }),
+            bank(Cmd::Pre),
+            bank(Cmd::Act {
                 pos: 5,
                 throttled: false,
                 qos_throttled: false,
-            },
-            Cand::Act {
-                pos: 5,
-                throttled: true,
-                qos_throttled: true,
-            },
+            }),
         ];
-        for cand in cands {
-            assert_eq!(cand.priority(), cand.action(7).priority(), "{cand:?}");
-        }
+        let prios: Vec<u8> = order.iter().map(|a| a.priority()).collect();
+        assert!(prios.windows(2).all(|w| w[0] < w[1]), "{prios:?}");
+        // A throttled ACT ranks like any other ACT.
+        let throttled = bank(Cmd::Act {
+            pos: 0,
+            throttled: true,
+            qos_throttled: true,
+        });
+        assert_eq!(throttled.priority(), prios[6]);
+        // Every priority indexes the selection scan's eight-entry floor.
+        assert!(prios[6] < 8);
     }
 
     #[test]

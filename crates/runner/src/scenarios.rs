@@ -128,7 +128,8 @@ pub fn all_schemes(rfm_th: u64, nbl_scale: u64) -> Vec<(&'static str, Scheme)> {
 /// scheme's RNG (seeded from the scenario seed as usual) remains random.
 ///
 /// `trace+skip:<path>` is the corruption-tolerant variant: damaged
-/// chunks of the capture are skipped (reported on stderr) and the
+/// chunks of the capture are skipped (reported on stderr, once per
+/// decoded capture however many scenarios replay it) and the
 /// surviving ops replay in order. Strict `trace:` still refuses damaged
 /// files — use `+skip` deliberately, on captures known to be partial.
 ///
@@ -154,7 +155,7 @@ pub fn workload(name: &str, cores: usize, cfg: &SystemConfig, seed: u64) -> Thre
             geometry_tag(&header.geometry),
             geometry_tag(&cfg.geometry)
         );
-        if let Some(line) = capture.report.skip_line(name) {
+        if let Some(line) = capture.take_skip_line(name) {
             eprintln!("{line}");
         }
         return set;

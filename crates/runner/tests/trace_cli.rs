@@ -2,7 +2,8 @@
 //! capture survives the trip MTRC → `addr` text → MTRC with its op count
 //! intact, and misuse exits 2 like every other `trace` error. Also pins
 //! `--resilient` on a damaged capture: strict reads refuse it, while
-//! `stat`, `convert` and `replay` skip exactly the damaged chunk.
+//! `stat`, `convert` and `replay` skip exactly the damaged chunk, and a
+//! replay reports the damage once however many schemes it runs.
 
 mod damaged_capture;
 
@@ -263,5 +264,40 @@ fn resilient_replay_matches_a_skip_registry_sweep() {
         std::fs::read_to_string(&report).unwrap(),
         metrics_only_json(h.base_seed, &results)
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resilient_replay_of_every_scheme_reports_the_damage_once() {
+    let dir = scratch("resilient-all");
+    let capture = damaged_capture::damaged_capture();
+    let (damaged, report) = (dir.join("damaged.mtrc"), dir.join("replay.json"));
+    std::fs::write(&damaged, &capture.damaged).unwrap();
+    let out = trace(&[
+        "replay",
+        "--trace",
+        path(&damaged),
+        "--resilient",
+        "--scheme",
+        "all",
+        "--threads",
+        "2",
+        "--metrics-only",
+        "--out",
+        path(&report),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resilient replay failed\n{stderr}");
+    let skips: Vec<&str> = stderr.lines().filter(|l| l.contains("skipped")).collect();
+    assert_eq!(
+        skips.len(),
+        1,
+        "one skip line per decoded capture:\n{stderr}"
+    );
+    let label = format!(
+        "# trace+skip:{}: skipped 1 damaged chunk(s)",
+        path(&damaged)
+    );
+    assert!(skips[0].starts_with(&label), "{}", skips[0]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

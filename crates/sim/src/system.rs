@@ -97,8 +97,6 @@ pub struct SystemConfig {
     pub scheme: Scheme,
     /// RNG seed for probabilistic schemes.
     pub seed: u64,
-    /// Simulation epoch length (core/MC synchronization quantum).
-    pub epoch_ps: TimePs,
     /// Soft-error injection into tracker state (`None` = fault-free; the
     /// fault-free path constructs no injection wrapper at all, so it
     /// stays zero-cost and byte-identical to pre-fault builds).
@@ -124,7 +122,6 @@ impl SystemConfig {
             blast_radius: 1,
             scheme: Scheme::None,
             seed: 1,
-            epoch_ps: 500_000,
             faults: None,
             qos: QosPolicy::Off,
         }
@@ -141,6 +138,10 @@ impl SystemConfig {
         self.geometry.channels
     }
 }
+
+/// Simulation epoch length: the quantum at which cores and memory
+/// controllers synchronize.
+const EPOCH_PS: TimePs = 500_000;
 
 /// Decorrelates per-bank fault-plan seeds from every other use of the
 /// scenario seed (scheme RNGs, workload generators).
@@ -491,8 +492,7 @@ impl<S: EventSink> System<S> {
         for c in &mut self.cores {
             c.budget = insts_per_core;
         }
-        let epoch = self.config.epoch_ps;
-        let mut epoch_end = epoch;
+        let mut epoch_end = EPOCH_PS;
         loop {
             // Interleave cores and memory inside the epoch until no more
             // progress is possible, then move the fence.
@@ -508,7 +508,7 @@ impl<S: EventSink> System<S> {
             if all_done || epoch_end >= max_time {
                 break;
             }
-            epoch_end += epoch;
+            epoch_end += EPOCH_PS;
         }
         self.collect_metrics()
     }

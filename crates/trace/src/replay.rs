@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
@@ -95,6 +96,19 @@ pub struct Capture {
     /// staleness checks.
     len: u64,
     modified: Option<SystemTime>,
+    /// Set once [`Capture::take_skip_line`] has handed out the line.
+    skip_reported: AtomicBool,
+}
+
+impl Capture {
+    /// The [`ResilienceReport::skip_line`] of the read that decoded this
+    /// capture, returned by the first call only: every scenario that
+    /// replays a damaged capture shares this decode, and its damage is
+    /// reported once, not once per scenario.
+    pub fn take_skip_line(&self, label: &str) -> Option<String> {
+        let line = self.report.skip_line(label)?;
+        (!self.skip_reported.swap(true, Ordering::Relaxed)).then_some(line)
+    }
 }
 
 type CaptureCache = Mutex<HashMap<(PathBuf, DamagePolicy), Arc<Capture>>>;
@@ -127,8 +141,8 @@ pub fn load_capture(path: &Path, policy: DamagePolicy) -> Result<Arc<Capture>> {
         }
     }
     // Decode outside the lock so parallel workers loading *different*
-    // captures don't serialize; racing loads of the same file are
-    // idempotent (last insert wins).
+    // captures don't serialize; of racing loads of the same file, the
+    // first insert wins, so every caller shares one decode.
     let file = std::io::BufReader::new(std::fs::File::open(path)?);
     let (header, per_core, report) = read_all_with(file, policy)?;
     let entry = Arc::new(Capture {
@@ -137,12 +151,14 @@ pub fn load_capture(path: &Path, policy: DamagePolicy) -> Result<Arc<Capture>> {
         report,
         len,
         modified,
+        skip_reported: AtomicBool::new(false),
     });
-    cache
-        .lock()
-        .expect("capture cache poisoned")
-        .insert(key, Arc::clone(&entry));
-    Ok(entry)
+    let mut cache = cache.lock().expect("capture cache poisoned");
+    let slot = cache.entry(key).or_insert_with(|| Arc::clone(&entry));
+    if slot.len != len || slot.modified != modified {
+        *slot = entry;
+    }
+    Ok(Arc::clone(slot))
 }
 
 /// Loads the MTRC file at `path` under `policy` (through
