@@ -173,7 +173,7 @@ impl McMitigation for Graphene {
 /// Rows whose estimate crosses the threshold join a pending queue; each RFM
 /// window refreshes the victims of *one* queued row. Under a concentration
 /// attack the queue grows and queued rows keep accumulating ACTs — the
-/// effect measured by Fig. 2 of the `paper` report (`mithril-bench`).
+/// effect measured by Fig. 2 of the `paper` report (`mithril-runner`).
 #[derive(Debug)]
 pub struct RfmGraphene {
     table: MithrilTable<u64>,

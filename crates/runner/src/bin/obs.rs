@@ -20,22 +20,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use mithril_runner::analytics::{compare, parse_report, Report};
+use mithril_runner::cli::{die, Args};
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!();
-    usage();
-    std::process::exit(2);
-}
-
-fn usage() {
-    eprintln!("usage:");
-    eprintln!("  obs report BASELINE CANDIDATE [MORE...] [--fail-on-regression PCT]");
-    eprintln!();
-    eprintln!("inputs: sweep/replay/obs-count JSON reports, or --obs output");
-    eprintln!("directories (their obs_counts.json is read). The first input");
-    eprintln!("is the baseline; every later input is compared against it.");
-}
+const USAGE: &str = "obs report BASELINE CANDIDATE [MORE...] [--fail-on-regression PCT]";
 
 /// Loads one input: a report file, or a directory holding
 /// `obs_counts.json`.
@@ -51,39 +38,25 @@ fn load(path: &str) -> Result<Report, String> {
     parse_report(&text).map_err(|e| format!("{}: {e}", file.display()))
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut fail_pct: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fail-on-regression" => {
-                let v = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| die("--fail-on-regression needs a percent value"));
-                // `NaN` parses but compares false against every delta, and a
-                // negative or infinite threshold is meaningless: all would
-                // silently disable the gate.
-                fail_pct = Some(
-                    v.parse::<f64>()
-                        .ok()
-                        .filter(|p| p.is_finite() && *p >= 0.0)
-                        .unwrap_or_else(|| die(&format!("bad percent value `{v}`"))),
-                );
-                i += 2;
-            }
-            flag if flag.starts_with("--") => die(&format!("unknown flag `{flag}`")),
-            _ => {
-                inputs.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
+fn cmd_report(mut args: Args) -> ExitCode {
+    // `NaN` parses but compares false against every delta, and a negative
+    // or infinite threshold is meaningless: all would silently disable
+    // the gate.
+    let fail_pct = args.take("fail-on-regression").map(|v| {
+        v.parse::<f64>()
+            .ok()
+            .filter(|p| p.is_finite() && *p >= 0.0)
+            .unwrap_or_else(|| die(format!("bad percent value `{v}`")))
+    });
+    let inputs = args.positionals();
+    args.finish();
     if inputs.len() < 2 {
-        die("need at least a baseline and one candidate report");
+        die(format!(
+            "need at least a baseline and one candidate report (usage: {USAGE})"
+        ));
     }
 
-    let baseline = load(&inputs[0]).unwrap_or_else(|e| die(&e));
+    let baseline = load(&inputs[0]).unwrap_or_else(|e| die(e));
     println!(
         "baseline: {} ({}, {} runs)",
         inputs[0],
@@ -93,9 +66,9 @@ fn cmd_report(args: &[String]) -> ExitCode {
 
     let mut failed = false;
     for input in &inputs[1..] {
-        let candidate = load(input).unwrap_or_else(|e| die(&e));
+        let candidate = load(input).unwrap_or_else(|e| die(e));
         if candidate.kind != baseline.kind {
-            die(&format!(
+            die(format!(
                 "cannot compare a {} report ({input}) against a {} baseline",
                 candidate.kind, baseline.kind
             ));
@@ -126,13 +99,18 @@ fn cmd_report(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("report") => cmd_report(&args[1..]),
+    let mut raw = std::env::args().skip(1);
+    match raw.next().as_deref() {
+        Some("report") => cmd_report(Args::parse(raw, &[])),
         Some("--help" | "-h") | None => {
-            usage();
+            eprintln!("usage:");
+            eprintln!("  {USAGE}");
+            eprintln!();
+            eprintln!("inputs: sweep/replay/obs-count JSON reports, or --obs output");
+            eprintln!("directories (their obs_counts.json is read). The first input");
+            eprintln!("is the baseline; every later input is compared against it.");
             ExitCode::SUCCESS
         }
-        Some(other) => die(&format!("unknown subcommand `{other}`")),
+        Some(other) => die(format!("unknown subcommand `{other}`")),
     }
 }

@@ -8,8 +8,8 @@ use std::collections::{HashMap, HashSet};
 use mithril::{MithrilConfig, MithrilScheme, MithrilTable};
 use mithril_baselines::parfm_analysis::{max_rfm_th, single_row_failure, system_failure};
 use mithril_baselines::{
-    BlockHammerConfig, Graphene, GrapheneConfig, RfmGraphene, ATTACKABLE_BANKS, FAILURE_TARGET,
-    FLIP_TH_SWEEP,
+    BlockHammerConfig, CbtConfig, Graphene, GrapheneConfig, RfmGraphene, TwiCeConfig,
+    ATTACKABLE_BANKS, FAILURE_TARGET, FLIP_TH_SWEEP,
 };
 use mithril_dram::{
     victims, AttackHarness, ChannelId, Ddr5Timing, DramMitigation, RfmOutcome, RowHammerOracle,
@@ -19,7 +19,7 @@ use mithril_memctrl::{AddressMapping, McAction, McMitigation};
 use mithril_obs::json::Json;
 use mithril_obs::json_obj;
 use mithril_runner::engine::{run_sharded, PoolConfig};
-use mithril_runner::scenarios::{default_rfm_th, table_area_rows};
+use mithril_runner::scenarios::default_rfm_th;
 use mithril_sim::{Llc, LlcAccess, LlcConfig};
 use mithril_workloads::{StreamSweep, TraceSource};
 
@@ -290,6 +290,45 @@ pub(crate) fn fig10e() -> Json {
     }))
 }
 
+/// Table IV's per-bank counter-table sizes: one row per scheme, one
+/// `Option<f64>` KiB cell per FlipTH of [`FLIP_TH_SWEEP`] (`None` =
+/// infeasible pair, rendered as a dash).
+fn table_area_rows(timing: &Ddr5Timing) -> Vec<(String, Vec<Option<f64>>)> {
+    type AreaFn = Box<dyn Fn(u64) -> Option<f64>>;
+    let t = *timing;
+    let mut rows: Vec<(String, AreaFn)> = vec![
+        (
+            "CBT @ MC".into(),
+            Box::new(move |flip| Some(CbtConfig::for_flip_threshold(flip, &t).table_kib())),
+        ),
+        (
+            "Graphene @ MC".into(),
+            Box::new(move |flip| Some(GrapheneConfig::for_flip_threshold(flip, &t).table_kib(&t))),
+        ),
+        (
+            "BlockHammer @ MC".into(),
+            Box::new(move |flip| Some(BlockHammerConfig::for_flip_threshold(flip, &t).table_kib())),
+        ),
+        (
+            "TWiCe @ buffer chip".into(),
+            Box::new(move |flip| Some(TwiCeConfig::for_flip_threshold(flip, &t).table_kib(&t))),
+        ),
+    ];
+    for rfm in [256u64, 128, 64, 32] {
+        rows.push((
+            format!("Mithril-{rfm} @ DRAM"),
+            Box::new(move |flip| {
+                MithrilConfig::for_flip_threshold(flip, rfm, &t)
+                    .ok()
+                    .map(|c| c.table_kib())
+            }),
+        ));
+    }
+    rows.into_iter()
+        .map(|(name, f)| (name, FLIP_TH_SWEEP.iter().map(|&flip| f(flip)).collect()))
+        .collect()
+}
+
 /// The paper's Table IV (KB), row for row with [`table_area_rows`];
 /// `NaN` marks a dash.
 const PAPER_TABLE4: [[f64; 6]; 8] = [
@@ -457,7 +496,7 @@ enum Knockout {
 /// Theorem 1 table size (halved, quartered) — with the worst victim
 /// disturbance over one attack battery. The first row is the paper's
 /// configuration.
-pub fn ablation(pool: PoolConfig) -> Json {
+pub(crate) fn ablation(pool: PoolConfig) -> Json {
     let timing = Ddr5Timing::ddr5_4800();
     let cfg = MithrilConfig::for_flip_threshold(ABLATION_FLIP, ABLATION_RFM, &timing).unwrap();
     let n = cfg.nentry;

@@ -1,23 +1,32 @@
-//! The paper's evaluation as one checked report (`BENCH_paper.json`).
+//! Regenerates the paper's evaluation — Figs. 2 and 6–11, Table IV,
+//! Appendix C and the ablation — with its claims, as one checked report.
 //!
-//! [`report`] regenerates Figs. 2 and 6–11, Table IV, Appendix C and the
-//! ablation as `Json` tables, one report member per figure and one row
-//! object per figure row, then appends the [`claims`] evaluated over
+//! ```text
+//! cargo run --release -p mithril-runner --bin paper [-- --threads N] [--out PATH]
+//! ```
+//!
+//! Writes `BENCH_paper.json` (or `PATH`); the field reference is in
+//! `docs/REPORT_SCHEMA.md`. Failing claims are listed on stdout but do
+//! not fail the run: they are recorded reproduction gaps.
+//!
+//! [`report`] builds `Json` tables, one report member per figure and one
+//! row object per figure row, then appends the [`claims`] evaluated over
 //! those tables. Values are rounded to the precision the figure reports
 //! them at, so the committed report is diffable byte for byte.
 //!
 //! Figs. 7, 9, 10 and 11 are [`sim`] grids of full-system scenarios run
 //! once each on the sharded engine; the rest are [`analytic`] or run
 //! below `System`. Every run is seeded by a constant, so the report is a
-//! pure function of the source at any worker count.
+//! pure function of the source at any `--threads`.
 
-pub mod analytic;
-pub mod claims;
-pub mod sim;
+mod analytic;
+mod claims;
+mod sim;
 
 use mithril_obs::json::Json;
 use mithril_obs::{json_obj, FORMAT_VERSION};
-use mithril_runner::engine::PoolConfig;
+use mithril_runner::cli::{die, Args};
+use mithril_runner::engine::{default_threads, PoolConfig};
 use mithril_sim::SystemConfig;
 
 /// `x` rounded to `decimals` places, exactly as `{:.decimals$}` prints it.
@@ -36,7 +45,7 @@ fn sci(x: f64, digits: usize) -> f64 {
 }
 
 /// Regenerates every figure and table, then evaluates the claims.
-pub fn report(pool: PoolConfig) -> Json {
+fn report(pool: PoolConfig) -> Json {
     let figures = sim::figures();
     let runs = sim::run(&figures, pool);
     let simulated = |name: &str| {
@@ -73,6 +82,42 @@ pub fn report(pool: PoolConfig) -> Json {
     let claims = claims::evaluate(&doc);
     doc.push("claims", claims);
     doc
+}
+
+fn main() {
+    let mut args = Args::from_env(&[]);
+    let threads = args.take_parsed("threads").unwrap_or_else(default_threads);
+    let out = args
+        .take("out")
+        .unwrap_or_else(|| "BENCH_paper.json".into());
+    args.finish();
+
+    let report = report(PoolConfig {
+        threads,
+        shard_size: 1,
+    });
+    if let Err(e) = std::fs::write(&out, report.render_report()) {
+        die(format!("cannot write {out}: {e}"));
+    }
+    let claims = report.get("claims").and_then(Json::as_arr).unwrap_or(&[]);
+    let failing: Vec<&Json> = claims
+        .iter()
+        .filter(|c| c.get("holds") == Some(&Json::Bool(false)))
+        .collect();
+    for c in &failing {
+        let text = |k| c.get(k).and_then(Json::as_str).unwrap_or_default();
+        let observed = c.get("observed").map(Json::render).unwrap_or_default();
+        println!(
+            "gap  {}: {} (observed {observed})",
+            text("figure"),
+            text("claim")
+        );
+    }
+    println!(
+        "{} of {} claims hold; wrote {out}",
+        claims.len() - failing.len(),
+        claims.len()
+    );
 }
 
 #[cfg(test)]

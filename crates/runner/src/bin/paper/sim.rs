@@ -15,27 +15,46 @@ use mithril_dram::Ddr5Timing;
 use mithril_obs::json::Json;
 use mithril_obs::json_obj;
 use mithril_runner::engine::{run_sharded, PoolConfig};
-use mithril_runner::scenarios::{
-    arr_schemes, mithril_variants, rfm_compatible_schemes, Scenario, MITHRIL_SWEEP,
-    NORMAL_WORKLOADS,
-};
+use mithril_runner::scenarios::{all_schemes, default_rfm_th, Scenario, MITHRIL_SWEEP};
 use mithril_sim::{geomean, Metrics, QosPolicy, Scheme, SystemConfig};
 
 use super::fixed;
 
 /// Instructions per core of every simulated run.
-pub const INSTS_PER_CORE: u64 = 100_000;
+pub(crate) const INSTS_PER_CORE: u64 = 100_000;
 /// The seed of every simulated run.
-pub const SEED: u64 = 1;
+pub(crate) const SEED: u64 = 1;
 
 /// Short-slice NBL calibration (see `BlockHammerConfig::with_nbl_scaled`):
 /// our slice exposes one ~128-ACT sweep burst per row where the full
 /// window accumulates ~700 ACTs.
 const NBL_SCALE: u64 = 6;
 
+/// The five benign workload names of the paper's "normal workloads"
+/// aggregation.
+const NORMAL_WORKLOADS: [&str; 5] = ["mix-high", "mix-blend", "fft", "radix", "pagerank"];
+
+/// The RFM-interface-compatible scheme panel of Fig. 10, in row order.
+const FIG10_SCHEMES: [&str; 4] = ["parfm", "blockhammer", "mithril", "mithril+"];
+
+/// The ARR-based (RFM-interface-*non*-compatible) scheme panel of
+/// Fig. 11, in row order.
+const FIG11_SCHEMES: [&str; 6] = ["para", "cbt", "twice", "graphene", "mithril", "mithril+"];
+
+/// The schemes of [`all_schemes`] labelled `labels`, in that order, with
+/// Mithril at `rfm_th` and BlockHammer at [`NBL_SCALE`].
+fn catalog<const N: usize>(labels: [&str; N], rfm_th: u64) -> [(&'static str, Scheme); N] {
+    let all = all_schemes(rfm_th, NBL_SCALE);
+    labels.map(|label| {
+        *all.iter()
+            .find(|(l, _)| *l == label)
+            .unwrap_or_else(|| panic!("no scheme {label}"))
+    })
+}
+
 /// A Table III scenario (16 cores) running `scheme` at `flip_th` on
 /// `workload` for [`INSTS_PER_CORE`] instructions per core.
-pub fn scenario((label, scheme): (&str, Scheme), flip_th: u64, workload: &str) -> Scenario {
+fn scenario((label, scheme): (&str, Scheme), flip_th: u64, workload: &str) -> Scenario {
     let table_iii = SystemConfig::table_iii();
     Scenario {
         name: format!("{label}/{workload}@{flip_th}"),
@@ -52,7 +71,7 @@ pub fn scenario((label, scheme): (&str, Scheme), flip_th: u64, workload: &str) -
 }
 
 /// The unprotected run `s` is normalized by: `s` with [`Scheme::None`].
-pub fn baseline(s: &Scenario) -> Scenario {
+fn baseline(s: &Scenario) -> Scenario {
     Scenario {
         name: format!("none/{}@{}", s.workload, s.flip_th),
         scheme_label: "none".into(),
@@ -63,7 +82,7 @@ pub fn baseline(s: &Scenario) -> Scenario {
 
 /// How a cell folds its normalized runs into one figure value.
 #[derive(Debug, Clone, Copy)]
-pub enum Measure {
+enum Measure {
     /// IPC relative to the baseline, in percent (two decimals).
     Ipc,
     /// Dynamic energy above the baseline, in percent (three decimals).
@@ -72,13 +91,13 @@ pub enum Measure {
 
 /// One normalized figure value.
 #[derive(Debug, Clone)]
-pub struct Cell {
+struct Cell {
     /// The report column the value lands in.
-    pub column: &'static str,
+    column: &'static str,
     /// How the runs fold into the value.
-    pub measure: Measure,
+    measure: Measure,
     /// Each scheme run paired with its [`baseline`].
-    pub pairs: Vec<(Scenario, Scenario)>,
+    pairs: Vec<(Scenario, Scenario)>,
 }
 
 impl Cell {
@@ -122,20 +141,20 @@ impl Cell {
 
 /// One figure row: its analytic columns (an object), then its cells.
 #[derive(Debug, Clone)]
-pub struct Row {
+struct Row {
     /// Leading columns, known without simulating.
-    pub columns: Json,
+    columns: Json,
     /// Simulated columns, appended in order.
-    pub cells: Vec<Cell>,
+    cells: Vec<Cell>,
 }
 
 /// A simulated figure: its report member name and its rows.
 #[derive(Debug, Clone)]
-pub struct Figure {
+pub(crate) struct Figure {
     /// Report member name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The figure's rows, in report order.
-    pub rows: Vec<Row>,
+    rows: Vec<Row>,
 }
 
 /// A panel: report column, measure and the workloads it folds.
@@ -159,19 +178,18 @@ const FIG11_ENERGY: Panel = ("c_energy_overhead_pct", Measure::Energy, &NORMAL_W
 
 /// Figs. 7, 9, 10 (panels a-d, the RFM-interface-compatible schemes) and
 /// 11 (panels a-c, the ARR-based schemes).
-pub fn figures() -> Vec<Figure> {
-    let rfm_compatible = |flip| rfm_compatible_schemes(flip, NBL_SCALE);
+pub(crate) fn figures() -> Vec<Figure> {
     vec![
         fig7(),
         fig9(),
         panels(
             "fig10",
-            rfm_compatible,
+            FIG10_SCHEMES,
             &[NORMAL_IPC, MULTISIDED, ADVERSARIAL, FIG10_ENERGY],
         ),
         panels(
             "fig11",
-            arr_schemes,
+            FIG11_SCHEMES,
             &[NORMAL_IPC, MULTISIDED, FIG11_ENERGY],
         ),
     ]
@@ -223,7 +241,7 @@ fn fig9() -> Figure {
     let timing = Ddr5Timing::ddr5_4800();
     let rows = MITHRIL_SWEEP.iter().map(|&(flip, rfm)| {
         let kib = MithrilConfig::solve(flip, rfm, 1, Some(200), &timing).ok();
-        let [m, plus] = mithril_variants(rfm);
+        let [m, plus] = catalog(["mithril", "mithril+"], rfm);
         let ipc = |column| (column, Measure::Ipc, &NORMAL_WORKLOADS[..]);
         Row {
             columns: json_obj! {
@@ -243,15 +261,12 @@ fn fig9() -> Figure {
     }
 }
 
-/// The `(FlipTH × scheme)` rows of Figs. 10 and 11, one cell per panel.
-fn panels(
-    name: &'static str,
-    schemes: impl Fn(u64) -> Vec<(&'static str, Scheme)>,
-    panels: &[Panel],
-) -> Figure {
+/// The `(FlipTH × scheme)` rows of Figs. 10 and 11, one cell per panel,
+/// with Mithril at each FlipTH's [`default_rfm_th`].
+fn panels<const N: usize>(name: &'static str, schemes: [&str; N], panels: &[Panel]) -> Figure {
     let mut rows = Vec::new();
     for flip in FLIP_TH_SWEEP {
-        for scheme in schemes(flip) {
+        for scheme in catalog(schemes, default_rfm_th(flip)) {
             rows.push(Row {
                 columns: json_obj! {"flip_th": flip, "scheme": scheme.0},
                 cells: panels.iter().map(|&p| Cell::new(p, scheme, flip)).collect(),
@@ -268,11 +283,11 @@ fn same_run(a: &Scenario, b: &Scenario) -> bool {
 
 /// The distinct simulations behind a set of figures, with their metrics.
 #[derive(Debug)]
-pub struct Runs(Vec<(Scenario, Metrics)>);
+pub(crate) struct Runs(Vec<(Scenario, Metrics)>);
 
 impl Runs {
     /// How many distinct simulations ran.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.0.len()
     }
 
@@ -282,7 +297,7 @@ impl Runs {
 }
 
 /// Every scenario the figures need, once each, in first-use order.
-pub fn distinct(figures: &[Figure]) -> Vec<Scenario> {
+fn distinct(figures: &[Figure]) -> Vec<Scenario> {
     let mut out: Vec<Scenario> = Vec::new();
     let cells = figures.iter().flat_map(|f| &f.rows).flat_map(|r| &r.cells);
     for s in cells.flat_map(|c| &c.pairs).flat_map(|(s, b)| [s, b]) {
@@ -294,7 +309,7 @@ pub fn distinct(figures: &[Figure]) -> Vec<Scenario> {
 }
 
 /// Runs every distinct scenario of `figures` once, at [`SEED`].
-pub fn run(figures: &[Figure], pool: PoolConfig) -> Runs {
+pub(crate) fn run(figures: &[Figure], pool: PoolConfig) -> Runs {
     let scenarios = distinct(figures);
     let metrics = run_sharded(&scenarios, pool, SEED, |s, _| {
         s.run(SEED).unwrap_or_else(|e| panic!("{}: {e}", s.name))
@@ -303,7 +318,7 @@ pub fn run(figures: &[Figure], pool: PoolConfig) -> Runs {
 }
 
 /// A figure's report table: one object per row, analytic columns first.
-pub fn table(figure: &Figure, runs: &Runs) -> Json {
+pub(crate) fn table(figure: &Figure, runs: &Runs) -> Json {
     Json::arr(figure.rows.iter().map(|row| {
         let mut out = row.columns.clone();
         for cell in &row.cells {
@@ -328,6 +343,24 @@ mod tests {
                     assert_eq!(b.workload, s.workload, "{}", s.name);
                     assert_eq!(b.cores, s.cores, "{}", s.name);
                     assert_eq!(b.insts_per_core, s.insts_per_core, "{}", s.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scheme_panels_are_distinct_and_labelled() {
+        for flip in FLIP_TH_SWEEP {
+            let fig10 = catalog(FIG10_SCHEMES, default_rfm_th(flip));
+            let fig11 = catalog(FIG11_SCHEMES, default_rfm_th(flip));
+            assert_eq!((fig10.len(), fig11.len()), (4, 6));
+            for panel in [&fig10[..], &fig11[..]] {
+                for (i, (label, scheme)) in panel.iter().enumerate() {
+                    assert_eq!(*label, scheme.name());
+                    assert!(
+                        panel[..i].iter().all(|(other, _)| other != label),
+                        "{label}"
+                    );
                 }
             }
         }

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p mithril-runner --bin sweep -- [options]
 //!   --smoke           tiny CI sweep (default)
-//!   --full            the full default sweep
+//!   --full            the full default sweep (wins over --smoke)
 //!   --threads N       worker threads (default: host parallelism, max 8)
 //!   --shard-size N    scenarios per shard (default 1)
 //!   --seed N          base seed (default 1)
@@ -52,6 +52,7 @@ use std::time::Instant;
 
 use mithril_obs::json::Json;
 use mithril_obs::json_obj;
+use mithril_runner::cli::{self, die};
 use mithril_runner::engine::{default_threads, PoolConfig};
 use mithril_runner::report::{self, SweepResult};
 use mithril_runner::scenarios::{FaultCampaignSpec, QosCampaignSpec, SweepSpec};
@@ -79,78 +80,40 @@ struct Args {
     qos: bool,
 }
 
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("sweep: {msg}");
-    std::process::exit(2);
-}
-
-fn value<'a>(args: &'a [String], i: &mut usize, usage: &str) -> &'a str {
-    *i += 1;
-    args.get(*i)
-        .unwrap_or_else(|| die(format!("missing value: expected {usage}")))
-        .as_str()
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], i: &mut usize, usage: &str) -> T {
-    let raw = value(args, i, usage);
-    raw.parse()
-        .unwrap_or_else(|_| die(format!("invalid value {raw:?}: expected {usage}")))
-}
-
 fn parse_args() -> Args {
-    let mut out = Args {
-        smoke: true,
-        threads: default_threads(),
-        shard_size: 1,
-        seed: 1,
-        insts: None,
-        cores: None,
-        out: None,
-        obs: None,
-        progress: false,
-        journal: None,
-        resume: false,
-        faults: false,
-        fault_rates: None,
-        scrub: true,
-        qos: false,
+    let mut args = cli::Args::from_env(&[
+        "smoke", "full", "progress", "resume", "faults", "no-scrub", "qos",
+    ]);
+    args.flag("smoke");
+    let out = Args {
+        smoke: !args.flag("full"),
+        threads: args.take_parsed("threads").unwrap_or_else(default_threads),
+        shard_size: args.take_parsed("shard-size").unwrap_or(1),
+        seed: args.take_parsed("seed").unwrap_or(1),
+        insts: args.take_parsed("insts"),
+        cores: args.take_parsed("cores"),
+        out: args.take("out"),
+        obs: args.take("obs"),
+        progress: args.flag("progress"),
+        journal: args.take("journal"),
+        resume: args.flag("resume"),
+        faults: args.flag("faults"),
+        fault_rates: args.take("fault-rates").map(|raw| {
+            let rates: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
+            rates.unwrap_or_else(|_| die(format!("invalid value {raw:?} for --fault-rates")))
+        }),
+        scrub: !args.flag("no-scrub"),
+        qos: args.flag("qos"),
     };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => out.smoke = true,
-            "--full" => out.smoke = false,
-            "--threads" => out.threads = parsed(&args, &mut i, "--threads N"),
-            "--shard-size" => out.shard_size = parsed(&args, &mut i, "--shard-size N"),
-            "--seed" => out.seed = parsed(&args, &mut i, "--seed N"),
-            "--insts" => out.insts = Some(parsed(&args, &mut i, "--insts N")),
-            "--cores" => out.cores = Some(parsed(&args, &mut i, "--cores N")),
-            "--out" => out.out = Some(value(&args, &mut i, "--out PATH").to_string()),
-            "--obs" => out.obs = Some(value(&args, &mut i, "--obs DIR").to_string()),
-            "--progress" => out.progress = true,
-            "--journal" => out.journal = Some(value(&args, &mut i, "--journal PATH").to_string()),
-            "--resume" => out.resume = true,
-            "--faults" => out.faults = true,
-            "--fault-rates" => {
-                let raw = value(&args, &mut i, "--fault-rates R,R,...");
-                let rates: Result<Vec<u64>, _> = raw.split(',').map(str::parse).collect();
-                out.fault_rates = Some(rates.unwrap_or_else(|_| {
-                    die(format!(
-                        "invalid value {raw:?}: expected --fault-rates R,R,..."
-                    ))
-                }));
-            }
-            "--no-scrub" => out.scrub = false,
-            "--qos" => out.qos = true,
-            other => die(format!(
-                "unknown argument {other} (see --help in the crate docs)"
-            )),
-        }
-        i += 1;
-    }
+    args.finish();
     if out.resume && out.journal.is_none() {
         die("--resume requires --journal PATH");
+    }
+    if !out.faults && out.fault_rates.is_some() {
+        die("--fault-rates requires --faults");
+    }
+    if !out.faults && !out.scrub {
+        die("--no-scrub requires --faults");
     }
     if out.faults && out.journal.is_some() {
         die("--faults and --journal are mutually exclusive");

@@ -58,6 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mithril_fasthash::splitmix64_seed;
+use mithril_runner::cli::{die, Args};
 use mithril_runner::engine::{default_threads, PoolConfig};
 use mithril_runner::report::{metrics_only_json, sweep_json};
 use mithril_runner::scenarios::{all_schemes, default_rfm_th, workload, SweepSpec};
@@ -68,12 +69,6 @@ use mithril_trace::{
     DamagePolicy, MtrcReader, MtrcWriter, TextFormat, TextReader, TraceHeader,
 };
 
-fn die(msg: &str) -> ! {
-    eprintln!("trace: {msg}");
-    eprintln!("trace: run with no arguments for usage");
-    std::process::exit(2);
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: trace <record|replay|stat|convert> [options]\n\
@@ -83,57 +78,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `--key value` argument bag with typed take-out helpers.
-struct Args(Vec<(String, String)>);
-
-impl Args {
-    fn parse(raw: &[String]) -> (Vec<String>, Self) {
-        let mut flags = Vec::new();
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let a = &raw[i];
-            if let Some(key) = a.strip_prefix("--") {
-                if key == "metrics-only" || key == "resilient" {
-                    flags.push(key.to_string());
-                    i += 1;
-                    continue;
-                }
-                let v = raw
-                    .get(i + 1)
-                    .unwrap_or_else(|| die(&format!("--{key} needs a value")));
-                pairs.push((key.to_string(), v.clone()));
-                i += 2;
-            } else {
-                die(&format!("unexpected argument {a:?}"));
-            }
-        }
-        (flags, Self(pairs))
-    }
-
-    fn take(&mut self, key: &str) -> Option<String> {
-        let i = self.0.iter().position(|(k, _)| k == key)?;
-        Some(self.0.remove(i).1)
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, key: &str) -> Option<T> {
-        self.take(key).map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("bad value {v:?} for --{key}")))
-        })
-    }
-
-    fn finish(self) {
-        if let Some((k, _)) = self.0.into_iter().next() {
-            die(&format!("unknown option --{k}"));
-        }
-    }
-}
-
 /// `--resilient` skips damaged chunks of an MTRC input; reads are strict
 /// otherwise.
-fn damage_policy(flags: &[String]) -> DamagePolicy {
-    if flags.iter().any(|f| f == "resilient") {
+fn damage_policy(args: &mut Args) -> DamagePolicy {
+    if args.flag("resilient") {
         DamagePolicy::Skip
     } else {
         DamagePolicy::Strict
@@ -153,7 +101,7 @@ fn schemes_for(
         .map(|(label, s)| (label.to_string(), s))
         .collect();
     if picked.is_empty() {
-        die(&format!("unknown scheme {name:?}"));
+        die(format!("unknown scheme {name:?}"));
     }
     picked
 }
@@ -172,7 +120,7 @@ fn geometry_from(args: &mut Args) -> mithril_dram::Geometry {
 fn write_output(out: Option<String>, content: &str) {
     match out {
         Some(path) => {
-            std::fs::write(&path, content).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            std::fs::write(&path, content).unwrap_or_else(|e| die(format!("write {path}: {e}")));
             println!("# wrote {path}");
         }
         None => print!("{content}"),
@@ -214,14 +162,14 @@ fn cmd_record(mut args: Args) {
         source: name.clone(),
     };
     let file = std::fs::File::create(&out)
-        .unwrap_or_else(|e| die(&format!("create {}: {e}", out.display())));
+        .unwrap_or_else(|e| die(format!("create {}: {e}", out.display())));
     let mut writer = MtrcWriter::new(BufWriter::new(file), &header)
-        .unwrap_or_else(|e| die(&format!("write {}: {e}", out.display())));
+        .unwrap_or_else(|e| die(format!("write {}: {e}", out.display())));
     let ops = record_thread_set(&mut set, insts, &mut writer)
-        .unwrap_or_else(|e| die(&format!("record: {e}")));
+        .unwrap_or_else(|e| die(format!("record: {e}")));
     writer
         .finish()
-        .unwrap_or_else(|e| die(&format!("finish {}: {e}", out.display())));
+        .unwrap_or_else(|e| die(format!("finish {}: {e}", out.display())));
     let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(
         "# recorded {name}: {cores} cores x {insts} insts -> {ops} ops, {bytes} bytes ({:.2} B/op) at {}",
@@ -232,8 +180,8 @@ fn cmd_record(mut args: Args) {
 
 // ------------------------------------------------------------------ replay
 
-fn cmd_replay(flags: Vec<String>, mut args: Args) {
-    let policy = damage_policy(&flags);
+fn cmd_replay(mut args: Args) {
+    let policy = damage_policy(&mut args);
     let trace_path = args.take("trace");
     let live_workload = args.take("workload");
     let (workload_name, header) = match (&trace_path, &live_workload) {
@@ -243,7 +191,7 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
             // message rather than as a panic inside a sweep worker; the
             // sweep's scenarios then reuse this decode from the cache.
             let (capture, _) = replay_thread_set(Path::new(p), policy)
-                .unwrap_or_else(|e| die(&format!("{p}: {e}")));
+                .unwrap_or_else(|e| die(format!("{p}: {e}")));
             (
                 format!("{}:{p}", policy.prefix()),
                 Some(capture.header.clone()),
@@ -266,6 +214,7 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
     let shard_size: usize = args.take_parsed("shard-size").unwrap_or(1);
     let out = args.take("out");
     let obs_dir = args.take("obs");
+    let metrics_only = args.flag("metrics-only");
 
     // Header defaults, CLI overrides on top.
     let base_seed: u64 = args
@@ -310,7 +259,7 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
         Some(dir) => {
             let observed = run_sweep_observed(&spec, pool, base_seed, ObsConfig::default(), None);
             write_obs_outputs(Path::new(dir), base_seed, &observed)
-                .unwrap_or_else(|e| die(&format!("--obs {dir}: {e}")));
+                .unwrap_or_else(|e| die(format!("--obs {dir}: {e}")));
             eprintln!("# obs: wrote event logs, time series and {dir}/obs_counts.json");
             observed.into_iter().map(|(r, _)| r).collect()
         }
@@ -333,7 +282,7 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
     }
     eprint!("{table}");
 
-    let json = if flags.iter().any(|f| f == "metrics-only") {
+    let json = if metrics_only {
         metrics_only_json(base_seed, &results)
     } else {
         sweep_json(base_seed, &results)
@@ -343,20 +292,20 @@ fn cmd_replay(flags: Vec<String>, mut args: Args) {
 
 // -------------------------------------------------------------------- stat
 
-fn cmd_stat(flags: Vec<String>, mut args: Args) {
+fn cmd_stat(mut args: Args) {
     let path = args
         .take("trace")
         .unwrap_or_else(|| die("stat needs --trace PATH"));
     let top: usize = args.take_parsed("top").unwrap_or(10);
     let out = args.take("out");
+    let policy = damage_policy(&mut args);
     args.finish();
 
-    let policy = damage_policy(&flags);
-    let file = std::fs::File::open(&path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let file = std::fs::File::open(&path).unwrap_or_else(|e| die(format!("{path}: {e}")));
     let reader =
-        MtrcReader::new(BufReader::new(file)).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        MtrcReader::new(BufReader::new(file)).unwrap_or_else(|e| die(format!("{path}: {e}")));
     let (stats, report) =
-        stats_from_reader(reader, top, policy).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+        stats_from_reader(reader, top, policy).unwrap_or_else(|e| die(format!("{path}: {e}")));
     if let Some(line) = report.skip_line(&path) {
         eprintln!("{line}");
     }
@@ -377,15 +326,15 @@ fn dialect_of(path: &str, flag: Option<String>) -> Dialect {
     match flag.as_deref() {
         Some("mtrc") => Dialect::Mtrc,
         Some(name) => Dialect::Text(
-            TextFormat::from_name(name).unwrap_or_else(|| die(&format!("unknown format {name:?}"))),
+            TextFormat::from_name(name).unwrap_or_else(|| die(format!("unknown format {name:?}"))),
         ),
         None if path.ends_with(".mtrc") => Dialect::Mtrc,
         None => Dialect::Text(TextFormat::Ramulator),
     }
 }
 
-fn cmd_convert(flags: Vec<String>, mut args: Args) {
-    let policy = damage_policy(&flags);
+fn cmd_convert(mut args: Args) {
+    let policy = damage_policy(&mut args);
     let input = args
         .take("in")
         .unwrap_or_else(|| die("convert needs --in PATH"));
@@ -404,13 +353,13 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
         Dialect::Mtrc => {
             for key in ["source", "seed", "channels", "ranks"] {
                 if args.take(key).is_some() {
-                    die(&format!(
+                    die(format!(
                         "--{key} only applies to text input; an .mtrc input keeps its header"
                     ));
                 }
             }
             let capture = load_capture(Path::new(&input), policy)
-                .unwrap_or_else(|e| die(&format!("{input}: {e}")));
+                .unwrap_or_else(|e| die(format!("{input}: {e}")));
             if let Some(line) = capture.report.skip_line(&input) {
                 eprintln!("{line}");
             }
@@ -423,10 +372,9 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
             let source = args.take("source");
             let base_seed: u64 = args.take_parsed("seed").unwrap_or(1);
             let geometry = geometry_from(&mut args);
-            let file =
-                std::fs::File::open(&input).unwrap_or_else(|e| die(&format!("{input}: {e}")));
+            let file = std::fs::File::open(&input).unwrap_or_else(|e| die(format!("{input}: {e}")));
             let ops: Result<Vec<_>, _> = TextReader::new(BufReader::new(file), fmt).collect();
-            let ops = ops.unwrap_or_else(|e| die(&format!("{input}: {e}")));
+            let ops = ops.unwrap_or_else(|e| die(format!("{input}: {e}")));
             let header = TraceHeader {
                 geometry,
                 cores: 1,
@@ -449,7 +397,7 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
     let (mut header, mut per_core) = (header, per_core);
     if let Some(c) = core {
         if c >= per_core.len() {
-            die(&format!(
+            die(format!(
                 "--core {c} out of range (capture has {} cores)",
                 per_core.len()
             ));
@@ -461,31 +409,30 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
     match out_fmt {
         Dialect::Mtrc => {
             let file =
-                std::fs::File::create(&output).unwrap_or_else(|e| die(&format!("{output}: {e}")));
+                std::fs::File::create(&output).unwrap_or_else(|e| die(format!("{output}: {e}")));
             let mut w = MtrcWriter::new(BufWriter::new(file), &header)
-                .unwrap_or_else(|e| die(&format!("{output}: {e}")));
+                .unwrap_or_else(|e| die(format!("{output}: {e}")));
             for (c, ops) in per_core.iter().enumerate() {
                 for &op in ops.iter() {
                     w.push(c, op)
-                        .unwrap_or_else(|e| die(&format!("{output}: {e}")));
+                        .unwrap_or_else(|e| die(format!("{output}: {e}")));
                 }
             }
-            w.finish()
-                .unwrap_or_else(|e| die(&format!("{output}: {e}")));
+            w.finish().unwrap_or_else(|e| die(format!("{output}: {e}")));
         }
         Dialect::Text(fmt) => {
             if per_core.len() != 1 {
-                die(&format!(
+                die(format!(
                     "capture has {} cores; pick one with --core N for text output",
                     per_core.len()
                 ));
             }
             let file =
-                std::fs::File::create(&output).unwrap_or_else(|e| die(&format!("{output}: {e}")));
+                std::fs::File::create(&output).unwrap_or_else(|e| die(format!("{output}: {e}")));
             let mut w = BufWriter::new(file);
             write_text(&mut w, fmt, per_core[0].iter())
-                .unwrap_or_else(|e| die(&format!("{output}: {e}")));
-            w.flush().unwrap_or_else(|e| die(&format!("{output}: {e}")));
+                .unwrap_or_else(|e| die(format!("{output}: {e}")));
+            w.flush().unwrap_or_else(|e| die(format!("{output}: {e}")));
         }
     }
     let ops: usize = per_core.iter().map(|ops| ops.len()).sum();
@@ -496,16 +443,16 @@ fn cmd_convert(flags: Vec<String>, mut args: Args) {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = raw.split_first() else {
+    let mut raw = std::env::args().skip(1);
+    let Some(cmd) = raw.next() else {
         usage();
     };
-    let (flags, args) = Args::parse(rest);
+    let args = Args::parse(raw, &["metrics-only", "resilient"]);
     match cmd.as_str() {
         "record" => cmd_record(args),
-        "replay" => cmd_replay(flags, args),
-        "stat" => cmd_stat(flags, args),
-        "convert" => cmd_convert(flags, args),
-        other => die(&format!("unknown command {other:?}")),
+        "replay" => cmd_replay(args),
+        "stat" => cmd_stat(args),
+        "convert" => cmd_convert(args),
+        other => die(format!("unknown command {other:?}")),
     }
 }

@@ -1,4 +1,5 @@
-//! Scenario registry and sharded parallel sweep engine.
+//! Scenario registry, sharded parallel sweep engine and the command-line
+//! tools built on them.
 //!
 //! `mithril-runner` turns the system simulator into an experiment machine:
 //!
@@ -8,9 +9,18 @@
 //! * [`engine`] — a std::thread work-stealing shard pool with
 //!   deterministic per-shard RNG seeding: the same base seed produces
 //!   bit-identical metrics at any worker count;
-//! * [`report`] — the deterministic `BENCH_sweep.json` writer.
+//! * [`report`] — the deterministic `BENCH_sweep.json` writer;
+//! * [`analytics`] — the regression comparison behind `obs report`;
+//! * [`cli`] — the one argument parser of the binaries.
 //!
-//! The `sweep` binary ties the three together:
+//! Four binaries drive it, each documented in its own source file:
+//!
+//! * `sweep` — sweeps and fault/QoS campaigns (`BENCH_sweep.json`,
+//!   `BENCH_faults.json`, `BENCH_qos.json`);
+//! * `trace` — record, replay, inspect and convert access traces;
+//! * `obs` — compare emitted reports and gate on regressions;
+//! * `paper` — the paper's evaluation as one checked report
+//!   (`BENCH_paper.json`).
 //!
 //! ```text
 //! cargo run --release -p mithril-runner --bin sweep -- --smoke --threads 4
@@ -40,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod analytics;
+pub mod cli;
 pub mod engine;
 mod journal;
 pub mod report;

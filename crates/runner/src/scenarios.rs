@@ -1,14 +1,13 @@
 //! The scenario registry: named workloads, scheme catalogs, and
 //! scheme × workload × geometry sweep specifications.
 //!
-//! Everything the paper report (`mithril_bench::paper`) and the sweeps
-//! share lives here once: the per-figure scheme lists, the workload name
-//! → [`ThreadSet`] factory, the standard `(FlipTH, RFMTH)` sweeps, and the
-//! [`Scenario`] unit the sweep engine executes.
+//! Everything the `paper` report and the sweeps share lives here once:
+//! the scheme catalog, the workload name → [`ThreadSet`] factory, the
+//! standard `(FlipTH, RFMTH)` sweep, and the [`Scenario`] unit the sweep
+//! engine executes. What only the paper report reads (its per-figure
+//! panels, Table IV's rows) is private to the `paper` binary.
 
-use mithril::MithrilConfig;
-use mithril_baselines::{BlockHammerConfig, CbtConfig, GrapheneConfig, TwiCeConfig, FLIP_TH_SWEEP};
-use mithril_dram::{Ddr5Timing, Geometry};
+use mithril_dram::Geometry;
 use mithril_obs::ObsCapture;
 use mithril_sim::{
     FaultConfig, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
@@ -31,10 +30,6 @@ pub const MITHRIL_SWEEP: [(u64, u64); 8] = [
     (1_500, 32),
 ];
 
-/// The five benign workload names of the paper's "normal workloads"
-/// aggregation.
-pub const NORMAL_WORKLOADS: [&str; 5] = ["mix-high", "mix-blend", "fft", "radix", "pagerank"];
-
 /// The Mithril RFMTH the paper pairs with each FlipTH in Figs. 10/11.
 pub fn default_rfm_th(flip_th: u64) -> u64 {
     match flip_th {
@@ -49,7 +44,7 @@ pub fn default_rfm_th(flip_th: u64) -> u64 {
 
 /// Mithril and Mithril+ at `rfm_th` with adaptive refresh (AdTH 200), the
 /// configuration every scheme catalog compares.
-pub fn mithril_variants(rfm_th: u64) -> [(&'static str, Scheme); 2] {
+pub(crate) fn mithril_variants(rfm_th: u64) -> [(&'static str, Scheme); 2] {
     let mithril = |plus| Scheme::Mithril {
         rfm_th,
         ad_th: Some(200),
@@ -58,57 +53,20 @@ pub fn mithril_variants(rfm_th: u64) -> [(&'static str, Scheme); 2] {
     [("mithril", mithril(false)), ("mithril+", mithril(true))]
 }
 
-/// The RFM-interface-compatible scheme panel of paper Fig. 10.
-pub fn rfm_compatible_schemes(flip: u64, nbl_scale: u64) -> Vec<(&'static str, Scheme)> {
-    let mut schemes = vec![
-        ("parfm", Scheme::Parfm),
-        ("blockhammer", Scheme::BlockHammer { nbl_scale }),
-    ];
-    schemes.extend(mithril_variants(default_rfm_th(flip)));
-    schemes
-}
-
-/// The ARR-based (RFM-interface-*non*-compatible) scheme panel of paper
-/// Fig. 11.
-pub fn arr_schemes(flip: u64) -> Vec<(&'static str, Scheme)> {
-    let mut schemes = vec![
-        ("para", Scheme::Para),
-        ("cbt", Scheme::Cbt),
-        ("twice", Scheme::TwiCe),
-        ("graphene", Scheme::Graphene),
-    ];
-    schemes.extend(mithril_variants(default_rfm_th(flip)));
-    schemes
-}
-
 /// Every scheme, for full-system comparisons (the `system_comparison`
-/// example and the default sweep).
+/// example, the default sweep and the `paper` report's panels).
 pub fn all_schemes(rfm_th: u64, nbl_scale: u64) -> Vec<(&'static str, Scheme)> {
-    vec![
-        ("none", Scheme::None),
-        (
-            "mithril",
-            Scheme::Mithril {
-                rfm_th,
-                ad_th: Some(200),
-                plus: false,
-            },
-        ),
-        (
-            "mithril+",
-            Scheme::Mithril {
-                rfm_th,
-                ad_th: Some(200),
-                plus: true,
-            },
-        ),
+    let mut schemes = vec![("none", Scheme::None)];
+    schemes.extend(mithril_variants(rfm_th));
+    schemes.extend([
         ("parfm", Scheme::Parfm),
         ("graphene", Scheme::Graphene),
         ("twice", Scheme::TwiCe),
         ("cbt", Scheme::Cbt),
         ("para", Scheme::Para),
         ("blockhammer", Scheme::BlockHammer { nbl_scale }),
-    ]
+    ]);
+    schemes
 }
 
 /// Instantiates a workload set by name for `cores` threads.
@@ -220,45 +178,6 @@ fn capture_name(name: &str) -> Option<(&str, DamagePolicy)> {
 /// [`Scenario::run_observed`] alike, so the paper report and every sweep
 /// stay comparable.
 const MAX_TIME_PS_PER_INST: u64 = 4_000;
-
-/// Table IV's per-bank counter-table sizes: one row per scheme, one
-/// `Option<f64>` KiB cell per FlipTH of [`FLIP_TH_SWEEP`] (`None` =
-/// infeasible pair, rendered as a dash).
-pub fn table_area_rows(timing: &Ddr5Timing) -> Vec<(String, Vec<Option<f64>>)> {
-    type AreaFn = Box<dyn Fn(u64) -> Option<f64>>;
-    let t = *timing;
-    let mut rows: Vec<(String, AreaFn)> = vec![
-        (
-            "CBT @ MC".into(),
-            Box::new(move |flip| Some(CbtConfig::for_flip_threshold(flip, &t).table_kib())),
-        ),
-        (
-            "Graphene @ MC".into(),
-            Box::new(move |flip| Some(GrapheneConfig::for_flip_threshold(flip, &t).table_kib(&t))),
-        ),
-        (
-            "BlockHammer @ MC".into(),
-            Box::new(move |flip| Some(BlockHammerConfig::for_flip_threshold(flip, &t).table_kib())),
-        ),
-        (
-            "TWiCe @ buffer chip".into(),
-            Box::new(move |flip| Some(TwiCeConfig::for_flip_threshold(flip, &t).table_kib(&t))),
-        ),
-    ];
-    for rfm in [256u64, 128, 64, 32] {
-        rows.push((
-            format!("Mithril-{rfm} @ DRAM"),
-            Box::new(move |flip| {
-                MithrilConfig::for_flip_threshold(flip, rfm, &t)
-                    .ok()
-                    .map(|c| c.table_kib())
-            }),
-        ));
-    }
-    rows.into_iter()
-        .map(|(name, f)| (name, FLIP_TH_SWEEP.iter().map(|&flip| f(flip)).collect()))
-        .collect()
-}
 
 /// A compact tag identifying a geometry in scenario names and reports,
 /// e.g. `2ch2rk32b`.
@@ -621,10 +540,16 @@ mod tests {
     #[test]
     fn workloads_resolve_by_name() {
         let cfg = SystemConfig::table_iii();
-        for name in NORMAL_WORKLOADS
-            .iter()
-            .chain(["attack-double", "attack-multi", "channel-interference"].iter())
-        {
+        for name in [
+            "mix-high",
+            "mix-blend",
+            "fft",
+            "radix",
+            "pagerank",
+            "attack-double",
+            "attack-multi",
+            "channel-interference",
+        ] {
             let set = workload(name, 4, &cfg, 1);
             assert_eq!(set.threads.len(), 4);
         }
@@ -683,16 +608,11 @@ mod tests {
 
     #[test]
     fn scheme_catalogs_are_distinct_and_labelled() {
-        let rfm = rfm_compatible_schemes(6_250, 6);
-        assert_eq!(rfm.len(), 4);
-        let arr = arr_schemes(6_250);
-        assert_eq!(arr.len(), 6);
         let all = all_schemes(64, 6);
         assert_eq!(all.len(), 9);
-        for (label, scheme) in &all {
-            if *label != "none" {
-                assert!(!scheme.name().is_empty());
-            }
+        for (i, (label, scheme)) in all.iter().enumerate() {
+            assert_eq!(*label, scheme.name());
+            assert!(all[..i].iter().all(|(other, _)| other != label), "{label}");
         }
     }
 }

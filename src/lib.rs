@@ -21,7 +21,8 @@
 //!   `trace` CLI in `mithril-runner`).
 //! * [`sim`] — the trace-driven manycore system simulator tying it together.
 //! * [`runner`] — the scenario registry and sharded parallel sweep engine
-//!   (`BENCH_sweep.json`), plus the `sweep` and `trace` binaries.
+//!   (`BENCH_sweep.json`), plus the `sweep`, `trace`, `obs` and `paper`
+//!   binaries.
 //!
 //! ## Quickstart
 //!
@@ -47,8 +48,8 @@
 //! ```
 //!
 //! See `examples/` for full end-to-end scenarios and the `paper` binary
-//! in `crates/bench` for the report regenerating every figure and table of
-//! the paper.
+//! of `mithril-runner` for the report regenerating every figure and table
+//! of the paper.
 
 pub use mithril as core;
 pub use mithril_baselines as baselines;
