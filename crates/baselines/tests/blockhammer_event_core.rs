@@ -37,7 +37,7 @@ fn run(kind: SchedulerKind) -> (MemoryController, Vec<Completion>) {
         Box::new(NoMitigation)
     });
     let cfg = McConfig {
-        bliss: None,
+        bliss: false,
         ..Default::default()
     };
     let bh = BlockHammer::new(short_epoch_config(), geometry.banks_total());

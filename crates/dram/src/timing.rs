@@ -61,7 +61,7 @@ pub struct Ddr5Timing {
 
 impl Ddr5Timing {
     /// DDR5-4800 parameters from the paper's Table III.
-    pub fn ddr5_4800() -> Self {
+    pub const fn ddr5_4800() -> Self {
         Self {
             trc: 48_640,
             trcd: 16_640,

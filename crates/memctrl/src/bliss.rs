@@ -3,42 +3,29 @@
 //!
 //! BLISS ("Blacklisting Memory Scheduler") separates applications into two
 //! priority classes instead of ranking them individually: a thread that is
-//! served `threshold` *consecutive* requests is blacklisted for the rest of
-//! the clearing interval, deprioritizing streak-heavy (interference-prone)
-//! applications. Within a class, scheduling stays FR-FCFS.
+//! served [`STREAK_THRESHOLD`] *consecutive* requests is blacklisted for
+//! the rest of the clearing interval, deprioritizing streak-heavy
+//! (interference-prone) applications. Within a class, scheduling stays
+//! FR-FCFS.
 
 use mithril_dram::TimePs;
 
-/// BLISS tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlissConfig {
-    /// Consecutive services that trigger blacklisting (paper value: 4).
-    pub streak_threshold: u32,
-    /// Blacklist clearing interval (BLISS uses 10 000 CPU cycles; ~2.8 µs
-    /// at 3.6 GHz).
-    pub clearing_interval: TimePs,
-    /// Number of hardware threads tracked.
-    pub threads: usize,
-}
+/// Consecutive services that trigger blacklisting (paper value: 4).
+const STREAK_THRESHOLD: u32 = 4;
 
-impl Default for BlissConfig {
-    fn default() -> Self {
-        Self {
-            streak_threshold: 4,
-            clearing_interval: 2_800_000,
-            threads: 16,
-        }
-    }
-}
+/// Blacklist clearing interval (BLISS uses 10 000 CPU cycles; ~2.8 µs at
+/// 3.6 GHz).
+const CLEARING_INTERVAL: TimePs = 2_800_000;
 
-/// Blacklisting state.
+/// Blacklisting state. The blacklist grows to the highest thread it has
+/// blacklisted, so any number of threads is served.
 ///
 /// # Example
 ///
 /// ```
-/// use mithril_memctrl::{Bliss, BlissConfig};
+/// use mithril_memctrl::Bliss;
 ///
-/// let mut b = Bliss::new(BlissConfig { threads: 2, ..Default::default() });
+/// let mut b = Bliss::default();
 /// for _ in 0..4 {
 ///     b.on_request_served(0, 100);
 /// }
@@ -47,25 +34,25 @@ impl Default for BlissConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bliss {
-    config: BlissConfig,
     blacklisted: Vec<bool>,
     last_thread: Option<usize>,
     streak: u32,
     next_clear: TimePs,
 }
 
-impl Bliss {
-    /// Creates a scheduler state for `config.threads` threads.
-    pub fn new(config: BlissConfig) -> Self {
+impl Default for Bliss {
+    /// An empty blacklist whose first clearing is one interval away.
+    fn default() -> Self {
         Self {
-            blacklisted: vec![false; config.threads],
+            blacklisted: Vec::new(),
             last_thread: None,
             streak: 0,
-            next_clear: config.clearing_interval,
-            config,
+            next_clear: CLEARING_INTERVAL,
         }
     }
+}
 
+impl Bliss {
     /// Records that a request of `thread` was serviced at `now`.
     ///
     /// Returns `true` if the blacklist set changed (a thread was newly
@@ -80,12 +67,14 @@ impl Bliss {
             self.last_thread = Some(thread);
             self.streak = 1;
         }
-        if self.streak >= self.config.streak_threshold {
-            if let Some(b) = self.blacklisted.get_mut(thread) {
-                if !*b {
-                    *b = true;
-                    changed = true;
-                }
+        if self.streak >= STREAK_THRESHOLD {
+            if thread >= self.blacklisted.len() {
+                self.blacklisted.resize(thread + 1, false);
+            }
+            let b = &mut self.blacklisted[thread];
+            if !*b {
+                *b = true;
+                changed = true;
             }
         }
         changed
@@ -109,7 +98,7 @@ impl Bliss {
                 changed = true;
             }
             self.blacklisted.fill(false);
-            self.next_clear += self.config.clearing_interval;
+            self.next_clear += CLEARING_INTERVAL;
         }
         changed
     }
@@ -120,10 +109,7 @@ mod tests {
     use super::*;
 
     fn bliss() -> Bliss {
-        Bliss::new(BlissConfig {
-            threads: 4,
-            ..Default::default()
-        })
+        Bliss::default()
     }
 
     #[test]
@@ -154,7 +140,7 @@ mod tests {
             b.on_request_served(2, 0);
         }
         assert!(b.is_blacklisted(2));
-        b.tick(BlissConfig::default().clearing_interval);
+        b.tick(CLEARING_INTERVAL);
         assert!(!b.is_blacklisted(2));
     }
 
@@ -173,5 +159,20 @@ mod tests {
     fn out_of_range_thread_is_not_blacklisted() {
         let b = bliss();
         assert!(!b.is_blacklisted(99));
+    }
+
+    /// Threads beyond the paper's 16 cores are blacklisted and cleared
+    /// like any other.
+    #[test]
+    fn thread_20_is_blacklisted_then_cleared() {
+        let mut b = bliss();
+        for _ in 0..3 {
+            assert!(!b.on_request_served(20, 0));
+        }
+        assert!(b.on_request_served(20, 0), "the fourth service blacklists");
+        assert!(b.is_blacklisted(20));
+        assert!(!b.is_blacklisted(19));
+        assert!(b.tick(CLEARING_INTERVAL), "the clearing drops thread 20");
+        assert!(!b.is_blacklisted(20));
     }
 }

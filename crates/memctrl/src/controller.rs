@@ -33,7 +33,7 @@ use mithril_obs::{
     Event, EventSink, LaneCause, LatencyHistogram, NullSink, PerCore, TrackerObservation,
 };
 
-use crate::bliss::{Bliss, BlissConfig};
+use crate::bliss::Bliss;
 use crate::mitigation::{McAction, McMitigation};
 use crate::qos::{QosPolicy, QosState, QosStats};
 use crate::request::MemRequest;
@@ -71,10 +71,8 @@ pub struct McConfig {
     pub rfm_mode: RfmMode,
     /// RAA threshold at which an RFM is due.
     pub rfm_th: u64,
-    /// Minimalist-open page policy: max row hits per activation.
-    pub max_row_hits: u32,
-    /// BLISS scheduling, or pure FR-FCFS when `None`.
-    pub bliss: Option<BlissConfig>,
+    /// BLISS scheduling, or pure FR-FCFS when `false`.
+    pub bliss: bool,
 }
 
 impl Default for McConfig {
@@ -82,8 +80,7 @@ impl Default for McConfig {
         Self {
             rfm_mode: RfmMode::Disabled,
             rfm_th: 64,
-            max_row_hits: 4,
-            bliss: Some(BlissConfig::default()),
+            bliss: true,
         }
     }
 }
@@ -299,6 +296,10 @@ impl Action {
     }
 }
 
+/// Minimalist-open page policy: row hits served per activation before
+/// the row closes.
+const MAX_ROW_HITS: u32 = 4;
+
 const PRIO_REF: u8 = 0;
 const PRIO_MAINT_PRE: u8 = 1;
 const PRIO_RFM: u8 = 2;
@@ -404,7 +405,7 @@ impl<S: EventSink> MemoryController<S> {
             mit_generation: mitigation.release_generation(),
             mitigation,
             qos: None,
-            bliss: config.bliss.map(Bliss::new),
+            bliss: config.bliss.then(Bliss::default),
             lanes: (0..nbanks).map(|_| BankLane::default()).collect(),
             cand_at: vec![0; nbanks],
             cand_prio: vec![0; nbanks],
@@ -752,7 +753,7 @@ impl<S: EventSink> MemoryController<S> {
                 Some(row) => match self.best_hit(lane, row) {
                     // Row hits may drain first (RAAMMT slack), but if none
                     // are serviceable we close the row for maintenance.
-                    Some(pos) if lane.hits_served < self.config.max_row_hits => {
+                    Some(pos) if lane.hits_served < MAX_ROW_HITS => {
                         (Cmd::Column { pos: pos as u32 }, bank.earliest_column())
                     }
                     _ => (Cmd::MaintPre, bank.earliest_precharge()),
@@ -765,7 +766,7 @@ impl<S: EventSink> MemoryController<S> {
         } else {
             match open {
                 Some(row) => {
-                    let hit = if lane.hits_served < self.config.max_row_hits {
+                    let hit = if lane.hits_served < MAX_ROW_HITS {
                         self.best_hit(lane, row)
                     } else {
                         None
@@ -970,7 +971,7 @@ impl<S: EventSink> MemoryController<S> {
                     // Row hits may drain first (RAAMMT slack), but if none
                     // are serviceable we close the row.
                     if let Some(pos) = self.best_hit(bq, open.unwrap()) {
-                        if bq.hits_served < self.config.max_row_hits {
+                        if bq.hits_served < MAX_ROW_HITS {
                             let cmd = Cmd::Column { pos: pos as u32 };
                             consider(self.column_time(bank, timing), cmd);
                             return;
@@ -993,7 +994,7 @@ impl<S: EventSink> MemoryController<S> {
 
         match open {
             Some(row) => {
-                if bq.hits_served < self.config.max_row_hits {
+                if bq.hits_served < MAX_ROW_HITS {
                     if let Some(pos) = self.best_hit(bq, row) {
                         let cmd = Cmd::Column { pos: pos as u32 };
                         consider(self.column_time(bank, timing), cmd);

@@ -52,7 +52,7 @@ mod mitigation;
 pub mod qos;
 mod request;
 
-pub use bliss::{Bliss, BlissConfig};
+pub use bliss::Bliss;
 pub use controller::{
     CommandKind, CommandRecord, Completion, CoreStats, McConfig, McStats, MemoryController,
     RfmMode, SchedulerKind,

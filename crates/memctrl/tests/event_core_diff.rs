@@ -265,8 +265,7 @@ fn unblissed_rfm() -> McConfig {
     McConfig {
         rfm_mode: RfmMode::Standard,
         rfm_th: 4,
-        bliss: None,
-        ..Default::default()
+        bliss: false,
     }
 }
 
@@ -330,8 +329,7 @@ proptest! {
         let cfg = McConfig {
             rfm_mode: RfmMode::MrrElision,
             rfm_th: 6,
-            bliss: None,
-            ..Default::default()
+            bliss: false,
         };
         assert_cores_agree(geometry, cfg, || Box::new(NoMcMitigation), &reqs);
     }
@@ -344,8 +342,7 @@ proptest! {
         let cfg = McConfig {
             rfm_mode: RfmMode::MrrElision,
             rfm_th: 6,
-            bliss: None,
-            ..Default::default()
+            bliss: false,
         };
         assert_cores_agree(straddling_geometry(), cfg, || Box::new(NoMcMitigation), &reqs);
     }
@@ -408,7 +405,7 @@ proptest! {
     #[test]
     fn qos_throttling_matches(reqs in batches(120), bliss in any::<bool>(), tokens in 0u64..3) {
         let cfg = McConfig {
-            bliss: if bliss { McConfig::default().bliss } else { None },
+            bliss,
             ..unblissed_rfm()
         };
         assert_cores_agree_qos(

@@ -877,11 +877,6 @@ impl Sampler {
         self.interval_cycles
     }
 
-    /// The cycle period in picoseconds.
-    pub fn cycle_ps(&self) -> u64 {
-        self.cycle_ps
-    }
-
     fn next_deadline_ps(&self) -> u64 {
         self.next_k
             .saturating_mul(self.interval_cycles)

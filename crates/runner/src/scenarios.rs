@@ -7,7 +7,7 @@
 //! engine executes. What only the paper report reads (its per-figure
 //! panels, Table IV's rows) is private to the `paper` binary.
 
-use mithril_dram::Geometry;
+use mithril_dram::{Ddr5Timing, Geometry};
 use mithril_obs::ObsCapture;
 use mithril_sim::{
     FaultConfig, Metrics, ObsConfig, QosConfig, QosPolicy, Scheme, System, SystemConfig,
@@ -132,7 +132,7 @@ pub fn workload(name: &str, cores: usize, cfg: &SystemConfig, seed: u64) -> Thre
             cores,
             cfg.mapping(),
             cfg.flip_th,
-            &cfg.timing,
+            &Ddr5Timing::ddr5_4800(),
             &[0, 1, 249, 250],
             2,
             seed,

@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use mithril_obs::json::Json;
-use mithril_obs::{ChannelCapture, Event, LaneCause, ObsCapture, KINDS};
+use mithril_obs::{ChannelCapture, Event, LaneCause, ObsCapture, DEFAULT_CYCLE_PS, KINDS};
 use mithril_runner::engine::PoolConfig;
 use mithril_runner::report::{faults_json, metrics_only_json, sweep_json};
 use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
@@ -173,7 +173,7 @@ fn every_event_kind() -> ObsCapture {
     ];
     assert_eq!(events.len(), KINDS);
     ObsCapture {
-        cycle_ps: 416,
+        cycle_ps: DEFAULT_CYCLE_PS,
         interval_cycles: 1,
         channels: vec![ChannelCapture {
             channel: 0,

@@ -2,42 +2,28 @@
 //!
 //! Each core replays its workload trace: batches of non-memory
 //! instructions retire at the pipeline width, memory operations look up the
-//! LLC, and misses occupy one of `mlp` miss slots (the memory-level
+//! LLC, and misses occupy one of [`MLP`] miss slots (the memory-level
 //! parallelism an out-of-order window sustains). A core with all slots full
 //! stalls until a fill returns — the mechanism through which RFM/ARR/
 //! throttling-induced DRAM stalls become IPC loss.
 
 use mithril_dram::TimePs;
 
-/// Core micro-architecture parameters (paper Table III: 3.6 GHz 4-way OOO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreParams {
-    /// Retire width (instructions per cycle).
-    pub width: u32,
-    /// Core clock period in picoseconds (278 ps ≈ 3.6 GHz).
-    pub period_ps: TimePs,
-    /// Outstanding misses the core tolerates before stalling.
-    pub mlp: usize,
-    /// Exposed LLC hit latency per access, in picoseconds (after OOO
-    /// overlap).
-    pub llc_hit_ps: TimePs,
-}
+// Core micro-architecture (paper Table III: 3.6 GHz 4-way OOO).
 
-impl Default for CoreParams {
-    fn default() -> Self {
-        Self {
-            width: 4,
-            period_ps: 278,
-            mlp: 8,
-            llc_hit_ps: 3_000,
-        }
-    }
-}
+/// Retire width (instructions per cycle).
+const WIDTH: u32 = 4;
+/// Core clock period in picoseconds (278 ps ≈ 3.6 GHz).
+const PERIOD_PS: TimePs = 278;
+/// Outstanding misses the core tolerates before stalling.
+const MLP: usize = 8;
+/// Exposed LLC hit latency per access, in picoseconds (after OOO
+/// overlap).
+const LLC_HIT_PS: TimePs = 3_000;
 
 /// Execution state of one core.
 #[derive(Debug)]
 pub(crate) struct CoreState {
-    params: CoreParams,
     /// Core-local time.
     pub clock: TimePs,
     /// Instructions retired.
@@ -52,9 +38,8 @@ pub(crate) struct CoreState {
 
 impl CoreState {
     /// A fresh core with an instruction budget.
-    pub fn new(params: CoreParams, budget: u64) -> Self {
+    pub fn new(budget: u64) -> Self {
         Self {
-            params,
             clock: 0,
             insts: 0,
             outstanding: 0,
@@ -71,20 +56,20 @@ impl CoreState {
     /// Advances local time for a batch of non-memory instructions plus the
     /// issue of one memory access.
     pub(crate) fn retire_batch(&mut self, non_mem_insts: u32) {
-        let cycles = (non_mem_insts / self.params.width).max(1) as TimePs;
-        self.clock += cycles * self.params.period_ps;
+        let cycles = (non_mem_insts / WIDTH).max(1) as TimePs;
+        self.clock += cycles * PERIOD_PS;
         self.insts += non_mem_insts as u64 + 1;
     }
 
     /// Accounts an LLC hit.
     pub(crate) fn account_hit(&mut self) {
-        self.clock += self.params.llc_hit_ps;
+        self.clock += LLC_HIT_PS;
     }
 
     /// Registers a demand miss; returns `true` if the core is now blocked.
     pub(crate) fn register_miss(&mut self) -> bool {
         self.outstanding += 1;
-        self.blocked = self.outstanding >= self.params.mlp;
+        self.blocked = self.outstanding >= MLP;
         self.blocked
     }
 
@@ -103,7 +88,7 @@ impl CoreState {
         if self.clock == 0 {
             return 0.0;
         }
-        let cycles = self.clock as f64 / self.params.period_ps as f64;
+        let cycles = self.clock as f64 / PERIOD_PS as f64;
         self.insts as f64 / cycles
     }
 }
@@ -113,7 +98,7 @@ mod tests {
     use super::*;
 
     fn core() -> CoreState {
-        CoreState::new(CoreParams::default(), u64::MAX)
+        CoreState::new(u64::MAX)
     }
 
     #[test]
@@ -171,7 +156,7 @@ mod tests {
 
     #[test]
     fn budget_marks_done() {
-        let mut c = CoreState::new(CoreParams::default(), 10);
+        let mut c = CoreState::new(10);
         assert!(!c.done());
         c.retire_batch(20);
         assert!(c.done());

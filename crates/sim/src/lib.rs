@@ -12,6 +12,14 @@
 //! many extra DRAM operations it performs (energy). Reported numbers are
 //! normalized against the unprotected baseline, as in the paper.
 //!
+//! [`SystemConfig`] holds only what the paper's sweeps vary: cores,
+//! geometry, FlipTH, scheme, seed, faults and QoS, plus the LLC size.
+//! The rest of Table III is a constant of the module that uses it:
+//! DDR5-4800 timing and blast radius 1 (`system`), the core's width,
+//! clock, MLP and hit latency (`core_model`) and 64-byte lines (`llc`);
+//! the controller fixes BLISS's streak and clearing interval and the
+//! minimalist-open row-hit budget.
+//!
 //! # Example
 //!
 //! ```
@@ -37,7 +45,6 @@ mod llc;
 mod metrics;
 mod system;
 
-pub use core_model::CoreParams;
 pub use llc::{Llc, LlcAccess, LlcConfig};
 pub use metrics::{geomean, ChannelMetrics, Metrics};
 pub use system::{ObsConfig, Scheme, System, SystemConfig};

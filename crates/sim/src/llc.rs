@@ -4,15 +4,16 @@
 
 use mithril_fasthash::FastHashMap;
 
-/// LLC geometry and latency.
+/// Bytes per cache line.
+const LINE_BYTES: usize = 64;
+
+/// LLC geometry, in 64-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
     /// Total capacity in bytes (paper: 16 MB).
     pub size_bytes: usize,
     /// Associativity (ways).
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: usize,
 }
 
 impl Default for LlcConfig {
@@ -20,7 +21,6 @@ impl Default for LlcConfig {
         Self {
             size_bytes: 16 << 20,
             ways: 16,
-            line_bytes: 64,
         }
     }
 }
@@ -78,7 +78,7 @@ impl Llc {
     /// zero or above 255.
     pub fn new(config: LlcConfig) -> Self {
         assert!(config.ways > 0, "ways must be non-zero");
-        let sets = config.size_bytes / config.line_bytes / config.ways;
+        let sets = config.size_bytes / LINE_BYTES / config.ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(sets >= 2, "at least two sets are needed");
         assert!(config.ways <= u8::MAX as usize, "ways must fit in u8");
@@ -177,7 +177,6 @@ mod tests {
         Llc::new(LlcConfig {
             size_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         })
     }
 

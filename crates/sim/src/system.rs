@@ -19,7 +19,7 @@ use mithril_obs::{
 };
 use mithril_workloads::{ThreadSet, TraceOp};
 
-use crate::core_model::{CoreParams, CoreState};
+use crate::core_model::CoreState;
 use crate::llc::{Llc, LlcAccess, LlcConfig};
 use crate::metrics::{ChannelMetrics, Metrics};
 
@@ -75,7 +75,9 @@ impl Scheme {
     }
 }
 
-/// Whole-system configuration (defaults follow paper Table III).
+/// The settable part of the paper's Table III system. The rest of the
+/// machine is fixed: DDR5-4800 timing, the 3.6 GHz core model, blast
+/// radius 1, and (in the controller) BLISS with minimalist-open pages.
 #[derive(Debug, Clone, Copy)]
 pub struct SystemConfig {
     /// Number of cores / hardware threads.
@@ -83,16 +85,10 @@ pub struct SystemConfig {
     /// The memory hierarchy: channels × ranks × banks. Each channel gets
     /// its own controller and DRAM device.
     pub geometry: Geometry,
-    /// DDR timing parameters.
-    pub timing: Ddr5Timing,
-    /// Core model parameters.
-    pub core: CoreParams,
     /// LLC parameters.
     pub llc: LlcConfig,
     /// Row Hammer threshold the oracle checks and schemes protect.
     pub flip_th: u64,
-    /// Blast radius for disturbance accounting.
-    pub blast_radius: u64,
     /// The protection scheme.
     pub scheme: Scheme,
     /// RNG seed for probabilistic schemes.
@@ -115,11 +111,8 @@ impl SystemConfig {
         Self {
             cores: 16,
             geometry: Geometry::table_iii_system(),
-            timing: Ddr5Timing::ddr5_4800(),
-            core: CoreParams::default(),
             llc: LlcConfig::default(),
             flip_th: 6_250,
-            blast_radius: 1,
             scheme: Scheme::None,
             seed: 1,
             faults: None,
@@ -139,6 +132,12 @@ impl SystemConfig {
     }
 }
 
+/// The DRAM timing every channel runs (paper Table III: DDR5-4800).
+const TIMING: Ddr5Timing = Ddr5Timing::ddr5_4800();
+
+/// Rows on each side of an aggressor that its activations disturb.
+const BLAST_RADIUS: u64 = 1;
+
 /// Simulation epoch length: the quantum at which cores and memory
 /// controllers synchronize.
 const EPOCH_PS: TimePs = 500_000;
@@ -153,10 +152,9 @@ pub struct ObsConfig {
     /// Events retained per channel ring (exact per-kind counts are kept
     /// regardless; the ring only bounds the JSONL tail).
     pub ring_capacity: usize,
-    /// Time-series grid spacing, in memory cycles.
+    /// Time-series grid spacing, in memory cycles of
+    /// [`DEFAULT_CYCLE_PS`] picoseconds.
     pub interval_cycles: u64,
-    /// Memory-cycle period in picoseconds (the cycle domain of the grid).
-    pub cycle_ps: u64,
 }
 
 impl Default for ObsConfig {
@@ -164,7 +162,6 @@ impl Default for ObsConfig {
         Self {
             ring_capacity: 65_536,
             interval_cycles: 100_000,
-            cycle_ps: DEFAULT_CYCLE_PS,
         }
     }
 }
@@ -199,7 +196,7 @@ impl Plan {
     /// Solves `config.scheme` for `config.flip_th` on one channel's
     /// geometry.
     fn solve(config: &SystemConfig) -> Result<Self, String> {
-        let timing = &config.timing;
+        let timing = &TIMING;
         let rows = config.geometry.channel_view().rows_per_bank;
         let flip = config.flip_th;
         Ok(match config.scheme {
@@ -209,7 +206,7 @@ impl Plan {
                 ad_th,
                 plus,
             } => Plan::Mithril {
-                cfg: MithrilConfig::solve(flip, rfm_th, config.blast_radius, ad_th, timing)
+                cfg: MithrilConfig::solve(flip, rfm_th, BLAST_RADIUS, ad_th, timing)
                     .map_err(|e| e.to_string())?
                     .with_rows_per_bank(rows),
                 plus,
@@ -316,11 +313,6 @@ impl System<RingSink> {
     /// per-kind counts and time-series rows — leaving the sinks empty
     /// but still recording.
     pub fn take_obs(&mut self) -> ObsCapture {
-        let cycle_ps = self
-            .samplers
-            .first()
-            .map(Sampler::cycle_ps)
-            .unwrap_or(DEFAULT_CYCLE_PS);
         let interval_cycles = self
             .samplers
             .first()
@@ -345,7 +337,7 @@ impl System<RingSink> {
             })
             .collect();
         ObsCapture {
-            cycle_ps,
+            cycle_ps: DEFAULT_CYCLE_PS,
             interval_cycles,
             channels,
         }
@@ -377,13 +369,13 @@ impl<S: EventSink> System<S> {
             .collect();
         let samplers = match obs {
             Some(o) => (0..config.geometry.channels)
-                .map(|_| Sampler::new(o.interval_cycles, o.cycle_ps))
+                .map(|_| Sampler::new(o.interval_cycles, DEFAULT_CYCLE_PS))
                 .collect(),
             None => Vec::new(),
         };
         Ok(Self {
             cores: (0..config.cores)
-                .map(|_| CoreState::new(config.core, u64::MAX))
+                .map(|_| CoreState::new(u64::MAX))
                 .collect(),
             threads,
             llc: Llc::new(config.llc),
@@ -408,7 +400,6 @@ impl<S: EventSink> System<S> {
         obs: S,
         scheduler: SchedulerKind,
     ) -> MemoryController<S> {
-        let timing = config.timing;
         // Each controller owns one channel's worth of the hierarchy.
         let geometry = config.geometry.channel_view();
         let banks = geometry.banks_total();
@@ -462,7 +453,7 @@ impl<S: EventSink> System<S> {
         };
 
         let device = match config.faults {
-            None => DramDevice::new(geometry, timing, flip, config.blast_radius, |bank| {
+            None => DramDevice::new(geometry, TIMING, flip, BLAST_RADIUS, |bank| {
                 engine_for(bank)
             }),
             Some(fault_cfg) => {
@@ -472,7 +463,7 @@ impl<S: EventSink> System<S> {
                 // The base is salted so fault draws never correlate with
                 // the schemes' own RNG streams.
                 let fault_base = config.seed ^ FAULT_SEED_SALT;
-                DramDevice::new(geometry, timing, flip, config.blast_radius, |bank| {
+                DramDevice::new(geometry, TIMING, flip, BLAST_RADIUS, |bank| {
                     Box::new(FaultyEngine::new(
                         engine_for(bank),
                         fault_cfg,
@@ -889,6 +880,8 @@ mod tests {
     /// End-to-end decision identity: a full System run must produce
     /// identical metrics under either scheduler core, on 1- and 2-channel
     /// geometries and across scheme styles (none, RFM, ARR, throttling).
+    /// The 20-core case has BLISS blacklist threads 16 and up, beyond the
+    /// paper's 16 cores.
     #[test]
     fn scheduler_cores_agree_end_to_end() {
         let schemes = [
@@ -901,16 +894,17 @@ mod tests {
             Scheme::Para,
             Scheme::BlockHammer { nbl_scale: 6 },
         ];
-        for channels in [1usize, 2] {
+        for (channels, cores) in [(1usize, 4usize), (2, 4), (2, 20)] {
             for scheme in schemes {
                 let run = |scheduler: SchedulerKind| {
                     let mut cfg = quick_config(scheme);
                     cfg.geometry.channels = channels;
-                    on_core(cfg, mix_high(4, 11), scheduler).run(8_000, u64::MAX)
+                    cfg.cores = cores;
+                    on_core(cfg, mix_high(cores, 11), scheduler).run(8_000, u64::MAX)
                 };
                 let ev = run(SchedulerKind::EventQueue);
                 let na = run(SchedulerKind::NaiveRescan);
-                let tag = format!("{}ch/{}", channels, scheme.name());
+                let tag = format!("{}ch/{}c/{}", channels, cores, scheme.name());
                 assert_eq!(ev.total_insts, na.total_insts, "insts diverge ({tag})");
                 assert_eq!(ev.sim_time_ps, na.sim_time_ps, "time diverges ({tag})");
                 assert_eq!(ev.counters, na.counters, "counters diverge ({tag})");

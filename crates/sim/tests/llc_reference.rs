@@ -34,7 +34,7 @@ struct StampLlc {
 
 impl StampLlc {
     fn new(config: LlcConfig) -> Self {
-        let sets = config.size_bytes / config.line_bytes / config.ways;
+        let sets = config.size_bytes / 64 / config.ways;
         assert!(sets.is_power_of_two());
         let empty = Line {
             tag: 0,
@@ -150,7 +150,6 @@ fn config(sets: usize, ways: usize) -> LlcConfig {
     LlcConfig {
         size_bytes: sets * ways * 64,
         ways,
-        line_bytes: 64,
     }
 }
 

@@ -105,7 +105,7 @@ fn table_footprint() -> (usize, u64) {
 /// counts.
 fn llc_footprint() -> (u64, u64, u64) {
     let config = LlcConfig::default();
-    let lines = (config.size_bytes / config.line_bytes) as u64;
+    let lines = (config.size_bytes / 64) as u64;
     let sets = lines / config.ways as u64;
     let before = bytes();
     let llc = Llc::new(config);

@@ -197,7 +197,7 @@ fn blockhammer_adversarial_pattern_hurts_blockhammer_most() {
             4,
             cfg.mapping(),
             cfg.flip_th,
-            &cfg.timing,
+            &Ddr5Timing::ddr5_4800(),
             &[0, 1, 249, 250],
             2,
             3,
