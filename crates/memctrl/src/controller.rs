@@ -457,11 +457,6 @@ impl<S: EventSink> MemoryController<S> {
         (self.obs_cand_hits, self.obs_cand_invalidations)
     }
 
-    /// Total queued requests, as sampled by the observability probes.
-    pub fn queue_depth(&self) -> u64 {
-        self.pending() as u64
-    }
-
     /// Aggregate snapshot of every bank engine's tracker structure.
     pub fn observe_trackers(&self) -> TrackerObservation {
         self.device.observe_trackers()

@@ -74,9 +74,10 @@ use json::Json;
 /// measure).
 pub const FORMAT_VERSION: u64 = 3;
 
-/// DDR5-4800 command-clock period in picoseconds (2400 MHz), the default
-/// cycle unit of the sample grid. `Ddr5Timing` expresses everything in
-/// picoseconds; this is the conversion the cycle domain is defined by.
+/// DDR5-4800 command-clock period in picoseconds (2400 MHz), the cycle
+/// unit of the sample grid and of every event's `cycle` stamp.
+/// `Ddr5Timing` expresses everything in picoseconds; this is the
+/// conversion the cycle domain is defined by.
 pub const DEFAULT_CYCLE_PS: u64 = 416;
 
 /// Checks that a parsed report carries exactly this crate's
@@ -847,7 +848,6 @@ impl SampleRow {
 #[derive(Debug, Clone)]
 pub struct Sampler {
     interval_cycles: u64,
-    cycle_ps: u64,
     /// Next grid index to emit (grid cycle `next_k * interval_cycles`).
     next_k: u64,
     rows: Vec<SampleRow>,
@@ -855,18 +855,16 @@ pub struct Sampler {
 
 impl Sampler {
     /// Creates a sampler on a grid of `interval_cycles` cycles of
-    /// `cycle_ps` picoseconds each. The zero-cycle row is skipped (the
-    /// initial state is all zeros by construction).
+    /// [`DEFAULT_CYCLE_PS`] picoseconds each. The zero-cycle row is
+    /// skipped (the initial state is all zeros by construction).
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero.
-    pub fn new(interval_cycles: u64, cycle_ps: u64) -> Self {
+    /// Panics if `interval_cycles` is zero.
+    pub fn new(interval_cycles: u64) -> Self {
         assert!(interval_cycles > 0, "interval must be non-zero");
-        assert!(cycle_ps > 0, "cycle period must be non-zero");
         Self {
             interval_cycles,
-            cycle_ps,
             next_k: 1,
             rows: Vec::new(),
         }
@@ -880,7 +878,7 @@ impl Sampler {
     fn next_deadline_ps(&self) -> u64 {
         self.next_k
             .saturating_mul(self.interval_cycles)
-            .saturating_mul(self.cycle_ps)
+            .saturating_mul(DEFAULT_CYCLE_PS)
     }
 
     /// Emits one row per grid deadline at or before `now_ps`. The probe
@@ -923,12 +921,10 @@ pub struct ChannelCapture {
 }
 
 /// A full observability capture of one simulation: per-channel events and
-/// time series plus the grid parameters, with deterministic renderers for
-/// each artifact the CLI writes.
+/// time series plus the grid spacing (in cycles of [`DEFAULT_CYCLE_PS`]),
+/// with deterministic renderers for each artifact the CLI writes.
 #[derive(Debug, Clone)]
 pub struct ObsCapture {
-    /// Cycle period used for the grid (picoseconds).
-    pub cycle_ps: u64,
     /// Grid spacing in cycles.
     pub interval_cycles: u64,
     /// Per-channel captures, channel order.
@@ -972,7 +968,7 @@ impl ObsCapture {
         for (at, channel, _, ev) in merged {
             let mut line = json_obj! {
                 "t_ps": at,
-                "cycle": at / self.cycle_ps,
+                "cycle": at / DEFAULT_CYCLE_PS,
                 "channel": channel,
                 "kind": ev.kind_name(),
             };
@@ -1029,7 +1025,7 @@ impl ObsCapture {
         });
         json_obj! {
             "format_version": FORMAT_VERSION,
-            "cycle_ps": self.cycle_ps,
+            "cycle_ps": DEFAULT_CYCLE_PS,
             "interval_cycles": self.interval_cycles,
             "events_total": self.total_events(),
             "events_dropped": self.total_dropped(),
@@ -1132,17 +1128,18 @@ mod tests {
 
     #[test]
     fn sampler_catches_up_on_grid_cycles() {
-        let mut s = Sampler::new(10, 2); // deadline every 20 ps
+        let mut s = Sampler::new(10);
+        let deadline = 10 * DEFAULT_CYCLE_PS;
         let mut probe = |cycle: u64| SampleRow {
             cycle,
             ..SampleRow::default()
         };
-        s.poll(19, &mut probe);
+        s.poll(deadline - 1, &mut probe);
         assert!(s.rows().is_empty(), "before the first deadline");
-        s.poll(20, &mut probe);
+        s.poll(deadline, &mut probe);
         assert_eq!(s.rows().len(), 1);
         // A big jump emits one row per missed grid point.
-        s.poll(65, &mut probe);
+        s.poll(3 * deadline + deadline / 2, &mut probe);
         let cycles: Vec<u64> = s.rows().iter().map(|r| r.cycle).collect();
         assert_eq!(cycles, vec![10, 20, 30]);
     }
@@ -1150,15 +1147,14 @@ mod tests {
     #[test]
     fn capture_renderers_are_deterministic() {
         let capture = ObsCapture {
-            cycle_ps: 2,
             interval_cycles: 10,
             channels: vec![
                 ChannelCapture {
                     channel: 0,
                     events: vec![
-                        (4, Event::Act { bank: 1, row: 7 }),
+                        (2 * DEFAULT_CYCLE_PS, Event::Act { bank: 1, row: 7 }),
                         (
-                            8,
+                            4 * DEFAULT_CYCLE_PS,
                             Event::Rfm {
                                 bank: 1,
                                 aggressor: Some(7),
@@ -1184,7 +1180,7 @@ mod tests {
                 },
                 ChannelCapture {
                     channel: 1,
-                    events: vec![(4, Event::BlissClear)],
+                    events: vec![(2 * DEFAULT_CYCLE_PS, Event::BlissClear)],
                     counts: {
                         let mut c = [0; KINDS];
                         c[KINDS - 1] = 1;
@@ -1256,30 +1252,33 @@ mod tests {
             },
             Event::BlissClear,
         ];
+        // One event every 1.5 cycles, so the cycle stamps round down.
         let capture = ObsCapture {
-            cycle_ps: 1000,
             interval_cycles: 1,
             channels: vec![ChannelCapture {
                 channel: 1,
-                events: (0u64..).zip(events).map(|(i, e)| (1500 * i, e)).collect(),
+                events: (0u64..)
+                    .zip(events)
+                    .map(|(i, e)| (DEFAULT_CYCLE_PS * 3 / 2 * i, e))
+                    .collect(),
                 counts: [1; KINDS],
                 dropped: 0,
                 rows: vec![],
             }],
         };
         let expected = r#"{"t_ps":0,"cycle":0,"channel":1,"kind":"act","bank":1,"row":2}
-{"t_ps":1500,"cycle":1,"channel":1,"kind":"ref","rank":1,"banks":8}
-{"t_ps":3000,"cycle":3,"channel":1,"kind":"rfm","bank":3,"aggressor":null,"victims":0,"skipped":true}
-{"t_ps":4500,"cycle":4,"channel":1,"kind":"rfm_elided","bank":4}
-{"t_ps":6000,"cycle":6,"channel":1,"kind":"arr","bank":5,"victims":2}
-{"t_ps":7500,"cycle":7,"channel":1,"kind":"mitigation_trigger","bank":6,"victims":2}
-{"t_ps":9000,"cycle":9,"channel":1,"kind":"table_evict","bank":7,"evictions":3}
-{"t_ps":10500,"cycle":10,"channel":1,"kind":"table_invalidate","bank":8,"invalidations":1}
-{"t_ps":12000,"cycle":12,"channel":1,"kind":"fault_inject","bank":9,"count":1}
-{"t_ps":13500,"cycle":13,"channel":1,"kind":"fault_detect","bank":9,"count":2}
-{"t_ps":15000,"cycle":15,"channel":1,"kind":"fault_repair","bank":9,"count":3}
-{"t_ps":16500,"cycle":16,"channel":1,"kind":"lane_invalidate","bank":2,"cause":"throttle"}
-{"t_ps":18000,"cycle":18,"channel":1,"kind":"bliss_clear"}
+{"t_ps":624,"cycle":1,"channel":1,"kind":"ref","rank":1,"banks":8}
+{"t_ps":1248,"cycle":3,"channel":1,"kind":"rfm","bank":3,"aggressor":null,"victims":0,"skipped":true}
+{"t_ps":1872,"cycle":4,"channel":1,"kind":"rfm_elided","bank":4}
+{"t_ps":2496,"cycle":6,"channel":1,"kind":"arr","bank":5,"victims":2}
+{"t_ps":3120,"cycle":7,"channel":1,"kind":"mitigation_trigger","bank":6,"victims":2}
+{"t_ps":3744,"cycle":9,"channel":1,"kind":"table_evict","bank":7,"evictions":3}
+{"t_ps":4368,"cycle":10,"channel":1,"kind":"table_invalidate","bank":8,"invalidations":1}
+{"t_ps":4992,"cycle":12,"channel":1,"kind":"fault_inject","bank":9,"count":1}
+{"t_ps":5616,"cycle":13,"channel":1,"kind":"fault_detect","bank":9,"count":2}
+{"t_ps":6240,"cycle":15,"channel":1,"kind":"fault_repair","bank":9,"count":3}
+{"t_ps":6864,"cycle":16,"channel":1,"kind":"lane_invalidate","bank":2,"cause":"throttle"}
+{"t_ps":7488,"cycle":18,"channel":1,"kind":"bliss_clear"}
 "#;
         assert_eq!(capture.events_jsonl(), expected);
     }
@@ -1327,7 +1326,6 @@ mod tests {
     #[test]
     fn summary_surfaces_ring_drops_as_warnings() {
         let mut capture = ObsCapture {
-            cycle_ps: 2,
             interval_cycles: 10,
             channels: vec![ChannelCapture {
                 channel: 3,

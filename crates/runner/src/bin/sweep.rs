@@ -57,8 +57,7 @@ use mithril_runner::engine::{default_threads, PoolConfig};
 use mithril_runner::report::{self, SweepResult};
 use mithril_runner::scenarios::{FaultCampaignSpec, QosCampaignSpec, SweepSpec};
 use mithril_runner::{
-    run_fault_campaign, run_qos_campaign, run_sweep_journaled, run_sweep_observed, run_sweep_with,
-    write_obs_outputs, Progress,
+    run_campaign, run_sweep_journaled, run_sweep_observed, write_obs_outputs, Progress,
 };
 use mithril_sim::ObsConfig;
 
@@ -204,7 +203,7 @@ impl Campaign {
                 (what, n)
             }
             Campaign::Faults(spec) => {
-                let n = spec.scenarios().len();
+                let n = spec.passes().concat().len();
                 let what = format!(
                     "fault campaign: {n} runs ({} base scenarios x {} rates, scrub {})",
                     spec.base.scenarios().len(),
@@ -214,7 +213,7 @@ impl Campaign {
                 (what, n)
             }
             Campaign::Qos(spec) => {
-                let n = spec.scenarios().len();
+                let n = spec.passes().concat().len();
                 let what = format!(
                     "qos campaign: {n} runs ({} base scenarios, off + throttled passes)",
                     spec.base.scenarios().len()
@@ -237,7 +236,7 @@ impl Campaign {
         match self {
             Campaign::Sweep(spec) => sweep(spec, args, pool, progress),
             Campaign::Faults(spec) => {
-                let runs = run_fault_campaign(spec, pool, args.seed, progress);
+                let passes = run_campaign(&spec.passes(), pool, args.seed, progress);
                 Finished {
                     columns: &[
                         "rate_ppm",
@@ -247,15 +246,19 @@ impl Campaign {
                         "injected",
                         "repairs",
                     ],
-                    rows: runs
+                    rows: passes
                         .iter()
+                        .flatten()
                         .map(|r| (name(r), report::fault_point_tree(r)))
                         .collect(),
-                    report: report::faults_json(args.seed, spec.scrub, &spec.rates_ppm, &runs),
+                    report: report::faults_json(args.seed, spec.scrub, &spec.rates_ppm, &passes),
                 }
             }
             Campaign::Qos(spec) => {
-                let results = run_qos_campaign(spec, pool, args.seed, progress);
+                let passes = run_campaign(&spec.passes(), pool, args.seed, progress);
+                let [off, on] = &passes[..] else {
+                    unreachable!("a QoS campaign runs an off and an on pass")
+                };
                 let row = |r: &SweepResult| match &r.outcome {
                     Ok(m) => report::tenant_summary_tree(m),
                     Err(e) => json_obj! {"error": e},
@@ -268,8 +271,8 @@ impl Campaign {
                         "flips",
                         "qos_throttled_acts",
                     ],
-                    rows: results.iter().map(|r| (name(r), row(r))).collect(),
-                    report: report::qos_campaign_json(args.seed, &results),
+                    rows: off.iter().chain(on).map(|r| (name(r), row(r))).collect(),
+                    report: report::qos_campaign_json(args.seed, off, on),
                 }
             }
         }
@@ -301,8 +304,8 @@ fn sweep(spec: &SweepSpec, args: &Args, pool: PoolConfig, progress: Option<&Prog
             .map(|(r, _)| report::result_tree(r))
             .collect()
     } else {
-        let results = run_sweep_with(spec, pool, args.seed, progress);
-        results.iter().map(report::result_tree).collect()
+        let passes = run_campaign(&[spec.scenarios()], pool, args.seed, progress);
+        passes.iter().flatten().map(report::result_tree).collect()
     };
     let rows = entries
         .iter()

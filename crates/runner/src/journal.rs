@@ -43,8 +43,9 @@ use crate::scenarios::Scenario;
 pub(crate) const JOURNAL_MAGIC: &str = "MTRJ1";
 
 /// Fingerprint of a sweep's identity: the report [`FORMAT_VERSION`], the
-/// base seed, the shard size (each position's seed depends on it, see
-/// [`position_seed`](crate::engine::position_seed)) and every expanded
+/// base seed, the effective shard size (each position's seed depends on
+/// it, see [`position_seed`](crate::engine::position_seed), which runs a
+/// zero size as 1) and every expanded
 /// scenario's name and size knobs. Two sweeps with the same fingerprint
 /// produce the same entry at every index, which is exactly what resuming
 /// requires; a journal written under another report format or shard size
@@ -53,7 +54,7 @@ pub fn fingerprint(base_seed: u64, shard_size: usize, scenarios: &[Scenario]) ->
     let mut bytes = Vec::new();
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&base_seed.to_le_bytes());
-    bytes.extend_from_slice(&(shard_size as u64).to_le_bytes());
+    bytes.extend_from_slice(&(shard_size.max(1) as u64).to_le_bytes());
     for s in scenarios {
         bytes.extend_from_slice(s.name.as_bytes());
         bytes.push(0);
@@ -324,6 +325,8 @@ mod tests {
         assert_ne!(fingerprint(1, 1, &a), fingerprint(2, 1, &a));
         assert_ne!(fingerprint(1, 1, &a), fingerprint(1, 1, &bigger));
         assert_ne!(fingerprint(1, 1, &a), fingerprint(1, 4, &a));
+        // Shard sizes 0 and 1 seed and shard alike, so they share journals.
+        assert_eq!(fingerprint(1, 0, &a), fingerprint(1, 1, &a));
         assert_eq!(fingerprint(1, 1, &a), fingerprint(1, 1, &a.clone()));
     }
 }

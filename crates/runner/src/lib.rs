@@ -64,7 +64,7 @@ use mithril_obs::json::Json;
 use mithril_obs::ObsCapture;
 use mithril_sim::ObsConfig;
 use report::{ObsCountEntry, SweepResult};
-use scenarios::{FaultCampaignSpec, QosCampaignSpec, Scenario, SweepSpec};
+use scenarios::{Scenario, SweepSpec};
 
 /// A sweep heartbeat: worker threads [`tick`](Progress::tick) it after
 /// every finished scenario and it prints `# progress: done/total (name)`
@@ -95,123 +95,109 @@ impl Progress {
     }
 }
 
-/// The one way scenarios execute: runs `run(i, seed)` for every position
-/// `i` of `scenarios` on the robust shard pool, ticks `progress` after
-/// each, and returns every position's seed and outcome in registry order.
-///
-/// A position that panicked on every attempt is isolated rather than
-/// taking the sweep down: it comes back as `Err("panicked (N attempts):
-/// …")` at the seed the engine assigned it,
-/// [`engine::position_seed`]`(base_seed, shard_size, i)`.
+/// The one way scenarios execute, and the one seeding rule: a campaign
+/// is variant passes over one base grid, and pass `v`'s position `i`
+/// runs `run(scenario, i, seed)` under [`engine::position_seed`]`(base_seed,
+/// shard_size, i)`, the seed of base cell `i`. A plain sweep is the
+/// one-pass case. All passes share one robust pool pass; `progress` ticks
+/// after every position. Returns each position's seed and outcome,
+/// pass-major; a position that panicked on every attempt comes back as
+/// `Err("panicked (N attempts): …")` instead of taking the campaign down.
 fn execute<R: Send>(
-    scenarios: &[Scenario],
+    passes: &[Vec<Scenario>],
     pool: PoolConfig,
     base_seed: u64,
     progress: Option<&Progress>,
-    run: impl Fn(usize, u64) -> Result<R, String> + Sync,
+    run: impl Fn(&Scenario, usize, u64) -> Result<R, String> + Sync,
 ) -> Vec<(u64, Result<R, String>)> {
-    let positions: Vec<usize> = (0..scenarios.len()).collect();
-    let outcomes =
-        engine::run_sharded_robust(&positions, pool, base_seed, DEFAULT_RETRIES, |&i, seed| {
-            let outcome = run(i, seed);
+    let seed = |i| engine::position_seed(base_seed, pool.shard_size, i);
+    let positions: Vec<(usize, usize)> = passes
+        .iter()
+        .enumerate()
+        .flat_map(|(v, pass)| (0..pass.len()).map(move |i| (v, i)))
+        .collect();
+    // The pool's own flat-position seed goes unused: a variant takes its
+    // base cell's seed, which in the first pass is that same seed.
+    let outcomes = engine::run_sharded_robust(
+        &positions,
+        pool,
+        base_seed,
+        DEFAULT_RETRIES,
+        |&(v, i), _| {
+            let scenario = &passes[v][i];
+            let outcome = run(scenario, i, seed(i));
             if let Some(p) = progress {
-                p.tick(&scenarios[i].name);
+                p.tick(&scenario.name);
             }
             outcome
-        });
-    outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let seed = engine::position_seed(base_seed, pool.shard_size, i);
-            (seed, item.into_result().and_then(|outcome| outcome))
-        })
+        },
+    );
+    positions
+        .iter()
+        .zip(outcomes)
+        .map(|(&(_, i), item)| (seed(i), item.into_result().and_then(|outcome| outcome)))
         .collect()
 }
 
-/// [`execute`] with plain [`Scenario::run`]s, paired back up with their
-/// scenarios.
-fn run_scenarios(
-    scenarios: Vec<Scenario>,
-    pool: PoolConfig,
-    base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
-        scenarios[i].run(seed)
-    });
-    scenarios
-        .into_iter()
-        .zip(runs)
-        .map(|(scenario, (seed, outcome))| SweepResult {
-            scenario,
-            seed,
-            outcome,
-        })
-        .collect()
-}
-
-/// Executes `spec` on the shard pool and returns per-scenario results in
-/// registry order. Bit-identical for any `pool.threads`.
+/// Executes a campaign — `passes`, each the base grid under one variant
+/// (see [`FaultCampaignSpec::passes`] and [`QosCampaignSpec::passes`]) —
+/// on the shard pool and returns every pass's results in registry order.
+/// Position `i` of every pass runs under the seed of base cell `i`, so a
+/// cell's variants differ only in their variant, never in the workload's
+/// or scheme's RNG draw. Bit-identical for any `pool.threads`.
 ///
-/// A scenario that *panics* (rather than erroring) is isolated: the
-/// engine retries it once with its original position seed and, if it
-/// keeps panicking, reports the panic as that scenario's `Err` outcome
-/// instead of taking the whole sweep down.
-pub fn run_sweep(spec: &SweepSpec, pool: PoolConfig, base_seed: u64) -> Vec<SweepResult> {
-    run_sweep_with(spec, pool, base_seed, None)
-}
-
-/// [`run_sweep`] with an optional [`Progress`] heartbeat ticked after
-/// every finished scenario.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    run_scenarios(spec.scenarios(), pool, base_seed, progress)
-}
-
-/// Executes a QoS campaign (`spec.base` with QoS off, then the same grid
-/// with throttling on) and returns results in registry (off-pass-first)
-/// order. Bit-identical at any `pool.threads` like [`run_sweep`].
-///
-/// The two passes are seeded independently from the same `base_seed`, so
-/// a QoS-off run and its `+qos` twin execute under the **same** seed —
-/// every off/on pair differs only in the throttling policy, never in the
-/// workload's or scheme's RNG draw.
+/// A scenario that *panics* (rather than erroring) is retried once with
+/// its original seed and, if it keeps panicking, reported as its `Err`
+/// outcome instead of taking the whole campaign down.
 ///
 /// ```
 /// use mithril_runner::engine::PoolConfig;
-/// use mithril_runner::run_qos_campaign;
+/// use mithril_runner::run_campaign;
 /// use mithril_runner::scenarios::QosCampaignSpec;
 ///
 /// let mut spec = QosCampaignSpec::smoke();
 /// spec.base.insts_per_core = 400; // keep the doctest quick
 /// spec.base.cores = 2;
 /// let pool = PoolConfig { threads: 2, shard_size: 1 };
-/// let results = run_qos_campaign(&spec, pool, 7, None);
-/// let half = results.len() / 2;
-/// // Position i of the off pass pairs with position half + i of the on
-/// // pass: same scenario, same seed, QoS policy flipped.
-/// assert_eq!(results[0].seed, results[half].seed);
-/// assert_eq!(
-///     format!("{}+qos", results[0].scenario.name),
-///     results[half].scenario.name
-/// );
+/// let passes = run_campaign(&spec.passes(), pool, 7, None);
+/// let (off, on) = (&passes[0][0], &passes[1][0]);
+/// // Position i of the off pass pairs with position i of the on pass:
+/// // same scenario, same seed, QoS policy flipped.
+/// assert_eq!(off.seed, on.seed);
+/// assert_eq!(format!("{}+qos", off.scenario.name), on.scenario.name);
 /// ```
-pub fn run_qos_campaign(
-    spec: &QosCampaignSpec,
+///
+/// [`FaultCampaignSpec::passes`]: scenarios::FaultCampaignSpec::passes
+/// [`QosCampaignSpec::passes`]: scenarios::QosCampaignSpec::passes
+pub fn run_campaign(
+    passes: &[Vec<Scenario>],
     pool: PoolConfig,
     base_seed: u64,
     progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    let all = spec.scenarios();
-    let (off, on) = all.split_at(all.len() / 2);
-    let mut results = run_scenarios(off.to_vec(), pool, base_seed, progress);
-    results.extend(run_scenarios(on.to_vec(), pool, base_seed, progress));
-    results
+) -> Vec<Vec<SweepResult>> {
+    let mut runs = execute(passes, pool, base_seed, progress, |s, _, seed| s.run(seed)).into_iter();
+    passes
+        .iter()
+        .map(|pass| {
+            pass.iter()
+                .zip(runs.by_ref().take(pass.len()))
+                .map(|(scenario, (seed, outcome))| SweepResult {
+                    scenario: scenario.clone(),
+                    seed,
+                    outcome,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Executes `spec` on the shard pool and returns per-scenario results in
+/// registry order: the one-pass [`run_campaign`].
+pub fn run_sweep(spec: &SweepSpec, pool: PoolConfig, base_seed: u64) -> Vec<SweepResult> {
+    run_campaign(&[spec.scenarios()], pool, base_seed, None)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Executes `spec` with ring-sink observability attached to every
@@ -231,10 +217,11 @@ pub fn run_sweep_observed(
     obs: ObsConfig,
     progress: Option<&Progress>,
 ) -> Vec<(SweepResult, Option<ObsCapture>)> {
-    let scenarios = spec.scenarios();
-    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
-        scenarios[i].run_observed(seed, obs)
+    let passes = [spec.scenarios()];
+    let runs = execute(&passes, pool, base_seed, progress, |s, _, seed| {
+        s.run_observed(seed, obs)
     });
+    let [scenarios] = passes;
     scenarios
         .into_iter()
         .zip(runs)
@@ -318,20 +305,6 @@ pub fn write_obs_outputs(
     Ok(counts)
 }
 
-/// Executes a fault-resilience campaign (`spec.base` × `spec.rates_ppm`)
-/// and returns results in registry (rate-major) order, each run's fault
-/// counters in its [`Metrics::faults`](mithril_sim::Metrics::faults).
-/// Fault plans are seeded by sweep position, so the campaign is
-/// bit-identical at any `pool.threads`.
-pub fn run_fault_campaign(
-    spec: &FaultCampaignSpec,
-    pool: PoolConfig,
-    base_seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<SweepResult> {
-    run_scenarios(spec.scenarios(), pool, base_seed, progress)
-}
-
 /// The outcome of a journaled (crash-safe) sweep.
 #[derive(Debug)]
 pub struct JournaledSweep {
@@ -371,8 +344,9 @@ pub fn run_sweep_journaled(
     resume: bool,
     progress: Option<&Progress>,
 ) -> Result<JournaledSweep, String> {
-    let scenarios = spec.scenarios();
-    let fp = journal::fingerprint(base_seed, pool.shard_size, &scenarios);
+    let passes = [spec.scenarios()];
+    let [scenarios] = &passes;
+    let fp = journal::fingerprint(base_seed, pool.shard_size, scenarios);
     let (journaled, dropped_lines, writer) = if resume && path.exists() {
         let loaded = journal::load(path, base_seed, fp, scenarios.len())?;
         let writer = journal::JournalWriter::append(path)?;
@@ -382,11 +356,10 @@ pub fn run_sweep_journaled(
         (vec![None; scenarios.len()], 0, writer)
     };
 
-    let runs = execute(&scenarios, pool, base_seed, progress, |i, seed| {
+    let runs = execute(&passes, pool, base_seed, progress, |scenario, i, seed| {
         if let Some(entry) = &journaled[i] {
             return Ok(entry.clone());
         }
-        let scenario = &scenarios[i];
         let entry = report::result_tree(&SweepResult {
             scenario: scenario.clone(),
             seed,
@@ -396,12 +369,12 @@ pub fn run_sweep_journaled(
         Ok(entry)
     });
     let entries = scenarios
-        .into_iter()
+        .iter()
         .zip(runs)
         .map(|(scenario, (seed, run))| {
             run.unwrap_or_else(|panicked| {
                 report::result_tree(&SweepResult {
-                    scenario,
+                    scenario: scenario.clone(),
                     seed,
                     outcome: Err(panicked),
                 })

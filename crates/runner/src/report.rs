@@ -277,54 +277,45 @@ pub fn fault_point_tree(r: &SweepResult) -> Json {
     }
 }
 
-/// Renders a fault campaign to the `BENCH_faults.json` format: the flat
-/// run list (each entry a [`result_tree`] record extended with its rate
-/// and fault counters), followed by one degradation curve per
-/// scheme × workload × geometry cell ([`fault_point_tree`] per rate).
+/// Renders a fault campaign to the `BENCH_faults.json` format from its
+/// rate passes (one per entry of `rates_ppm`, as
+/// [`crate::run_campaign`] returns them): the flat run list (each entry a
+/// [`result_tree`] record extended with its rate and fault counters),
+/// followed by one degradation curve per base cell — curve `i` is
+/// position `i` of every pass, one [`fault_point_tree`] per rate.
 ///
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
-pub fn faults_json(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[SweepResult]) -> String {
-    faults_tree(base_seed, scrub, rates_ppm, runs).render_report()
+pub fn faults_json(
+    base_seed: u64,
+    scrub: bool,
+    rates_ppm: &[u64],
+    passes: &[Vec<SweepResult>],
+) -> String {
+    faults_tree(base_seed, scrub, rates_ppm, passes).render_report()
 }
 
-fn faults_tree(base_seed: u64, scrub: bool, rates_ppm: &[u64], runs: &[SweepResult]) -> Json {
-    let entries = runs.iter().map(|r| {
+fn faults_tree(
+    base_seed: u64,
+    scrub: bool,
+    rates_ppm: &[u64],
+    passes: &[Vec<SweepResult>],
+) -> Json {
+    let entries = passes.iter().flatten().map(|r| {
         let mut t = result_tree(r);
         t.push("rate_ppm", rate_ppm(r));
         let faults = r.outcome.as_ref().ok().and_then(|m| m.faults.as_ref());
         t.push("fault_stats", faults.map(fault_stats_tree));
         t
     });
-
-    // One curve per base cell, in first-appearance order (the campaign
-    // expands rate-major, so the rate-0 pass fixes the cell order).
-    let cell = |s: &Scenario| {
-        (
-            s.scheme_label.clone(),
-            s.workload.clone(),
-            geometry_tag(&s.geometry),
-        )
-    };
-    let mut cells = Vec::new();
-    for r in runs {
-        let c = cell(&r.scenario);
-        if !cells.contains(&c) {
-            cells.push(c);
-        }
-    }
-    let curves = cells.into_iter().map(|c| {
-        let points: Vec<Json> = runs
-            .iter()
-            .filter(|r| cell(&r.scenario) == c)
-            .map(fault_point_tree)
-            .collect();
-        let (scheme, workload, geom) = c;
+    let cells = passes.first().into_iter().flatten();
+    let curves = cells.enumerate().map(|(i, cell)| {
+        let s = &cell.scenario;
         json_obj! {
-            "scheme": scheme,
-            "workload": workload,
-            "geometry": geom,
-            "points": points,
+            "scheme": &s.scheme_label,
+            "workload": &s.workload,
+            "geometry": geometry_tag(&s.geometry),
+            "points": Json::arr(passes.iter().map(|pass| fault_point_tree(&pass[i]))),
         }
     });
 
@@ -384,42 +375,37 @@ pub fn tenant_summary_tree(m: &Metrics) -> Json {
     }
 }
 
-/// Renders a QoS campaign to the `BENCH_qos.json` format: the flat run
-/// list (QoS-off pass first, then the `+qos` pass), followed by one
-/// comparison pair per scheme × geometry cell — the per-tenant summaries
-/// of the QoS-off and QoS-on runs side by side, so victim tail latency,
-/// fairness and flip safety can be read off without re-deriving them
-/// from the per-core arrays.
+/// Renders a QoS campaign to the `BENCH_qos.json` format from its QoS-off
+/// and QoS-on passes (as [`crate::run_campaign`] returns them): the flat
+/// run list (QoS-off pass first, then the `+qos` pass), followed by one
+/// comparison pair per base cell — position `i` of each pass, their
+/// per-tenant summaries side by side, so victim tail latency, fairness
+/// and flip safety can be read off without re-deriving them from the
+/// per-core arrays. A cell where either run failed has no pair.
 ///
 /// Deterministic like [`sweep_json`]: identical campaigns render to
 /// identical strings at any worker count.
-pub fn qos_campaign_json(base_seed: u64, results: &[SweepResult]) -> String {
-    qos_campaign_tree(base_seed, results).render_report()
+pub fn qos_campaign_json(base_seed: u64, off: &[SweepResult], on: &[SweepResult]) -> String {
+    qos_campaign_tree(base_seed, off, on).render_report()
 }
 
-fn qos_campaign_tree(base_seed: u64, results: &[SweepResult]) -> Json {
-    let pairs = results
-        .iter()
-        .filter(|r| !r.scenario.name.ends_with("+qos"))
-        .filter_map(|off| {
-            let on = results
-                .iter()
-                .find(|r| r.scenario.name == format!("{}+qos", off.scenario.name))?;
-            let (Ok(m_off), Ok(m_on)) = (&off.outcome, &on.outcome) else {
-                return None;
-            };
-            Some(json_obj! {
-                "scheme": &off.scenario.scheme_label,
-                "workload": &off.scenario.workload,
-                "geometry": geometry_tag(&off.scenario.geometry),
-                "off": tenant_summary_tree(m_off),
-                "qos": tenant_summary_tree(m_on),
-            })
-        });
+fn qos_campaign_tree(base_seed: u64, off: &[SweepResult], on: &[SweepResult]) -> Json {
+    let pairs = off.iter().zip(on).filter_map(|(off, on)| {
+        let (Ok(m_off), Ok(m_on)) = (&off.outcome, &on.outcome) else {
+            return None;
+        };
+        Some(json_obj! {
+            "scheme": &off.scenario.scheme_label,
+            "workload": &off.scenario.workload,
+            "geometry": geometry_tag(&off.scenario.geometry),
+            "off": tenant_summary_tree(m_off),
+            "qos": tenant_summary_tree(m_on),
+        })
+    });
     json_obj! {
         "format_version": FORMAT_VERSION,
         "base_seed": base_seed,
-        "scenarios": Json::arr(results.iter().map(result_tree)),
+        "scenarios": Json::arr(off.iter().chain(on).map(result_tree)),
         "pairs": Json::arr(pairs),
     }
 }
@@ -551,23 +537,31 @@ mod tests {
         let sweep = sweep_json(7, &results);
         assert_eq!(Json::parse(&sweep).unwrap().render_report(), sweep);
 
-        // A fault campaign with both an anchor (no fault stats) and an
-        // injected run, and a QoS campaign with an off/on pair.
-        let mut runs = results.clone();
-        let mut injected = results[0].clone();
-        injected.scenario.faults = Some(mithril_sim::FaultConfig::mixed(10_000));
-        injected.outcome.as_mut().unwrap().faults = Some(FaultStats {
-            bit_flips: 3,
-            repairs: 1,
-            ..FaultStats::default()
-        });
-        runs.push(injected);
-        assert_round_trips(&faults_tree(1, true, &[0, 10_000], &runs));
+        // A fault campaign with both anchors (no fault stats) and injected
+        // runs, and a QoS campaign with off/on pairs.
+        let injected: Vec<SweepResult> = results
+            .iter()
+            .cloned()
+            .map(|mut r| {
+                r.scenario.faults = Some(mithril_sim::FaultConfig::mixed(10_000));
+                r.outcome.as_mut().unwrap().faults = Some(FaultStats {
+                    bit_flips: 3,
+                    repairs: 1,
+                    ..FaultStats::default()
+                });
+                r
+            })
+            .collect();
+        let faults = faults_tree(1, true, &[0, 10_000], &[results.clone(), injected]);
+        let curves = faults.get("curves").unwrap().as_arr().unwrap();
+        assert_eq!(curves.len(), results.len());
+        assert_eq!(curves[0].get("points").unwrap().as_arr().unwrap().len(), 2);
+        assert_round_trips(&faults);
 
-        let mut on = results[0].clone();
-        on.scenario.name.push_str("+qos");
-        let qos = qos_campaign_tree(1, &[results[0].clone(), on]);
-        assert_eq!(qos.get("pairs").unwrap().as_arr().unwrap().len(), 1);
+        let mut on = results.clone();
+        on.iter_mut().for_each(|r| r.scenario.name.push_str("+qos"));
+        let qos = qos_campaign_tree(1, &results, &on);
+        assert_eq!(qos.get("pairs").unwrap().as_arr().unwrap().len(), 2);
         assert_round_trips(&qos);
     }
 

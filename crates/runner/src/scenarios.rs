@@ -368,14 +368,39 @@ impl SweepSpec {
         }
         out
     }
+
+    /// The campaign expansion both [`FaultCampaignSpec`] and
+    /// [`QosCampaignSpec`] use: one pass of the base grid per variant,
+    /// each scenario adjusted by `apply`. Position `i` of every pass is
+    /// base cell `i`, the pairing [`crate::run_campaign`] seeds by.
+    fn variant_passes<V>(
+        &self,
+        variants: &[V],
+        apply: impl Fn(&mut Scenario, &V),
+    ) -> Vec<Vec<Scenario>> {
+        let grid = self.scenarios();
+        variants
+            .iter()
+            .map(|variant| {
+                grid.iter()
+                    .cloned()
+                    .map(|mut s| {
+                        apply(&mut s, variant);
+                        s
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// A fault-resilience campaign: a base sweep crossed with a ladder of
 /// soft-error rates.
 ///
-/// Every base scenario is re-run once per rate; rate `0` runs fault-free
-/// (`faults: None`) and anchors each degradation curve. Scenario names
-/// carry a `@f<rate>ppm` suffix so the flat run list stays unambiguous.
+/// Every base scenario is re-run once per rate, under the base cell's
+/// seed; rate `0` runs fault-free (`faults: None`) and anchors each
+/// degradation curve. Scenario names carry a `@f<rate>ppm` suffix so the
+/// flat run list stays unambiguous.
 #[derive(Debug, Clone)]
 pub struct FaultCampaignSpec {
     /// The scheme × workload × geometry grid to stress.
@@ -404,25 +429,20 @@ impl FaultCampaignSpec {
         }
     }
 
-    /// Expands the campaign into concrete scenarios, rate-major: the full
-    /// base grid at `rates_ppm[0]`, then at `rates_ppm[1]`, and so on.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = Vec::new();
-        for &rate in &self.rates_ppm {
-            for mut s in self.base.scenarios() {
-                s.name = format!("{}@f{rate}ppm", s.name);
-                s.faults = (rate > 0).then(|| {
-                    let cfg = FaultConfig::mixed(rate);
-                    if self.scrub {
-                        cfg
-                    } else {
-                        cfg.without_scrub()
-                    }
-                });
-                out.push(s);
-            }
-        }
-        out
+    /// Expands the campaign into its variant passes, one per rate in
+    /// `rates_ppm` order, each the full base grid at that rate.
+    pub fn passes(&self) -> Vec<Vec<Scenario>> {
+        self.base.variant_passes(&self.rates_ppm, |s, &rate| {
+            s.name = format!("{}@f{rate}ppm", s.name);
+            s.faults = (rate > 0).then(|| {
+                let cfg = FaultConfig::mixed(rate);
+                if self.scrub {
+                    cfg
+                } else {
+                    cfg.without_scrub()
+                }
+            });
+        })
     }
 }
 
@@ -430,10 +450,10 @@ impl FaultCampaignSpec {
 /// with QoS off and once with controller-side throttling on.
 ///
 /// The QoS-off pass anchors every comparison (victim tail latency,
-/// fairness, flip safety); the QoS-on pass re-runs the identical grid
-/// with [`QosPolicy::Throttle`] and a `+qos` name suffix so the flat run
-/// list stays unambiguous, mirroring the fault campaign's `@f<rate>ppm`
-/// convention.
+/// fairness, flip safety); the QoS-on pass re-runs the identical grid,
+/// under the same seeds, with [`QosPolicy::Throttle`] and a `+qos` name
+/// suffix so the flat run list stays unambiguous, mirroring the fault
+/// campaign's `@f<rate>ppm` convention.
 #[derive(Debug, Clone)]
 pub struct QosCampaignSpec {
     /// The scheme × workload × geometry grid to run with and without QoS.
@@ -471,17 +491,17 @@ impl QosCampaignSpec {
         }
     }
 
-    /// Expands the campaign into concrete scenarios: the full base grid
-    /// QoS-off first (bit-identical to a plain sweep over `base`), then
-    /// the same grid QoS-on with `+qos` name suffixes.
-    pub fn scenarios(&self) -> Vec<Scenario> {
-        let mut out = self.base.scenarios();
-        for mut s in self.base.scenarios() {
-            s.name = format!("{}+qos", s.name);
-            s.qos = QosPolicy::Throttle(self.qos);
-            out.push(s);
-        }
-        out
+    /// Expands the campaign into its two variant passes: the base grid
+    /// QoS-off (bit-identical to a plain sweep over `base`), then the same
+    /// grid QoS-on with `+qos` name suffixes.
+    pub fn passes(&self) -> Vec<Vec<Scenario>> {
+        let policies = [QosPolicy::Off, QosPolicy::Throttle(self.qos)];
+        self.base.variant_passes(&policies, |s, &qos| {
+            if qos != QosPolicy::Off {
+                s.name.push_str("+qos");
+            }
+            s.qos = qos;
+        })
     }
 }
 
@@ -492,19 +512,21 @@ mod tests {
     #[test]
     fn qos_campaign_pairs_off_and_on_passes() {
         let spec = QosCampaignSpec::smoke();
-        let scenarios = spec.scenarios();
-        let per_pass = spec.base.scenarios().len();
-        assert_eq!(scenarios.len(), per_pass * 2);
-        assert!(scenarios[..per_pass]
+        let [off, on] = &spec.passes()[..] else {
+            panic!("a QoS campaign has an off and an on pass");
+        };
+        assert_eq!(off.len(), spec.base.scenarios().len());
+        assert_eq!(on.len(), off.len());
+        assert!(off
             .iter()
             .all(|s| s.qos == QosPolicy::Off && !s.name.ends_with("+qos")));
-        for (off, on) in scenarios[..per_pass].iter().zip(&scenarios[per_pass..]) {
+        for (off, on) in off.iter().zip(on) {
             assert_eq!(on.name, format!("{}+qos", off.name));
             assert_eq!(on.qos, QosPolicy::Throttle(spec.qos));
             assert_eq!(on.workload, off.workload);
             assert_eq!(on.scheme_label, off.scheme_label);
         }
-        assert!(scenarios.iter().all(|s| s.workload == "noisy-neighbor"));
+        assert!(off.iter().all(|s| s.workload == "noisy-neighbor"));
     }
 
     #[test]
@@ -518,13 +540,19 @@ mod tests {
     #[test]
     fn fault_campaign_expands_rate_major_with_anchor() {
         let spec = FaultCampaignSpec::smoke();
-        let scenarios = spec.scenarios();
-        let per_rate = spec.base.scenarios().len();
-        assert_eq!(scenarios.len(), per_rate * spec.rates_ppm.len());
-        assert!(scenarios[..per_rate]
+        let passes = spec.passes();
+        let grid = spec.base.scenarios();
+        assert_eq!(passes.len(), spec.rates_ppm.len());
+        assert!(passes[0]
             .iter()
             .all(|s| s.faults.is_none() && s.name.ends_with("@f0ppm")));
-        let last = &scenarios[scenarios.len() - 1];
+        for pass in &passes {
+            assert_eq!(pass.len(), grid.len());
+            for (s, base) in pass.iter().zip(&grid) {
+                assert!(s.name.starts_with(&format!("{}@f", base.name)));
+            }
+        }
+        let last = passes.last().unwrap().last().unwrap();
         let faults = last.faults.expect("non-zero rates carry a FaultConfig");
         assert_eq!(faults.rate_ppm, *spec.rates_ppm.last().unwrap());
         assert!(faults.scrub);

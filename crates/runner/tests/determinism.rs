@@ -8,7 +8,7 @@ use mithril_runner::report::{
     faults_json, result_tree, sweep_json, sweep_json_from_entries, SweepResult,
 };
 use mithril_runner::scenarios::{FaultCampaignSpec, Scenario, SweepSpec};
-use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_journaled, run_sweep_observed};
+use mithril_runner::{run_campaign, run_sweep, run_sweep_journaled, run_sweep_observed};
 use mithril_sim::ObsConfig;
 
 fn tiny_spec() -> SweepSpec {
@@ -84,8 +84,8 @@ fn tiny_campaign() -> FaultCampaignSpec {
 
 fn campaign_report_at(threads: usize, seed: u64) -> String {
     let spec = tiny_campaign();
-    let runs = run_fault_campaign(
-        &spec,
+    let passes = run_campaign(
+        &spec.passes(),
         PoolConfig {
             threads,
             shard_size: 1,
@@ -93,7 +93,7 @@ fn campaign_report_at(threads: usize, seed: u64) -> String {
         seed,
         None,
     );
-    faults_json(seed, spec.scrub, &spec.rates_ppm, &runs)
+    faults_json(seed, spec.scrub, &spec.rates_ppm, &passes)
 }
 
 #[test]
@@ -217,13 +217,14 @@ fn poisoned_spec() -> SweepSpec {
     spec
 }
 
-/// What every execution path must report for `scenarios`: the poisoned
+/// What every execution path must report for `passes`: the poisoned
 /// positions as their final panic at the position seed, every other
-/// position exactly as a standalone run under that seed.
-fn expected_entries(scenarios: Vec<Scenario>, pool: PoolConfig, base_seed: u64) -> Vec<Json> {
-    scenarios
+/// position exactly as a standalone run under that seed. Position `i` of
+/// every pass takes base cell `i`'s seed.
+fn expected_entries(passes: Vec<Vec<Scenario>>, pool: PoolConfig, base_seed: u64) -> Vec<Json> {
+    passes
         .into_iter()
-        .enumerate()
+        .flat_map(|pass| pass.into_iter().enumerate())
         .map(|(i, scenario)| {
             let seed = position_seed(base_seed, pool.shard_size, i);
             let outcome = if scenario.workload == "no-such-workload" {
@@ -248,7 +249,7 @@ fn a_panicking_position_becomes_its_error_on_every_path() {
         shard_size: 3,
     };
     let entries = |results: &[SweepResult]| results.iter().map(result_tree).collect::<Vec<_>>();
-    let expected = expected_entries(spec.scenarios(), pool, 9);
+    let expected = expected_entries(vec![spec.scenarios()], pool, 9);
     assert_eq!(expected.len(), 4);
 
     assert_eq!(entries(&run_sweep(&spec, pool, 9)), expected, "plain");
@@ -270,9 +271,9 @@ fn a_panicking_position_becomes_its_error_on_every_path() {
         rates_ppm: vec![0, 10_000],
         scrub: true,
     };
-    let runs = run_fault_campaign(&campaign, pool, 9, None);
-    let expected = expected_entries(campaign.scenarios(), pool, 9);
-    assert_eq!(entries(&runs), expected, "fault campaign");
+    let passes = run_campaign(&campaign.passes(), pool, 9, None);
+    let expected = expected_entries(campaign.passes(), pool, 9);
+    assert_eq!(entries(&passes.concat()), expected, "fault campaign");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use mithril_runner::engine::PoolConfig;
 use mithril_runner::report::qos_campaign_json;
-use mithril_runner::run_qos_campaign;
+use mithril_runner::run_campaign;
 use mithril_runner::scenarios::QosCampaignSpec;
 use mithril_sim::Metrics;
 
@@ -52,16 +52,16 @@ fn fairness(m: &Metrics) -> f64 {
 #[test]
 fn throttling_improves_victims_at_equal_flip_safety() {
     let spec = acceptance_spec();
-    let results = run_qos_campaign(&spec, pool(2), 1, None);
-    let per_pass = results.len() / 2;
-    let off_res = results
+    let passes = run_campaign(&spec.passes(), pool(2), 1, None);
+    let i = passes[0]
         .iter()
-        .find(|r| r.scenario.name.starts_with("mithril/"))
+        .position(|r| r.scenario.name.starts_with("mithril/"))
         .expect("mithril scenario present");
-    let on_res = results[per_pass..]
-        .iter()
-        .find(|r| r.scenario.name.starts_with("mithril/") && r.scenario.name.ends_with("+qos"))
-        .expect("mithril+qos scenario present");
+    let (off_res, on_res) = (&passes[0][i], &passes[1][i]);
+    assert_eq!(
+        on_res.scenario.name,
+        format!("{}+qos", off_res.scenario.name)
+    );
     assert_eq!(
         off_res.seed, on_res.seed,
         "pair members must run under the same seed"
@@ -113,8 +113,8 @@ fn campaign_report_at(threads: usize) -> String {
     let mut spec = QosCampaignSpec::smoke();
     spec.base.insts_per_core = 2_000;
     spec.base.cores = 3;
-    let results = run_qos_campaign(&spec, pool(threads), 9, None);
-    qos_campaign_json(9, &results)
+    let passes = run_campaign(&spec.passes(), pool(threads), 9, None);
+    qos_campaign_json(9, &passes[0], &passes[1])
 }
 
 #[test]

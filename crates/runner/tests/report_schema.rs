@@ -6,11 +6,11 @@
 use std::collections::BTreeSet;
 
 use mithril_obs::json::Json;
-use mithril_obs::{ChannelCapture, Event, LaneCause, ObsCapture, DEFAULT_CYCLE_PS, KINDS};
+use mithril_obs::{ChannelCapture, Event, LaneCause, ObsCapture, KINDS};
 use mithril_runner::engine::PoolConfig;
 use mithril_runner::report::{faults_json, metrics_only_json, sweep_json};
 use mithril_runner::scenarios::{FaultCampaignSpec, SweepSpec};
-use mithril_runner::{run_fault_campaign, run_sweep, run_sweep_observed};
+use mithril_runner::{run_campaign, run_sweep, run_sweep_observed};
 use mithril_sim::ObsConfig;
 
 const BASELINES: [&str; 5] = [
@@ -86,8 +86,8 @@ fn every_emitted_key_is_documented() {
     faults.base.insts_per_core = 500;
     faults.base.cores = 1;
     faults.rates_ppm = vec![0, 10_000];
-    let runs = run_fault_campaign(&faults, pool(), 3, None);
-    docs.push(faults_json(3, faults.scrub, &faults.rates_ppm, &runs));
+    let passes = run_campaign(&faults.passes(), pool(), 3, None);
+    docs.push(faults_json(3, faults.scrub, &faults.rates_ppm, &passes));
 
     let mut results = run_sweep(&tiny_sweep(), pool(), 5);
     docs.push(metrics_only_json(5, &results));
@@ -173,7 +173,6 @@ fn every_event_kind() -> ObsCapture {
     ];
     assert_eq!(events.len(), KINDS);
     ObsCapture {
-        cycle_ps: DEFAULT_CYCLE_PS,
         interval_cycles: 1,
         channels: vec![ChannelCapture {
             channel: 0,

@@ -14,9 +14,7 @@ use mithril_memctrl::{
     AddressMapping, McConfig, McMitigation, MemRequest, MemoryController, NoMcMitigation,
     QosPolicy, RfmMode, SchedulerKind,
 };
-use mithril_obs::{
-    ChannelCapture, EventSink, NullSink, ObsCapture, RingSink, SampleRow, Sampler, DEFAULT_CYCLE_PS,
-};
+use mithril_obs::{ChannelCapture, EventSink, NullSink, ObsCapture, RingSink, SampleRow, Sampler};
 use mithril_workloads::{ThreadSet, TraceOp};
 
 use crate::core_model::CoreState;
@@ -153,7 +151,7 @@ pub struct ObsConfig {
     /// regardless; the ring only bounds the JSONL tail).
     pub ring_capacity: usize,
     /// Time-series grid spacing, in memory cycles of
-    /// [`DEFAULT_CYCLE_PS`] picoseconds.
+    /// [`DEFAULT_CYCLE_PS`](mithril_obs::DEFAULT_CYCLE_PS) picoseconds.
     pub interval_cycles: u64,
 }
 
@@ -337,7 +335,6 @@ impl System<RingSink> {
             })
             .collect();
         ObsCapture {
-            cycle_ps: DEFAULT_CYCLE_PS,
             interval_cycles,
             channels,
         }
@@ -369,7 +366,7 @@ impl<S: EventSink> System<S> {
             .collect();
         let samplers = match obs {
             Some(o) => (0..config.geometry.channels)
-                .map(|_| Sampler::new(o.interval_cycles, DEFAULT_CYCLE_PS))
+                .map(|_| Sampler::new(o.interval_cycles))
                 .collect(),
             None => Vec::new(),
         };
@@ -622,7 +619,7 @@ impl<S: EventSink> System<S> {
                 rfms: c.rfm_commands,
                 rfm_elisions: s.rfm_elisions,
                 arrs: s.arrs,
-                queue_depth: mc.queue_depth(),
+                queue_depth: mc.pending() as u64,
                 tracker: mc.observe_trackers(),
                 cand_hits,
                 cand_invalidations,

@@ -183,13 +183,14 @@ pub fn attack_mix(attack: &str, cores: usize, mapping: AddressMapping, seed: u64
 /// then get their hot rows blacklisted and throttled.
 ///
 /// `victim_rows` are the rows to blacklist in each of the first
-/// `victim_banks` banks (channel 0); `nbl_scale` must match the scale the
-/// simulated BlockHammer instance runs with.
+/// `victim_banks` banks (channel 0). `flip_th` and `timing` pick the
+/// BlockHammer configuration whose CBF hash functions the cover rows
+/// collide under; the blacklist threshold's scale does not move the
+/// cover, so one mix serves a BlockHammer instance at any scale.
 ///
 /// # Panics
 ///
 /// Panics if `cores` is zero or `flip_th` has no BlockHammer config.
-#[allow(clippy::too_many_arguments)]
 pub fn bh_cover_attack_mix(
     cores: usize,
     mapping: AddressMapping,
