@@ -7,7 +7,7 @@
 use mithril_baselines::{BlockHammer, BlockHammerConfig};
 use mithril_dram::{Ddr5Timing, DramDevice, Geometry, NoMitigation, PS_PER_US};
 use mithril_memctrl::{
-    Completion, MappedAddr, McConfig, MemRequest, MemoryController, SchedulerKind,
+    Completion, CoreStats, MappedAddr, McConfig, MemRequest, MemoryController, SchedulerKind,
 };
 
 /// BlockHammer with a 40 µs CBF epoch (a swap every 20 µs), a low
@@ -77,7 +77,7 @@ fn blockhammer_swaps_keep_cores_decision_identical() {
     let (mut naive, done_naive) = run(SchedulerKind::NaiveRescan);
 
     assert!(
-        event.stats().throttled_acts > 0,
+        CoreStats::total(&event.stats().per_core).throttled_acts > 0,
         "BlockHammer must defer ACTs (vacuous agreement otherwise)"
     );
     // BlockHammer's release generation is its next swap time, which

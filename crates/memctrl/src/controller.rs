@@ -99,20 +99,22 @@ pub struct Completion {
 }
 
 /// One core's share of a controller's activity — the per-tenant
-/// attribution the QoS roadmap item needs. Every field is attributed to
-/// the *issuing* core of the request that caused the command: latency to
-/// the request that completed, RFM/mitigation triggers to the ACT whose
-/// activation crossed the threshold (the "who is hammering" signal), not
-/// to the bank cadence that later issued the command.
+/// attribution the QoS roadmap item needs, and the controller's only
+/// record of served requests and throttles (its totals are the fold
+/// [`CoreStats::total`]). Every field is attributed to the *issuing* core
+/// of the request that caused the command: latency to the request that
+/// completed, RFM/mitigation triggers to the ACT whose activation crossed
+/// the threshold (the "who is hammering" signal), not to the bank cadence
+/// that later issued the command.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// ACTs issued for this core's requests.
     pub acts: u64,
-    /// Demand reads completed for this core.
-    pub reads_done: u64,
-    /// Writebacks completed for this core.
-    pub writes_done: u64,
-    /// ACTs of this core delayed by a throttling mitigation.
+    /// Column commands for this core's requests that reused an already
+    /// open row (columns beyond the first one served by each activation).
+    pub row_hits: u64,
+    /// ACTs of this core delayed by a throttle (a mitigation's or the
+    /// QoS token bucket's).
     pub throttled_acts: u64,
     /// RAA-threshold crossings caused by this core's ACTs (each arms one
     /// pending RFM on the bank).
@@ -120,64 +122,57 @@ pub struct CoreStats {
     /// Mitigation-engine reactions (queued ARRs) provoked by this core's
     /// ACTs.
     pub mitigation_triggers: u64,
-    /// Read-latency histogram of this core's completed reads,
-    /// picoseconds.
+    /// Read-latency histogram of this core's completed reads
+    /// (completion − arrival, picoseconds); its `count()` is the number
+    /// of reads served.
     pub read_latency: LatencyHistogram,
+    /// Writeback-latency histogram of this core's committed writes
+    /// (commit − arrival, picoseconds); its `count()` is the number of
+    /// writes served.
+    pub write_latency: LatencyHistogram,
 }
 
 impl CoreStats {
     /// Folds another controller's share of the same core into `self`
-    /// (bucket-wise for the histogram, additive otherwise) — associative
+    /// (bucket-wise for the histograms, additive otherwise) — associative
     /// and commutative, so cross-channel roll-up order does not matter.
     pub fn merge(&mut self, other: &CoreStats) {
         self.acts += other.acts;
-        self.reads_done += other.reads_done;
-        self.writes_done += other.writes_done;
+        self.row_hits += other.row_hits;
         self.throttled_acts += other.throttled_acts;
         self.rfm_triggers += other.rfm_triggers;
         self.mitigation_triggers += other.mitigation_triggers;
         self.read_latency.merge(&other.read_latency);
+        self.write_latency.merge(&other.write_latency);
+    }
+
+    /// Every core's share folded into one: the totals of a controller,
+    /// a channel or a run. Merging is exact, so the total histograms
+    /// equal ones that recorded every request directly.
+    pub fn total(per_core: &PerCore<CoreStats>) -> CoreStats {
+        let mut total = CoreStats::default();
+        for (_, core) in per_core.iter() {
+            total.merge(core);
+        }
+        total
     }
 }
 
-/// Aggregate controller statistics.
+/// Aggregate controller statistics: counts of what no single served
+/// request records, plus the per-core records.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct McStats {
-    /// Column commands that reused an already-open row (i.e. columns
-    /// beyond the first one served by each activation).
-    pub row_hits: u64,
     /// Rank REF commands issued.
     pub refs: u64,
     /// RFMs elided after a clear MRR flag (Mithril+).
     pub rfm_elisions: u64,
     /// ARR commands issued on behalf of MC-side schemes.
     pub arrs: u64,
-    /// ACTs whose issue was delayed by a throttling mitigation.
-    pub throttled_acts: u64,
-    /// Read-latency distribution (completion − arrival, picoseconds):
-    /// the one latency measure (its exact `sum()` / `count()` is the mean).
-    pub read_latency: LatencyHistogram,
-    /// Writeback-latency distribution (commit − arrival, picoseconds).
-    pub write_latency: LatencyHistogram,
-    /// Per-issuing-core attribution of this controller's activity (the
-    /// device's [`EnergyCounters`](mithril_dram::EnergyCounters) hold the
+    /// Per-issuing-core record of this controller's served requests and
+    /// throttled ACTs (the device's
+    /// [`EnergyCounters`](mithril_dram::EnergyCounters) hold the command
     /// totals).
     pub per_core: PerCore<CoreStats>,
-}
-
-impl McStats {
-    /// Row-buffer hit rate: the fraction of column commands that reused
-    /// an open row instead of paying for the activation that opened it.
-    /// 0.0 = every column needed its own ACT (no locality); values near
-    /// 1.0 mean long same-row bursts.
-    pub fn row_hit_rate(&self) -> f64 {
-        let cols = self.read_latency.count() + self.write_latency.count();
-        if cols == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / cols as f64
-        }
-    }
 }
 
 /// The DRAM command a [`CommandRecord`] describes.
@@ -568,10 +563,24 @@ impl<S: EventSink> MemoryController<S> {
         self.clock
     }
 
-    /// Controller statistics (borrowed: `McStats` now carries latency
-    /// histograms and per-core attribution, so it is no longer `Copy`).
+    /// Controller statistics (borrowed: `McStats` carries per-core
+    /// latency histograms, so it is not `Copy`).
     pub fn stats(&self) -> &McStats {
         &self.stats
+    }
+
+    /// Row-buffer hit rate: the fraction of column commands (the device
+    /// ledger's reads + writes) that reused an open row instead of paying
+    /// for the activation that opened it. 0.0 = every column needed its
+    /// own ACT (no locality); values near 1.0 mean long same-row bursts.
+    pub fn row_hit_rate(&self) -> f64 {
+        let c = self.device.counters();
+        let cols = c.reads + c.writes;
+        if cols == 0 {
+            0.0
+        } else {
+            CoreStats::total(&self.stats.per_core).row_hits as f64 / cols as f64
+        }
     }
 
     /// The DRAM device behind this controller.
@@ -1232,21 +1241,17 @@ impl<S: EventSink> MemoryController<S> {
                 // Only columns beyond the first per activation are
                 // row-buffer *reuse*; counting the ACT's own column would
                 // pin the hit rate at 1.0.
-                if self.lanes[bank].hits_served > 0 {
-                    self.stats.row_hits += 1;
-                }
+                let row_hit = self.lanes[bank].hits_served > 0;
                 self.lanes[bank].hits_served += 1;
                 let timing = self.device.timing();
                 self.bus_free = now + timing.tcl + timing.tbl;
                 let latency = done.saturating_sub(req.arrival);
                 let core = self.stats.per_core.slot(req.thread);
+                core.row_hits += u64::from(row_hit);
                 if req.is_write {
-                    core.writes_done += 1;
-                    self.stats.write_latency.record(latency);
+                    core.write_latency.record(latency);
                 } else {
-                    core.reads_done += 1;
                     core.read_latency.record(latency);
-                    self.stats.read_latency.record(latency);
                 }
                 self.mark_dirty(bank);
                 self.obs_lane(now, bank, LaneCause::Execute);
@@ -1291,7 +1296,6 @@ impl<S: EventSink> MemoryController<S> {
                 core.acts += 1;
                 self.lanes[bank].hits_served = 0;
                 if throttled {
-                    self.stats.throttled_acts += 1;
                     core.throttled_acts += 1;
                 }
                 if self
@@ -1456,26 +1460,17 @@ mod tests {
 
         let s = mc.stats();
         let c = *mc.device().counters();
-        assert_eq!(s.read_latency.count(), c.reads);
-        assert_eq!(s.write_latency.count(), c.writes);
-        assert!(s.read_latency.min() > 0, "reads cannot complete at t=0");
-
-        // Per-core shares sum to the device totals.
-        let (mut acts, mut reads, mut writes) = (0, 0, 0);
-        let mut merged = LatencyHistogram::new();
-        for (_, core) in s.per_core.iter() {
-            acts += core.acts;
-            reads += core.reads_done;
-            writes += core.writes_done;
-            merged.merge(&core.read_latency);
-        }
-        assert_eq!(acts, c.acts);
-        assert_eq!(reads, c.reads);
-        assert_eq!(writes, c.writes);
-        assert_eq!(merged, s.read_latency);
-        assert_eq!(s.per_core.get(0).unwrap().reads_done, 2);
-        assert_eq!(s.per_core.get(1).unwrap().reads_done, 4);
-        assert_eq!(s.per_core.get(1).unwrap().writes_done, 1);
+        // Per-core records sum to the device ledger.
+        let total = CoreStats::total(&s.per_core);
+        assert_eq!(total.acts, c.acts);
+        assert_eq!(total.read_latency.count(), c.reads);
+        assert_eq!(total.write_latency.count(), c.writes);
+        assert!(total.read_latency.min() > 0, "reads cannot complete at t=0");
+        let core = |i| s.per_core.get(i).unwrap();
+        assert_eq!(core(0).read_latency.count(), 2);
+        assert_eq!(core(1).read_latency.count(), 4);
+        assert_eq!(core(1).write_latency.count(), 1);
+        assert!(core(0).write_latency.is_empty());
     }
 
     #[test]
@@ -1779,7 +1774,7 @@ mod tests {
                 t1.at < PS_PER_US,
                 "thread 1 must not be throttled ({kind:?})"
             );
-            assert_eq!(mc.stats().throttled_acts, 1);
+            assert_eq!(CoreStats::total(&mc.stats().per_core).throttled_acts, 1);
         }
     }
 
@@ -1837,7 +1832,7 @@ mod tests {
                 "light victim thread is never suspect ({kind:?})"
             );
             // QoS deferrals feed the existing throttle attribution too.
-            assert!(mc.stats().throttled_acts >= t0.throttled_acts);
+            assert!(CoreStats::total(&mc.stats().per_core).throttled_acts >= t0.throttled_acts);
             assert!(mc.stats().per_core.get(0).unwrap().throttled_acts > 0);
         }
     }
@@ -1851,7 +1846,7 @@ mod tests {
         mc.enqueue(MemRequest::read(1, map.map_line(64), 0, 0));
         let done = drain(&mut mc, PS_PER_US);
         assert_eq!(done.len(), 1);
-        assert_eq!(mc.stats().throttled_acts, 0);
+        assert_eq!(CoreStats::total(&mc.stats().per_core).throttled_acts, 0);
     }
 
     #[test]

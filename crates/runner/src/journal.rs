@@ -196,20 +196,26 @@ impl JournalWriter {
         })
     }
 
-    /// Appends one completed scenario and flushes, making it durable
-    /// before the sweep moves on. `entry` must be a single line.
+    /// Appends one completed scenario and flushes it to the operating
+    /// system before the sweep moves on, so the line survives a killed
+    /// process. Nothing syncs the file to disk, so an OS crash or power
+    /// loss can still lose it. `entry` must be a single line.
     ///
     /// # Panics
     ///
     /// Panics on I/O failure or a multi-line entry; inside the robust
     /// engine the panic is caught and surfaces as that item's outcome
-    /// instead of killing the sweep.
+    /// instead of killing the sweep. An I/O panic poisons the file's
+    /// mutex, so every later record panics too, naming that failure.
     pub fn record(&self, index: usize, entry: &str) {
         assert!(
             !entry.contains('\n'),
             "journal entries are single-line records"
         );
-        let mut file = self.file.lock().unwrap();
+        let mut file = self
+            .file
+            .lock()
+            .expect("journal unusable: an earlier append failed");
         writeln!(file, "{index} {:016x} {entry}", fnv1a64(entry.as_bytes()))
             .and_then(|_| file.flush())
             .unwrap_or_else(|e| panic!("cannot append to journal: {e}"));
@@ -280,6 +286,26 @@ mod tests {
         assert_eq!(loaded.entries[0], Some(Json::Str("entry-zero".into())));
         assert!(loaded.entries[1].is_none(), "hash mismatch must drop");
         assert_eq!(loaded.dropped_lines, 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn record_after_a_failed_append_names_the_failure() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir = std::env::temp_dir().join("mtrj-poisoned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("j.mtrj");
+        let w = JournalWriter::create(&path, 1, 0).unwrap();
+        // A panic while the file is held, as a failed append leaves it.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _file = w.file.lock().unwrap();
+            panic!("append failed");
+        }));
+        let err = catch_unwind(AssertUnwindSafe(|| w.record(0, "{}"))).unwrap_err();
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("a poisoned lock panics with a message");
+        assert!(msg.contains("an earlier append failed"), "{msg}");
         std::fs::remove_file(&path).unwrap();
     }
 

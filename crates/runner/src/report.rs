@@ -50,17 +50,18 @@ fn counters_tree(c: &EnergyCounters) -> Json {
 }
 
 fn channel_tree(c: &ChannelMetrics) -> Json {
+    let total = CoreStats::total(&c.per_core);
     json_obj! {
         "channel": c.channel.0,
         "reads_done": c.counters.reads,
         "writes_done": c.counters.writes,
-        "latency": latency_tree(&c.read_latency, &c.write_latency),
+        "latency": latency_tree(&total.read_latency, &total.write_latency),
         "row_hit_rate": c.row_hit_rate,
         "energy_pj": c.energy_pj,
         "rfms": c.counters.rfm_commands,
         "rfm_elisions": c.rfm_elisions,
         "arrs": c.arrs,
-        "throttled_acts": c.throttled_acts,
+        "throttled_acts": total.throttled_acts,
         "max_disturbance": c.max_disturbance,
         "flips": c.flips,
         "counters": counters_tree(&c.counters),
@@ -91,8 +92,8 @@ fn per_core_tree(per_core: &PerCore<CoreStats>) -> Json {
         json_obj! {
             "core": core,
             "acts": c.acts,
-            "reads": c.reads_done,
-            "writes": c.writes_done,
+            "reads": c.read_latency.count(),
+            "writes": c.write_latency.count(),
             "throttled_acts": c.throttled_acts,
             "rfm_triggers": c.rfm_triggers,
             "mitigation_triggers": c.mitigation_triggers,

@@ -27,18 +27,13 @@ pub struct ChannelMetrics {
     pub rfm_elisions: u64,
     /// ARR commands issued (MC-side schemes).
     pub arrs: u64,
-    /// ACTs delayed by throttling.
-    pub throttled_acts: u64,
     /// Worst victim disturbance observed on this channel.
     pub max_disturbance: u64,
     /// Bit flips detected on this channel.
     pub flips: usize,
-    /// Demand-read latency distribution (picoseconds), the channel's one
-    /// latency measure.
-    pub read_latency: LatencyHistogram,
-    /// Writeback latency distribution (picoseconds).
-    pub write_latency: LatencyHistogram,
-    /// Per-issuing-core attribution of this channel's activity.
+    /// Per-issuing-core attribution of this channel's activity: its one
+    /// record of request latencies, row hits and throttled ACTs (their
+    /// totals are the fold [`CoreStats::total`]).
     pub per_core: PerCore<CoreStats>,
     /// QoS-layer outcome of this channel — `Some` exactly when the run
     /// had a [`mithril_memctrl::QosPolicy`] other than `Off`, so QoS-off
@@ -76,20 +71,21 @@ pub struct Metrics {
     pub rfm_elisions: u64,
     /// ARR commands issued (MC-side schemes).
     pub arrs: u64,
-    /// ACTs delayed by throttling.
+    /// ACTs delayed by throttling: the fold of `per_core`.
     pub throttled_acts: u64,
     /// Worst victim disturbance observed by the oracle.
     pub max_disturbance: u64,
     /// Bit flips detected (must be 0 for any deterministic scheme).
     pub flips: usize,
     /// System-wide demand-read latency distribution: the bucket-wise
-    /// merge of every channel's histogram (picoseconds).
+    /// fold of `per_core` (picoseconds).
     pub read_latency: LatencyHistogram,
-    /// System-wide writeback latency distribution (picoseconds).
+    /// System-wide writeback latency distribution: the fold of
+    /// `per_core` (picoseconds).
     pub write_latency: LatencyHistogram,
     /// Per-core attribution merged index-wise across channels — acts,
-    /// completed reads/writes, RFM/mitigation triggers and the per-core
-    /// read-latency histogram of each issuing core.
+    /// row hits, throttled ACTs, RFM/mitigation triggers and the read and
+    /// write latency histograms of each issuing core.
     pub per_core: PerCore<CoreStats>,
     /// QoS-layer roll-up (suspect windows, token-bucket deferrals and
     /// final scores per thread), merged additively across channels.
@@ -121,27 +117,22 @@ impl Metrics {
         let mut counters = EnergyCounters::default();
         let mut rfm_elisions = 0;
         let mut arrs = 0;
-        let mut throttled_acts = 0;
         let mut max_disturbance = 0;
         let mut flips = 0;
-        let mut read_latency = LatencyHistogram::new();
-        let mut write_latency = LatencyHistogram::new();
         let mut per_core: PerCore<CoreStats> = PerCore::new();
         let mut qos: Option<QosStats> = None;
         for ch in &per_channel {
             counters = counters.merged(&ch.counters);
             rfm_elisions += ch.rfm_elisions;
             arrs += ch.arrs;
-            throttled_acts += ch.throttled_acts;
             max_disturbance = max_disturbance.max(ch.max_disturbance);
             flips += ch.flips;
-            read_latency.merge(&ch.read_latency);
-            write_latency.merge(&ch.write_latency);
             per_core.merge_by(&ch.per_core, CoreStats::merge);
             if let Some(chq) = &ch.qos {
                 qos.get_or_insert_with(QosStats::default).merge(chq);
             }
         }
+        let total = CoreStats::total(&per_core);
         Metrics {
             workload,
             scheme,
@@ -156,11 +147,11 @@ impl Metrics {
             per_channel,
             rfm_elisions,
             arrs,
-            throttled_acts,
+            throttled_acts: total.throttled_acts,
             max_disturbance,
             flips,
-            read_latency,
-            write_latency,
+            read_latency: total.read_latency,
+            write_latency: total.write_latency,
             per_core,
             qos,
             faults: None,
@@ -221,11 +212,8 @@ mod tests {
             energy_pj: EnergyModel::ddr5_default().dynamic_energy_pj(&counters),
             rfm_elisions: 0,
             arrs: 1,
-            throttled_acts: 0,
             max_disturbance: acts,
             flips: 0,
-            read_latency: LatencyHistogram::new(),
-            write_latency: LatencyHistogram::new(),
             per_core: PerCore::new(),
             qos: None,
         }
@@ -276,14 +264,12 @@ mod tests {
     #[test]
     fn histograms_and_per_core_roll_up_across_channels() {
         let mut a = channel(0, 100);
-        a.read_latency.record(10_000);
-        a.read_latency.record(20_000);
-        a.per_core.slot(0).reads_done = 2;
-        a.per_core.slot(0).read_latency = a.read_latency.clone();
+        a.per_core.slot(0).read_latency.record(10_000);
+        a.per_core.slot(0).read_latency.record(20_000);
         let mut b = channel(1, 100);
-        b.read_latency.record(40_000);
-        b.write_latency.record(5_000);
-        b.per_core.slot(1).reads_done = 1;
+        b.per_core.slot(1).read_latency.record(40_000);
+        b.per_core.slot(1).write_latency.record(5_000);
+        b.per_core.slot(1).throttled_acts = 4;
         b.per_core.slot(1).mitigation_triggers = 3;
         let m = Metrics::from_channels(
             "w".into(),
@@ -298,8 +284,8 @@ mod tests {
         assert_eq!(m.read_latency.count(), 3);
         assert_eq!(m.read_latency.sum(), 70_000);
         assert_eq!(m.write_latency.count(), 1);
+        assert_eq!(m.throttled_acts, 4);
         assert_eq!(m.per_core.len(), 2);
-        assert_eq!(m.per_core.get(0).unwrap().reads_done, 2);
         assert_eq!(m.per_core.get(1).unwrap().mitigation_triggers, 3);
         assert_eq!(m.per_core.get(0).unwrap().read_latency.count(), 2);
     }

@@ -137,7 +137,7 @@ const TIMING: Ddr5Timing = Ddr5Timing::ddr5_4800();
 const BLAST_RADIUS: u64 = 1;
 
 /// Simulation epoch length: the quantum at which cores and memory
-/// controllers synchronize.
+/// controllers synchronize. 500,000 ps is 500 ns.
 const EPOCH_PS: TimePs = 500_000;
 
 /// Decorrelates per-bank fault-plan seeds from every other use of the
@@ -656,16 +656,13 @@ impl<S: EventSink> System<S> {
                 let counters = *mc.device().counters();
                 ChannelMetrics {
                     channel: mithril_dram::ChannelId(ch),
-                    row_hit_rate: s.row_hit_rate(),
+                    row_hit_rate: mc.row_hit_rate(),
                     energy_pj: model.dynamic_energy_pj(&counters),
                     counters,
                     rfm_elisions: s.rfm_elisions,
                     arrs: s.arrs,
-                    throttled_acts: s.throttled_acts,
                     max_disturbance: mc.device().max_disturbance(),
                     flips: mc.device().total_flips(),
-                    read_latency: s.read_latency.clone(),
-                    write_latency: s.write_latency.clone(),
                     per_core: s.per_core.clone(),
                     qos: mc.qos_stats(),
                 }
@@ -714,6 +711,7 @@ impl<S: EventSink> std::fmt::Debug for System<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mithril_memctrl::CoreStats;
     use mithril_workloads::{attack_mix, mix_high};
 
     fn quick_config(scheme: Scheme) -> SystemConfig {
@@ -947,6 +945,35 @@ mod tests {
         let (eq, nq) = (ev.qos.unwrap(), na.qos.unwrap());
         assert_eq!(eq, nq, "QoS bookkeeping diverges between cores");
         assert!(eq.windows > 0);
+    }
+
+    /// The issuing cores' records are each channel's only record of
+    /// served requests: per channel, their histogram counts sum to the
+    /// device ledger, and the run's totals are their fold. (A run this
+    /// short evicts no dirty line from the 16 MiB LLC, so its write
+    /// counts are 0; the controller's own tests serve writes.)
+    #[test]
+    fn per_core_records_match_device_ledger() {
+        let m = run(
+            Scheme::Mithril {
+                rfm_th: 64,
+                ad_th: None,
+                plus: false,
+            },
+            20_000,
+        );
+        assert_eq!(m.per_channel.len(), 2);
+        for ch in &m.per_channel {
+            let total = CoreStats::total(&ch.per_core);
+            let (reads, writes) = (total.read_latency.count(), total.write_latency.count());
+            assert!(reads > 0, "channel {} served no reads", ch.channel.0);
+            assert_eq!(reads, ch.counters.reads, "channel {}", ch.channel.0);
+            assert_eq!(writes, ch.counters.writes, "channel {}", ch.channel.0);
+        }
+        let total = CoreStats::total(&m.per_core);
+        assert_eq!(m.read_latency, total.read_latency);
+        assert_eq!(m.write_latency, total.write_latency);
+        assert_eq!(m.throttled_acts, total.throttled_acts);
     }
 
     #[test]

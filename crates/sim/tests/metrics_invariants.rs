@@ -65,28 +65,34 @@ fn qos_strategy() -> impl Strategy<Value = Option<QosStats>> {
 fn channel_strategy() -> impl Strategy<Value = ChannelMetrics> {
     (
         counters_strategy(),
-        (0u64..1 << 30, 0u64..1 << 30, 0u64..1 << 30),
+        (0u64..1 << 30, 0u64..1 << 30),
         (0u64..1 << 20, 0usize..1 << 10),
         0u32..1000,
-        prop::collection::vec((0u64..1 << 50, 0usize..4), 0..8),
+        prop::collection::vec((0u64..1 << 50, 0usize..4, any::<bool>()), 0..8),
+        prop::collection::vec(0u64..1 << 20, 0..4),
         qos_strategy(),
     )
         .prop_map(
             |(
                 counters,
-                (rfm_elisions, arrs, throttled_acts),
+                (rfm_elisions, arrs),
                 (max_disturbance, flips),
                 hit_milli,
                 latency_samples,
+                throttles,
                 qos,
             )| {
-                let mut read_latency = LatencyHistogram::new();
                 let mut per_core: PerCore<CoreStats> = PerCore::new();
-                for &(lat_ps, core) in &latency_samples {
-                    read_latency.record(lat_ps);
+                for &(lat_ps, core, is_write) in &latency_samples {
                     let slot = per_core.slot(core);
-                    slot.reads_done += 1;
-                    slot.read_latency.record(lat_ps);
+                    if is_write {
+                        slot.write_latency.record(lat_ps);
+                    } else {
+                        slot.read_latency.record(lat_ps);
+                    }
+                }
+                for (core, &throttled_acts) in throttles.iter().enumerate() {
+                    per_core.slot(core).throttled_acts = throttled_acts;
                 }
                 ChannelMetrics {
                     channel: ChannelId(0), // renumbered below
@@ -95,11 +101,8 @@ fn channel_strategy() -> impl Strategy<Value = ChannelMetrics> {
                     counters,
                     rfm_elisions,
                     arrs,
-                    throttled_acts,
                     max_disturbance,
                     flips,
-                    read_latency,
-                    write_latency: LatencyHistogram::new(),
                     per_core,
                     qos,
                 }
@@ -143,7 +146,7 @@ proptest! {
         prop_assert_eq!(m.arrs, channels.iter().map(|c| c.arrs).sum::<u64>());
         prop_assert_eq!(
             m.throttled_acts,
-            channels.iter().map(|c| c.throttled_acts).sum::<u64>()
+            channels.iter().map(|c| CoreStats::total(&c.per_core).throttled_acts).sum::<u64>()
         );
         prop_assert_eq!(m.flips, channels.iter().map(|c| c.flips).sum::<usize>());
         prop_assert_eq!(
@@ -191,28 +194,30 @@ proptest! {
         // reverse order produces the identical histogram.
         let mut fwd = LatencyHistogram::new();
         for c in &channels {
-            fwd.merge(&c.read_latency);
+            fwd.merge(&CoreStats::total(&c.per_core).read_latency);
         }
         let mut rev = LatencyHistogram::new();
         for c in channels.iter().rev() {
-            rev.merge(&c.read_latency);
+            rev.merge(&CoreStats::total(&c.per_core).read_latency);
         }
         prop_assert_eq!(&fwd, &rev);
         prop_assert_eq!(&m.read_latency, &fwd);
         prop_assert_eq!(
             m.read_latency.count(),
-            channels.iter().map(|c| c.read_latency.count()).sum::<u64>()
+            channels.iter().map(|c| CoreStats::total(&c.per_core).read_latency.count()).sum::<u64>()
+        );
+        prop_assert_eq!(
+            m.write_latency.count(),
+            channels.iter().map(|c| CoreStats::total(&c.per_core).write_latency.count()).sum::<u64>()
         );
 
-        // Per-core roll-up: each core's reads and histogram are the merge
+        // Per-core roll-up: each core's histograms and counts are the merge
         // of that core's slot across channels.
         let mut expected: PerCore<CoreStats> = PerCore::new();
         for c in &channels {
             expected.merge_by(&c.per_core, CoreStats::merge);
         }
         prop_assert_eq!(&m.per_core, &expected);
-        let core_reads: u64 = m.per_core.iter().map(|(_, s)| s.reads_done).sum();
-        prop_assert_eq!(core_reads, m.read_latency.count());
 
         // QoS roll-up: present exactly when any channel carries QoS stats
         // (the byte-identity contract for QoS-off reports), with additive

@@ -11,7 +11,7 @@
 
 use mithril_repro::core::{MithrilConfig, MithrilScheme};
 use mithril_repro::dram::{AttackHarness, Ddr5Timing, DramMitigation, NoMitigation};
-use mithril_repro::sim::{Scheme, System, SystemConfig};
+use mithril_repro::sim::{CoreStats, Scheme, System, SystemConfig};
 use mithril_repro::workloads::channel_interference_mix;
 
 /// Builds the row for attack `name` at step `i`.
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ch.channel.0,
             ch.counters.rfm_commands,
             ch.counters.preventive_rows,
-            ch.read_latency.mean() / 1000.0,
+            CoreStats::total(&ch.per_core).read_latency.mean() / 1000.0,
             ch.max_disturbance
         );
     }
