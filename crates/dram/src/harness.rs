@@ -84,7 +84,7 @@ impl AttackHarness {
     ///
     /// # Panics
     ///
-    /// Panics if `rfm_th` or `rows` is zero.
+    /// As [`with_obs`](AttackHarness::with_obs).
     pub(crate) fn with_rows(
         timing: Ddr5Timing,
         engine: Box<dyn DramMitigation>,
@@ -112,9 +112,15 @@ impl<S: EventSink> AttackHarness<S> {
     /// Creates an instrumented harness emitting events into `obs`
     /// (timestamped with the harness clock; the single bank is bank 0).
     ///
+    /// The oracle keeps one `u32` disturbance count per row
+    /// ([`RowHammerOracle::flat`]): 4 B × `rows`, 256 KiB at
+    /// [`DEFAULT_ROWS`](Self::DEFAULT_ROWS), allocated on the first ACT,
+    /// so building a harness allocates no per-row storage.
+    ///
     /// # Panics
     ///
-    /// Panics if `rfm_th` is zero.
+    /// Panics if `rfm_th`, `rows` or `blast_radius` is zero, or if `rows`
+    /// exceeds `2^24` (64 MiB of counts).
     #[allow(clippy::too_many_arguments)]
     pub fn with_obs(
         timing: Ddr5Timing,
@@ -126,10 +132,11 @@ impl<S: EventSink> AttackHarness<S> {
         obs: S,
     ) -> Self {
         assert!(rfm_th > 0, "rfm_th must be non-zero");
+        assert!(rows <= 1 << 24, "rows must be at most 2^24");
         Self {
             timing,
             engine,
-            oracle: RowHammerOracle::new(flip_th.max(1), blast_radius, rows),
+            oracle: RowHammerOracle::flat(flip_th.max(1), blast_radius, rows),
             rfm_th,
             raa: 0,
             now: 0,
@@ -443,6 +450,13 @@ mod tests {
         h.advance_window();
         while h.try_activate(1) {}
         assert!(h.counters().acts > acts_one_window);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be at most 2^24")]
+    fn oversized_bank_panics() {
+        let t = Ddr5Timing::ddr5_4800();
+        let _ = AttackHarness::with_rows(t, Box::new(NoMitigation), 64, 100, (1 << 24) + 1, 1);
     }
 
     #[test]

@@ -89,6 +89,12 @@ impl Iterator for Victims {
 
 /// Ground-truth per-victim disturbance tracking for one DRAM bank.
 ///
+/// The counts live in one of two stores, chosen by the constructor:
+/// [`RowHammerOracle::new`] keeps a sparse hash of the disturbed rows
+/// (what a `DramDevice` with many banks needs), and
+/// [`RowHammerOracle::flat`] one `u32` per row (what a single-bank loop
+/// needs). Both answer every query identically.
+///
 /// # Example
 ///
 /// ```
@@ -108,23 +114,110 @@ pub struct RowHammerOracle {
     flip_threshold: u64,
     blast_radius: u64,
     rows: u64,
-    /// Disturbed row -> its disturbance (at least 1 while present). Rows
-    /// fit in `u32` ([`RowHammerOracle::new`] asserts it).
-    disturbance: RowIndex<u32>,
+    counts: Counts,
     max_observed: u64,
     flips: Vec<FlipEvent>,
+}
+
+/// Where an oracle keeps its per-row disturbance counts. Rows fit in
+/// `u32` ([`RowHammerOracle::new`] asserts it).
+#[derive(Debug, Clone)]
+enum Counts {
+    /// Disturbed row -> its disturbance (at least 1 while present): memory
+    /// in proportion to the rows disturbed since their last refresh.
+    Sparse(RowIndex<u32>),
+    /// One count per row, indexed by row: empty until the first ACT, then
+    /// `rows` long.
+    Flat(Vec<u32>),
+}
+
+/// A counter store the victim walk increments.
+trait Store {
+    /// Adds one disturbance to `row` and returns its new count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count would overflow `u32`.
+    fn bump(&mut self, row: u32) -> u32;
+}
+
+impl Store for RowIndex<u32> {
+    #[inline]
+    fn bump(&mut self, row: u32) -> u32 {
+        self.increment(row)
+    }
+}
+
+impl Store for [u32] {
+    #[inline]
+    fn bump(&mut self, row: u32) -> u32 {
+        let count = &mut self[row as usize];
+        *count = count.checked_add(1).expect("value word overflows u32");
+        *count
+    }
+}
+
+/// The victim walk of one ACT of `aggressor`: bumps every victim in
+/// `store`, raises the high-water mark `max` and records the victims
+/// whose count reaches `flip_threshold`, in walk order.
+#[inline(always)]
+fn disturb<S: Store + ?Sized>(
+    store: &mut S,
+    aggressor: RowId,
+    flip_threshold: u64,
+    blast_radius: u64,
+    rows: u64,
+    max: &mut u64,
+    flips: &mut Vec<FlipEvent>,
+) {
+    for victim in victims(aggressor, blast_radius, rows) {
+        let d = store.bump(victim as u32) as u64;
+        if d > *max {
+            *max = d;
+        }
+        if d == flip_threshold {
+            flips.push(FlipEvent {
+                victim,
+                aggressor,
+                disturbance: d,
+            });
+        }
+    }
 }
 
 impl RowHammerOracle {
     /// Creates an oracle for a bank of `rows` rows with the given
     /// `flip_threshold` (FlipTH) and `blast_radius` (1 = adjacent rows only,
-    /// 2 = distance-2 neighbours also disturbed, ...).
+    /// 2 = distance-2 neighbours also disturbed, ...). Its counts live in a
+    /// sparse hash of the disturbed rows, which grows with the rows
+    /// disturbed since their last refresh.
     ///
     /// # Panics
     ///
     /// Panics if `flip_threshold`, `blast_radius` or `rows` is zero, or if
     /// `rows` exceeds `2^32`.
     pub fn new(flip_threshold: u64, blast_radius: u64, rows: u64) -> Self {
+        Self::with_counts(
+            flip_threshold,
+            blast_radius,
+            rows,
+            Counts::Sparse(RowIndex::new()),
+        )
+    }
+
+    /// Like [`new`](Self::new), but the counts live in a flat array of one
+    /// `u32` per row: 4 B × `rows`, allocated zeroed on the first ACT, not
+    /// here. Each victim then costs one indexed load and store instead of
+    /// a hash probe, which suits a single bank driven ACT after ACT.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn flat(flip_threshold: u64, blast_radius: u64, rows: u64) -> Self {
+        Self::with_counts(flip_threshold, blast_radius, rows, Counts::Flat(Vec::new()))
+    }
+
+    fn with_counts(flip_threshold: u64, blast_radius: u64, rows: u64, counts: Counts) -> Self {
         assert!(flip_threshold > 0, "flip_threshold must be non-zero");
         assert!(blast_radius > 0, "blast_radius must be non-zero");
         assert!(rows > 0, "rows must be non-zero");
@@ -133,7 +226,7 @@ impl RowHammerOracle {
             flip_threshold,
             blast_radius,
             rows,
-            disturbance: RowIndex::new(),
+            counts,
             max_observed: 0,
             flips: Vec::new(),
         }
@@ -147,44 +240,90 @@ impl RowHammerOracle {
     /// Panics if `aggressor` is out of range.
     pub fn on_activate(&mut self, aggressor: RowId) {
         assert!(aggressor < self.rows, "row {aggressor} out of range");
-        for victim in victims(aggressor, self.blast_radius, self.rows) {
-            let d = self.disturbance.increment(victim as u32) as u64;
-            if d > self.max_observed {
-                self.max_observed = d;
-            }
-            if d == self.flip_threshold {
-                self.flips.push(FlipEvent {
-                    victim,
+        let Self {
+            flip_threshold,
+            blast_radius,
+            rows,
+            ref mut counts,
+            ref mut max_observed,
+            ref mut flips,
+        } = *self;
+        match counts {
+            Counts::Sparse(index) => disturb(
+                index,
+                aggressor,
+                flip_threshold,
+                blast_radius,
+                rows,
+                max_observed,
+                flips,
+            ),
+            Counts::Flat(counts) => {
+                if counts.is_empty() {
+                    *counts = vec![0; rows as usize];
+                }
+                disturb(
+                    counts.as_mut_slice(),
                     aggressor,
-                    disturbance: d,
-                });
+                    flip_threshold,
+                    blast_radius,
+                    rows,
+                    max_observed,
+                    flips,
+                )
             }
         }
     }
 
     /// Records that `row` itself was refreshed (auto-refresh reaching it, or
     /// a preventive refresh naming it as the victim): its accumulated
-    /// disturbance is cleared.
+    /// disturbance is cleared. Rows past the bank are ignored.
     pub fn on_row_refreshed(&mut self, row: RowId) {
-        if row < self.rows {
-            self.disturbance.remove(row as u32);
+        if row >= self.rows {
+            return;
+        }
+        match &mut self.counts {
+            Counts::Sparse(index) => {
+                index.remove(row as u32);
+            }
+            Counts::Flat(counts) => {
+                if let Some(count) = counts.get_mut(row as usize) {
+                    *count = 0;
+                }
+            }
         }
     }
 
     /// Convenience: refresh every row in `lo..hi` (an auto-refresh group,
     /// `rows_per_ref` rows long). Rows past the bank are ignored.
-    pub(crate) fn on_rows_refreshed(&mut self, lo: RowId, hi: RowId) {
-        for row in lo..hi.min(self.rows) {
-            self.disturbance.remove(row as u32);
+    pub fn on_rows_refreshed(&mut self, lo: RowId, hi: RowId) {
+        let hi = hi.min(self.rows);
+        match &mut self.counts {
+            Counts::Sparse(index) => {
+                for row in lo..hi {
+                    index.remove(row as u32);
+                }
+            }
+            Counts::Flat(counts) => {
+                // `None` before the first ACT (nothing to clear) or for an
+                // empty range.
+                if let Some(group) = counts.get_mut(lo as usize..hi as usize) {
+                    group.fill(0);
+                }
+            }
         }
     }
 
-    /// Current disturbance of `row` (0 if never disturbed or refreshed).
+    /// Current disturbance of `row` (0 if never disturbed or refreshed,
+    /// or past the bank).
     pub fn disturbance(&self, row: RowId) -> u64 {
         if row >= self.rows {
             return 0;
         }
-        self.disturbance.get(row as u32).map_or(0, u64::from)
+        match &self.counts {
+            Counts::Sparse(index) => index.get(row as u32).map_or(0, u64::from),
+            Counts::Flat(counts) => counts.get(row as usize).map_or(0, |&d| u64::from(d)),
+        }
     }
 
     /// High-water mark of any victim's disturbance since construction.
@@ -322,6 +461,25 @@ mod tests {
                                         // Further ACTs do not duplicate the flip event.
         o.on_activate(7);
         assert_eq!(o.flips().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "value word overflows u32")]
+    fn flat_count_overflow_panics() {
+        let mut counts = [u32::MAX - 1, 0];
+        assert_eq!(counts.bump(0), u32::MAX);
+        counts.bump(0);
+    }
+
+    #[test]
+    fn flat_store_allocates_on_first_act() {
+        let mut o = RowHammerOracle::flat(10, 1, 100);
+        o.on_row_refreshed(5);
+        o.on_rows_refreshed(0, 8);
+        assert!(matches!(&o.counts, Counts::Flat(c) if c.capacity() == 0));
+        o.on_activate(5);
+        assert!(matches!(&o.counts, Counts::Flat(c) if c.len() == 100));
+        assert_eq!(o.disturbance(4), 1);
     }
 
     #[test]

@@ -6,25 +6,30 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Oracle accounting identity: every ACT adds exactly one disturbance
-    /// to each in-range neighbour; refreshes only ever remove counts.
+    /// Oracle accounting identity, for both counter stores: every ACT
+    /// adds exactly one disturbance to each in-range neighbour; refreshes
+    /// only ever remove counts.
     #[test]
     fn oracle_disturbance_identity(
         acts in prop::collection::vec(1u64..999, 1..500),
         refresh_every in 5usize..50,
     ) {
-        let mut o = RowHammerOracle::new(u64::MAX, 1, 1_000);
-        let mut expected: std::collections::HashMap<u64, u64> = Default::default();
-        for (i, &r) in acts.iter().enumerate() {
-            o.on_activate(r);
-            *expected.entry(r - 1).or_default() += 1;
-            *expected.entry(r + 1).or_default() += 1;
-            if i % refresh_every == 0 {
-                o.on_row_refreshed(r + 1);
-                expected.remove(&(r + 1));
-            }
-            for (&row, &count) in &expected {
-                prop_assert_eq!(o.disturbance(row), count, "row {}", row);
+        for mut o in [
+            RowHammerOracle::new(u64::MAX, 1, 1_000),
+            RowHammerOracle::flat(u64::MAX, 1, 1_000),
+        ] {
+            let mut expected: std::collections::HashMap<u64, u64> = Default::default();
+            for (i, &r) in acts.iter().enumerate() {
+                o.on_activate(r);
+                *expected.entry(r - 1).or_default() += 1;
+                *expected.entry(r + 1).or_default() += 1;
+                if i % refresh_every == 0 {
+                    o.on_row_refreshed(r + 1);
+                    expected.remove(&(r + 1));
+                }
+                for (&row, &count) in &expected {
+                    prop_assert_eq!(o.disturbance(row), count, "row {}", row);
+                }
             }
         }
     }

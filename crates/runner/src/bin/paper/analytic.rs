@@ -98,7 +98,7 @@ fn arr_graphene_worst(threshold: u64, timing: &Ddr5Timing) -> u64 {
     for &m in &candidates {
         let m = m.min(8_192);
         let mut graphene = Graphene::new(config, 1);
-        let mut oracle = RowHammerOracle::new(u64::MAX, 1, ROWS);
+        let mut oracle = RowHammerOracle::flat(u64::MAX, 1, ROWS);
         // Two refresh windows; the table resets at the second window's
         // first ACT, which is where ARR-Graphene loses a factor of two.
         for window in 0..2 {

@@ -947,11 +947,62 @@ mod tests {
         assert!(eq.windows > 0);
     }
 
+    /// A four-core mix-high Mithril run behind a 64 KiB, 4-way LLC on the
+    /// controller `scheduler` core. Mix-high's RandomAccess thread stores
+    /// 30% of the time, and a cache this small evicts its dirty lines
+    /// within the run, so the controllers serve writebacks.
+    fn writeback_run(scheduler: SchedulerKind) -> Metrics {
+        let mut cfg = quick_config(Scheme::Mithril {
+            rfm_th: 64,
+            ad_th: None,
+            plus: false,
+        });
+        cfg.llc = LlcConfig {
+            size_bytes: 64 << 10,
+            ways: 4,
+        };
+        on_core(cfg, mix_high(4, 11), scheduler).run(20_000, u64::MAX)
+    }
+
+    /// Both scheduler cores make the same decisions with writebacks in
+    /// flight.
+    #[test]
+    fn scheduler_cores_agree_with_writebacks() {
+        let ev = writeback_run(SchedulerKind::EventQueue);
+        let na = writeback_run(SchedulerKind::NaiveRescan);
+        assert!(ev.counters.writes > 0, "no writeback reached the device");
+        assert_eq!(ev.total_insts, na.total_insts);
+        assert_eq!(ev.sim_time_ps, na.sim_time_ps);
+        assert_eq!(ev.counters, na.counters);
+        assert_eq!(ev.read_latency, na.read_latency);
+        assert_eq!(ev.write_latency, na.write_latency);
+        assert_eq!(ev.max_disturbance, na.max_disturbance);
+        assert_eq!(ev.aggregate_ipc, na.aggregate_ipc);
+    }
+
+    /// Served writebacks are recorded once, by their issuing core: per
+    /// channel, the per-core write histograms count the device ledger's
+    /// writes, and the run's write total is their fold.
+    #[test]
+    fn per_core_write_records_match_device_ledger() {
+        let m = writeback_run(SchedulerKind::EventQueue);
+        assert_eq!(m.per_channel.len(), 2);
+        for ch in &m.per_channel {
+            let total = CoreStats::total(&ch.per_core);
+            let writes = total.write_latency.count();
+            assert!(writes > 0, "channel {} served no writes", ch.channel.0);
+            assert_eq!(writes, ch.counters.writes, "channel {}", ch.channel.0);
+            assert_eq!(total.read_latency.count(), ch.counters.reads);
+        }
+        assert_eq!(m.write_latency, CoreStats::total(&m.per_core).write_latency);
+    }
+
     /// The issuing cores' records are each channel's only record of
     /// served requests: per channel, their histogram counts sum to the
     /// device ledger, and the run's totals are their fold. (A run this
     /// short evicts no dirty line from the 16 MiB LLC, so its write
-    /// counts are 0; the controller's own tests serve writes.)
+    /// counts are 0; `per_core_write_records_match_device_ledger` serves
+    /// writes.)
     #[test]
     fn per_core_records_match_device_ledger() {
         let m = run(

@@ -7,6 +7,8 @@
 //! Pinned here (see "Allocation discipline on the hot path" in
 //! ARCHITECTURE.md):
 //! - The oracle walks the blast radius in place.
+//! - An `AttackHarness` allocates its oracle's flat per-row counts on its
+//!   first ACT, in one allocation of 4 B per row, not when it is built.
 //! - `System` recycles the emptied miss-waiter lists.
 //! - An all-bank REF returns its row range instead of a list.
 //!
@@ -21,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mithril_repro::core::{MithrilConfig, MithrilScheme, MithrilTable};
-use mithril_repro::dram::{AttackHarness, Ddr5Timing};
+use mithril_repro::dram::{AttackHarness, Ddr5Timing, NoMitigation};
 use mithril_repro::sim::{Llc, LlcConfig, Scheme, System, SystemConfig};
 use mithril_repro::workloads::mix_high;
 
@@ -114,6 +116,18 @@ fn llc_footprint() -> (u64, u64, u64) {
     (made, lines, sets)
 }
 
+/// Bytes requested by building a default-sized harness, then the
+/// allocations and bytes of its first ACT.
+fn harness_first_act() -> (u64, u64, u64) {
+    let t = Ddr5Timing::ddr5_4800();
+    let before = bytes();
+    let mut h = AttackHarness::new(t, Box::new(NoMitigation), 64, 6_250);
+    let built = bytes() - before;
+    let (allocs_before, bytes_before) = (allocs(), bytes());
+    assert!(h.try_activate(1_000));
+    (built, allocs() - allocs_before, bytes() - bytes_before)
+}
+
 /// Allocations and ACTs of a 32-sided hammer on a Mithril bank over one
 /// full tREFW window.
 fn harness_hammer() -> (u64, u64) {
@@ -154,6 +168,7 @@ fn system_continuation() -> (u64, u64) {
 fn per_act_hot_path_does_not_allocate() {
     // Measure both before asserting, so a failure reports both counts.
     let (harness_allocs, harness_acts) = harness_hammer();
+    let (built_bytes, first_act_allocs, first_act_bytes) = harness_first_act();
     let (system_allocs, system_acts) = system_continuation();
     let (llc_bytes, llc_lines, llc_sets) = llc_footprint();
     let (nentry, table_bytes) = table_footprint();
@@ -170,6 +185,16 @@ fn per_act_hot_path_does_not_allocate() {
          System: {system_allocs} allocations over {system_acts} ACTs (limit 1 per 1,000)"
     );
     assert!(harness_allocs * 10_000 < harness_acts, "{report}");
+    let rows = <AttackHarness>::DEFAULT_ROWS;
+    assert!(
+        built_bytes <= 1_024,
+        "building a {rows}-row harness requested {built_bytes} B (limit 1 KiB: no per-row storage)"
+    );
+    assert_eq!(
+        (first_act_allocs, first_act_bytes),
+        (1, 4 * rows),
+        "the first harness ACT must allocate the oracle's 4 B per row, once"
+    );
     assert!(system_allocs * 1_000 < system_acts, "{report}");
     assert!(
         llc_bytes <= 8 * llc_lines + llc_sets,
