@@ -1,16 +1,18 @@
 //! The assembled multi-bank DRAM device, as seen by a memory controller.
 //!
-//! A [`DramDevice`] bundles banks, rank-level timing, one in-DRAM
-//! mitigation engine per bank (paper Fig. 4: "an identical Mithril module …
-//! is populated per bank"), one disturbance oracle per bank, and energy
-//! counters. The memory controller (see `mithril-memctrl`) drives it through
-//! the `issue_*` methods; the device enforces command legality.
+//! A [`DramDevice`] bundles bank and rank timing, one energy ledger, and
+//! the row side of every bank (`BankRows`: its in-DRAM mitigation engine —
+//! paper Fig. 4: "an identical Mithril module … is populated per bank" —
+//! its disturbance oracle and its auto-refresh pointer). The memory
+//! controller (see `mithril-memctrl`) drives it through the `issue_*`
+//! methods; the device enforces command legality.
 
 use crate::bank::Bank;
 use crate::energy::EnergyCounters;
 use crate::mitigation::{DramMitigation, RfmOutcome};
 use crate::oracle::RowHammerOracle;
 use crate::rank::RankTiming;
+use crate::rows::BankRows;
 use crate::timing::Ddr5Timing;
 use crate::types::{BankId, Geometry, RankId, RowId, TimePs};
 
@@ -33,17 +35,10 @@ pub struct DramDevice {
     timing: Ddr5Timing,
     banks: Vec<Bank>,
     ranks: Vec<RankTiming>,
-    engines: Vec<Box<dyn DramMitigation>>,
-    oracles: Vec<RowHammerOracle>,
-    /// Per-rank auto-refresh row pointer: an all-bank REF refreshes the
-    /// same row group in every bank of the rank, so the banks' pointers
-    /// always move together.
-    ref_ptrs: Vec<RowId>,
-    rows_per_ref: u64,
+    /// Each bank's row side. An all-bank REF refreshes the same row group
+    /// in every bank of the rank, so the banks' pointers move together.
+    rows: Vec<BankRows>,
     counters: EnergyCounters,
-    /// Reusable outcome buffer for [`DramMitigation::on_rfm_into`], so the
-    /// per-RFM victim list never reallocates on the hot path.
-    rfm_scratch: RfmOutcome,
 }
 
 impl DramDevice {
@@ -68,14 +63,14 @@ impl DramDevice {
             ranks: (0..geometry.ranks)
                 .map(|_| RankTiming::new(timing))
                 .collect(),
-            engines: (0..n).map(engine_for).collect(),
-            oracles: (0..n)
-                .map(|_| RowHammerOracle::new(flip_th.max(1), blast_radius, geometry.rows_per_bank))
+            rows: (0..n)
+                .map(|bank| {
+                    let oracle =
+                        RowHammerOracle::new(flip_th.max(1), blast_radius, geometry.rows_per_bank);
+                    BankRows::new(engine_for(bank), oracle, &timing)
+                })
                 .collect(),
-            ref_ptrs: vec![0; geometry.ranks],
-            rows_per_ref: timing.rows_per_ref(geometry.rows_per_bank),
             counters: EnergyCounters::default(),
-            rfm_scratch: RfmOutcome::default(),
         }
     }
 
@@ -100,12 +95,12 @@ impl DramDevice {
 
     /// The disturbance oracle of a bank.
     pub fn oracle(&self, bank: BankId) -> &RowHammerOracle {
-        &self.oracles[bank]
+        self.rows[bank].oracle()
     }
 
     /// The mitigation engine of a bank.
     pub fn engine(&self, bank: BankId) -> &dyn DramMitigation {
-        self.engines[bank].as_ref()
+        self.rows[bank].engine()
     }
 
     /// Aggregate tracker snapshot across all bank engines (observability
@@ -114,8 +109,8 @@ impl DramDevice {
     /// tracker contribute nothing.
     pub fn observe_trackers(&self) -> mithril_obs::TrackerObservation {
         let mut agg = mithril_obs::TrackerObservation::default();
-        for engine in &self.engines {
-            if let Some(obs) = engine.observe_tracker() {
+        for rows in &self.rows {
+            if let Some(obs) = rows.engine().observe_tracker() {
                 agg.merge(obs);
             }
         }
@@ -124,16 +119,16 @@ impl DramDevice {
 
     /// Worst victim disturbance across all banks (safety metric).
     pub fn max_disturbance(&self) -> u64 {
-        self.oracles
+        self.rows
             .iter()
-            .map(|o| o.max_disturbance())
+            .map(|r| r.oracle().max_disturbance())
             .max()
             .unwrap_or(0)
     }
 
     /// Total detected bit flips across banks.
     pub fn total_flips(&self) -> usize {
-        self.oracles.iter().map(|o| o.flips().len()).sum()
+        self.rows.iter().map(|r| r.oracle().flips().len()).sum()
     }
 
     /// Accumulated operation counters (for the energy model).
@@ -168,9 +163,7 @@ impl DramDevice {
         let (rank, _) = self.geometry.split_bank(bank);
         self.banks[bank].issue_activate(row, now);
         self.ranks[rank.0].record_activate(now);
-        self.engines[bank].on_activate(row);
-        self.oracles[bank].on_activate(row);
-        self.counters.acts += 1;
+        self.rows[bank].activate(row, &mut self.counters);
     }
 
     /// Issues a PRE.
@@ -218,50 +211,31 @@ impl DramDevice {
     ///
     /// Panics if any bank of the rank cannot refresh at `now`.
     pub fn issue_refresh_rank(&mut self, rank: RankId, now: TimePs) -> (TimePs, RowId, RowId) {
-        let lo = self.ref_ptrs[rank.0];
-        let hi = (lo + self.rows_per_ref).min(self.geometry.rows_per_bank);
         let mut busy = now;
+        let mut group = 0..0;
         for b in self.rank_banks(rank) {
             busy = busy.max(self.banks[b].issue_refresh(now));
-            self.oracles[b].on_rows_refreshed(lo, hi);
-            self.engines[b].on_auto_refresh(lo, hi);
-            self.counters.auto_refresh_rows += hi - lo;
+            group = self.rows[b].refresh_group(&mut self.counters);
         }
-        self.ref_ptrs[rank.0] = if hi >= self.geometry.rows_per_bank {
-            0
-        } else {
-            hi
-        };
-        (busy, lo, hi)
+        (busy, group.start, group.end)
     }
 
     /// Issues an RFM to `bank`, handing the tRFM window to its engine.
-    /// Returns the outcome (borrowed from a reusable scratch buffer — the
-    /// victim list is only valid until the next `issue_rfm`) and the
+    /// Returns the outcome (borrowed from the bank's reusable buffer — the
+    /// victim list is only valid until the bank's next `issue_rfm`) and the
     /// busy-until time.
     ///
     /// # Panics
     ///
     /// Panics if the bank cannot refresh at `now`.
     pub fn issue_rfm(&mut self, bank: BankId, now: TimePs) -> (&RfmOutcome, TimePs) {
-        // Swap the scratch out so the engine can fill it while the oracle
-        // is updated; `take` leaves an allocation-free empty outcome.
-        let mut outcome = std::mem::take(&mut self.rfm_scratch);
-        self.engines[bank].on_rfm_into(&mut outcome);
-        for &v in &outcome.refreshed_victims {
-            self.oracles[bank].on_row_refreshed(v);
-        }
-        self.counters.preventive_rows += outcome.refreshed_victims.len() as u64;
-        self.counters.rfm_commands += 1;
         let busy = self.banks[bank].issue_rfm(now);
-        self.rfm_scratch = outcome;
-        (&self.rfm_scratch, busy)
+        (self.rows[bank].rfm(&mut self.counters), busy)
     }
 
     /// Polls the Mithril+ mode-register flag of `bank` (an MRR command).
     pub fn issue_mrr(&mut self, bank: BankId) -> bool {
-        self.counters.mrr_commands += 1;
-        self.engines[bank].refresh_pending()
+        self.rows[bank].mrr(&mut self.counters)
     }
 
     /// Executes an MC-directed ARR on `bank`: preventively refreshes
@@ -271,10 +245,7 @@ impl DramDevice {
     ///
     /// Panics if the bank cannot refresh at `now`.
     pub fn issue_arr(&mut self, bank: BankId, victims: &[RowId], now: TimePs) -> TimePs {
-        for &v in victims {
-            self.oracles[bank].on_row_refreshed(v);
-        }
-        self.counters.preventive_rows += victims.len() as u64;
+        self.rows[bank].refresh(victims, &mut self.counters);
         self.banks[bank].issue_arr(now, victims.len() as u64)
     }
 
@@ -289,7 +260,7 @@ impl std::fmt::Debug for DramDevice {
         f.debug_struct("DramDevice")
             .field("geometry", &self.geometry)
             .field("banks", &self.banks.len())
-            .field("engine", &self.engines.first().map(|e| e.name()))
+            .field("engine", &self.rows.first().map(|r| r.engine().name()))
             .finish()
     }
 }
@@ -333,7 +304,7 @@ mod tests {
     #[test]
     fn refresh_rank_advances_row_groups() {
         let mut d = device();
-        let rows_per_ref = d.rows_per_ref;
+        let rows_per_ref = d.timing().rows_per_ref(d.geometry().rows_per_bank);
         d.issue_activate(0, 0, 0);
         assert_eq!(d.oracle(0).disturbance(1), 1);
         let t = *d.timing();

@@ -18,8 +18,9 @@
 use mithril_obs::{Event, EventSink, NullSink};
 
 use crate::energy::EnergyCounters;
-use crate::mitigation::{DramMitigation, RfmOutcome};
+use crate::mitigation::DramMitigation;
 use crate::oracle::RowHammerOracle;
+use crate::rows::BankRows;
 use crate::timing::Ddr5Timing;
 use crate::types::{RowId, TimePs};
 
@@ -45,21 +46,15 @@ use crate::types::{RowId, TimePs};
 /// ```
 pub struct AttackHarness<S: EventSink = NullSink> {
     timing: Ddr5Timing,
-    engine: Box<dyn DramMitigation>,
-    oracle: RowHammerOracle,
+    rows: BankRows,
     rfm_th: u64,
     raa: u64,
     now: TimePs,
     window_end: TimePs,
     next_ref: TimePs,
-    ref_ptr: RowId,
-    rows: u64,
-    rows_per_ref: u64,
     counters: EnergyCounters,
     mrr_elision: bool,
     rfms_elided: u64,
-    /// Reusable RFM outcome buffer (see `DramMitigation::on_rfm_into`).
-    rfm_scratch: RfmOutcome,
     /// Event sink; `NullSink` (the default) compiles every emission out.
     obs: S,
 }
@@ -77,29 +72,13 @@ impl AttackHarness {
         rfm_th: u64,
         flip_th: u64,
     ) -> Self {
-        Self::with_rows(timing, engine, rfm_th, flip_th, Self::DEFAULT_ROWS, 1)
-    }
-
-    /// Creates a harness with an explicit row count and blast radius.
-    ///
-    /// # Panics
-    ///
-    /// As [`with_obs`](AttackHarness::with_obs).
-    pub(crate) fn with_rows(
-        timing: Ddr5Timing,
-        engine: Box<dyn DramMitigation>,
-        rfm_th: u64,
-        flip_th: u64,
-        rows: u64,
-        blast_radius: u64,
-    ) -> Self {
         Self::with_obs(
             timing,
             engine,
             rfm_th,
             flip_th,
-            rows,
-            blast_radius,
+            Self::DEFAULT_ROWS,
+            1,
             NullSink,
         )
     }
@@ -133,22 +112,18 @@ impl<S: EventSink> AttackHarness<S> {
     ) -> Self {
         assert!(rfm_th > 0, "rfm_th must be non-zero");
         assert!(rows <= 1 << 24, "rows must be at most 2^24");
+        let oracle = RowHammerOracle::flat(flip_th.max(1), blast_radius, rows);
         Self {
             timing,
-            engine,
-            oracle: RowHammerOracle::flat(flip_th.max(1), blast_radius, rows),
+            rows: BankRows::new(engine, oracle, &timing),
             rfm_th,
             raa: 0,
             now: 0,
             window_end: timing.trefw,
             next_ref: timing.trefi,
-            ref_ptr: 0,
-            rows,
-            rows_per_ref: timing.rows_per_ref(rows),
             counters: EnergyCounters::default(),
             mrr_elision: false,
             rfms_elided: 0,
-            rfm_scratch: RfmOutcome::default(),
             obs,
         }
     }
@@ -172,10 +147,9 @@ impl<S: EventSink> AttackHarness<S> {
             return false;
         }
         // One closed-page row cycle.
-        self.oracle.on_activate(row);
         if S::ENABLED {
             let before = self.tracker_evictions();
-            self.engine.on_activate(row);
+            self.rows.activate(row, &mut self.counters);
             self.obs.emit(self.now, Event::Act { bank: 0, row });
             let evicted = self.tracker_evictions() - before;
             if evicted > 0 {
@@ -188,9 +162,8 @@ impl<S: EventSink> AttackHarness<S> {
                 );
             }
         } else {
-            self.engine.on_activate(row);
+            self.rows.activate(row, &mut self.counters);
         }
-        self.counters.acts += 1;
         self.counters.pres += 1;
         self.now += self.timing.trc;
         self.raa += 1;
@@ -208,7 +181,7 @@ impl<S: EventSink> AttackHarness<S> {
 
     /// The exact disturbance oracle.
     pub fn oracle(&self) -> &RowHammerOracle {
-        &self.oracle
+        self.rows.oracle()
     }
 
     /// Accumulated operation counters.
@@ -233,7 +206,7 @@ impl<S: EventSink> AttackHarness<S> {
 
     /// The wrapped mitigation engine.
     pub fn engine(&self) -> &dyn DramMitigation {
-        self.engine.as_ref()
+        self.rows.engine()
     }
 
     /// The event sink (for collectors to drain after a run).
@@ -243,30 +216,22 @@ impl<S: EventSink> AttackHarness<S> {
 
     /// Cumulative tracker evictions, `0` for engines without a tracker.
     fn tracker_evictions(&self) -> u64 {
-        self.engine
+        self.rows
+            .engine()
             .observe_tracker()
             .map(|o| o.evictions)
             .unwrap_or(0)
     }
 
     fn issue_rfm(&mut self) {
-        if self.mrr_elision {
-            self.counters.mrr_commands += 1;
-            if !self.engine.refresh_pending() {
-                self.rfms_elided += 1;
-                if S::ENABLED {
-                    self.obs.emit(self.now, Event::RfmElided { bank: 0 });
-                }
-                return; // MC skips the RFM entirely: no time, no energy.
+        if self.mrr_elision && !self.rows.mrr(&mut self.counters) {
+            self.rfms_elided += 1;
+            if S::ENABLED {
+                self.obs.emit(self.now, Event::RfmElided { bank: 0 });
             }
+            return; // MC skips the RFM entirely: no time, no energy.
         }
-        self.counters.rfm_commands += 1;
-        let mut outcome = std::mem::take(&mut self.rfm_scratch);
-        self.engine.on_rfm_into(&mut outcome);
-        for &victim in &outcome.refreshed_victims {
-            self.oracle.on_row_refreshed(victim);
-        }
-        self.counters.preventive_rows += outcome.refreshed_victims.len() as u64;
+        let outcome = self.rows.rfm(&mut self.counters);
         if S::ENABLED {
             self.obs.emit(
                 self.now,
@@ -278,18 +243,12 @@ impl<S: EventSink> AttackHarness<S> {
                 },
             );
         }
-        self.rfm_scratch = outcome;
         self.now += self.timing.trfm;
     }
 
     fn catch_up_refresh(&mut self) {
         while self.now >= self.next_ref {
-            let lo = self.ref_ptr;
-            let hi = (self.ref_ptr + self.rows_per_ref).min(self.rows);
-            self.oracle.on_rows_refreshed(lo, hi);
-            self.engine.on_auto_refresh(lo, hi);
-            self.counters.auto_refresh_rows += hi - lo;
-            self.ref_ptr = if hi >= self.rows { 0 } else { hi };
+            self.rows.refresh_group(&mut self.counters);
             if S::ENABLED {
                 self.obs.emit(self.now, Event::Ref { rank: 0, banks: 1 });
             }
@@ -302,7 +261,7 @@ impl<S: EventSink> AttackHarness<S> {
 impl<S: EventSink> std::fmt::Debug for AttackHarness<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AttackHarness")
-            .field("engine", &self.engine.name())
+            .field("engine", &self.engine().name())
             .field("rfm_th", &self.rfm_th)
             .field("now", &self.now)
             .field("acts", &self.counters.acts)
@@ -352,8 +311,15 @@ mod tests {
     fn auto_refresh_covers_all_rows_in_one_window() {
         let t = Ddr5Timing::ddr5_4800();
         let rows = 4096;
-        let mut h =
-            AttackHarness::with_rows(t, Box::new(NoMitigation), 1_000_000, u64::MAX, rows, 1);
+        let mut h = AttackHarness::with_obs(
+            t,
+            Box::new(NoMitigation),
+            1_000_000,
+            u64::MAX,
+            rows,
+            1,
+            NullSink,
+        );
         while h.try_activate(0) {}
         // 8192 REFs happened; every row refreshed >= 1 time.
         assert!(h.counters().auto_refresh_rows >= rows);
@@ -456,7 +422,15 @@ mod tests {
     #[should_panic(expected = "rows must be at most 2^24")]
     fn oversized_bank_panics() {
         let t = Ddr5Timing::ddr5_4800();
-        let _ = AttackHarness::with_rows(t, Box::new(NoMitigation), 64, 100, (1 << 24) + 1, 1);
+        let _ = AttackHarness::with_obs(
+            t,
+            Box::new(NoMitigation),
+            64,
+            100,
+            (1 << 24) + 1,
+            1,
+            NullSink,
+        );
     }
 
     #[test]

@@ -39,6 +39,7 @@ mod harness;
 mod mitigation;
 mod oracle;
 mod rank;
+mod rows;
 mod timing;
 mod types;
 

@@ -30,15 +30,6 @@ impl RfmOutcome {
         }
     }
 
-    /// An outcome refreshing the victims of `aggressor`.
-    pub fn refresh(aggressor: RowId, victims: Vec<RowId>) -> Self {
-        Self {
-            refreshed_victims: victims,
-            selected_aggressor: Some(aggressor),
-            skipped: false,
-        }
-    }
-
     /// Resets this outcome to "skipped" **without freeing** the victim
     /// buffer, so engines filling it via [`DramMitigation::on_rfm_into`]
     /// reuse the allocation across RFM windows.
@@ -183,8 +174,7 @@ pub trait DramMitigation {
     /// Called when the memory controller issues an RFM to this bank. The
     /// engine owns the tRFM window and decides which victim rows (if any)
     /// to preventively refresh, writing the outcome into a caller-owned
-    /// buffer so its victim `Vec` is reused across windows (the device
-    /// drives every RFM through one scratch outcome).
+    /// buffer so its victim `Vec` is reused across windows.
     ///
     /// Implementations must fully overwrite `out` — start with
     /// [`RfmOutcome::reset_to_skipped`] or [`RfmOutcome::begin_refresh`].
@@ -285,10 +275,23 @@ mod tests {
     fn outcome_constructors() {
         let s = RfmOutcome::skipped();
         assert!(s.skipped && s.selected_aggressor.is_none());
-        let r = RfmOutcome::refresh(10, vec![9, 11]);
+        let mut r = RfmOutcome::skipped();
+        r.begin_refresh(10).extend([9, 11]);
         assert!(!r.skipped);
         assert_eq!(r.selected_aggressor, Some(10));
         assert_eq!(r.refreshed_victims, vec![9, 11]);
+        let buffer = r.refreshed_victims.as_ptr();
+        // A second refresh starts from an empty list in the same buffer.
+        r.begin_refresh(20).push(21);
+        assert_eq!(r.selected_aggressor, Some(20));
+        assert_eq!(r.refreshed_victims, vec![21]);
+        assert_eq!(r.refreshed_victims.as_ptr(), buffer);
+        // Resetting keeps the buffer too.
+        r.reset_to_skipped();
+        assert!(r.skipped && r.selected_aggressor.is_none());
+        assert!(r.refreshed_victims.is_empty());
+        assert_eq!(r.refreshed_victims.as_ptr(), buffer);
+        assert!(r.refreshed_victims.capacity() >= 2);
     }
 
     #[test]

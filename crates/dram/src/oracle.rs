@@ -326,6 +326,11 @@ impl RowHammerOracle {
         }
     }
 
+    /// Rows in the bank.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
     /// High-water mark of any victim's disturbance since construction.
     ///
     /// A deterministic protection scheme is *safe* iff this never reaches
