@@ -100,6 +100,12 @@ impl DramMitigation for MithrilScheme {
         }
     }
 
+    /// Moves the table's row index to a flat store of one word per bank
+    /// row ([`MithrilTable::use_flat_index`]).
+    fn use_flat_rows(&mut self, rows: u64) {
+        self.table.use_flat_index(rows);
+    }
+
     fn refresh_pending(&self) -> bool {
         // Mithril+ flag: set exactly when a refresh would execute.
         !self.adaptive_skip() && !self.table.is_empty()

@@ -39,7 +39,7 @@
 
 use crate::streamsummary::BucketList;
 use mithril_dram::RowId;
-use mithril_fasthash::RowIndex;
+use mithril_fasthash::{FlatIndex, RowIndex};
 
 /// A fixed-width, wrapping hardware counter.
 ///
@@ -197,6 +197,11 @@ pub struct Selection {
 /// the maximum first is selected first. [`NaiveTable`] implements the same
 /// policy with linear scans.
 ///
+/// The row index over the valid tags is a [`RowIndex`] sized for
+/// `Nentry`, or, after [`use_flat_index`](MithrilTable::use_flat_index),
+/// a [`FlatIndex`] of one word per bank row. Both stores make the same
+/// decisions (`tests/table_stores.rs`).
+///
 /// # Example
 ///
 /// ```
@@ -214,12 +219,17 @@ pub struct Selection {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MithrilTable<C: Counter = u16> {
+    entries: Entries<C>,
+    /// Valid row tag -> `slot + 1` (the index's value word is non-zero).
+    index: Index,
+}
+
+/// The table's entries: address tags, their counters and the
+/// Stream-Summary order over them.
+#[derive(Debug, Clone)]
+struct Entries<C: Counter> {
     addrs: Vec<RowId>,
     counts: Vec<C>,
-    /// Valid row tag -> `slot + 1` (the index's value word is non-zero).
-    /// Sized for `capacity` rows at construction: every run that touches
-    /// more distinct rows than the table has entries fills it.
-    index: RowIndex<RowId>,
     /// The shared Stream-Summary bucket list over the slots.
     list: BucketList<C>,
     capacity: usize,
@@ -227,37 +237,75 @@ pub struct MithrilTable<C: Counter = u16> {
     evictions: u64,
 }
 
-impl<C: Counter> MithrilTable<C> {
-    /// Creates an empty table with `capacity` entries (`Nentry`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be non-zero");
-        Self {
-            addrs: Vec::with_capacity(capacity),
-            counts: Vec::with_capacity(capacity),
-            index: RowIndex::with_capacity(capacity),
-            list: BucketList::with_capacity(capacity),
-            capacity,
-            evictions: 0,
+/// Where a table keeps its row index.
+#[derive(Debug, Clone)]
+enum Index {
+    /// Open-addressed, sized for `capacity` rows at construction: every
+    /// run that touches more distinct rows than the table has entries
+    /// fills it.
+    Sparse(RowIndex<RowId>),
+    /// One word per bank row, allocated on the first insertion.
+    Flat(FlatIndex),
+}
+
+/// Runs `$body` with `$i` bound to the table's index store: one match
+/// per table call, and the body compiled once per store.
+macro_rules! with_index {
+    ($index:expr, $i:ident => $body:expr) => {
+        match $index {
+            Index::Sparse($i) => $body,
+            Index::Flat($i) => $body,
         }
-    }
+    };
+}
 
-    /// `Nentry`, the number of table entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
+/// The row -> `slot + 1` operations the table's multi-step calls make,
+/// so those calls can be generic over the store.
+trait SlotIndex {
+    fn get(&self, row: RowId) -> Option<u32>;
+    fn insert(&mut self, row: RowId, slot_plus_one: u32);
+    fn remove(&mut self, row: RowId);
+    fn len(&self) -> usize;
+    fn clear(&mut self);
+}
 
+/// Both stores spell the operations alike.
+macro_rules! slot_index {
+    ($($store:ty),*) => {$(
+        impl SlotIndex for $store {
+            #[inline]
+            fn get(&self, row: RowId) -> Option<u32> {
+                <$store>::get(self, row)
+            }
+
+            #[inline]
+            fn insert(&mut self, row: RowId, slot_plus_one: u32) {
+                <$store>::insert(self, row, slot_plus_one);
+            }
+
+            #[inline]
+            fn remove(&mut self, row: RowId) {
+                <$store>::remove(self, row);
+            }
+
+            fn len(&self) -> usize {
+                <$store>::len(self)
+            }
+
+            fn clear(&mut self) {
+                <$store>::clear(self)
+            }
+        }
+    )*};
+}
+
+slot_index!(RowIndex<RowId>, FlatIndex);
+
+impl<C: Counter> Entries<C> {
     /// Occupied entries.
-    pub fn len(&self) -> usize {
+    #[inline]
+    fn len(&self) -> usize {
         self.addrs.len()
-    }
-
-    /// True if no entries are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
     }
 
     /// The minimum the table currently measures against: the head bucket's
@@ -271,38 +319,6 @@ impl<C: Counter> MithrilTable<C> {
         }
     }
 
-    /// The count difference between `MaxPtr` and `MinPtr` — the adaptive
-    /// refresh proxy (paper Section V-A).
-    pub fn spread(&self) -> u64 {
-        if self.addrs.is_empty() {
-            return 0;
-        }
-        self.list
-            .max_value()
-            .expect("non-empty")
-            .diff(self.min_value())
-    }
-
-    /// The slot holding `row`, if it occupies a table entry.
-    #[inline]
-    fn slot_of(&self, row: RowId) -> Option<u32> {
-        self.index.get(row).map(|v| v - 1)
-    }
-
-    /// Estimated count of `row` above the table minimum (`0` for off-table
-    /// rows: their estimate *is* the minimum).
-    pub fn estimate_above_min(&self, row: RowId) -> u64 {
-        match self.slot_of(row) {
-            Some(slot) => self.counts[slot as usize].diff(self.min_value()),
-            None => 0,
-        }
-    }
-
-    /// True if `row` currently occupies a table entry.
-    pub fn contains(&self, row: RowId) -> bool {
-        self.index.contains(row)
-    }
-
     /// Moves `slot` to the bucket for `value + 1`. O(1) via the shared
     /// [`BucketList`].
     fn increment(&mut self, slot: u32) {
@@ -311,17 +327,19 @@ impl<C: Counter> MithrilTable<C> {
         self.list.advance(slot, v1);
     }
 
-    /// Processes one ACT command (paper Fig. 5 steps ① and ②).
-    pub fn on_activate(&mut self, row: RowId) {
-        if let Some(slot) = self.slot_of(row) {
-            self.increment(slot);
+    /// Paper Fig. 5 steps ① and ②: count a hit, fill a free entry, or
+    /// replace the entry that has held the minimum longest.
+    #[inline]
+    fn activate<I: SlotIndex>(&mut self, index: &mut I, row: RowId) {
+        if let Some(slot1) = index.get(row) {
+            self.increment(slot1 - 1);
             return;
         }
-        if self.addrs.len() < self.capacity {
-            let slot = self.addrs.len() as u32;
+        if self.len() < self.capacity {
+            let slot = self.len() as u32;
             self.addrs.push(row);
             self.counts.push(C::zero().incremented());
-            self.index.insert(row, slot + 1);
+            index.insert(row, slot + 1);
             self.list.push_slot();
             self.list
                 .place_fresh(slot, C::zero(), C::zero().incremented());
@@ -333,48 +351,11 @@ impl<C: Counter> MithrilTable<C> {
             .list
             .oldest_min_slot()
             .expect("full table is non-empty");
-        let old = self.addrs[victim as usize];
-        self.index.remove(old);
+        index.remove(self.addrs[victim as usize]);
         self.addrs[victim as usize] = row;
-        self.index.insert(row, victim + 1);
+        index.insert(row, victim + 1);
         self.evictions += 1;
         self.increment(victim);
-    }
-
-    /// Cumulative minimum-entry evictions since construction (or the last
-    /// [`clear`]) — the Space-Saving replacement pressure the
-    /// observability layer tracks.
-    ///
-    /// [`clear`]: MithrilTable::clear
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Processes one RFM command: greedy selection of the `MaxPtr` entry and
-    /// decrement of its counter to the table minimum (Fig. 5 step ③).
-    /// Returns `None` only if the table is empty.
-    pub fn on_rfm(&mut self) -> Option<Selection> {
-        let slot = self.list.oldest_max_slot()?;
-        Some(Selection {
-            row: self.addrs[slot as usize],
-            count_above_min: self.reset_slot(slot),
-        })
-    }
-
-    /// Drops an on-table `row`'s counter to the table minimum — the reset
-    /// a scheme applies after refreshing the row's victims outside the
-    /// greedy selection (RFM-Graphene's queue). Safe by inequality (2):
-    /// the refreshed row's true count is zero, and the entry may still owe
-    /// up to the minimum from evictions. Returns `false` (and changes
-    /// nothing) if `row` is off the table.
-    pub fn reset_row(&mut self, row: RowId) -> bool {
-        match self.slot_of(row) {
-            Some(slot) => {
-                self.reset_slot(slot);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drops `slot` to the table minimum (the implicit zero while entries
@@ -390,26 +371,211 @@ impl<C: Counter> MithrilTable<C> {
         above
     }
 
+    /// [`MithrilTable::self_check`] against `index`.
+    fn check<I: SlotIndex>(&self, index: &I) -> Result<(), String> {
+        let mut valid = 0usize;
+        for (slot, &row) in self.addrs.iter().enumerate() {
+            if row == INVALID_ROW {
+                continue;
+            }
+            valid += 1;
+            match index.get(row).map(|v| v - 1) {
+                Some(s) if s as usize == slot => {}
+                Some(s) => {
+                    return Err(format!(
+                        "row {row}: index points at slot {s}, stored in {slot}"
+                    ))
+                }
+                None => return Err(format!("row {row} (slot {slot}): missing from index")),
+            }
+        }
+        if index.len() != valid {
+            return Err(format!(
+                "index has {} rows, table stores {valid} valid tags",
+                index.len()
+            ));
+        }
+        let basis = self.list.min_value().unwrap_or_else(C::zero);
+        self.list
+            .self_check(|s| self.counts[s as usize], |v| v.diff(basis))
+    }
+
+    /// [`MithrilTable::repair`], rebuilding `index`.
+    fn repair<I: SlotIndex>(&mut self, index: &mut I) {
+        index.clear();
+        for slot in 0..self.addrs.len() {
+            let row = self.addrs[slot];
+            if row == INVALID_ROW {
+                continue;
+            }
+            if index.get(row).is_some() {
+                self.addrs[slot] = INVALID_ROW;
+            } else {
+                index.insert(row, slot as u32 + 1);
+            }
+        }
+        let floor = if self.len() == self.capacity {
+            C::recover_floor(&self.counts)
+        } else {
+            C::zero()
+        };
+        let counts = &self.counts;
+        self.list.rebuild(|s| counts[s as usize], |v| v.diff(floor));
+    }
+}
+
+impl<C: Counter> MithrilTable<C> {
+    /// Creates an empty table with `capacity` entries (`Nentry`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "capacity must be non-zero");
+        Self {
+            entries: Entries {
+                addrs: Vec::with_capacity(capacity),
+                counts: Vec::with_capacity(capacity),
+                list: BucketList::with_capacity(capacity),
+                capacity,
+                evictions: 0,
+            },
+            index: Index::Sparse(RowIndex::with_capacity(capacity)),
+        }
+    }
+
+    /// Moves the row index of an empty table to a [`FlatIndex`] of one
+    /// `u32` word per row of a bank of `rows` rows: 4 B × `rows`,
+    /// allocated zeroed on the first ACT, not here. A hit then costs one
+    /// indexed load instead of a hash probe, and a miss on a full table
+    /// three of them, which suits a single bank driven ACT after ACT.
+    /// Decisions are unchanged. A table that holds entries keeps its
+    /// index.
+    ///
+    /// After the move, an ACT of a row at or past `rows` panics; queries
+    /// of such rows, [`INVALID_ROW`] included, read as off-table.
+    pub fn use_flat_index(&mut self, rows: u64) {
+        if self.is_empty() {
+            self.index = Index::Flat(FlatIndex::new(rows));
+        }
+    }
+
+    /// `Nentry`, the number of table entries.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity
+    }
+
+    /// Occupied entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if no entries are occupied.
+    pub fn is_empty(&self) -> bool {
+        self.entries.addrs.is_empty()
+    }
+
+    /// The count difference between `MaxPtr` and `MinPtr` — the adaptive
+    /// refresh proxy (paper Section V-A).
+    pub fn spread(&self) -> u64 {
+        if self.is_empty() {
+            return 0;
+        }
+        self.entries
+            .list
+            .max_value()
+            .expect("non-empty")
+            .diff(self.entries.min_value())
+    }
+
+    /// The slot holding `row`, if it occupies a table entry.
+    #[inline]
+    fn slot_of(&self, row: RowId) -> Option<u32> {
+        with_index!(&self.index, index => index.get(row)).map(|v| v - 1)
+    }
+
+    /// Estimated count of `row` above the table minimum (`0` for off-table
+    /// rows: their estimate *is* the minimum).
+    pub fn estimate_above_min(&self, row: RowId) -> u64 {
+        match self.slot_of(row) {
+            Some(slot) => self.entries.counts[slot as usize].diff(self.entries.min_value()),
+            None => 0,
+        }
+    }
+
+    /// True if `row` currently occupies a table entry.
+    pub fn contains(&self, row: RowId) -> bool {
+        with_index!(&self.index, index => index.contains(row))
+    }
+
+    /// Processes one ACT command (paper Fig. 5 steps ① and ②).
+    ///
+    /// # Panics
+    ///
+    /// After [`use_flat_index`](Self::use_flat_index), panics if `row` is
+    /// past the bank.
+    pub fn on_activate(&mut self, row: RowId) {
+        with_index!(&mut self.index, index => self.entries.activate(index, row))
+    }
+
+    /// Cumulative minimum-entry evictions since construction (or the last
+    /// [`clear`]) — the Space-Saving replacement pressure the
+    /// observability layer tracks.
+    ///
+    /// [`clear`]: MithrilTable::clear
+    pub fn evictions(&self) -> u64 {
+        self.entries.evictions
+    }
+
+    /// Processes one RFM command: greedy selection of the `MaxPtr` entry and
+    /// decrement of its counter to the table minimum (Fig. 5 step ③).
+    /// Returns `None` only if the table is empty.
+    pub fn on_rfm(&mut self) -> Option<Selection> {
+        let slot = self.entries.list.oldest_max_slot()?;
+        Some(Selection {
+            row: self.entries.addrs[slot as usize],
+            count_above_min: self.entries.reset_slot(slot),
+        })
+    }
+
+    /// Drops an on-table `row`'s counter to the table minimum — the reset
+    /// a scheme applies after refreshing the row's victims outside the
+    /// greedy selection (RFM-Graphene's queue). Safe by inequality (2):
+    /// the refreshed row's true count is zero, and the entry may still owe
+    /// up to the minimum from evictions. Returns `false` (and changes
+    /// nothing) if `row` is off the table.
+    pub fn reset_row(&mut self, row: RowId) -> bool {
+        match self.slot_of(row) {
+            Some(slot) => {
+                self.entries.reset_slot(slot);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Empties the table (Graphene's per-reset-window clear). Allocations
     /// are kept; the eviction counter restarts at zero.
     pub fn clear(&mut self) {
-        self.addrs.clear();
-        self.counts.clear();
-        self.index.clear();
-        self.list.clear();
-        self.evictions = 0;
+        let e = &mut self.entries;
+        e.addrs.clear();
+        e.counts.clear();
+        e.list.clear();
+        e.evictions = 0;
+        with_index!(&mut self.index, index => index.clear());
     }
 
     /// Iterates over `(row, count_above_min)` pairs.
     pub fn iter_relative(&self) -> impl Iterator<Item = (RowId, u64)> + '_ {
-        let min = if self.addrs.is_empty() {
+        let min = if self.is_empty() {
             C::zero()
         } else {
-            self.min_value()
+            self.entries.min_value()
         };
-        self.addrs
+        self.entries
+            .addrs
             .iter()
-            .zip(self.counts.iter())
+            .zip(self.entries.counts.iter())
             .map(move |(&a, &c)| (a, c.diff(min)))
     }
 
@@ -424,10 +590,11 @@ impl<C: Counter> MithrilTable<C> {
     /// [`self_check`]: MithrilTable::self_check
     /// [`repair`]: MithrilTable::repair
     pub fn flip_counter_bit(&mut self, slot: usize, bit: u32) -> bool {
-        if slot >= self.counts.len() || bit >= C::BITS {
+        let counts = &mut self.entries.counts;
+        if slot >= counts.len() || bit >= C::BITS {
             return false;
         }
-        self.counts[slot] = self.counts[slot].flip_bit(bit);
+        counts[slot] = counts[slot].flip_bit(bit);
         true
     }
 
@@ -437,12 +604,13 @@ impl<C: Counter> MithrilTable<C> {
     ///
     /// [`flip_counter_bit`]: MithrilTable::flip_counter_bit
     pub fn force_counter_bit(&mut self, slot: usize, bit: u32, one: bool) -> bool {
-        if slot >= self.counts.len() || bit >= C::BITS {
+        let counts = &mut self.entries.counts;
+        if slot >= counts.len() || bit >= C::BITS {
             return false;
         }
-        let forced = self.counts[slot].with_bit(bit, one);
-        let changed = forced != self.counts[slot];
-        self.counts[slot] = forced;
+        let forced = counts[slot].with_bit(bit, one);
+        let changed = forced != counts[slot];
+        counts[slot] = forced;
         changed
     }
 
@@ -452,19 +620,19 @@ impl<C: Counter> MithrilTable<C> {
     /// becomes the oldest minimum entry. Returns `false` if the slot is
     /// out of range or already invalid.
     pub fn invalidate_entry(&mut self, slot: usize) -> bool {
-        if slot >= self.addrs.len() || self.addrs[slot] == INVALID_ROW {
-            return false;
-        }
-        let row = self.addrs[slot];
-        self.index.remove(row);
-        self.addrs[slot] = INVALID_ROW;
+        let row = match self.entries.addrs.get(slot) {
+            Some(&row) if row != INVALID_ROW => row,
+            _ => return false,
+        };
+        with_index!(&mut self.index, index => index.remove(row));
+        self.entries.addrs[slot] = INVALID_ROW;
         true
     }
 
     /// Slot `slot`'s stored counter bits (scrub diagnostics), or `None`
     /// if the slot is unoccupied.
     pub fn raw_counter(&self, slot: usize) -> Option<u64> {
-        self.counts.get(slot).map(|c| c.raw())
+        self.entries.counts.get(slot).map(|c| c.raw())
     }
 
     /// Verifies the table's derived structures against its stored
@@ -474,31 +642,7 @@ impl<C: Counter> MithrilTable<C> {
     /// `BucketList::self_check`). `Err` describes the first broken
     /// invariant. O(capacity).
     pub fn self_check(&self) -> Result<(), String> {
-        let mut valid = 0usize;
-        for (slot, &row) in self.addrs.iter().enumerate() {
-            if row == INVALID_ROW {
-                continue;
-            }
-            valid += 1;
-            match self.slot_of(row) {
-                Some(s) if s as usize == slot => {}
-                Some(s) => {
-                    return Err(format!(
-                        "row {row}: index points at slot {s}, stored in {slot}"
-                    ))
-                }
-                None => return Err(format!("row {row} (slot {slot}): missing from index")),
-            }
-        }
-        if self.index.len() != valid {
-            return Err(format!(
-                "index has {} rows, table stores {valid} valid tags",
-                self.index.len()
-            ));
-        }
-        let basis = self.list.min_value().unwrap_or_else(C::zero);
-        self.list
-            .self_check(|s| self.counts[s as usize], |v| v.diff(basis))
+        with_index!(&self.index, index => self.entries.check(index))
     }
 
     /// Rebuilds the derived structures from the stored entries — the
@@ -508,27 +652,10 @@ impl<C: Counter> MithrilTable<C> {
     /// ([`Counter::recover_floor`]), and the Stream-Summary list is
     /// rebuilt in ascending `(diff-from-minimum, slot)` order. Arrival
     /// ages are unrecoverable after corruption, so ties canonicalize to
-    /// ascending slot index. O(capacity·log).
+    /// ascending slot index. O(capacity·log), plus O(rows) to clear a
+    /// flat index.
     pub fn repair(&mut self) {
-        self.index.clear();
-        for slot in 0..self.addrs.len() {
-            let row = self.addrs[slot];
-            if row == INVALID_ROW {
-                continue;
-            }
-            if self.index.contains(row) {
-                self.addrs[slot] = INVALID_ROW;
-            } else {
-                self.index.insert(row, slot as u32 + 1);
-            }
-        }
-        let floor = if self.len() == self.capacity {
-            C::recover_floor(&self.counts)
-        } else {
-            C::zero()
-        };
-        let counts = &self.counts;
-        self.list.rebuild(|s| counts[s as usize], |v| v.diff(floor));
+        with_index!(&mut self.index, index => self.entries.repair(index))
     }
 }
 
@@ -556,8 +683,8 @@ impl MithrilTable<u64> {
     /// ```
     pub fn estimate(&self, row: RowId) -> u64 {
         match self.slot_of(row) {
-            Some(slot) => self.counts[slot as usize],
-            None => self.min_value(),
+            Some(slot) => self.entries.counts[slot as usize],
+            None => self.entries.min_value(),
         }
     }
 }
@@ -569,13 +696,14 @@ impl<C: Counter> MithrilTable<C> {
     /// `max` is the spread — exactly the quantity the adaptive-refresh
     /// decision reads.
     pub fn observe(&self) -> mithril_obs::TrackerObservation {
+        let indexed = with_index!(&self.index, index => index.len());
         mithril_obs::TrackerObservation {
             len: self.len() as u64,
-            capacity: self.capacity as u64,
+            capacity: self.capacity() as u64,
             min: 0,
             max: self.spread(),
-            evictions: self.evictions,
-            invalidations: (self.len() - self.index.len()) as u64,
+            evictions: self.entries.evictions,
+            invalidations: (self.len() - indexed) as u64,
         }
     }
 }
@@ -954,7 +1082,7 @@ mod tests {
                 t.on_rfm();
             }
             assert!(
-                t.list.bucket_count() <= t.len().max(1),
+                t.entries.list.bucket_count() <= t.len().max(1),
                 "arena leaked buckets"
             );
         }

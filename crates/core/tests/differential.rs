@@ -7,9 +7,26 @@
 //! `NaiveTable` uses unbounded `u64` counters, so running it against the
 //! wrapping `u16` production table also re-proves the Section IV-E
 //! wrapping-counter claim along the way.
+//!
+//! Every stream runs on both row-index stores: the sparse index a table is
+//! built with, and the flat per-row index of
+//! [`MithrilTable::use_flat_index`] (over a bank of [`ROWS`] rows, which
+//! every activated row lies in).
 
 use mithril::{MithrilTable, NaiveTable};
 use proptest::prelude::*;
+
+/// Rows of the bank the flat index covers.
+const ROWS: u64 = 1 << 14;
+
+/// An empty table of `cap` entries, on the flat row index if `flat`.
+fn table<C: mithril::Counter>(cap: usize, flat: bool) -> MithrilTable<C> {
+    let mut t = MithrilTable::new(cap);
+    if flat {
+        t.use_flat_index(ROWS);
+    }
+    t
+}
 
 /// One step of a differential run.
 #[derive(Debug, Clone, Copy)]
@@ -88,38 +105,40 @@ impl Lcg {
 /// capacities. Also checks per-step selections and estimates.
 #[test]
 fn random_stream_100k_identical_decisions() {
-    for &(cap, universe, rfm_every) in &[
-        (4usize, 10u64, 16u64),
-        (16, 48, 32),
-        (64, 256, 64),
-        (128, 96, 24),
-    ] {
-        let mut fast: MithrilTable<u16> = MithrilTable::new(cap);
-        let mut naive = NaiveTable::new(cap);
-        let mut rng = Lcg(0xC0FFEE ^ cap as u64);
-        let mut acts = 0u64;
-        let mut step = 0u64;
-        while acts < 100_000 {
-            let row = rng.next() % universe;
-            fast.on_activate(row);
-            naive.on_activate(row);
-            acts += 1;
-            if step % rfm_every == rfm_every - 1 {
-                assert_eq!(
-                    fast.on_rfm(),
-                    naive.on_rfm(),
-                    "cap {cap}: RFM diverged after {acts} ACTs"
-                );
+    for flat in [false, true] {
+        for &(cap, universe, rfm_every) in &[
+            (4usize, 10u64, 16u64),
+            (16, 48, 32),
+            (64, 256, 64),
+            (128, 96, 24),
+        ] {
+            let mut fast: MithrilTable<u16> = table(cap, flat);
+            let mut naive = NaiveTable::new(cap);
+            let mut rng = Lcg(0xC0FFEE ^ cap as u64);
+            let mut acts = 0u64;
+            let mut step = 0u64;
+            while acts < 100_000 {
+                let row = rng.next() % universe;
+                fast.on_activate(row);
+                naive.on_activate(row);
+                acts += 1;
+                if step % rfm_every == rfm_every - 1 {
+                    assert_eq!(
+                        fast.on_rfm(),
+                        naive.on_rfm(),
+                        "cap {cap}, flat {flat}: RFM diverged after {acts} ACTs"
+                    );
+                }
+                if step.is_multiple_of(97) {
+                    let probe = rng.next() % universe;
+                    assert_eq!(
+                        fast.estimate_above_min(probe),
+                        naive.estimate_above_min(probe)
+                    );
+                    assert_eq!(fast.spread(), naive.spread());
+                }
+                step += 1;
             }
-            if step.is_multiple_of(97) {
-                let probe = rng.next() % universe;
-                assert_eq!(
-                    fast.estimate_above_min(probe),
-                    naive.estimate_above_min(probe)
-                );
-                assert_eq!(fast.spread(), naive.spread());
-            }
-            step += 1;
         }
     }
 }
@@ -129,68 +148,70 @@ fn random_stream_100k_identical_decisions() {
 /// case), and a sweeping wave. All at least 10^5 activations.
 #[test]
 fn attack_streams_100k_identical_decisions() {
-    // Double-sided hammer: two hot aggressors, periodic camouflage noise.
-    {
-        let mut fast: MithrilTable<u16> = MithrilTable::new(16);
-        let mut naive = NaiveTable::new(16);
-        let mut rng = Lcg(7);
-        let cmds = (0..120_000u64).map(|i| {
-            if i % 48 == 47 {
-                Cmd::Rfm
-            } else if i % 3 == 2 {
-                Cmd::Act(1000 + rng.next() % 64) // camouflage
-            } else if i % 2 == 0 {
-                Cmd::Act(499)
-            } else {
-                Cmd::Act(501)
-            }
-        });
-        assert_lockstep(&mut fast, &mut naive, cmds);
-    }
-    // Round-robin over capacity + 1 rows: every miss evicts.
-    {
-        let cap = 32usize;
-        let mut fast: MithrilTable<u16> = MithrilTable::new(cap);
-        let mut naive = NaiveTable::new(cap);
-        let cmds = (0..110_000u64).map(|i| {
-            if i % 128 == 127 {
-                Cmd::Rfm
-            } else {
-                Cmd::Act(i % (cap as u64 + 1))
-            }
-        });
-        assert_lockstep(&mut fast, &mut naive, cmds);
-    }
-    // Sweeping wave: rows visited in bursts that shift over time.
-    {
-        let mut fast: MithrilTable<u16> = MithrilTable::new(24);
-        let mut naive = NaiveTable::new(24);
-        let cmds = (0..100_000u64).map(|i| {
-            if i % 64 == 63 {
-                Cmd::Rfm
-            } else {
-                Cmd::Act((i / 500) % 96 + (i % 5))
-            }
-        });
-        assert_lockstep(&mut fast, &mut naive, cmds);
-    }
-    // Graphene-style: rows reset as they cross a threshold, table cleared
-    // every window, on the unbounded table Graphene tracks with.
-    {
-        let mut fast: MithrilTable<u64> = MithrilTable::new(20);
-        let mut naive = NaiveTable::new(20);
-        let mut rng = Lcg(11);
-        let cmds = (0..100_000u64).map(|i| {
-            let row = rng.next() % 40;
-            if i % 25_000 == 24_999 {
-                Cmd::Clear
-            } else if i % 50 == 49 {
-                Cmd::ResetRow(row)
-            } else {
-                Cmd::Act(row)
-            }
-        });
-        assert_lockstep(&mut fast, &mut naive, cmds);
+    for flat in [false, true] {
+        // Double-sided hammer: two hot aggressors, periodic camouflage noise.
+        {
+            let mut fast: MithrilTable<u16> = table(16, flat);
+            let mut naive = NaiveTable::new(16);
+            let mut rng = Lcg(7);
+            let cmds = (0..120_000u64).map(|i| {
+                if i % 48 == 47 {
+                    Cmd::Rfm
+                } else if i % 3 == 2 {
+                    Cmd::Act(1000 + rng.next() % 64) // camouflage
+                } else if i % 2 == 0 {
+                    Cmd::Act(499)
+                } else {
+                    Cmd::Act(501)
+                }
+            });
+            assert_lockstep(&mut fast, &mut naive, cmds);
+        }
+        // Round-robin over capacity + 1 rows: every miss evicts.
+        {
+            let cap = 32usize;
+            let mut fast: MithrilTable<u16> = table(cap, flat);
+            let mut naive = NaiveTable::new(cap);
+            let cmds = (0..110_000u64).map(|i| {
+                if i % 128 == 127 {
+                    Cmd::Rfm
+                } else {
+                    Cmd::Act(i % (cap as u64 + 1))
+                }
+            });
+            assert_lockstep(&mut fast, &mut naive, cmds);
+        }
+        // Sweeping wave: rows visited in bursts that shift over time.
+        {
+            let mut fast: MithrilTable<u16> = table(24, flat);
+            let mut naive = NaiveTable::new(24);
+            let cmds = (0..100_000u64).map(|i| {
+                if i % 64 == 63 {
+                    Cmd::Rfm
+                } else {
+                    Cmd::Act((i / 500) % 96 + (i % 5))
+                }
+            });
+            assert_lockstep(&mut fast, &mut naive, cmds);
+        }
+        // Graphene-style: rows reset as they cross a threshold, table cleared
+        // every window, on the unbounded table Graphene tracks with.
+        {
+            let mut fast: MithrilTable<u64> = table(20, flat);
+            let mut naive = NaiveTable::new(20);
+            let mut rng = Lcg(11);
+            let cmds = (0..100_000u64).map(|i| {
+                let row = rng.next() % 40;
+                if i % 25_000 == 24_999 {
+                    Cmd::Clear
+                } else if i % 50 == 49 {
+                    Cmd::ResetRow(row)
+                } else {
+                    Cmd::Act(row)
+                }
+            });
+            assert_lockstep(&mut fast, &mut naive, cmds);
+        }
     }
 }
 
@@ -214,8 +235,8 @@ proptest! {
     /// Random interleavings of ACTs, RFMs, row resets and clears: bucket
     /// and naive tables stay in lockstep at every step, for any capacity.
     #[test]
-    fn proptest_lockstep_u16(stream in cmd_stream(), cap in 1usize..40) {
-        let mut fast: MithrilTable<u16> = MithrilTable::new(cap);
+    fn proptest_lockstep_u16(stream in cmd_stream(), cap in 1usize..40, flat in any::<bool>()) {
+        let mut fast: MithrilTable<u16> = table(cap, flat);
         let mut naive = NaiveTable::new(cap);
         assert_lockstep(&mut fast, &mut naive, stream.iter().copied());
     }
@@ -224,8 +245,8 @@ proptest! {
     /// isolates bucket-structure bugs from wrapping-counter bugs — and so
     /// do its absolute Counter-based Summary estimates, on- and off-table.
     #[test]
-    fn proptest_lockstep_u64(stream in cmd_stream(), cap in 1usize..24) {
-        let mut fast: MithrilTable<u64> = MithrilTable::new(cap);
+    fn proptest_lockstep_u64(stream in cmd_stream(), cap in 1usize..24, flat in any::<bool>()) {
+        let mut fast: MithrilTable<u64> = table(cap, flat);
         let mut naive = NaiveTable::new(cap);
         for (n, &cmd) in stream.iter().enumerate() {
             step(&mut fast, &mut naive, cmd, n);

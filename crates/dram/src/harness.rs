@@ -91,15 +91,18 @@ impl<S: EventSink> AttackHarness<S> {
     /// Creates an instrumented harness emitting events into `obs`
     /// (timestamped with the harness clock; the single bank is bank 0).
     ///
-    /// The oracle keeps one `u32` disturbance count per row
-    /// ([`RowHammerOracle::flat`]): 4 B × `rows`, 256 KiB at
-    /// [`DEFAULT_ROWS`](Self::DEFAULT_ROWS), allocated on the first ACT,
-    /// so building a harness allocates no per-row storage.
+    /// The row side is flat. The oracle keeps one `u32` disturbance count
+    /// per row ([`RowHammerOracle::flat`]), and the engine is told to go
+    /// flat too ([`DramMitigation::use_flat_rows`]): a Mithril table then
+    /// keeps one `u32` index word per row. That is 4 B × `rows` each,
+    /// 256 KiB at [`DEFAULT_ROWS`](Self::DEFAULT_ROWS), allocated on the
+    /// first ACT, so building a harness allocates no per-row storage.
     ///
     /// # Panics
     ///
     /// Panics if `rfm_th`, `rows` or `blast_radius` is zero, or if `rows`
-    /// exceeds `2^24` (64 MiB of counts).
+    /// exceeds `2^24` (64 MiB of counts, and as much again for a Mithril
+    /// table's index).
     #[allow(clippy::too_many_arguments)]
     pub fn with_obs(
         timing: Ddr5Timing,

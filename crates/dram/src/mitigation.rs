@@ -197,6 +197,19 @@ pub trait DramMitigation {
         let _ = (lo, hi);
     }
 
+    /// Tells the engine that its bank keeps flat per-row state: the bank
+    /// has `rows` rows and is driven ACT after ACT, so a word per row is
+    /// cheap. The row side of the single-bank
+    /// [`AttackHarness`](crate::AttackHarness) calls this once, before the
+    /// first ACT, as it builds its flat oracle; a
+    /// [`DramDevice`](crate::DramDevice) bank, one of many, never does.
+    /// An engine that indexes rows may move that index to a flat store of
+    /// `rows` words; its decisions must not change. The default does
+    /// nothing.
+    fn use_flat_rows(&mut self, rows: u64) {
+        let _ = rows;
+    }
+
     /// The Mithril+ mode-register flag (paper Section V-B): `true` when the
     /// engine would actually use an RFM window. The memory controller polls
     /// this via MRR and elides RFM commands when it is `false`. Engines

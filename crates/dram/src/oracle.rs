@@ -10,7 +10,7 @@
 //! The oracle is deliberately *not* a streaming algorithm — it is the ground
 //! truth the streaming trackers approximate.
 
-use mithril_fasthash::RowIndex;
+use mithril_fasthash::{FlatIndex, RowIndex};
 
 use crate::types::RowId;
 
@@ -126,9 +126,9 @@ enum Counts {
     /// Disturbed row -> its disturbance (at least 1 while present): memory
     /// in proportion to the rows disturbed since their last refresh.
     Sparse(RowIndex<u32>),
-    /// One count per row, indexed by row: empty until the first ACT, then
-    /// `rows` long.
-    Flat(Vec<u32>),
+    /// One count per row, indexed by row: no words until the first ACT,
+    /// then `rows` of them.
+    Flat(FlatIndex),
 }
 
 /// A counter store the victim walk increments.
@@ -148,12 +148,10 @@ impl Store for RowIndex<u32> {
     }
 }
 
-impl Store for [u32] {
+impl Store for FlatIndex {
     #[inline]
     fn bump(&mut self, row: u32) -> u32 {
-        let count = &mut self[row as usize];
-        *count = count.checked_add(1).expect("value word overflows u32");
-        *count
+        self.increment(u64::from(row))
     }
 }
 
@@ -214,7 +212,12 @@ impl RowHammerOracle {
     ///
     /// As [`new`](Self::new).
     pub fn flat(flip_threshold: u64, blast_radius: u64, rows: u64) -> Self {
-        Self::with_counts(flip_threshold, blast_radius, rows, Counts::Flat(Vec::new()))
+        Self::with_counts(
+            flip_threshold,
+            blast_radius,
+            rows,
+            Counts::Flat(FlatIndex::new(rows)),
+        )
     }
 
     fn with_counts(flip_threshold: u64, blast_radius: u64, rows: u64, counts: Counts) -> Self {
@@ -258,20 +261,15 @@ impl RowHammerOracle {
                 max_observed,
                 flips,
             ),
-            Counts::Flat(counts) => {
-                if counts.is_empty() {
-                    *counts = vec![0; rows as usize];
-                }
-                disturb(
-                    counts.as_mut_slice(),
-                    aggressor,
-                    flip_threshold,
-                    blast_radius,
-                    rows,
-                    max_observed,
-                    flips,
-                )
-            }
+            Counts::Flat(index) => disturb(
+                index,
+                aggressor,
+                flip_threshold,
+                blast_radius,
+                rows,
+                max_observed,
+                flips,
+            ),
         }
     }
 
@@ -283,15 +281,9 @@ impl RowHammerOracle {
             return;
         }
         match &mut self.counts {
-            Counts::Sparse(index) => {
-                index.remove(row as u32);
-            }
-            Counts::Flat(counts) => {
-                if let Some(count) = counts.get_mut(row as usize) {
-                    *count = 0;
-                }
-            }
-        }
+            Counts::Sparse(index) => index.remove(row as u32),
+            Counts::Flat(index) => index.remove(row),
+        };
     }
 
     /// Convenience: refresh every row in `lo..hi` (an auto-refresh group,
@@ -304,13 +296,7 @@ impl RowHammerOracle {
                     index.remove(row as u32);
                 }
             }
-            Counts::Flat(counts) => {
-                // `None` before the first ACT (nothing to clear) or for an
-                // empty range.
-                if let Some(group) = counts.get_mut(lo as usize..hi as usize) {
-                    group.fill(0);
-                }
-            }
+            Counts::Flat(index) => index.remove_range(lo, hi),
         }
     }
 
@@ -322,13 +308,19 @@ impl RowHammerOracle {
         }
         match &self.counts {
             Counts::Sparse(index) => index.get(row as u32).map_or(0, u64::from),
-            Counts::Flat(counts) => counts.get(row as usize).map_or(0, |&d| u64::from(d)),
+            Counts::Flat(index) => index.get(row).map_or(0, u64::from),
         }
     }
 
     /// Rows in the bank.
     pub(crate) fn rows(&self) -> u64 {
         self.rows
+    }
+
+    /// True if the counts live in the flat store
+    /// ([`flat`](Self::flat)).
+    pub(crate) fn is_flat(&self) -> bool {
+        matches!(self.counts, Counts::Flat(_))
     }
 
     /// High-water mark of any victim's disturbance since construction.
@@ -466,25 +458,6 @@ mod tests {
                                         // Further ACTs do not duplicate the flip event.
         o.on_activate(7);
         assert_eq!(o.flips().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "value word overflows u32")]
-    fn flat_count_overflow_panics() {
-        let mut counts = [u32::MAX - 1, 0];
-        assert_eq!(counts.bump(0), u32::MAX);
-        counts.bump(0);
-    }
-
-    #[test]
-    fn flat_store_allocates_on_first_act() {
-        let mut o = RowHammerOracle::flat(10, 1, 100);
-        o.on_row_refreshed(5);
-        o.on_rows_refreshed(0, 8);
-        assert!(matches!(&o.counts, Counts::Flat(c) if c.capacity() == 0));
-        o.on_activate(5);
-        assert!(matches!(&o.counts, Counts::Flat(c) if c.len() == 100));
-        assert_eq!(o.disturbance(4), 1);
     }
 
     #[test]

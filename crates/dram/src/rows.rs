@@ -30,12 +30,18 @@ pub(crate) struct BankRows {
 
 impl BankRows {
     /// The row side of a bank of `oracle.rows()` rows; one REF refreshes
-    /// `timing.rows_per_ref` of them.
+    /// `timing.rows_per_ref` of them. The oracle's store is the bank's one
+    /// choice of row storage: a flat oracle (one bank, driven ACT after
+    /// ACT) tells the engine to go flat too
+    /// ([`DramMitigation::use_flat_rows`]), a sparse one leaves it as built.
     pub(crate) fn new(
-        engine: Box<dyn DramMitigation>,
+        mut engine: Box<dyn DramMitigation>,
         oracle: RowHammerOracle,
         timing: &Ddr5Timing,
     ) -> Self {
+        if oracle.is_flat() {
+            engine.use_flat_rows(oracle.rows());
+        }
         Self {
             rows_per_ref: timing.rows_per_ref(oracle.rows()),
             engine,

@@ -5,7 +5,9 @@
 //! Mithril table's row index and the disturbance oracle's per-victim
 //! counts — are [`RowIndex`]es: small open-addressed tables with linear
 //! probing from a Fibonacci-hashed home slot, with the empty marker in
-//! the value word so no key is reserved. Everything else keyed (the
+//! the value word so no key is reserved. A single bank driven ACT after
+//! ACT keeps both in a [`FlatIndex`] instead: the same value words, one
+//! per row. Everything else keyed (the
 //! LLC's MSHR, the simulator's miss waiters, trace statistics, baseline
 //! side tables) stays in a `HashMap`. `std`'s default hasher is
 //! SipHash-1-3 — a keyed DoS-resistant hash that costs tens of cycles per
@@ -14,6 +16,7 @@
 //! model *hardware CAMs*), so this crate provides cheaper families:
 //!
 //! * [`RowIndex`] — the open-addressed row index of the per-ACT tables.
+//! * [`FlatIndex`] — its flat twin, one value word per row of a bank.
 //! * [`FxHasher64`] / [`FastHashMap`] — a multiply-fold hasher in the
 //!   FxHash/multiply-shift tradition for `HashMap`-style containers: one
 //!   XOR + one multiply + one rotate per 8-byte word.
@@ -34,8 +37,10 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+mod flat;
 mod index;
 
+pub use flat::FlatIndex;
 pub use index::{IndexKey, RowIndex};
 
 /// One round of the splitmix64 mixing function.

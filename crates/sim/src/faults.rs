@@ -304,6 +304,10 @@ impl DramMitigation for FaultyEngine {
         self.inner.on_auto_refresh(lo, hi);
     }
 
+    fn use_flat_rows(&mut self, rows: u64) {
+        self.inner.use_flat_rows(rows);
+    }
+
     fn refresh_pending(&self) -> bool {
         self.inner.refresh_pending()
     }

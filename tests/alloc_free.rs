@@ -7,8 +7,10 @@
 //! Pinned here (see "Allocation discipline on the hot path" in
 //! ARCHITECTURE.md):
 //! - The oracle walks the blast radius in place.
-//! - An `AttackHarness` allocates its oracle's flat per-row counts on its
-//!   first ACT, in one allocation of 4 B per row, not when it is built.
+//! - An `AttackHarness` keeps its row side flat: its oracle's per-row
+//!   counts and its Mithril table's per-row index, 4 B per row each, are
+//!   allocated on its first ACT, one allocation apiece, not when it is
+//!   built.
 //! - `System` recycles the emptied miss-waiter lists.
 //! - An all-bank REF returns its row range instead of a list.
 //!
@@ -23,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mithril_repro::core::{MithrilConfig, MithrilScheme, MithrilTable};
-use mithril_repro::dram::{AttackHarness, Ddr5Timing, NoMitigation};
+use mithril_repro::dram::{AttackHarness, Ddr5Timing};
 use mithril_repro::sim::{Llc, LlcConfig, Scheme, System, SystemConfig};
 use mithril_repro::workloads::mix_high;
 
@@ -116,16 +118,26 @@ fn llc_footprint() -> (u64, u64, u64) {
     (made, lines, sets)
 }
 
-/// Bytes requested by building a default-sized harness, then the
-/// allocations and bytes of its first ACT.
-fn harness_first_act() -> (u64, u64, u64) {
+/// Bytes requested by building a Mithril engine alone, then by building
+/// an engine and a default-sized harness around it, then the allocations
+/// and bytes of the harness's first ACT.
+fn harness_first_act() -> (u64, u64, u64, u64) {
     let t = Ddr5Timing::ddr5_4800();
+    let cfg = MithrilConfig::for_flip_threshold(6_250, 64, &t).unwrap();
     let before = bytes();
-    let mut h = AttackHarness::new(t, Box::new(NoMitigation), 64, 6_250);
+    drop(MithrilScheme::new(cfg));
+    let engine = bytes() - before;
+    let before = bytes();
+    let mut h = AttackHarness::new(t, Box::new(MithrilScheme::new(cfg)), 64, 6_250);
     let built = bytes() - before;
     let (allocs_before, bytes_before) = (allocs(), bytes());
     assert!(h.try_activate(1_000));
-    (built, allocs() - allocs_before, bytes() - bytes_before)
+    (
+        engine,
+        built,
+        allocs() - allocs_before,
+        bytes() - bytes_before,
+    )
 }
 
 /// Allocations and ACTs of a 32-sided hammer on a Mithril bank over one
@@ -168,7 +180,7 @@ fn system_continuation() -> (u64, u64) {
 fn per_act_hot_path_does_not_allocate() {
     // Measure both before asserting, so a failure reports both counts.
     let (harness_allocs, harness_acts) = harness_hammer();
-    let (built_bytes, first_act_allocs, first_act_bytes) = harness_first_act();
+    let (engine_bytes, built_bytes, first_act_allocs, first_act_bytes) = harness_first_act();
     let (system_allocs, system_acts) = system_continuation();
     let (llc_bytes, llc_lines, llc_sets) = llc_footprint();
     let (nentry, table_bytes) = table_footprint();
@@ -187,13 +199,15 @@ fn per_act_hot_path_does_not_allocate() {
     assert!(harness_allocs * 10_000 < harness_acts, "{report}");
     let rows = <AttackHarness>::DEFAULT_ROWS;
     assert!(
-        built_bytes <= 1_024,
-        "building a {rows}-row harness requested {built_bytes} B (limit 1 KiB: no per-row storage)"
+        built_bytes <= engine_bytes + 1_024,
+        "building a {rows}-row Mithril harness requested {built_bytes} B, its engine alone \
+         {engine_bytes} B (limit 1 KiB more: no per-row storage)"
     );
     assert_eq!(
         (first_act_allocs, first_act_bytes),
-        (1, 4 * rows),
-        "the first harness ACT must allocate the oracle's 4 B per row, once"
+        (2, 2 * 4 * rows),
+        "the first harness ACT must allocate 4 B per row twice, once for the oracle's \
+         counts and once for the table's index"
     );
     assert!(system_allocs * 1_000 < system_acts, "{report}");
     assert!(
